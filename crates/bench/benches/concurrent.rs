@@ -47,32 +47,6 @@ fn run_threads(demux: &dyn ConcurrentDemux, keys: &[ConnectionKey], threads: usi
     });
 }
 
-/// Same total work, but each thread presents its lookups in batches, the
-/// shape a per-CPU receive ring produces.
-fn run_threads_batched(demux: &dyn ConcurrentDemux, keys: &[ConnectionKey], threads: usize) {
-    const BATCH: usize = 32;
-    let per_thread = LOOKUPS_TOTAL / threads;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            s.spawn(move || {
-                let n = keys.len();
-                let mut batch = Vec::with_capacity(BATCH);
-                let mut results = Vec::with_capacity(BATCH);
-                let mut i = 0;
-                while i < per_thread {
-                    batch.clear();
-                    while batch.len() < BATCH && i < per_thread {
-                        batch.push((keys[(t * 4099 + i * 7919) % n], PacketKind::Data));
-                        i += 1;
-                    }
-                    demux.lookup_batch(&batch, &mut results);
-                    black_box(&results);
-                }
-            });
-        }
-    });
-}
-
 fn bench_scaling() {
     let keys = tpca_key_population(CONNECTIONS);
     let suite = concurrent_suite(CHAINS);
@@ -86,16 +60,6 @@ fn bench_scaling() {
             bench(&format!("concurrent/{}/{threads}", demux.name()), || {
                 run_threads(demux.as_ref(), &keys, threads)
             });
-        }
-    }
-
-    group("concurrent, batched lookups (same total work, batches of 32)");
-    for &threads in &[1usize, 4] {
-        for demux in &suite {
-            bench(
-                &format!("concurrent-batch32/{}/{threads}", demux.name()),
-                || run_threads_batched(demux.as_ref(), &keys, threads),
-            );
         }
     }
 }

@@ -17,10 +17,8 @@
 //! Cells per (tier, N): `build` (ns per installed connection for a cold
 //! build of the full population — chained tiers via their distinct-key
 //! `preload` path, cuckoo via its ordinary insert, so its number includes
-//! kicks and growth rehashes), `lookup` (ns per random
-//! established-connection lookup), and for cuckoo additionally `batch`
-//! (the prefetching `lookup_batch` path, 64 keys per batch, ns per
-//! lookup).
+//! kicks and growth rehashes) and `lookup` (ns per random
+//! established-connection lookup).
 //!
 //! `TCPDEMUX_SMOKE=1` caps the *actual* population at 20k keys while
 //! keeping the nominal N in every label, so `scripts/verify.sh` can
@@ -31,7 +29,7 @@
 
 use std::time::Instant;
 use tcpdemux_bench::harness::{bb, maybe_write_json, record, smoke, Measurement};
-use tcpdemux_core::{CuckooDemux, Demux, LookupResult, PacketKind, SequentDemux};
+use tcpdemux_core::{CuckooDemux, Demux, PacketKind, SequentDemux};
 use tcpdemux_hash::quality::tpca_key_population;
 use tcpdemux_hash::Multiplicative;
 use tcpdemux_pcb::{ConnectionKey, PcbId};
@@ -48,8 +46,6 @@ const LOOKUP_SAMPLE: usize = 65_536;
 /// measured lookups shrinks as chains stretch so a cell costs roughly
 /// constant wall time instead of scaling as N.
 const VISIT_BUDGET: usize = 500_000_000;
-
-const BATCH: usize = 64;
 
 fn reps() -> usize {
     if smoke() {
@@ -169,31 +165,6 @@ fn lookup_cell(label: &str, demux: &mut dyn Demux, keys: &[ConnectionKey], per_s
     record(m);
 }
 
-fn batch_cell(label: &str, demux: &mut dyn Demux, keys: &[ConnectionKey]) {
-    let indices = sample_indices(keys.len());
-    let batch: Vec<(ConnectionKey, PacketKind)> = indices
-        .iter()
-        .map(|&i| (keys[i], PacketKind::Data))
-        .collect();
-    let mut out: Vec<LookupResult> = Vec::new();
-    let samples: Vec<f64> = (0..reps())
-        .map(|_| {
-            let start = Instant::now();
-            for chunk in batch.chunks(BATCH) {
-                demux.lookup_batch(chunk, &mut out);
-                bb(&out);
-            }
-            start.elapsed().as_nanos() as f64 / batch.len() as f64
-        })
-        .collect();
-    let m = Measurement::from_samples(label, &samples, batch.len() as u64);
-    println!(
-        "{:<44} {:>10.1} ns/lookup  (min {:>8.1}, batches of {BATCH})",
-        m.label, m.median_ns, m.min_ns
-    );
-    record(m);
-}
-
 /// Lookups per timed sample for a chained tier: enough to be stable,
 /// shrunk so sample cost ≈ VISIT_BUDGET element visits as chains stretch.
 fn per_sample_for(chains: Option<usize>, n: usize) -> usize {
@@ -233,13 +204,6 @@ fn main() {
                 &keys,
                 per_sample_for(tier.chains, actual),
             );
-            if tier.chains.is_none() {
-                batch_cell(
-                    &format!("demux_scale/batch/n={n}/{name}"),
-                    demux.as_mut(),
-                    &keys,
-                );
-            }
         }
         println!();
     }
@@ -251,7 +215,6 @@ fn main() {
             ("populations", "10000/100000/1000000/10000000"),
             ("tiers", "sequent(19)/sequent(499)/cuckoo"),
             ("lookup_sample", "65536"),
-            ("batch", "64"),
         ],
     );
 }

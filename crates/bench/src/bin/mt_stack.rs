@@ -2,7 +2,7 @@
 //!
 //! Measures the complete receive path — ingress steering (symmetric
 //! connection-key hash), the per-shard SPSC ring hop, and
-//! [`Stack::receive_batch`] behind it — for a [`ShardedStack`] at 1, 2,
+//! [`Stack::receive`] behind it — for a [`ShardedStack`] at 1, 2,
 //! 4, and 8 shards, under two traffic mixes:
 //!
 //! * **tpca** — many connections, small request segments (the paper's
@@ -11,7 +11,7 @@
 //!   packet trains).
 //!
 //! Each cell runs one ingress thread (steer + enqueue) against one
-//! worker thread per shard (drain + batched receive), the deployment
+//! worker thread per shard (drain + per-frame receive), the deployment
 //! shape the runtime is built for. Two microcells price the runtime's
 //! own overheads: `steer` (per-frame steering cost) and the
 //! local-vs-cross `connect` placement cost (the steering table resolves

@@ -89,13 +89,6 @@ impl<H: KeyHasher + Clone> Demux for AdaptiveDemux<H> {
         result
     }
 
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        self.inner.lookup_batch(keys, out);
-        for r in out.iter() {
-            self.stats.record(r.examined, r.pcb.is_some(), r.cache_hit);
-        }
-    }
-
     fn len(&self) -> usize {
         self.inner.len()
     }

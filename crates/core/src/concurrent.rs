@@ -15,7 +15,6 @@
 //! their data locks, so the accounting itself is never a contention point
 //! the scaling benchmarks would mismeasure.
 
-use crate::batch;
 use crate::stats::{AtomicLookupStats, LookupStats};
 use crate::{Demux, LookupResult, PacketKind, SequentDemux};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -54,20 +53,6 @@ pub trait ConcurrentDemux: Sync + Send {
     fn remove(&self, key: &ConnectionKey) -> Option<PcbId>;
     /// Find the PCB for an arriving packet.
     fn lookup(&self, key: &ConnectionKey, kind: PacketKind) -> LookupResult;
-    /// Resolve a whole batch of arriving packets in one call.
-    ///
-    /// Clears `out` and appends one [`LookupResult`] per key, in key
-    /// order. Implementations may amortize locking across the batch (one
-    /// lock acquisition per shard touched instead of one per packet) but
-    /// must return the same results and accumulate the same statistics as
-    /// the sequential loop.
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.reserve(keys.len());
-        for (key, kind) in keys {
-            out.push(self.lookup(key, *kind));
-        }
-    }
     /// Number of connections installed.
     fn len(&self) -> usize;
     /// Whether no connections are installed.
@@ -111,10 +96,6 @@ impl<H: KeyHasher> ShardedDemux<H> {
     /// Create with `chains` shards (must be nonzero).
     pub fn new(hasher: H, chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
-        assert!(
-            chains <= u32::MAX as usize,
-            "chain count must fit in u32 (batch grouping packs bucket indices)"
-        );
         Self {
             hasher,
             shards: (0..chains).map(|_| Mutex::new(Shard::new())).collect(),
@@ -182,42 +163,6 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for ShardedDemux<H> {
         result
     }
 
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let mut order = Vec::new();
-        let mut scanned = Vec::new();
-        let mut tallies = LookupStats::new();
-        batch::group_by_bucket(&mut order, keys, |k| {
-            self.hasher.bucket(k, self.shards.len())
-        });
-        let mut i = 0;
-        while i < order.len() {
-            let b = order[i].0 as usize;
-            let mut j = i;
-            while j < order.len() && order[j].0 as usize == b {
-                j += 1;
-            }
-            // One lock acquisition per shard touched, held for the whole
-            // group — the concurrent analogue of the single chain walk.
-            // Tallies accumulate locally and merge after the last unlock.
-            let mut guard = lock(&self.shards[b]);
-            let shard = &mut *guard;
-            batch::chain_group_lookup(
-                &shard.list,
-                &mut shard.cache,
-                true,
-                &mut scanned,
-                order[i..j].iter().map(|&(_, idx)| idx as usize),
-                keys,
-                out,
-                &mut tallies,
-            );
-            i = j;
-        }
-        self.stats.merge_tallies(&tallies);
-    }
-
     fn len(&self) -> usize {
         self.shards.iter().map(|s| lock(s).list.len()).sum()
     }
@@ -253,10 +198,6 @@ impl<H: KeyHasher> RwShardedDemux<H> {
     /// Create with `chains` shards (must be nonzero).
     pub fn new(hasher: H, chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
-        assert!(
-            chains <= u32::MAX as usize,
-            "chain count must fit in u32 (batch grouping packs bucket indices)"
-        );
         Self {
             hasher,
             shards: (0..chains)
@@ -297,40 +238,6 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for RwShardedDemux<H> {
             examined,
             cache_hit: false,
         }
-    }
-
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let mut order = Vec::new();
-        let mut scanned = Vec::new();
-        let mut tallies = LookupStats::new();
-        batch::group_by_bucket(&mut order, keys, |k| {
-            self.hasher.bucket(k, self.shards.len())
-        });
-        let mut i = 0;
-        while i < order.len() {
-            let b = order[i].0 as usize;
-            let mut j = i;
-            while j < order.len() && order[j].0 as usize == b {
-                j += 1;
-            }
-            // No cache by design, so `chain_group_lookup` degenerates to a
-            // pure positional walk under one shared lock per shard group.
-            let mut no_cache = None;
-            batch::chain_group_lookup(
-                &read(&self.shards[b]),
-                &mut no_cache,
-                false,
-                &mut scanned,
-                order[i..j].iter().map(|&(_, idx)| idx as usize),
-                keys,
-                out,
-                &mut tallies,
-            );
-            i = j;
-        }
-        self.stats.merge_tallies(&tallies);
     }
 
     fn len(&self) -> usize {
@@ -382,18 +289,6 @@ impl<D: Demux + Send> ConcurrentDemux for GlobalLockDemux<D> {
         self.stats
             .record(result.examined, result.pcb.is_some(), result.cache_hit);
         result
-    }
-
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        // One lock acquisition for the whole batch, delegating to the
-        // inner structure's own (possibly specialized) batch path; the
-        // tallies replay from the results after the lock drops.
-        lock(&self.inner).lookup_batch(keys, out);
-        let mut tallies = LookupStats::new();
-        for r in out.iter() {
-            tallies.record(r.examined, r.pcb.is_some(), r.cache_hit);
-        }
-        self.stats.merge_tallies(&tallies);
     }
 
     fn len(&self) -> usize {
@@ -693,38 +588,6 @@ mod tests {
                 assert_eq!(demux.lookup(&key(i as u32), PacketKind::Data).pcb, Some(id));
             }
             assert_eq!(demux.stats_snapshot().found, 50);
-        }
-    }
-
-    #[test]
-    fn concurrent_batch_matches_sequential() {
-        // Each variant against a twin: batched lookups must return the
-        // same results and accumulate the same statistics as the loop.
-        let mut arena = PcbArena::new();
-        let batched = concurrent_suite(7);
-        let sequential = concurrent_suite(7);
-        for (bat, seq) in batched.iter().zip(&sequential) {
-            let ids = populate_concurrent(bat.as_ref(), &mut arena, 60);
-            for (i, &id) in ids.iter().enumerate() {
-                seq.insert(key(i as u32), id);
-            }
-            let keys: Vec<(ConnectionKey, PacketKind)> = (0..300u32)
-                .map(|i| (key((i * 17 + 3) % 75), PacketKind::Data))
-                .collect();
-            let mut out = Vec::new();
-            for chunk in keys.chunks(13) {
-                bat.lookup_batch(chunk, &mut out);
-                for (j, (k, kind)) in chunk.iter().enumerate() {
-                    let r = seq.lookup(k, *kind);
-                    assert_eq!(out[j], r, "variant {}", bat.name());
-                }
-            }
-            assert_eq!(
-                bat.stats_snapshot(),
-                seq.stats_snapshot(),
-                "variant {}",
-                bat.name()
-            );
         }
     }
 

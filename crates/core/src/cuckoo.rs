@@ -49,7 +49,6 @@
 //! it after a grace period so stale readers fail loudly in tests.
 
 use crate::epoch::{EpochRuntime, ReclamationStats};
-use crate::prefetch::prefetch_read;
 use crate::stats::{AtomicLookupStats, LookupStats};
 use crate::{Demux, LookupResult, PacketKind};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -355,8 +354,6 @@ pub struct CuckooDemux {
     stats: LookupStats,
     cstats: CuckooStats,
     recorder: Option<Recorder>,
-    /// Reusable per-batch hash scratch.
-    scratch: Vec<u64>,
 }
 
 impl Default for CuckooDemux {
@@ -374,7 +371,6 @@ impl CuckooDemux {
             stats: LookupStats::new(),
             cstats: CuckooStats::default(),
             recorder: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -460,30 +456,6 @@ impl Demux for CuckooDemux {
         let r = self.table.probe(words, hash_words(words));
         self.stats.record(r.examined, r.pcb.is_some(), false);
         r
-    }
-
-    /// Single-probe batch: hash every key and prefetch both candidate
-    /// buckets first (turning dependent misses into overlapping ones),
-    /// then resolve. Identical results and statistics to the sequential
-    /// loop — the probe itself is shared.
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.reserve(keys.len());
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for (key, _) in keys {
-            let h = hash_words(key.as_words());
-            let (b1, tag) = home(h, self.table.mask);
-            prefetch_read(&self.table.buckets[b1]);
-            prefetch_read(&self.table.buckets[alt(b1, tag, self.table.mask)]);
-            scratch.push(h);
-        }
-        for (i, (key, _)) in keys.iter().enumerate() {
-            let r = self.table.probe(key.as_words(), scratch[i]);
-            self.stats.record(r.examined, r.pcb.is_some(), false);
-            out.push(r);
-        }
-        self.scratch = scratch;
     }
 
     fn len(&self) -> usize {
@@ -1005,30 +977,6 @@ impl crate::concurrent::ConcurrentDemux for ConcurrentCuckooDemux {
         r
     }
 
-    /// One epoch pin for the whole batch; both candidate buckets of
-    /// every key are prefetched before any is resolved. Tallies merge
-    /// into the shared stats after the pin is released.
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.reserve(keys.len());
-        let mut tallies = LookupStats::new();
-        let guard = self.runtime.pin();
-        let generation = self.gen_ref(self.current.load(SeqCst));
-        for (key, _) in keys {
-            let (b1, tag) = home(hash_words(key.as_words()), generation.mask);
-            prefetch_read(&generation.buckets[b1]);
-            prefetch_read(&generation.buckets[alt(b1, tag, generation.mask)]);
-        }
-        for (key, _) in keys {
-            let words = key.as_words();
-            let r = self.probe_validated(words, hash_words(words));
-            tallies.record(r.examined, r.pcb.is_some(), false);
-            out.push(r);
-        }
-        drop(guard);
-        self.stats.merge_tallies(&tallies);
-    }
-
     fn len(&self) -> usize {
         lock(&self.writer).len
     }
@@ -1248,29 +1196,5 @@ mod tests {
         });
         assert!(demux.generation() > 0);
         assert!(demux.kick_stats().kicks > 0);
-    }
-
-    #[test]
-    fn batch_prefetch_path_matches_sequential_exactly() {
-        let mut seq = CuckooDemux::new();
-        let mut bat = CuckooDemux::new();
-        let mut arena = PcbArena::new();
-        for i in 0..300u32 {
-            let k = test_util::key(i);
-            let id = arena.insert(Pcb::new(k));
-            seq.insert(k, id);
-            bat.insert(k, id);
-        }
-        let keys: Vec<(ConnectionKey, PacketKind)> = (0..1_000u32)
-            .map(|i| (test_util::key((i * 13 + 1) % 380), PacketKind::Data))
-            .collect();
-        let mut out = Vec::new();
-        for chunk in keys.chunks(32) {
-            bat.lookup_batch(chunk, &mut out);
-            for (j, (k, kind)) in chunk.iter().enumerate() {
-                assert_eq!(out[j], seq.lookup(k, *kind));
-            }
-        }
-        assert_eq!(seq.stats(), bat.stats());
     }
 }

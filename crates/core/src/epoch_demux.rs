@@ -54,9 +54,8 @@
 //! `SeqCst` (loads cost nothing extra on x86; the writer-side RMWs are
 //! off the read path's hot case), and only statistics use `Relaxed`.
 
-use crate::batch;
 use crate::concurrent::ConcurrentDemux;
-use crate::epoch::{EpochRuntime, Guard, ReclamationStats};
+use crate::epoch::{EpochRuntime, ReclamationStats};
 use crate::stats::{AtomicLookupStats, LookupStats};
 use crate::{LookupResult, PacketKind};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -453,114 +452,6 @@ impl<H: KeyHasher> EpochDemux<H> {
         }
         link
     }
-
-    /// One chain group of a batched lookup, replaying the sequential
-    /// semantics against a single walk of one chain snapshot (the
-    /// concurrent analogue of `batch::chain_group_lookup`).
-    #[allow(clippy::too_many_arguments)]
-    fn group_lookup(
-        &self,
-        _guard: &Guard<'_>,
-        chain: usize,
-        group: impl Iterator<Item = usize>,
-        keys: &[(ConnectionKey, PacketKind)],
-        out: &mut [LookupResult],
-        scanned: &mut Vec<([u32; 3], u64, u32)>,
-        tallies: &mut LookupStats,
-    ) {
-        // Probe state is read once per group; the snapshot rules below
-        // mirror `lookup` (probe before head load — the order the
-        // install-CAS correctness argument needs).
-        let probed = self.caches[chain].load(Ordering::SeqCst);
-        let probed_idx = probed as u32;
-        let mut occupied = probed_idx != NIL;
-        let mut cache_entry: Option<([u32; 3], u64)> = if occupied {
-            self.probe_node(probed_idx)
-        } else {
-            None
-        };
-        let mut cur = self.heads[chain].load(Ordering::SeqCst);
-        let mut exhausted = false;
-        let mut installed: Option<u32> = None;
-        scanned.clear();
-        for idx in group {
-            let words = keys[idx].0.as_words();
-            if let Some((cw, cid)) = cache_entry {
-                if cw == words {
-                    tallies.record(1, true, true);
-                    out[idx] = LookupResult {
-                        pcb: Some(PcbId::from_bits(cid)),
-                        examined: 1,
-                        cache_hit: true,
-                    };
-                    continue;
-                }
-            }
-            let probe = u32::from(occupied);
-            let mut found: Option<(u64, u32, u32)> = None;
-            for (pos, (sw, sid, sidx)) in scanned.iter().enumerate() {
-                if *sw == words {
-                    found = Some((*sid, *sidx, pos as u32 + 1));
-                    break;
-                }
-            }
-            if found.is_none() && !exhausted {
-                while cur != NIL {
-                    let n = self.node(cur);
-                    let w = [
-                        n.w0.load(Ordering::SeqCst),
-                        n.w1.load(Ordering::SeqCst),
-                        n.w2.load(Ordering::SeqCst),
-                    ];
-                    let id_bits = n.id.load(Ordering::SeqCst);
-                    let this = cur;
-                    cur = n.next.load(Ordering::SeqCst);
-                    if cur != NIL {
-                        crate::prefetch::prefetch_read(self.node(cur));
-                    }
-                    scanned.push((w, id_bits, this));
-                    if w == words {
-                        found = Some((id_bits, this, scanned.len() as u32));
-                        break;
-                    }
-                }
-                if found.is_none() {
-                    exhausted = true;
-                }
-            }
-            match found {
-                Some((id_bits, node, pos)) => {
-                    let examined = probe + pos;
-                    cache_entry = Some((words, id_bits));
-                    occupied = true;
-                    installed = Some(node);
-                    tallies.record(examined, true, false);
-                    out[idx] = LookupResult {
-                        pcb: Some(PcbId::from_bits(id_bits)),
-                        examined,
-                        cache_hit: false,
-                    };
-                }
-                None => {
-                    let examined = probe + scanned.len() as u32;
-                    tallies.record(examined, false, false);
-                    out[idx] = LookupResult::miss(examined);
-                }
-            }
-        }
-        if let Some(node) = installed {
-            // Single install for the whole group: same final cache state
-            // as the sequential per-lookup installs (version unchanged,
-            // index = last found), one CAS instead of many.
-            let fresh = ((probed >> 32) << 32) | u64::from(node);
-            let _ = self.caches[chain].compare_exchange(
-                probed,
-                fresh,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-        }
-    }
 }
 
 impl<H: KeyHasher + Sync + Send> ConcurrentDemux for EpochDemux<H> {
@@ -700,51 +591,6 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for EpochDemux<H> {
         };
         drop(guard);
         result
-    }
-
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let mut order = Vec::new();
-        let mut scanned = Vec::new();
-        batch::group_by_bucket(&mut order, keys, |k| self.bucket(k));
-        // One pin for the whole batch, one chain walk per group.
-        let guard = self.runtime.pin();
-        // Prefetch pass: with the batch grouped and the epoch pinned,
-        // every chain head this batch will walk is known — hint them all
-        // into cache before the first walk so the per-group scans below
-        // overlap their leading misses instead of serializing them.
-        let mut prev = None;
-        for &(b, _) in &order {
-            if prev != Some(b) {
-                prev = Some(b);
-                let head = self.heads[b as usize].load(Ordering::SeqCst);
-                if head != NIL {
-                    crate::prefetch::prefetch_read(self.node(head));
-                }
-            }
-        }
-        let mut i = 0;
-        while i < order.len() {
-            let chain = order[i].0 as usize;
-            let mut j = i;
-            while j < order.len() && order[j].0 as usize == chain {
-                j += 1;
-            }
-            let mut tallies = LookupStats::new();
-            self.group_lookup(
-                &guard,
-                chain,
-                order[i..j].iter().map(|&(_, idx)| idx as usize),
-                keys,
-                out,
-                &mut scanned,
-                &mut tallies,
-            );
-            self.stats.merge_tallies(&tallies);
-            i = j;
-        }
-        drop(guard);
     }
 
     fn len(&self) -> usize {

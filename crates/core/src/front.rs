@@ -39,7 +39,6 @@
 
 use crate::concurrent::ConcurrentDemux;
 use crate::cuckoo::hash_words;
-use crate::prefetch::prefetch_read;
 use crate::stats::{AtomicLookupStats, LookupStats};
 use crate::{Demux, LookupResult, PacketKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,12 +157,6 @@ impl FrontFilter {
         }
     }
 
-    /// The shared 64-bit hash a key's filter coordinates derive from.
-    #[inline]
-    pub fn hash(key: &ConnectionKey) -> u64 {
-        hash_words(key.as_words())
-    }
-
     /// Keys currently stored.
     pub fn len(&self) -> usize {
         self.len
@@ -189,23 +182,11 @@ impl FrontFilter {
         }
     }
 
-    /// Hint the CPU to pull the home-bucket word for `h` into cache.
-    #[inline]
-    pub fn prefetch(&self, h: u64) {
-        prefetch_read(&self.words[(h as usize) & self.mask]);
-    }
-
     /// Might `key` be present? `false` is definitive (the key is
     /// certainly absent); `true` may be a fingerprint collision.
     #[inline]
     pub fn may_contain(&self, key: &ConnectionKey) -> bool {
-        self.may_contain_hash(Self::hash(key))
-    }
-
-    /// [`FrontFilter::may_contain`] with the hash precomputed (batch
-    /// paths hash once, prefetch, then probe).
-    #[inline]
-    pub fn may_contain_hash(&self, h: u64) -> bool {
+        let h = hash_words(key.as_words());
         let fp = fingerprint(h);
         let b = (h as usize) & self.mask;
         if word_has(self.words[b], fp) {
@@ -375,10 +356,6 @@ pub struct FrontDemux<D> {
     stats: LookupStats,
     front: FrontStats,
     recorder: Option<Recorder>,
-    scratch_hashes: Vec<u64>,
-    scratch_keys: Vec<(ConnectionKey, PacketKind)>,
-    scratch_pos: Vec<u32>,
-    scratch_out: Vec<LookupResult>,
 }
 
 impl<D: Demux> FrontDemux<D> {
@@ -393,10 +370,6 @@ impl<D: Demux> FrontDemux<D> {
             stats: LookupStats::new(),
             front: FrontStats::default(),
             recorder: None,
-            scratch_hashes: Vec::new(),
-            scratch_keys: Vec::new(),
-            scratch_pos: Vec::new(),
-            scratch_out: Vec::new(),
         }
     }
 
@@ -413,10 +386,6 @@ impl<D: Demux> FrontDemux<D> {
             stats: LookupStats::new(),
             front: FrontStats::default(),
             recorder: None,
-            scratch_hashes: Vec::new(),
-            scratch_keys: Vec::new(),
-            scratch_pos: Vec::new(),
-            scratch_out: Vec::new(),
         };
         for key in keys {
             this.filter.insert(key);
@@ -495,44 +464,6 @@ impl<D: Demux> Demux for FrontDemux<D> {
         self.stats
             .record(result.examined, result.pcb.is_some(), result.cache_hit);
         result
-    }
-
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        // Hash every key, prefetch every home-bucket word, then probe:
-        // by the time the probe loop reads a word its cache miss has
-        // been overlapping with the others' (the same memory-level
-        // parallelism the cuckoo batch path exploits).
-        self.scratch_hashes.clear();
-        self.scratch_hashes
-            .extend(keys.iter().map(|(key, _)| FrontFilter::hash(key)));
-        for &h in &self.scratch_hashes {
-            self.filter.prefetch(h);
-        }
-        self.scratch_keys.clear();
-        self.scratch_pos.clear();
-        for (i, &(key, kind)) in keys.iter().enumerate() {
-            if self.filter.may_contain_hash(self.scratch_hashes[i]) {
-                self.scratch_keys.push((key, kind));
-                self.scratch_pos.push(i as u32);
-            } else {
-                self.record_reject();
-                self.stats.record(0, false, false);
-            }
-        }
-        // Only survivors reach the backing tier, through its own batch
-        // walk. The inner batch path preserves its sequential semantics
-        // on the survivor subsequence, so the whole wrapper does too.
-        self.inner
-            .lookup_batch(&self.scratch_keys, &mut self.scratch_out);
-        for j in 0..self.scratch_pos.len() {
-            let (pos, result) = (self.scratch_pos[j] as usize, self.scratch_out[j]);
-            self.record_pass(&result);
-            self.stats
-                .record(result.examined, result.pcb.is_some(), result.cache_hit);
-            out[pos] = result;
-        }
     }
 
     fn note_send(&mut self, key: &ConnectionKey) {
@@ -645,47 +576,6 @@ impl<D: ConcurrentDemux> ConcurrentDemux for ConcurrentFrontDemux<D> {
         self.stats
             .record(result.examined, result.pcb.is_some(), result.cache_hit);
         result
-    }
-
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let mut survivors = Vec::with_capacity(keys.len());
-        let mut positions = Vec::with_capacity(keys.len());
-        let mut tallies = LookupStats::new();
-        let mut rejected = 0u64;
-        {
-            // One read guard for the whole filter phase: hash + prefetch
-            // everything, then probe.
-            let filter = read_filter(&self.filter);
-            let hashes: Vec<u64> = keys.iter().map(|(key, _)| FrontFilter::hash(key)).collect();
-            for &h in &hashes {
-                filter.prefetch(h);
-            }
-            for (i, ((key, kind), &h)) in keys.iter().zip(&hashes).enumerate() {
-                if filter.may_contain_hash(h) {
-                    survivors.push((*key, *kind));
-                    positions.push(i as u32);
-                } else {
-                    rejected += 1;
-                    tallies.record(0, false, false);
-                }
-            }
-        }
-        self.rejects.fetch_add(rejected, Ordering::Relaxed);
-        let mut inner_out = Vec::new();
-        self.inner.lookup_batch(&survivors, &mut inner_out);
-        let mut false_positives = 0u64;
-        for (&pos, &result) in positions.iter().zip(&inner_out) {
-            if result.pcb.is_none() {
-                false_positives += 1;
-            }
-            tallies.record(result.examined, result.pcb.is_some(), result.cache_hit);
-            out[pos as usize] = result;
-        }
-        self.false_positives
-            .fetch_add(false_positives, Ordering::Relaxed);
-        self.stats.merge_tallies(&tallies);
     }
 
     fn len(&self) -> usize {

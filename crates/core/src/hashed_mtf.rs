@@ -7,7 +7,6 @@
 //! while going from 19 to 100 chains buys a factor of five. This
 //! implementation exists so the ablation benchmark can measure that claim.
 
-use crate::batch;
 use crate::list::PcbList;
 use crate::stats::LookupStats;
 use crate::{Demux, LookupResult, PacketKind};
@@ -21,25 +20,17 @@ pub struct HashedMtfDemux<H> {
     chains: Vec<PcbList>,
     len: usize,
     stats: LookupStats,
-    order: Vec<(u32, u32)>,
 }
 
 impl<H: KeyHasher> HashedMtfDemux<H> {
-    /// Create a structure with `chains` hash chains (must be nonzero and
-    /// at most `u32::MAX` — chain indices are packed into 32 bits on the
-    /// batch path).
+    /// Create a structure with `chains` hash chains (must be nonzero).
     pub fn new(hasher: H, chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
-        assert!(
-            chains <= u32::MAX as usize,
-            "chain count must fit in u32 (batch grouping packs bucket indices)"
-        );
         Self {
             hasher,
             chains: (0..chains).map(|_| PcbList::new()).collect(),
             len: 0,
             stats: LookupStats::new(),
-            order: Vec::new(),
         }
     }
 
@@ -89,50 +80,6 @@ impl<H: KeyHasher> Demux for HashedMtfDemux<H> {
                 LookupResult::miss(examined)
             }
         }
-    }
-
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        // Move-to-front reorders the chain on every hit, so positions are
-        // not stable and there is no single-walk shortcut; the batch win
-        // here is locality (each chain's nodes stay hot while its whole
-        // group resolves). Grouping preserves in-chain batch order, so the
-        // reorder sequence — and every examined count — is identical to
-        // the sequential loop.
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let chains = self.chains.len();
-        let mut order = std::mem::take(&mut self.order);
-        batch::group_by_bucket(&mut order, keys, |k| self.hasher.bucket(k, chains));
-        // Hint every distinct chain head this batch touches into cache
-        // before the first walk, so the per-chain groups below start
-        // their scans without a dependent miss each.
-        let mut prev = None;
-        for &(b, _) in &order {
-            if prev != Some(b) {
-                prev = Some(b);
-                self.chains[b as usize].prefetch_head();
-            }
-        }
-        for &(b, idx) in &order {
-            let (idx, b) = (idx as usize, b as usize);
-            let (found, examined) = self.chains[b].find_move_to_front(&keys[idx].0);
-            out[idx] = match found {
-                Some(id) => {
-                    let cache_hit = examined == 1;
-                    self.stats.record(examined, true, cache_hit);
-                    LookupResult {
-                        pcb: Some(id),
-                        examined,
-                        cache_hit,
-                    }
-                }
-                None => {
-                    self.stats.record(examined, false, false);
-                    LookupResult::miss(examined)
-                }
-            };
-        }
-        self.order = order;
     }
 
     fn len(&self) -> usize {

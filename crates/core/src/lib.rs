@@ -24,14 +24,6 @@
 //! [`Demux::lookup`] reports its exact count, and running totals accumulate
 //! in [`LookupStats`].
 //!
-//! # Batched lookups
-//!
-//! [`Demux::lookup_batch`] resolves a burst of arriving keys in one call.
-//! The hashed structures override it to group the batch by chain so each
-//! chain is walked at most once per batch — same results, same `examined`
-//! counts, same [`LookupStats`] as the sequential loop (a property test
-//! pins this), but with far better cache locality and amortized dispatch.
-//!
 //! # Suites
 //!
 //! Experiments that compare every algorithm build a [`standard_suite`] (or
@@ -68,7 +60,6 @@
 #![deny(unsafe_code)]
 
 mod adaptive;
-mod batch;
 mod bsd;
 pub mod concurrent;
 pub mod cuckoo;
@@ -160,23 +151,6 @@ pub trait Demux: Send {
     /// Find the PCB for an arriving packet, counting PCBs examined.
     fn lookup(&mut self, key: &ConnectionKey, kind: PacketKind) -> LookupResult;
 
-    /// Resolve a whole batch of arriving packets in one call.
-    ///
-    /// Clears `out` and appends exactly one [`LookupResult`] per key, in
-    /// key order. The default implementation is the sequential per-packet
-    /// loop; hashed structures override it to group the batch by chain so
-    /// each chain is walked at most once. Every override must preserve the
-    /// sequential semantics exactly — identical results, per-lookup
-    /// `examined` counts, and accumulated [`LookupStats`] as calling
-    /// [`Demux::lookup`] on each key in order.
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.reserve(keys.len());
-        for (key, kind) in keys {
-            out.push(self.lookup(key, *kind));
-        }
-    }
-
     /// Notify the structure that a packet was *sent* on a connection.
     /// Only the send/receive cache uses this; default is a no-op.
     fn note_send(&mut self, _key: &ConnectionKey) {}
@@ -215,10 +189,6 @@ impl<D: Demux + ?Sized> Demux for Box<D> {
 
     fn lookup(&mut self, key: &ConnectionKey, kind: PacketKind) -> LookupResult {
         (**self).lookup(key, kind)
-    }
-
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        (**self).lookup_batch(keys, out);
     }
 
     fn note_send(&mut self, key: &ConnectionKey) {
@@ -351,65 +321,6 @@ mod tests {
         ];
         for demux in demuxes {
             test_util::check_contract(demux);
-        }
-    }
-
-    #[test]
-    fn batch_lookup_matches_sequential() {
-        // A twin of every algorithm (including the specialized overrides)
-        // fed the same stream: batched results, per-lookup costs, and
-        // final statistics must be identical to the one-at-a-time loop.
-        // The root-level property test generalizes this over random
-        // streams and batch boundaries.
-        use tcpdemux_hash::Multiplicative;
-        use tcpdemux_pcb::{Pcb, PcbArena};
-
-        let make: Vec<fn() -> Box<dyn Demux>> = vec![
-            || Box::new(BsdDemux::new()),
-            || Box::new(MtfDemux::new()),
-            || Box::new(SendRecvDemux::new()),
-            || Box::new(SequentDemux::new(XorFold, 7)),
-            || Box::new(SequentDemux::new(XorFold, 7).without_cache()),
-            || Box::new(SequentDemux::new(Multiplicative, 19)),
-            || Box::new(HashedMtfDemux::new(XorFold, 7)),
-            || Box::new(DirectDemux::new()),
-            || Box::new(AdaptiveDemux::new(Multiplicative, 4, 4)),
-            || Box::new(CuckooDemux::new()),
-            || Box::new(FrontDemux::new(SequentDemux::new(Multiplicative, 19))),
-            || Box::new(FrontDemux::new(CuckooDemux::new())),
-        ];
-        for f in make {
-            let mut seq = f();
-            let mut bat = f();
-            let mut arena = PcbArena::new();
-            for i in 0..60u32 {
-                let k = test_util::key(i);
-                let id = arena.insert(Pcb::new(k));
-                seq.insert(k, id);
-                bat.insert(k, id);
-            }
-            // Mix of hits, repeats (cache/train behaviour), and misses.
-            let keys: Vec<(ConnectionKey, PacketKind)> = (0..300u32)
-                .map(|i| {
-                    let n = (i * 17 + 3) % 75; // 60 live + 15 misses
-                    let kind = if i % 3 == 0 {
-                        PacketKind::Ack
-                    } else {
-                        PacketKind::Data
-                    };
-                    (test_util::key(n), kind)
-                })
-                .collect();
-            let mut out = Vec::new();
-            for chunk in keys.chunks(13) {
-                bat.lookup_batch(chunk, &mut out);
-                assert_eq!(out.len(), chunk.len());
-                for (j, (k, kind)) in chunk.iter().enumerate() {
-                    let r = seq.lookup(k, *kind);
-                    assert_eq!(out[j], r, "algorithm {}", seq.name());
-                }
-            }
-            assert_eq!(seq.stats(), bat.stats(), "algorithm {}", seq.name());
         }
     }
 }

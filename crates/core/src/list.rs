@@ -31,8 +31,8 @@
 
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 
-/// Sentinel slot index meaning "no slot" (shared with the batch walker).
-pub(crate) const NIL: u32 = u32::MAX;
+/// Sentinel slot index meaning "no slot".
+const NIL: u32 = u32::MAX;
 
 // Additive-multiplicative mixer over the three key words. The weights are
 // the usual odd 32-bit mixing constants; because each word contributes
@@ -47,7 +47,7 @@ const TAG_M2: u32 = 0xC2B2_AE35;
 /// with probability ~2^-32, in which case the walk falls back to the
 /// full-key comparison and stays correct.
 #[inline]
-pub(crate) fn key_tag(key: &ConnectionKey) -> u32 {
+fn key_tag(key: &ConnectionKey) -> u32 {
     let [w0, w1, w2] = key.as_words();
     w0.wrapping_mul(TAG_M0)
         .wrapping_add(w1.wrapping_mul(TAG_M1))
@@ -283,56 +283,6 @@ impl PcbList {
         ListIter {
             list: self,
             cursor: self.head,
-        }
-    }
-
-    // ---- raw-slot access for the batched walker (crate-internal) ----
-    //
-    // `chain_group_lookup` drives the walk itself so it can interleave
-    // prefetches and reuse already-scanned prefixes across a grouped
-    // batch; these accessors expose the SoA lanes without giving up the
-    // list's invariants.
-
-    /// The head slot index, or [`NIL`] when empty.
-    pub(crate) fn head_slot(&self) -> u32 {
-        self.head
-    }
-
-    /// The packed `(tag << 32) | next` hot word of a live slot.
-    pub(crate) fn hot_word(&self, idx: u32) -> u64 {
-        self.hot[idx as usize]
-    }
-
-    /// The full key stored in a slot (cold lane; read on tag hit only).
-    pub(crate) fn key_at(&self, idx: u32) -> &ConnectionKey {
-        &self.keys[idx as usize]
-    }
-
-    /// The PCB handle stored in a slot (cold lane).
-    pub(crate) fn id_at(&self, idx: u32) -> PcbId {
-        self.ids[idx as usize]
-    }
-
-    /// The three SoA lanes as raw slices: packed hot words, keys, ids.
-    ///
-    /// The interleaved batch walker borrows these once per chain so its
-    /// per-step loop indexes flat slices instead of re-deriving the
-    /// chain reference (two dependent loads) on every entry.
-    pub(crate) fn lanes(&self) -> (&[u64], &[ConnectionKey], &[PcbId]) {
-        (&self.hot, &self.keys, &self.ids)
-    }
-
-    /// Hint the head slot's hot word into cache ahead of a walk.
-    pub(crate) fn prefetch_head(&self) {
-        if self.head != NIL {
-            crate::prefetch::prefetch_read(&self.hot[self.head as usize]);
-        }
-    }
-
-    /// Hint an arbitrary slot's hot word into cache (no-op on [`NIL`]).
-    pub(crate) fn prefetch_slot(&self, idx: u32) {
-        if idx != NIL {
-            crate::prefetch::prefetch_read(&self.hot[idx as usize]);
         }
     }
 }

@@ -1,12 +1,10 @@
 //! A portable software-prefetch shim.
 //!
 //! The paper's figure of merit — PCBs examined — is a proxy for memory
-//! traffic, and a batched lookup knows every chain head it is about to
-//! walk the moment the batch has been grouped. Issuing prefetches for all
-//! of those heads *before* walking any of them turns a sequence of
-//! dependent cache misses into overlapping ones (memory-level
-//! parallelism); the walks themselves prefetch one node ahead for the
-//! same reason.
+//! traffic, and a chain walk knows its next node one step before it
+//! needs it. [`crate::concurrent::EpochDemux`] prefetches that node so
+//! its cache miss overlaps the current node's key comparison instead of
+//! following it.
 //!
 //! On x86_64 this lowers to a single `prefetcht0` instruction. On every
 //! other architecture it is a documented no-op: there is no stable

@@ -9,7 +9,6 @@
 //! 1,001. Raising `H` buys further speedup for only `H` words of headers
 //! (the paper's §3.5: 19 → 100 chains takes the cost from 53 to under 9).
 
-use crate::batch::{self, BatchScratch};
 use crate::list::PcbList;
 use crate::stats::LookupStats;
 use crate::{Demux, LookupResult, PacketKind};
@@ -25,22 +24,15 @@ pub struct SequentDemux<H> {
     cache_enabled: bool,
     len: usize,
     stats: LookupStats,
-    scratch: BatchScratch,
 }
 
 impl<H: KeyHasher> SequentDemux<H> {
     /// The installation default number of hash chains in Sequent's product.
     pub const DEFAULT_CHAINS: usize = 19;
 
-    /// Create a structure with `chains` hash chains (must be nonzero and
-    /// at most `u32::MAX` — chain indices are packed into 32 bits on the
-    /// batch path).
+    /// Create a structure with `chains` hash chains (must be nonzero).
     pub fn new(hasher: H, chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
-        assert!(
-            chains <= u32::MAX as usize,
-            "chain count must fit in u32 (batch grouping packs bucket indices)"
-        );
         Self {
             hasher,
             chains: (0..chains).map(|_| PcbList::new()).collect(),
@@ -48,7 +40,6 @@ impl<H: KeyHasher> SequentDemux<H> {
             cache_enabled: true,
             len: 0,
             stats: LookupStats::new(),
-            scratch: BatchScratch::default(),
         }
     }
 
@@ -167,40 +158,6 @@ impl<H: KeyHasher> Demux for SequentDemux<H> {
                 LookupResult::miss(examined)
             }
         }
-    }
-
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let chains = self.chains.len();
-        batch::group_by_bucket_counted(&mut self.scratch, keys, chains, |k| {
-            self.hasher.bucket(k, chains)
-        });
-        // Prefetch pass: the grouped order names every chain this batch
-        // will touch. Hint each distinct chain's head slot and cache
-        // word into L1 *before* any walk starts, so the walks below find
-        // their first nodes already in flight (memory-level parallelism)
-        // instead of taking one dependent miss per chain.
-        let mut prev = None;
-        for &(b, _) in &self.scratch.order {
-            if prev != Some(b) {
-                prev = Some(b);
-                self.chains[b as usize].prefetch_head();
-                crate::prefetch::prefetch_read(&self.caches[b as usize]);
-            }
-        }
-        // Walk every touched chain simultaneously — one step per chain
-        // per round — so the dependent next-pointer loads of different
-        // chains overlap in flight instead of serializing at L1 latency.
-        batch::interleaved_batch_lookup(
-            &self.chains,
-            &mut self.caches,
-            self.cache_enabled,
-            &mut self.scratch,
-            keys,
-            out,
-            &mut self.stats,
-        );
     }
 
     fn len(&self) -> usize {

@@ -2,7 +2,7 @@
 //!
 //! The sharded stack runtime feeds each shard through one of these: the
 //! ingress side steers a frame and pushes it; the shard's worker pops a
-//! batch and hands it to `Stack::receive_batch`. The same hermetic
+//! batch and feeds it to `Stack::receive` frame by frame. The same hermetic
 //! discipline as [`crate::epoch`] applies — no crossbeam, no `unsafe`:
 //! each slot is a `Mutex<Option<T>>` (uncontended by construction, since
 //! exactly one side touches a given slot between the two index updates)

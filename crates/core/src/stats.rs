@@ -121,21 +121,6 @@ impl AtomicLookupStats {
         self.worst_case.fetch_max(examined, Ordering::Relaxed);
     }
 
-    /// Merge a batch's locally-accumulated tallies in one pass — six
-    /// atomic RMWs for the whole batch instead of six per lookup.
-    pub fn merge_tallies(&self, tallies: &LookupStats) {
-        self.lookups.fetch_add(tallies.lookups, Ordering::Relaxed);
-        self.cache_hits
-            .fetch_add(tallies.cache_hits, Ordering::Relaxed);
-        self.found.fetch_add(tallies.found, Ordering::Relaxed);
-        self.not_found
-            .fetch_add(tallies.not_found, Ordering::Relaxed);
-        self.pcbs_examined
-            .fetch_add(tallies.pcbs_examined, Ordering::Relaxed);
-        self.worst_case
-            .fetch_max(tallies.worst_case, Ordering::Relaxed);
-    }
-
     /// Current totals as a plain [`LookupStats`] value.
     pub fn snapshot(&self) -> LookupStats {
         LookupStats {
@@ -214,20 +199,6 @@ mod tests {
             atomic.record(examined, found, cache_hit);
             plain.record(examined, found, cache_hit);
         }
-        assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
-    fn merge_tallies_matches_merge() {
-        let atomic = AtomicLookupStats::new();
-        atomic.record(10, true, false);
-        let mut tallies = LookupStats::new();
-        tallies.record(20, false, false);
-        tallies.record(1, true, true);
-        atomic.merge_tallies(&tallies);
-        let mut plain = LookupStats::new();
-        plain.record(10, true, false);
-        plain.merge(&tallies);
         assert_eq!(atomic.snapshot(), plain);
     }
 

@@ -190,16 +190,6 @@ impl TpcaSim {
         run_trace(measured, suite)
     }
 
-    /// Like [`TpcaSim::run`], but drive arrivals through the batched
-    /// lookup path in batches of up to `batch_size` packets. Reports are
-    /// identical to [`TpcaSim::run`]'s (see
-    /// [`crate::runner::run_trace_batched`]).
-    pub fn run_batched(&self, suite: &mut [SuiteEntry], batch_size: usize) -> Vec<AlgoReport> {
-        let (warmup, measured) = self.trace();
-        let _ = crate::runner::run_trace_batched(warmup, suite, batch_size);
-        crate::runner::run_trace_batched(measured, suite, batch_size)
-    }
-
     /// Run against [`standard_suite`].
     pub fn run_standard_suite(&self) -> Vec<AlgoReport> {
         let mut suite = standard_suite();

@@ -36,22 +36,13 @@
 //! budget, aborts the connection with a [`SocketError`] the application
 //! can observe.
 //!
-//! # Batched receive and allocation-free transmit
+//! # Allocation-free transmit
 //!
-//! [`Stack::receive_batch`] processes a slice of frames through a single
-//! [`tcpdemux_core::Demux::lookup_batch`] call: parse all, demultiplex
-//! once, then apply state updates per frame — the shape of a driver
-//! handing the stack a ring's worth of packets per interrupt. Per-frame
-//! results are identical to calling [`Stack::receive`] in a loop; if a
-//! frame mid-batch changes the connection table, later frames are
-//! transparently re-looked-up (see [`BatchRxResult`]).
-//!
-//! On the transmit side, every emitted frame draws its buffer from an
-//! internal [`TxPool`]. A caller that returns spent buffers via
-//! [`Stack::recycle`] makes steady-state transmission allocation-free:
-//! after warm-up, ACKs, data segments, and RSTs all reuse recycled
-//! capacity (the `tx_pool` counters in [`Stack::stats`] pin this in
-//! tests).
+//! Every emitted frame draws its buffer from an internal [`TxPool`]. A
+//! caller that returns spent buffers via [`Stack::recycle`] makes
+//! steady-state transmission allocation-free: after warm-up, ACKs, data
+//! segments, and RSTs all reuse recycled capacity (the `tx_pool`
+//! counters in [`Stack::stats`] pin this in tests).
 //!
 //! # Example
 //!

@@ -15,7 +15,7 @@
 //!  frame ──▶ steering_key ──▶ symmetric hash ┐
 //!                                            ├─▶ SPSC ring k ──▶ drain()
 //!                                            ┘      │
-//!                                                   └─▶ Stack::receive_batch
+//!                                                   └─▶ Stack::receive
 //! ```
 //!
 //! * **Rings.** Each shard is fed by a bounded in-tree SPSC ring
@@ -158,10 +158,11 @@ impl ShardedStack {
             .map_err(|frame| RingFull { shard, frame })
     }
 
-    /// Drain up to `max` frames from one shard's ring through its stack's
-    /// batched receive path. The shard's worker calls this in a loop;
-    /// any thread may call it for any shard, but only one at a time per
-    /// shard makes progress (the consumer lock serializes).
+    /// Drain up to `max` frames from one shard's ring into its stack:
+    /// one [`Stack::receive`] per frame, in ring order. The shard's worker
+    /// calls this in a loop; any thread may call it for any shard, but
+    /// only one at a time per shard makes progress (the consumer lock
+    /// serializes).
     pub fn drain(&self, shard: ShardId, max: usize) -> BatchRxResult {
         let slot = &self.slots[shard.index()];
         let mut frames = Vec::new();
@@ -170,20 +171,22 @@ impl ShardedStack {
             consumer.pop_batch(&mut frames, max);
         }
         if frames.is_empty() {
-            return BatchRxResult {
-                results: Vec::new(),
-                batched_lookups: 0,
-                relookups: 0,
-            };
+            return BatchRxResult::default();
         }
         let mut stack = slot.stack.lock().expect("shard stack lock");
-        let result = stack.receive_batch(&frames);
-        // The drained frames are spent; recycle their buffers into the
-        // shard's transmit pool so steady state allocates nothing new.
+        let lookups_before = stack.demux_lookups();
+        let mut out = BatchRxResult {
+            results: Vec::with_capacity(frames.len()),
+            ..BatchRxResult::default()
+        };
         for frame in frames {
+            out.results.push(stack.receive(&frame));
+            // The frame is spent; recycle its buffer into the shard's
+            // transmit pool so steady state allocates nothing new.
             stack.recycle(frame);
         }
-        result
+        out.batched_lookups = (stack.demux_lookups() - lookups_before) as usize;
+        out
     }
 
     /// Install a listener on *every* shard (SO_REUSEPORT-style) and
@@ -415,6 +418,7 @@ impl ShardedStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::RxOutcome;
     use std::net::Ipv4Addr;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -444,6 +448,111 @@ mod tests {
             }
         }
         replies
+    }
+
+    /// A K=1 server listening on port 80.
+    fn one_shard_server() -> ShardedStack {
+        let runtime = ShardedStack::with_config(StackConfig::new(SERVER), 1);
+        runtime.listen(80).unwrap();
+        runtime
+    }
+
+    /// Open a connection from `client` to `twin`'s port 80 and return the
+    /// client's handle, SYN and handshake ACK. An identically built
+    /// server answers the SYN with the same SYN-ACK, so both frames
+    /// replay into it back to back.
+    fn recorded_handshake(twin: &ShardedStack, client: &mut Stack) -> (PcbId, Vec<u8>, Vec<u8>) {
+        let (cp, syn) = client.connect(SERVER, 80).unwrap();
+        let synack = pump(twin, syn.clone());
+        let ack = client.receive(&synack[0]).unwrap().replies.remove(0);
+        pump(twin, ack.clone());
+        (cp, syn, ack)
+    }
+
+    fn send_now(stack: &mut Stack, pcb: PcbId, payload: &[u8]) -> Vec<u8> {
+        stack.send(pcb, payload).unwrap();
+        let mut scratch = TxScratch::new();
+        assert_eq!(stack.poll_transmit(&mut scratch), 1);
+        scratch.frames.remove(0)
+    }
+
+    #[test]
+    fn mid_batch_syn_is_visible_to_the_handshake_ack() {
+        // SYN and its completing ACK in ONE drain: the ACK must find the
+        // connection the SYN just inserted, not draw an RST.
+        let (server, twin) = (one_shard_server(), one_shard_server());
+        let (_cp, syn, ack) = recorded_handshake(&twin, &mut client_stack(CLIENT));
+
+        server.enqueue(syn).unwrap();
+        server.enqueue(ack).unwrap();
+        let batch = server.drain(ShardId::default(), 64);
+        assert!(matches!(
+            batch.results[0].as_ref().unwrap().outcome,
+            RxOutcome::NewConnection { .. }
+        ));
+        assert!(matches!(
+            batch.results[1].as_ref().unwrap().outcome,
+            RxOutcome::Established { .. }
+        ));
+        assert_eq!(server.stats().stack.resets_sent, 0);
+    }
+
+    #[test]
+    fn drain_looks_each_keyed_frame_up_exactly_once() {
+        // Table changes in the middle of a drain (a SYN inserting, a FIN
+        // closing) must not cost the frames behind them a second lookup.
+        const OTHER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+        let (server, twin) = (one_shard_server(), one_shard_server());
+
+        // Flow B is established on both servers before the drain.
+        let mut b = client_stack(OTHER);
+        let (bp, b_syn, b_ack) = recorded_handshake(&twin, &mut b);
+        pump(&server, b_syn);
+        pump(&server, b_ack);
+        // Flow A's whole life is recorded against the twin.
+        let mut a = client_stack(CLIENT);
+        let (ap, a_syn, a_ack) = recorded_handshake(&twin, &mut a);
+        let a_data = send_now(&mut a, ap, b"query");
+        let a_fin = a.close(ap).unwrap();
+        let b_data = send_now(&mut b, bp, b"row");
+
+        let before = server.stats().demux;
+        let keyed = [a_syn, a_ack, a_data, b_data, a_fin];
+        for frame in keyed.iter().cloned().chain([vec![0u8; 8]]) {
+            server.enqueue(frame).unwrap();
+        }
+        let batch = server.drain(ShardId::default(), 64);
+        assert_eq!(batch.results.len(), keyed.len() + 1);
+        assert!(batch.results[keyed.len()].is_err(), "garbage has no key");
+        let outcomes: Vec<_> = batch.results[..keyed.len()]
+            .iter()
+            .map(|r| r.as_ref().unwrap().outcome)
+            .collect();
+        assert!(
+            matches!(
+                outcomes[..],
+                [
+                    RxOutcome::NewConnection { .. },
+                    RxOutcome::Established { .. },
+                    RxOutcome::Delivered { bytes: 5, .. },
+                    RxOutcome::Delivered { bytes: 3, .. },
+                    RxOutcome::PeerClosed { .. },
+                ]
+            ),
+            "{outcomes:?}"
+        );
+
+        let after = server.stats().demux;
+        assert_eq!(after.lookups - before.lookups, keyed.len() as u64);
+        assert_eq!(batch.batched_lookups, keyed.len());
+        assert_eq!(batch.relookups, 0);
+        let examined: u64 = batch
+            .results
+            .iter()
+            .flatten()
+            .map(|r| u64::from(r.pcbs_examined))
+            .sum();
+        assert_eq!(after.pcbs_examined - before.pcbs_examined, examined);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! and subsequent emissions reuse their capacity instead of allocating.
 //!
 //! The pool tracks how often it had to fall back to a fresh allocation, so
-//! tests (and the `batch_rx` benchmark) can pin the steady-state invariant:
+//! tests can pin the steady-state invariant:
 //! after warm-up, `allocations` stays flat while `reuses` grows.
 
 /// Counters describing pool behavior since construction.

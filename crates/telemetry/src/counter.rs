@@ -40,10 +40,6 @@ pub enum CounterId {
     RtoBackoffs,
     /// Connections aborted after exhausting the retransmission budget.
     TimeoutAborts,
-    /// Receive batches processed.
-    Batches,
-    /// Batched frames re-looked-up after a mid-batch table change.
-    BatchRelookups,
     /// Demux chain nodes retired to the epoch runtime (unlinked, awaiting
     /// a grace period).
     EpochRetired,
@@ -80,7 +76,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 24] = [
+    pub const ALL: [CounterId; 22] = [
         CounterId::Lookups,
         CounterId::CacheHits,
         CounterId::DemuxHits,
@@ -92,8 +88,6 @@ impl CounterId {
         CounterId::Retransmits,
         CounterId::RtoBackoffs,
         CounterId::TimeoutAborts,
-        CounterId::Batches,
-        CounterId::BatchRelookups,
         CounterId::EpochRetired,
         CounterId::EpochReclaimed,
         CounterId::EpochAdvances,
@@ -121,8 +115,6 @@ impl CounterId {
             CounterId::Retransmits => "retransmits",
             CounterId::RtoBackoffs => "rto_backoffs",
             CounterId::TimeoutAborts => "timeout_aborts",
-            CounterId::Batches => "batches",
-            CounterId::BatchRelookups => "batch_relookups",
             CounterId::EpochRetired => "epoch_retired",
             CounterId::EpochReclaimed => "epoch_reclaimed",
             CounterId::EpochAdvances => "epoch_advances",

@@ -67,9 +67,6 @@ pub enum Event {
     },
     /// A connection exhausted its retransmission budget and was aborted.
     Timeout,
-    /// A batched frame was re-looked-up individually after a mid-batch
-    /// connection-table change made the batched answer stale.
-    BatchRelookup,
     /// Duplicate ACKs triggered re-emission of the oldest unacked
     /// segment without waiting for the RTO (fast retransmit, or a
     /// NewReno partial-ACK head re-emission).
@@ -99,7 +96,6 @@ impl Event {
             Event::Retransmit { .. } => "retransmit",
             Event::RtoBackoff { .. } => "rto_backoff",
             Event::Timeout => "timeout",
-            Event::BatchRelookup => "batch_relookup",
             Event::FastRetransmit { .. } => "fast_retransmit",
             Event::DelayedAck => "delayed_ack",
             Event::ZeroWindowProbe => "zero_window_probe",
@@ -124,7 +120,6 @@ impl fmt::Display for Event {
                 rto_ticks,
             } => write!(f, "rto_backoff attempts={attempts} rto_ticks={rto_ticks}"),
             Event::Timeout => f.write_str("timeout"),
-            Event::BatchRelookup => f.write_str("batch_relookup"),
             Event::FastRetransmit { dup_acks } => {
                 write!(f, "fast_retransmit dup_acks={dup_acks}")
             }

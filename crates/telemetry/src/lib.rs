@@ -12,7 +12,7 @@
 //!   so exports have a stable schema;
 //! * [`Event`] + a bounded ring buffer — the most recent N structured
 //!   events (demux hit/miss with examined counts, connection lifecycle,
-//!   retransmission and RTO backoff, batch re-lookups);
+//!   retransmission and RTO backoff);
 //! * [`Recorder`] — the cheap, cloneable handle the hot paths record
 //!   through. Recording never allocates: counters and histograms are
 //!   fixed arrays, the event ring is pre-allocated and overwrites its
@@ -30,7 +30,7 @@
 //! let recorder = Recorder::new();
 //! recorder.demux_lookup(3, true, false);           // examined 3, found, no cache hit
 //! recorder.event(Event::ConnOpen);
-//! recorder.observe(HistogramId::RxBatchSize, 32);
+//! recorder.observe(HistogramId::CwndBytes, 4380);
 //!
 //! let snap = recorder.snapshot();
 //! assert_eq!(snap.counter(CounterId::Lookups), 1);

@@ -17,8 +17,6 @@ pub enum HistogramId {
     /// PCBs examined per demultiplexer lookup — the paper's cost metric,
     /// as a distribution rather than the §3.4 mean-only trap.
     Examined,
-    /// Frames per receive batch.
-    RxBatchSize,
     /// Re-armed retransmission timeouts, in stack ticks, one sample per
     /// RTO backoff.
     RtoTicks,
@@ -38,9 +36,8 @@ pub enum HistogramId {
 
 impl HistogramId {
     /// Every histogram, in export order.
-    pub const ALL: [HistogramId; 7] = [
+    pub const ALL: [HistogramId; 6] = [
         HistogramId::Examined,
-        HistogramId::RxBatchSize,
         HistogramId::RtoTicks,
         HistogramId::EpochDeferred,
         HistogramId::CuckooInsertKicks,
@@ -52,7 +49,6 @@ impl HistogramId {
     pub fn name(self) -> &'static str {
         match self {
             HistogramId::Examined => "examined",
-            HistogramId::RxBatchSize => "rx_batch_size",
             HistogramId::RtoTicks => "rto_ticks",
             HistogramId::EpochDeferred => "epoch_deferred",
             HistogramId::CuckooInsertKicks => "cuckoo_insert_kicks",
@@ -125,7 +121,6 @@ impl Telemetry {
                     .record(u32::try_from(rto_ticks).unwrap_or(u32::MAX));
             }
             Event::Timeout => self.counters.incr(CounterId::TimeoutAborts),
-            Event::BatchRelookup => self.counters.incr(CounterId::BatchRelookups),
             Event::FastRetransmit { .. } => self.counters.incr(CounterId::FastRetransmits),
             Event::DelayedAck => self.counters.incr(CounterId::DelayedAcks),
             Event::ZeroWindowProbe => self.counters.incr(CounterId::ZeroWindowProbes),
@@ -214,13 +209,6 @@ impl Recorder {
         } else {
             Event::DemuxMiss { examined }
         });
-    }
-
-    /// Record one receive batch of `size` frames.
-    pub fn batch(&self, size: u32) {
-        let mut t = self.lock();
-        t.counters.incr(CounterId::Batches);
-        t.histograms[HistogramId::RxBatchSize as usize].record(size);
     }
 
     /// Record one epoch-reclamation step: `retired` nodes handed to the
@@ -325,7 +313,6 @@ mod tests {
             rto_ticks: 16,
         });
         r.event(Event::Timeout);
-        r.event(Event::BatchRelookup);
         let snap = r.snapshot();
         assert_eq!(snap.counter(CounterId::ConnOpened), 1);
         assert_eq!(snap.counter(CounterId::ConnClosed), 2);
@@ -333,25 +320,23 @@ mod tests {
         assert_eq!(snap.counter(CounterId::Retransmits), 1);
         assert_eq!(snap.counter(CounterId::RtoBackoffs), 1);
         assert_eq!(snap.counter(CounterId::TimeoutAborts), 1);
-        assert_eq!(snap.counter(CounterId::BatchRelookups), 1);
         assert_eq!(snap.histogram(HistogramId::RtoTicks).count(), 1);
         assert_eq!(snap.histogram(HistogramId::RtoTicks).max(), 16);
-        assert_eq!(snap.events_recorded(), 7);
+        assert_eq!(snap.events_recorded(), 6);
     }
 
     #[test]
     fn clones_share_the_store_and_reset_clears_it() {
         let r = Recorder::new();
         let handle = r.clone();
-        handle.batch(32);
+        handle.observe(HistogramId::RtoTicks, 32);
         handle.incr(CounterId::Lookups);
-        assert_eq!(r.snapshot().counter(CounterId::Batches), 1);
-        assert_eq!(r.snapshot().histogram(HistogramId::RxBatchSize).max(), 32);
+        assert_eq!(r.snapshot().counter(CounterId::Lookups), 1);
+        assert_eq!(r.snapshot().histogram(HistogramId::RtoTicks).max(), 32);
         r.reset();
         let snap = handle.snapshot();
-        assert_eq!(snap.counter(CounterId::Batches), 0);
         assert_eq!(snap.counter(CounterId::Lookups), 0);
-        assert!(snap.histogram(HistogramId::RxBatchSize).is_empty());
+        assert!(snap.histogram(HistogramId::RtoTicks).is_empty());
         assert_eq!(snap.events_recorded(), 0);
     }
 

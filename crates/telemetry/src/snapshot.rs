@@ -174,7 +174,6 @@ impl Snapshot {
                 }
                 Event::ConnOpen
                 | Event::Timeout
-                | Event::BatchRelookup
                 | Event::DelayedAck
                 | Event::ZeroWindowProbe
                 | Event::RwndStall => {}
@@ -221,7 +220,6 @@ mod tests {
         r.demux_lookup(1, true, true);
         r.demux_lookup(19, true, false);
         r.demux_lookup(40, false, false);
-        r.batch(32);
         r.event(Event::ConnOpen);
         r.event(Event::RtoBackoff {
             attempts: 2,
@@ -238,34 +236,34 @@ mod tests {
         let snap = sample_recorder().snapshot();
         let text = snap.to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        // 24 counters + 7 histograms + 1 events header + 6 events.
-        assert_eq!(lines.len(), 24 + 7 + 1 + 6, "{text}");
+        // 22 counters + 6 histograms + 1 events header + 6 events.
+        assert_eq!(lines.len(), 22 + 6 + 1 + 6, "{text}");
         assert_eq!(
             lines[0],
             "{\"type\":\"counter\",\"name\":\"lookups\",\"value\":3}"
         );
         assert!(
-            lines[24].starts_with(
+            lines[22].starts_with(
                 "{\"type\":\"histogram\",\"name\":\"examined\",\"count\":3,\"sum\":60,\"max\":40,"
             ),
             "{}",
-            lines[24]
+            lines[22]
         );
         assert!(
-            lines[24].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
+            lines[22].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
             "{}",
-            lines[24]
+            lines[22]
         );
         assert_eq!(
-            lines[31],
+            lines[28],
             "{\"type\":\"events\",\"recorded\":6,\"dropped\":0}"
         );
         assert_eq!(
-            lines[32],
+            lines[29],
             "{\"type\":\"event\",\"seq\":0,\"kind\":\"demux_hit\",\"examined\":1,\"cache_hit\":true}"
         );
         assert_eq!(
-            lines[37],
+            lines[34],
             "{\"type\":\"event\",\"seq\":5,\"kind\":\"conn_close\",\"cause\":\"timeout\"}"
         );
     }
@@ -281,9 +279,9 @@ mod tests {
     fn empty_snapshot_still_exports_full_schema() {
         let text = Snapshot::empty().to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 24 + 7 + 1);
-        assert!(lines[25].contains("\"count\":0"));
-        assert!(lines[25].contains("\"buckets\":[]"));
+        assert_eq!(lines.len(), 22 + 6 + 1);
+        assert!(lines[23].contains("\"count\":0"));
+        assert!(lines[23].contains("\"buckets\":[]"));
     }
 
     #[test]

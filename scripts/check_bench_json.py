@@ -46,8 +46,7 @@ REQUIRED_LABELS = {
         for cell in ("build", "lookup")
         for n in (10_000, 100_000, 1_000_000, 10_000_000)
         for tier in ("sequent(19)", "sequent(499)", "cuckoo")
-    }
-    | {f"demux_scale/batch/n={n}/cuckoo" for n in (10_000, 100_000, 1_000_000, 10_000_000)},
+    },
     "BENCH_bulk_transfer.json": {f"bulk_transfer/drop={p}%" for p in (0, 5, 10, 25, 40)},
     "BENCH_miss_flood.json": {
         f"miss_flood/lookup/n={n}/hit={h}/{tier}"

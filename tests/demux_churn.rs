@@ -157,42 +157,3 @@ fn every_tier_agrees_with_oracle_under_high_occupancy_churn() {
         }
     });
 }
-
-#[test]
-fn cuckoo_batch_equals_sequential_under_churn() {
-    // The cuckoo-specific twin test at churn occupancy: the prefetching
-    // batch path must survive interleaved growth exactly like the
-    // sequential path (the generic batch_equivalence property covers
-    // random streams; this one pins the high-occupancy regime).
-    use tcpdemux::demux::{CuckooDemux, Demux};
-    check_cases("cuckoo_batch_churn", seed_count(), |rng| {
-        let mut arena = PcbArena::new();
-        let mut seq = CuckooDemux::new();
-        let mut bat = CuckooDemux::new();
-        let mut out = Vec::new();
-        for _ in 0..40 {
-            // Random mutation burst applied to both twins.
-            for _ in 0..rng.u32_in(1, 60) {
-                let n = rng.u32_in(0, KEYSPACE - 1);
-                if rng.chance(0.7) {
-                    let id = arena.insert(Pcb::new(key(n)));
-                    seq.insert(key(n), id);
-                    bat.insert(key(n), id);
-                } else {
-                    assert_eq!(seq.remove(&key(n)), bat.remove(&key(n)));
-                }
-            }
-            // Random lookup batch, compared result-for-result.
-            let batch: Vec<(ConnectionKey, PacketKind)> = (0..rng.u32_in(1, 64))
-                .map(|_| (key(rng.u32_in(0, KEYSPACE - 1)), PacketKind::Data))
-                .collect();
-            bat.lookup_batch(&batch, &mut out);
-            assert_eq!(out.len(), batch.len());
-            for (j, (k, kind)) in batch.iter().enumerate() {
-                assert_eq!(out[j], seq.lookup(k, *kind));
-            }
-        }
-        assert_eq!(seq.stats(), bat.stats());
-        assert_eq!(seq.len(), bat.len());
-    });
-}

@@ -70,22 +70,22 @@ struct KeyTracker {
     ceiling: AtomicU64,
 }
 
-fn check_found(global: usize, id: PcbId, floor_before: u64, ceiling_after: u64, context: &str) {
+fn check_found(global: usize, id: PcbId, floor_before: u64, ceiling_after: u64) {
     assert_eq!(
         id.index(),
         global,
-        "{context}: lookup of key {global} returned another key's id {id}"
+        "lookup of key {global} returned another key's id {id}"
     );
     let g = generation_of(id) + 1;
     assert!(
         g > floor_before,
-        "{context}: key {global} returned retired generation {} (floor {})",
+        "key {global} returned retired generation {} (floor {})",
         g - 1,
         floor_before
     );
     assert!(
         g <= ceiling_after,
-        "{context}: key {global} returned uninserted generation {} (ceiling {})",
+        "key {global} returned uninserted generation {} (ceiling {})",
         g - 1,
         ceiling_after
     );
@@ -162,46 +162,18 @@ fn run_one_seed(seed: u64) {
             let done = &done;
             s.spawn(move || {
                 let mut rng = TestRng::from_seed(seed ^ 0xdead_beef ^ (r as u64) << 17);
-                let mut batch = Vec::new();
-                let mut floors = Vec::new();
-                let mut out = Vec::new();
                 let mut rounds = 0u32;
                 while !done.load(Ordering::Relaxed) || rounds < 50 {
                     rounds += 1;
                     if rounds > 20_000 {
                         break; // safety valve; never hit in practice
                     }
-                    if rng.bool() {
-                        let global = rng.usize_in(0, total_keys);
-                        let floor_before = trackers[global].floor.load(Ordering::SeqCst);
-                        let result = demux.lookup(&key_for(global), PacketKind::Data);
-                        let ceiling_after = trackers[global].ceiling.load(Ordering::SeqCst);
-                        if let Some(id) = result.pcb {
-                            check_found(global, id, floor_before, ceiling_after, "lookup");
-                        }
-                    } else {
-                        batch.clear();
-                        floors.clear();
-                        for _ in 0..rng.usize_in(1, 24) {
-                            let global = rng.usize_in(0, total_keys);
-                            floors.push((global, trackers[global].floor.load(Ordering::SeqCst)));
-                            batch.push((key_for(global), PacketKind::Data));
-                        }
-                        demux.lookup_batch(&batch, &mut out);
-                        assert_eq!(out.len(), batch.len());
-                        for (i, result) in out.iter().enumerate() {
-                            let (global, floor_before) = floors[i];
-                            let ceiling_after = trackers[global].ceiling.load(Ordering::SeqCst);
-                            if let Some(id) = result.pcb {
-                                check_found(
-                                    global,
-                                    id,
-                                    floor_before,
-                                    ceiling_after,
-                                    "lookup_batch",
-                                );
-                            }
-                        }
+                    let global = rng.usize_in(0, total_keys);
+                    let floor_before = trackers[global].floor.load(Ordering::SeqCst);
+                    let result = demux.lookup(&key_for(global), PacketKind::Data);
+                    let ceiling_after = trackers[global].ceiling.load(Ordering::SeqCst);
+                    if let Some(id) = result.pcb {
+                        check_found(global, id, floor_before, ceiling_after);
                     }
                 }
             });

@@ -8,8 +8,7 @@
 //! removals that must clear exactly one lane, and probes of keys that
 //! were never (or no longer) present — against a `BTreeMap` oracle for
 //! all four filter-wrapped tiers, then pin the false-positive budget at
-//! the 15/16 occupancy watermark and the batch≡sequential equivalence
-//! through the filter's prefetch-then-forward batch path.
+//! the 15/16 occupancy watermark.
 //!
 //! The seed sweep is driven by `TCPDEMUX_FRONT_SEEDS` (default 4;
 //! `scripts/verify.sh` stage 12 runs a deeper sweep).
@@ -224,49 +223,5 @@ fn false_positive_rate_within_budget_at_high_occupancy() {
             fps <= budget.max(8),
             "false positives {fps} exceed budget {budget} at occupancy {occupancy:.3}"
         );
-    });
-}
-
-#[test]
-fn batch_equals_sequential_through_the_filter_under_churn() {
-    // Twin instances per wrapped tier: one probed one key at a time,
-    // one through the prefetching batch path (which filters first and
-    // forwards only survivors to the backing tier). Probes include
-    // absent keys, so batches mix rejects with hits in one call.
-    fn drive<D: Demux>(rng: &mut TestRng, make: impl Fn() -> D) {
-        let (mut seq, mut bat) = (FrontDemux::new(make()), FrontDemux::new(make()));
-        let mut arena = PcbArena::new();
-        let mut out = Vec::new();
-        for _ in 0..40 {
-            for _ in 0..rng.u32_in(1, 60) {
-                let n = rng.u32_in(0, KEYSPACE - 1);
-                if rng.chance(0.7) {
-                    let id = arena.insert(Pcb::new(key(n)));
-                    seq.insert(key(n), id);
-                    bat.insert(key(n), id);
-                } else {
-                    assert_eq!(seq.remove(&key(n)), bat.remove(&key(n)));
-                }
-            }
-            let batch: Vec<(ConnectionKey, PacketKind)> = (0..rng.u32_in(1, 64))
-                .map(|_| (key(rng.u32_in(0, PROBESPACE - 1)), PacketKind::Data))
-                .collect();
-            bat.lookup_batch(&batch, &mut out);
-            assert_eq!(out.len(), batch.len());
-            for (j, (k, kind)) in batch.iter().enumerate() {
-                assert_eq!(out[j], seq.lookup(k, *kind), "batch slot {j}");
-            }
-        }
-        assert_eq!(seq.stats(), bat.stats());
-        assert_eq!(seq.front_stats().rejects, bat.front_stats().rejects);
-        assert_eq!(
-            seq.front_stats().false_positives,
-            bat.front_stats().false_positives
-        );
-        assert_eq!(seq.len(), bat.len());
-    }
-    check_cases("front_filter_batch_twin", seed_count(), |rng| {
-        drive(rng, || SequentDemux::new(Multiplicative, 19));
-        drive(rng, CuckooDemux::new);
     });
 }

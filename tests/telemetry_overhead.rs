@@ -67,7 +67,6 @@ fn measure_one_attempt() -> u64 {
     for i in 0..10_000u32 {
         recorder.demux_lookup(1 + i % 7, true, i % 2 == 0);
         recorder.observe(HistogramId::RtoTicks, 200 << (i % 5));
-        recorder.batch(8);
         recorder.event(Event::Retransmit { attempt: 1 + i % 3 });
         recorder.event(Event::ConnClose {
             cause: CloseCause::Graceful,
@@ -78,7 +77,6 @@ fn measure_one_attempt() -> u64 {
     let snapshot = recorder.snapshot();
     assert_eq!(snapshot.histogram(HistogramId::Examined).count(), 10_000);
     assert_eq!(snapshot.histogram(HistogramId::RtoTicks).count(), 10_000);
-    assert_eq!(snapshot.histogram(HistogramId::RxBatchSize).count(), 10_000);
 
     after - before
 }
