@@ -39,16 +39,21 @@
 //!
 //! [`ConcurrentCuckooDemux`] keeps the same two-bucket invariant with
 //! lock-free readers: each bucket carries a seqlock version word, readers
-//! snapshot both candidate buckets under a [`crate::epoch`] pin, and a
-//! table-wide displacement version validates misses (a kick writes the
+//! load the current generation and snapshot both candidate buckets, and
+//! a table-wide displacement version validates misses (a kick writes the
 //! destination copy before clearing the source, so an entry is never
 //! *absent*, but a reader probing b1→b2 while an entry moves b2→b1 could
 //! miss both copies — the version check detects the race and retries).
-//! Writers serialize behind one table mutex; growth publishes a fresh
-//! generation and retires the old one to the epoch runtime, which wipes
-//! it after a grace period so stale readers fail loudly in tests.
+//! Writers serialize behind one table mutex; growth rehashes into a fresh
+//! generation and publishes it with one store.
+//!
+//! Superseded generations are never freed or written again: they stay
+//! allocated in a fixed array for the table's lifetime, so a reader that
+//! loaded the generation index just before a growth probes a frozen,
+//! complete copy of the table as it stood at publication — a result that
+//! linearizes before the growth. Each generation doubles the last, so
+//! all of them together occupy less than twice the live one.
 
-use crate::epoch::{EpochRuntime, ReclamationStats};
 use crate::stats::{AtomicLookupStats, LookupStats};
 use crate::{Demux, LookupResult, PacketKind};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -476,7 +481,7 @@ impl Demux for CuckooDemux {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent variant: seqlocked buckets under an epoch pin.
+// Concurrent variant: seqlocked buckets in publish-once generations.
 // ---------------------------------------------------------------------
 
 /// Concurrent generations the table can grow through. Generation `g` has
@@ -484,9 +489,6 @@ impl Demux for CuckooDemux {
 const CONC_MAX_GENERATIONS: usize = 21;
 /// Slot-word 0 bit marking the slot occupied (above tag bits 32..40).
 const OCC: u64 = 1 << 40;
-/// Wiped-generation poison: slots read as unoccupied, cold words read as
-/// garbage, so a reader that outlives the grace period fails loudly.
-const POISON: u64 = 0xdead_beef_dead_beef;
 
 /// One slot as three atomic words: `w0` = occupied | tag | key word a,
 /// `w1` = key words b·c, `w2` = packed [`PcbId`] bits.
@@ -567,9 +569,9 @@ impl ConcBucket {
     }
 }
 
-/// One published table size. Entries only ever live in the current
-/// generation; superseded generations stay mapped until the epoch
-/// runtime's grace period elapses, then are poison-wiped.
+/// One published table size. Writers only ever touch the current
+/// generation; a superseded one is frozen as it stood when its successor
+/// was published.
 struct Generation {
     buckets: Box<[ConcBucket]>,
     mask: usize,
@@ -764,9 +766,9 @@ struct WriterState {
     cstats: CuckooStats,
 }
 
-/// The epoch-guarded concurrent cuckoo tier: lock-free bounded-probe
-/// readers, writers serialized behind one mutex. See the module docs for
-/// the safety argument.
+/// The concurrent cuckoo tier: lock-free bounded-probe readers, writers
+/// serialized behind one mutex. See the module docs for the safety
+/// argument.
 pub struct ConcurrentCuckooDemux {
     generations: Box<[OnceLock<Generation>]>,
     current: AtomicUsize,
@@ -775,7 +777,6 @@ pub struct ConcurrentCuckooDemux {
     /// entries are genuinely present).
     kick_seq: AtomicU64,
     writer: Mutex<WriterState>,
-    runtime: EpochRuntime,
     stats: AtomicLookupStats,
 }
 
@@ -798,7 +799,6 @@ impl ConcurrentCuckooDemux {
             current: AtomicUsize::new(0),
             kick_seq: AtomicU64::new(0),
             writer: Mutex::new(WriterState::default()),
-            runtime: EpochRuntime::new(),
             stats: AtomicLookupStats::new(),
         }
     }
@@ -806,12 +806,6 @@ impl ConcurrentCuckooDemux {
     /// Insert-path counters (kicks, eviction loops, grows).
     pub fn kick_stats(&self) -> CuckooStats {
         lock(&self.writer).cstats
-    }
-
-    /// Telemetry from the epoch runtime reclaiming superseded
-    /// generations.
-    pub fn reclamation_stats(&self) -> ReclamationStats {
-        self.runtime.stats()
     }
 
     /// Index of the published generation (starts at 0, grows by ≥ 1 per
@@ -824,8 +818,8 @@ impl ConcurrentCuckooDemux {
         self.generations[g].get().expect("generation published")
     }
 
-    /// Grow under the writer lock: rehash into a fresh generation,
-    /// publish it, retire the old one to the epoch runtime.
+    /// Grow under the writer lock: rehash into a fresh generation and
+    /// publish it.
     fn grow_locked(&self, st: &mut WriterState, g: usize) -> usize {
         let mut target = g + 1;
         'size: loop {
@@ -863,37 +857,14 @@ impl ConcurrentCuckooDemux {
                 .set(next)
                 .unwrap_or_else(|_| unreachable!("generation slot unused"));
             self.current.store(target, SeqCst);
-            self.runtime.retire(g as u64);
             st.cstats.grows += 1;
             return target;
         }
     }
 
-    /// Poison-wipe a generation whose grace period elapsed.
-    fn wipe_generation(&self, g: usize) {
-        if let Some(generation) = self.generations[g].get() {
-            for b in 0..generation.buckets.len() {
-                generation.buckets[b].write(|bucket| {
-                    for slot in &bucket.slots {
-                        slot.w0.store(0, SeqCst);
-                        slot.w1.store(POISON, SeqCst);
-                        slot.w2.store(POISON, SeqCst);
-                    }
-                });
-            }
-        }
-    }
-
-    /// Advance the epoch and wipe a bounded number of superseded
-    /// generations; called after every writer operation.
-    fn reclaim_some(&self) {
-        self.runtime.try_advance();
-        self.runtime
-            .drain(2, |token| self.wipe_generation(token as usize));
-    }
-
     /// One linearizable probe. A miss is only returned from a window
-    /// with no displacement in flight; see `kick_seq`.
+    /// with no displacement in flight; see `kick_seq`. `current` needs no
+    /// re-check: a generation superseded mid-probe is frozen and whole.
     fn probe_validated(&self, words: [u32; 3], h: u64) -> LookupResult {
         loop {
             let kv = self.kick_seq.load(SeqCst);
@@ -923,8 +894,6 @@ impl crate::concurrent::ConcurrentDemux for ConcurrentCuckooDemux {
                 generation.buckets[b].write(|bucket| {
                     bucket.slots[w].w2.store(id.to_bits(), SeqCst);
                 });
-                drop(st);
-                self.reclaim_some();
                 return;
             }
             let capacity = generation.buckets.len() * WAYS;
@@ -946,8 +915,6 @@ impl crate::concurrent::ConcurrentDemux for ConcurrentCuckooDemux {
         st.len += 1;
         st.cstats.kicks += u64::from(kicks);
         st.cstats.max_kick_path = st.cstats.max_kick_path.max(kicks);
-        drop(st);
-        self.reclaim_some();
     }
 
     fn remove(&self, key: &ConnectionKey) -> Option<PcbId> {
@@ -956,23 +923,17 @@ impl crate::concurrent::ConcurrentDemux for ConcurrentCuckooDemux {
         let mut st = lock(&self.writer);
         let generation = self.gen_ref(self.current.load(SeqCst));
         let (b1, tag) = home(h, generation.mask);
-        let found = generation.locate(words, tag, b1).map(|(b, w)| {
+        generation.locate(words, tag, b1).map(|(b, w)| {
             let idbits = generation.buckets[b].slots[w].w2.load(SeqCst);
             generation.clear(b, w);
             st.len -= 1;
             PcbId::from_bits(idbits)
-        });
-        drop(st);
-        self.reclaim_some();
-        found
+        })
     }
 
     fn lookup(&self, key: &ConnectionKey, _kind: PacketKind) -> LookupResult {
         let words = key.as_words();
-        let h = hash_words(words);
-        let guard = self.runtime.pin();
-        let r = self.probe_validated(words, h);
-        drop(guard);
+        let r = self.probe_validated(words, hash_words(words));
         self.stats.record(r.examined, r.pcb.is_some(), false);
         r
     }
@@ -1113,31 +1074,6 @@ mod tests {
         assert_eq!(demux.len(), 4_999);
         let snap = demux.stats_snapshot();
         assert_eq!(snap.lookups, 5_001);
-    }
-
-    #[test]
-    fn superseded_generations_are_reclaimed_and_wiped() {
-        let demux = ConcurrentCuckooDemux::new();
-        let mut arena = PcbArena::new();
-        for i in 0..2_000u32 {
-            let k = test_util::key(i);
-            let id = arena.insert(Pcb::new(k));
-            demux.insert(k, id);
-        }
-        assert!(demux.generation() >= 2);
-        // Quiescent: a few more writer ops cycle the epochs and drain.
-        for i in 0..8u32 {
-            demux.remove(&test_util::key(i));
-        }
-        let rec = demux.reclamation_stats();
-        assert_eq!(rec.retired, demux.generation() as u64);
-        assert!(rec.reclaimed > 0, "grace-elapsed generations must be wiped");
-        // Wiped generation 0 reads as empty (poison is unoccupied).
-        let g0 = demux.generations[0].get().unwrap();
-        assert!(g0
-            .buckets
-            .iter()
-            .all(|b| b.slots.iter().all(|s| s.w0.load(SeqCst) & OCC == 0)));
     }
 
     #[test]

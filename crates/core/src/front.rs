@@ -32,17 +32,10 @@
 //! [`FrontDemux`] keeps a `FrontFilter` in exact sync with any backing
 //! [`Demux`]: every insert/remove goes to both, every lookup probes the
 //! filter first and early-returns a zero-cost miss on reject.
-//! [`ConcurrentFrontDemux`] does the same for a [`ConcurrentDemux`]
-//! backing tier, with the filter behind an `RwLock` so displacement
-//! walks can never interleave with probes (a kick in progress
-//! momentarily hides an entry; the write lock makes that invisible).
 
-use crate::concurrent::ConcurrentDemux;
 use crate::cuckoo::hash_words;
-use crate::stats::{AtomicLookupStats, LookupStats};
+use crate::stats::LookupStats;
 use crate::{Demux, LookupResult, PacketKind};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 use tcpdemux_telemetry::{CounterId, HistogramId, Recorder};
 
@@ -329,7 +322,7 @@ impl FrontFilter {
     }
 }
 
-/// Front-filter outcome counters kept by the wrappers.
+/// Front-filter outcome counters kept by [`FrontDemux`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontStats {
     /// Lookups rejected by the filter without touching the backing tier.
@@ -485,109 +478,6 @@ impl<D: Demux> Demux for FrontDemux<D> {
     fn reset_stats(&mut self) {
         self.stats = LookupStats::new();
         self.inner.reset_stats();
-    }
-}
-
-// Local poison-mapping helpers, same rationale as `concurrent.rs`: a
-// panic can't tear the filter (every critical section restores its
-// invariants before any operation that can panic), so poisoning is
-// mapped away rather than propagated.
-fn read_filter(l: &RwLock<FrontFilter>) -> RwLockReadGuard<'_, FrontFilter> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_filter(l: &RwLock<FrontFilter>) -> RwLockWriteGuard<'_, FrontFilter> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A [`ConcurrentDemux`] wrapper with the filter behind an `RwLock`.
-///
-/// Readers share the filter; inserts and removes take the write lock,
-/// so a displacement walk (which momentarily hides the entry being
-/// moved between its two buckets) can never interleave with a probe —
-/// the no-false-negative guarantee holds under concurrency, not just at
-/// quiescent points. Update ordering completes the argument: `insert`
-/// puts the key in the filter *before* the backing tier, and `remove`
-/// takes it out of the backing tier *before* the filter, so at every
-/// instant the filter's membership is a superset of the backing
-/// tier's — any transient disagreement is a harmless false positive.
-pub struct ConcurrentFrontDemux<D> {
-    filter: RwLock<FrontFilter>,
-    inner: D,
-    stats: AtomicLookupStats,
-    rejects: AtomicU64,
-    false_positives: AtomicU64,
-}
-
-impl<D: ConcurrentDemux> ConcurrentFrontDemux<D> {
-    /// Wrap an **empty** concurrent backing tier.
-    pub fn new(inner: D) -> Self {
-        debug_assert!(inner.is_empty(), "filter would start out of sync");
-        Self {
-            filter: RwLock::new(FrontFilter::new()),
-            inner,
-            stats: AtomicLookupStats::new(),
-            rejects: AtomicU64::new(0),
-            false_positives: AtomicU64::new(0),
-        }
-    }
-
-    /// Front-filter outcome counters and filter statistics.
-    pub fn front_stats(&self) -> FrontStats {
-        FrontStats {
-            rejects: self.rejects.load(Ordering::Relaxed),
-            false_positives: self.false_positives.load(Ordering::Relaxed),
-            filter: read_filter(&self.filter).stats(),
-        }
-    }
-
-    /// The wrapped backing tier.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-}
-
-impl<D: ConcurrentDemux> ConcurrentDemux for ConcurrentFrontDemux<D> {
-    fn insert(&self, key: ConnectionKey, id: PcbId) {
-        write_filter(&self.filter).insert(&key);
-        self.inner.insert(key, id);
-    }
-
-    fn remove(&self, key: &ConnectionKey) -> Option<PcbId> {
-        // Backing tier first: its atomic remove arbitrates racing
-        // removers, and only the winner clears the filter entry.
-        let removed = self.inner.remove(key);
-        if removed.is_some() {
-            write_filter(&self.filter).remove(key);
-        }
-        removed
-    }
-
-    fn lookup(&self, key: &ConnectionKey, kind: PacketKind) -> LookupResult {
-        if !read_filter(&self.filter).may_contain(key) {
-            self.rejects.fetch_add(1, Ordering::Relaxed);
-            self.stats.record(0, false, false);
-            return LookupResult::miss(0);
-        }
-        let result = self.inner.lookup(key, kind);
-        if result.pcb.is_none() {
-            self.false_positives.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats
-            .record(result.examined, result.pcb.is_some(), result.cache_hit);
-        result
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn name(&self) -> String {
-        format!("front+{}", self.inner.name())
-    }
-
-    fn stats_snapshot(&self) -> LookupStats {
-        self.stats.snapshot()
     }
 }
 
@@ -788,80 +678,6 @@ mod tests {
                 assert_eq!(r.pcb, Some(ids[i as usize]), "false negative for key {i}");
             }
         }
-    }
-
-    #[test]
-    fn concurrent_wrapper_agrees_with_sequential_wrapper() {
-        use crate::concurrent::ShardedDemux;
-        let conc = ConcurrentFrontDemux::new(ShardedDemux::new(Multiplicative, 19));
-        let mut seq = FrontDemux::new(SequentDemux::new(Multiplicative, 19));
-        let mut arena = PcbArena::new();
-        for i in 0..200 {
-            let k = key(i);
-            let id = arena.insert(Pcb::new(k));
-            conc.insert(k, id);
-            seq.insert(k, id);
-        }
-        for i in 0..400 {
-            let k = key(i);
-            assert_eq!(
-                conc.lookup(&k, PacketKind::Data).pcb,
-                seq.lookup(&k, PacketKind::Data).pcb
-            );
-        }
-        let front = conc.front_stats();
-        assert!(front.rejects > 0, "misses should mostly reject");
-        assert_eq!(front.filter.len, 200);
-    }
-
-    #[test]
-    fn concurrent_wrapper_has_no_false_negatives_under_write_churn() {
-        use crate::concurrent::ShardedDemux;
-        // Readers hammer a stable key set while a writer churns a
-        // disjoint set through insert/remove (forcing kicks and grows).
-        // Stable keys must never miss.
-        let demux = ConcurrentFrontDemux::new(ShardedDemux::new(Multiplicative, 19));
-        let mut arena = PcbArena::new();
-        let stable: Vec<_> = (0..64u32)
-            .map(|i| {
-                let k = key(i);
-                let id = arena.insert(Pcb::new(k));
-                demux.insert(k, id);
-                (k, id)
-            })
-            .collect();
-        let churn_ids: Vec<_> = (0..2_000u32)
-            .map(|i| arena.insert(Pcb::new(key(1_000 + i))))
-            .collect();
-        std::thread::scope(|scope| {
-            let demux = &demux;
-            let stable = &stable;
-            let churn_ids = &churn_ids;
-            scope.spawn(move || {
-                for round in 0..6u32 {
-                    for i in 0..2_000u32 {
-                        demux.insert(key(1_000 + i), churn_ids[i as usize]);
-                    }
-                    for i in 0..2_000u32 {
-                        demux.remove(&key(1_000 + i));
-                    }
-                    let _ = round;
-                }
-            });
-            for _ in 0..2 {
-                scope.spawn(move || {
-                    for round in 0..40u32 {
-                        for &(k, id) in stable {
-                            let r = demux.lookup(&k, PacketKind::Data);
-                            assert_eq!(r.pcb, Some(id), "false negative under churn");
-                        }
-                        let _ = round;
-                    }
-                });
-            }
-        });
-        assert_eq!(demux.len(), 64);
-        assert_eq!(demux.front_stats().filter.len, 64);
     }
 
     #[test]

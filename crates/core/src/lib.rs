@@ -13,9 +13,8 @@
 //! | [`HashedMtfDemux`] | §3.5, the combination the paper weighs | `H` hash chains with move-to-front |
 //! | [`DirectDemux`] | §3.5, connection-ID strawman (TP4/X.25/XTP) | direct index, 1 probe by construction |
 //! | [`CuckooDemux`] | beyond the paper: Cuckoo++-style flow table | 4-way one-cache-line tagged buckets, ≤ 2 lines per lookup at any N |
-//! | [`ConcurrentCuckooDemux`] | — concurrent twin | seqlocked buckets read under an [`epoch`] pin, writers serialized |
+//! | [`ConcurrentCuckooDemux`] | — concurrent twin | seqlocked buckets, lock-free reads, writers serialized |
 //! | [`concurrent::ShardedDemux`] | \[Dov90\] parallel-TCP setting | hash chains with per-chain locks |
-//! | [`concurrent::EpochDemux`] | RCU lineage (McKenney, Sequent) | hash chains, lock-free lookups over [`epoch`]-reclaimed nodes |
 //!
 //! The figure of merit throughout the paper — and therefore the unit this
 //! crate counts — is the **number of PCBs examined** per lookup. A cache
@@ -54,23 +53,17 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny` rather than `forbid`: the [`prefetch`] module carries the
-// workspace's single audited `unsafe` block (a faultless `prefetcht0`
-// hint) under a targeted `#[allow]`; everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod adaptive;
 mod bsd;
 pub mod concurrent;
 pub mod cuckoo;
 mod direct;
-pub mod epoch;
-mod epoch_demux;
 pub mod front;
 mod hashed_mtf;
 mod list;
 mod mtf;
-pub mod prefetch;
 mod sequent;
 pub mod spsc;
 mod srcache;
@@ -81,7 +74,7 @@ pub use adaptive::AdaptiveDemux;
 pub use bsd::BsdDemux;
 pub use cuckoo::{ConcurrentCuckooDemux, CuckooDemux, CuckooStats};
 pub use direct::DirectDemux;
-pub use front::{ConcurrentFrontDemux, FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
+pub use front::{FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
 pub use hashed_mtf::HashedMtfDemux;
 pub use list::PcbList;
 pub use mtf::MtfDemux;

@@ -2,11 +2,11 @@
 //!
 //! The sharded stack runtime feeds each shard through one of these: the
 //! ingress side steers a frame and pushes it; the shard's worker pops a
-//! batch and feeds it to `Stack::receive` frame by frame. The same hermetic
-//! discipline as [`crate::epoch`] applies — no crossbeam, no `unsafe`:
-//! each slot is a `Mutex<Option<T>>` (uncontended by construction, since
-//! exactly one side touches a given slot between the two index updates)
-//! and the head/tail indices are monotonic atomics, so `len` is simply
+//! batch and feeds it to `Stack::receive` frame by frame. The workspace's
+//! hermetic discipline applies — no crossbeam, no `unsafe`: each slot is
+//! a `Mutex<Option<T>>` (uncontended by construction, since exactly one
+//! side touches a given slot between the two index updates) and the
+//! head/tail indices are monotonic atomics, so `len` is simply
 //! `tail - head` and full/empty are never ambiguous.
 //!
 //! Single-producer and single-consumer are enforced at compile time: the

@@ -80,7 +80,7 @@ impl LookupStats {
 ///
 /// Recording is a handful of `Relaxed` fetch-adds (plus one `fetch_max`
 /// for the worst case), so threads tally lookups *after* releasing the
-/// data lock — or with no lock at all on the epoch read path — instead of
+/// data lock — or with no lock at all on the cuckoo read path — instead of
 /// serializing on a shared `LookupStats` under the structure's lock.
 /// Totals are exact: every counter is a single atomic RMW, so concurrent
 /// recorders never lose updates. A [`AtomicLookupStats::snapshot`] taken

@@ -40,13 +40,6 @@ pub enum CounterId {
     RtoBackoffs,
     /// Connections aborted after exhausting the retransmission budget.
     TimeoutAborts,
-    /// Demux chain nodes retired to the epoch runtime (unlinked, awaiting
-    /// a grace period).
-    EpochRetired,
-    /// Retired nodes whose grace period elapsed and were recycled.
-    EpochReclaimed,
-    /// Global epoch advances of the reclamation runtime.
-    EpochAdvances,
     /// Entries displaced to their alternate bucket by cuckoo inserts
     /// (kicks), including displacements performed while rehashing.
     CuckooKicks,
@@ -76,7 +69,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 22] = [
+    pub const ALL: [CounterId; 19] = [
         CounterId::Lookups,
         CounterId::CacheHits,
         CounterId::DemuxHits,
@@ -88,9 +81,6 @@ impl CounterId {
         CounterId::Retransmits,
         CounterId::RtoBackoffs,
         CounterId::TimeoutAborts,
-        CounterId::EpochRetired,
-        CounterId::EpochReclaimed,
-        CounterId::EpochAdvances,
         CounterId::CuckooKicks,
         CounterId::CuckooEvictionLoops,
         CounterId::FastRetransmits,
@@ -115,9 +105,6 @@ impl CounterId {
             CounterId::Retransmits => "retransmits",
             CounterId::RtoBackoffs => "rto_backoffs",
             CounterId::TimeoutAborts => "timeout_aborts",
-            CounterId::EpochRetired => "epoch_retired",
-            CounterId::EpochReclaimed => "epoch_reclaimed",
-            CounterId::EpochAdvances => "epoch_advances",
             CounterId::CuckooKicks => "cuckoo_kicks",
             CounterId::CuckooEvictionLoops => "cuckoo_eviction_loops",
             CounterId::FastRetransmits => "fast_retransmits",

@@ -20,9 +20,6 @@ pub enum HistogramId {
     /// Re-armed retransmission timeouts, in stack ticks, one sample per
     /// RTO backoff.
     RtoTicks,
-    /// Depth of the epoch runtime's deferred-retire list, sampled after
-    /// each writer operation's bounded drain.
-    EpochDeferred,
     /// Entries displaced per cuckoo insert (0 for the common
     /// free-slot-in-either-bucket case), one sample per insert.
     CuckooInsertKicks,
@@ -36,10 +33,9 @@ pub enum HistogramId {
 
 impl HistogramId {
     /// Every histogram, in export order.
-    pub const ALL: [HistogramId; 6] = [
+    pub const ALL: [HistogramId; 5] = [
         HistogramId::Examined,
         HistogramId::RtoTicks,
-        HistogramId::EpochDeferred,
         HistogramId::CuckooInsertKicks,
         HistogramId::CwndBytes,
         HistogramId::FrontOccupancy,
@@ -50,7 +46,6 @@ impl HistogramId {
         match self {
             HistogramId::Examined => "examined",
             HistogramId::RtoTicks => "rto_ticks",
-            HistogramId::EpochDeferred => "epoch_deferred",
             HistogramId::CuckooInsertKicks => "cuckoo_insert_kicks",
             HistogramId::CwndBytes => "cwnd_bytes",
             HistogramId::FrontOccupancy => "front_occupancy",
@@ -209,25 +204,6 @@ impl Recorder {
         } else {
             Event::DemuxMiss { examined }
         });
-    }
-
-    /// Record one epoch-reclamation step: `retired` nodes handed to the
-    /// runtime, `reclaimed` nodes recycled by the bounded drain,
-    /// `advances` global-epoch advances (0 or 1 per step), and the
-    /// deferred-list `deferred_depth` left afterwards (sampled into the
-    /// `epoch_deferred` histogram). One lock acquisition for all four.
-    pub fn epoch_reclamation(
-        &self,
-        retired: u64,
-        reclaimed: u64,
-        advances: u64,
-        deferred_depth: u32,
-    ) {
-        let mut t = self.lock();
-        t.counters.add(CounterId::EpochRetired, retired);
-        t.counters.add(CounterId::EpochReclaimed, reclaimed);
-        t.counters.add(CounterId::EpochAdvances, advances);
-        t.histograms[HistogramId::EpochDeferred as usize].record(deferred_depth);
     }
 
     /// Record one cuckoo insert: `kicks` entries displaced to their

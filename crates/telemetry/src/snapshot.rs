@@ -236,34 +236,34 @@ mod tests {
         let snap = sample_recorder().snapshot();
         let text = snap.to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        // 22 counters + 6 histograms + 1 events header + 6 events.
-        assert_eq!(lines.len(), 22 + 6 + 1 + 6, "{text}");
+        // 19 counters + 5 histograms + 1 events header + 6 events.
+        assert_eq!(lines.len(), 19 + 5 + 1 + 6, "{text}");
         assert_eq!(
             lines[0],
             "{\"type\":\"counter\",\"name\":\"lookups\",\"value\":3}"
         );
         assert!(
-            lines[22].starts_with(
+            lines[19].starts_with(
                 "{\"type\":\"histogram\",\"name\":\"examined\",\"count\":3,\"sum\":60,\"max\":40,"
             ),
             "{}",
-            lines[22]
+            lines[19]
         );
         assert!(
-            lines[22].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
+            lines[19].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
             "{}",
-            lines[22]
+            lines[19]
         );
         assert_eq!(
-            lines[28],
+            lines[24],
             "{\"type\":\"events\",\"recorded\":6,\"dropped\":0}"
         );
         assert_eq!(
-            lines[29],
+            lines[25],
             "{\"type\":\"event\",\"seq\":0,\"kind\":\"demux_hit\",\"examined\":1,\"cache_hit\":true}"
         );
         assert_eq!(
-            lines[34],
+            lines[30],
             "{\"type\":\"event\",\"seq\":5,\"kind\":\"conn_close\",\"cause\":\"timeout\"}"
         );
     }
@@ -279,9 +279,9 @@ mod tests {
     fn empty_snapshot_still_exports_full_schema() {
         let text = Snapshot::empty().to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 22 + 6 + 1);
-        assert!(lines[23].contains("\"count\":0"));
-        assert!(lines[23].contains("\"buckets\":[]"));
+        assert_eq!(lines.len(), 19 + 5 + 1);
+        assert!(lines[20].contains("\"count\":0"));
+        assert!(lines[20].contains("\"buckets\":[]"));
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! iteration count for soak runs. Neither is needed for normal `cargo
 //! test` — defaults are fixed so CI is deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod rng;
 
 pub use rng::{splitmix64, Xoshiro256pp};

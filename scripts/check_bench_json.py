@@ -37,6 +37,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # regenerated to match. Conditional cells (e.g. mt_stack's
 # connect/local vs connect/cross split) are deliberately not listed.
 REQUIRED_LABELS = {
+    "BENCH_mt_scaling.json": {
+        f"mt_scaling/{section}/t={t}/{tier}"
+        for section in ("read-only", "churn")
+        for t in (1, 2, 4, 8)
+        for tier in ("sharded-sequent(64)", "cuckoo-conc")
+    },
     "BENCH_stack_shards.json": {
         f"mt_stack/{mix}/shards={k}" for mix in ("tpca", "bulk") for k in (1, 2, 4, 8)
     }

@@ -14,15 +14,17 @@
 #   6. the structured telemetry export of the fixed-seed lossy-link run
 #      matches the checked-in golden byte for byte (counters, histogram
 #      buckets, and the event trace);
-#   7. the lock-free concurrent read path survives a widened stress
-#      sweep (16 seeds of multi-threaded churn against the epoch-
-#      reclaimed demux);
+#   7. both shared-table tiers survive a widened stress sweep (16 seeds
+#      of multi-threaded churn, a generation-tagged PcbId oracle, and
+#      stable keys that must never miss while cuckoo-conc kicks and
+#      grows);
 #   8. the perf-trajectory pipeline is intact: the snapshot bench bins
 #      run end to end in smoke mode with --json, and the emitted
 #      BENCH_*.json files carry the fixed tcpdemux-bench/v1 schema with
 #      the same measurement-label and config-key sets as the snapshots
 #      checked in at the repo root (values are machine-dependent and
-#      are not compared);
+#      are not compared); mt_scaling must also emit all 16 cells of its
+#      two-tier sweep by name;
 #   9. the sharded runtime holds under a widened seed sweep (per-flow
 #      ordering + zero cross-shard PCB access across 12 seeds of
 #      concurrent ingress/drain) and the mt_stack throughput bin runs
@@ -109,11 +111,11 @@ if ! cmp -s "$export_run" "$golden"; then
 fi
 echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
-echo "== 7/13 epoch stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
-TCPDEMUX_STRESS_SEEDS=16 cargo test -q --release --offline --test epoch_stress
-echo "ok: 16-seed concurrent churn clean"
+echo "== 7/13 concurrent stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
+TCPDEMUX_STRESS_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
+echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"
 
-echo "== 8/13 bench-smoke JSON snapshots (schema + label-set drift) =="
+echo "== 8/13 bench-smoke JSON snapshots (schema, label-set drift, required cells) =="
 bench_json_dir=$(mktemp -d)
 trap 'rm -f "$run_a" "$run_b" "$export_run"; rm -rf "$bench_json_dir"' EXIT
 TCPDEMUX_SMOKE=1 cargo bench -q --offline -p tcpdemux-bench --bench demux_lookup -- \

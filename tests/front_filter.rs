@@ -7,7 +7,7 @@
 //! churn — insert-heavy bursts that force kick walks and filter growth,
 //! removals that must clear exactly one lane, and probes of keys that
 //! were never (or no longer) present — against a `BTreeMap` oracle for
-//! all four filter-wrapped tiers, then pin the false-positive budget at
+//! both filter-wrapped tiers, then pin the false-positive budget at
 //! the 15/16 occupancy watermark.
 //!
 //! The seed sweep is driven by `TCPDEMUX_FRONT_SEEDS` (default 4;
@@ -15,11 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use tcpdemux::demux::concurrent::{ConcurrentDemux, ShardedDemux};
-use tcpdemux::demux::{
-    ConcurrentCuckooDemux, ConcurrentFrontDemux, CuckooDemux, Demux, FrontDemux, PacketKind,
-    SequentDemux,
-};
+use tcpdemux::demux::{CuckooDemux, Demux, FrontDemux, PacketKind, SequentDemux};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::{ConnectionKey, Pcb, PcbArena, PcbId};
 use tcpdemux_testprop::{check_cases, TestRng};
@@ -73,16 +69,9 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
             .map(|n| arena.insert(Pcb::new(key(n))))
             .collect();
 
-        let mut sequential: Vec<Box<dyn Demux>> = vec![
+        let mut tiers: Vec<Box<dyn Demux>> = vec![
             Box::new(FrontDemux::new(SequentDemux::new(Multiplicative, 19))),
             Box::new(FrontDemux::new(CuckooDemux::new())),
-        ];
-        let concurrent: Vec<Box<dyn ConcurrentDemux>> = vec![
-            Box::new(ConcurrentFrontDemux::new(ShardedDemux::new(
-                Multiplicative,
-                19,
-            ))),
-            Box::new(ConcurrentFrontDemux::new(ConcurrentCuckooDemux::new())),
         ];
         let mut oracle: BTreeMap<u32, PcbId> = BTreeMap::new();
 
@@ -90,25 +79,14 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
             match *op {
                 Op::Insert(n) => {
                     let id = ids[n as usize];
-                    for demux in sequential.iter_mut() {
-                        demux.insert(key(n), id);
-                    }
-                    for demux in &concurrent {
+                    for demux in tiers.iter_mut() {
                         demux.insert(key(n), id);
                     }
                     oracle.insert(n, id);
                 }
                 Op::Remove(n) => {
                     let expected = oracle.remove(&n);
-                    for demux in sequential.iter_mut() {
-                        assert_eq!(
-                            demux.remove(&key(n)),
-                            expected,
-                            "{} disagreed with oracle on remove({n})",
-                            demux.name()
-                        );
-                    }
-                    for demux in &concurrent {
+                    for demux in tiers.iter_mut() {
                         assert_eq!(
                             demux.remove(&key(n)),
                             expected,
@@ -119,15 +97,7 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
                 }
                 Op::Lookup(n) => {
                     let expected = oracle.get(&n).copied();
-                    for demux in sequential.iter_mut() {
-                        assert_eq!(
-                            demux.lookup(&key(n), PacketKind::Data).pcb,
-                            expected,
-                            "{} disagreed with oracle on lookup({n})",
-                            demux.name()
-                        );
-                    }
-                    for demux in &concurrent {
+                    for demux in tiers.iter_mut() {
                         assert_eq!(
                             demux.lookup(&key(n), PacketKind::Data).pcb,
                             expected,
@@ -144,15 +114,7 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
         // negative anywhere fails here even if churn never probed it.
         for n in 0..PROBESPACE {
             let expected = oracle.get(&n).copied();
-            for demux in sequential.iter_mut() {
-                assert_eq!(
-                    demux.lookup(&key(n), PacketKind::Data).pcb,
-                    expected,
-                    "{} final sweep key {n}",
-                    demux.name()
-                );
-            }
-            for demux in &concurrent {
+            for demux in tiers.iter_mut() {
                 assert_eq!(
                     demux.lookup(&key(n), PacketKind::Data).pcb,
                     expected,
@@ -161,10 +123,7 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
                 );
             }
         }
-        for demux in &sequential {
-            assert_eq!(demux.len(), oracle.len(), "{}", demux.name());
-        }
-        for demux in &concurrent {
+        for demux in &tiers {
             assert_eq!(demux.len(), oracle.len(), "{}", demux.name());
         }
     });
