@@ -1,6 +1,6 @@
 //! §3.1 — The BSD algorithm: one linear list plus a one-entry cache.
 //!
-//! 4.3BSD-Reno augmented the original linear `inpcb` scan with a
+//! The 1990 release of 4.3BSD augmented the original linear `inpcb` scan with a
 //! "single-line cache referencing the last PCB found" (the paper credits
 //! Van Jacobson's bulk-transfer work). A lookup probes the cache first
 //! (cost 1); on a miss it scans the list from the head, so the expected

@@ -1,11 +1,10 @@
-//! Pluggable congestion control: Reno and NewReno.
+//! Congestion control: NewReno (RFC 5681 / 6582).
 //!
-//! The split follows mlwip's modular control path: per-connection
-//! *state* ([`CongestionState`]) lives in the PCB next to the sequence
-//! spaces it is consulted with, while the *algorithm* is a stateless
-//! [`CongestionControl`] object owned by the stack. The stack reports
-//! ACK-clock events (advancing ACK, duplicate ACK, RTO expiry) and acts
-//! on the returned [`CcAction`]; the algorithm never touches frames.
+//! Per-connection state ([`CongestionState`]) lives in the PCB next to
+//! the sequence spaces it is consulted with, and the algorithm is its
+//! methods. The stack reports ACK-clock events (advancing ACK, duplicate
+//! ACK, RTO expiry) and acts on the returned [`CcAction`]; nothing here
+//! touches frames.
 
 use crate::seq::SeqNum;
 
@@ -69,181 +68,86 @@ pub enum CcAction {
     RetransmitHead,
 }
 
-/// A congestion-control algorithm: pure window arithmetic over
-/// [`CongestionState`], driven by the stack's ACK clock.
-pub trait CongestionControl: Send {
-    /// Algorithm name for introspection and config display.
-    fn name(&self) -> &'static str;
-
+impl CongestionState {
     /// A cumulative ACK advanced SND.UNA by `acked` bytes to `ack`.
-    fn on_ack(&self, st: &mut CongestionState, acked: usize, ack: SeqNum, mss: usize) -> CcAction;
-
-    /// A duplicate ACK arrived (same SND.UNA, no payload, no window
-    /// update) with `inflight` bytes outstanding and SND.NXT at
-    /// `snd_nxt`.
-    fn on_dup_ack(
-        &self,
-        st: &mut CongestionState,
-        inflight: usize,
-        snd_nxt: SeqNum,
-        mss: usize,
-    ) -> CcAction;
-
-    /// The retransmission timer expired with `inflight` bytes
-    /// outstanding and SND.NXT at `snd_nxt`.
-    fn on_rto(&self, st: &mut CongestionState, inflight: usize, snd_nxt: SeqNum, mss: usize);
-}
-
-/// Slow start below `ssthresh` (exponential per RTT), additive increase
-/// above it (~one MSS per cwnd of acknowledged data) — RFC 5681 §3.1.
-fn grow(st: &mut CongestionState, acked: usize, mss: usize) {
-    if st.cwnd < st.ssthresh {
-        st.cwnd += acked.min(mss);
-    } else {
-        st.cwnd += (mss * mss / st.cwnd.max(1)).max(1);
-    }
-}
-
-/// Shared dup-ACK handling: count to three, then halve and enter fast
-/// recovery, re-emitting the presumed-lost head; further duplicates
-/// inflate `cwnd` by one MSS each (they signal a departed segment).
-fn dup_ack(st: &mut CongestionState, inflight: usize, snd_nxt: SeqNum, mss: usize) -> CcAction {
-    if st.in_recovery {
-        st.cwnd += mss;
-        return CcAction::None;
-    }
-    st.dup_acks += 1;
-    if st.dup_acks < 3 {
-        return CcAction::None;
-    }
-    st.ssthresh = (inflight / 2).max(2 * mss);
-    st.cwnd = st.ssthresh + 3 * mss;
-    st.in_recovery = true;
-    st.recover = snd_nxt;
-    CcAction::RetransmitHead
-}
-
-/// Shared RTO handling: collapse to one MSS and restart slow start
-/// toward half the data that was in flight (RFC 5681 §3.1 eq. 4),
-/// and enter RTO recovery: until SND.UNA passes the data outstanding
-/// at expiry, advancing ACKs re-emit the head (see
-/// [`CongestionState::in_rto_recovery`]).
-fn rto(st: &mut CongestionState, inflight: usize, snd_nxt: SeqNum, mss: usize) {
-    st.ssthresh = (inflight / 2).max(2 * mss);
-    st.cwnd = mss;
-    st.in_recovery = false;
-    st.in_rto_recovery = true;
-    st.recover = snd_nxt;
-    st.dup_acks = 0;
-}
-
-/// Shared RTO-recovery ACK handling: below the `recover` mark, grow
-/// (we are back in slow start) and ask for the new head, which an
-/// in-order-only receiver has necessarily discarded; at or past the
-/// mark, recovery is over. Returns the action, or `None` if not in
-/// RTO recovery.
-fn rto_recovery_ack(
-    st: &mut CongestionState,
-    acked: usize,
-    ack: SeqNum,
-    mss: usize,
-) -> Option<CcAction> {
-    if !st.in_rto_recovery {
-        return None;
-    }
-    if st.recover.le(ack) {
-        st.in_rto_recovery = false;
-        return None;
-    }
-    grow(st, acked, mss);
-    Some(CcAction::RetransmitHead)
-}
-
-/// Classic Reno (RFC 5681): fast retransmit/fast recovery, with
-/// recovery ending on the first ACK that advances SND.UNA at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Reno;
-
-impl CongestionControl for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
-    fn on_ack(&self, st: &mut CongestionState, acked: usize, ack: SeqNum, mss: usize) -> CcAction {
-        st.dup_acks = 0;
-        if let Some(action) = rto_recovery_ack(st, acked, ack, mss) {
-            return action;
+    ///
+    /// A *partial* ACK during fast recovery — one that advances SND.UNA
+    /// without reaching the `recover` mark — keeps recovery open and
+    /// asks for the new head at once (RFC 6582), repairing multiple
+    /// losses in one window without waiting for an RTO.
+    pub fn on_ack(&mut self, acked: usize, ack: SeqNum, mss: usize) -> CcAction {
+        self.dup_acks = 0;
+        if self.in_rto_recovery {
+            if !self.recover.le(ack) {
+                // Below the RTO-time mark: we are back in slow start,
+                // and an in-order-only receiver has necessarily
+                // discarded whatever followed the hole.
+                self.grow(acked, mss);
+                return CcAction::RetransmitHead;
+            }
+            self.in_rto_recovery = false;
         }
-        if st.in_recovery {
-            // Any advancing ACK deflates the window and exits recovery.
-            st.cwnd = st.ssthresh;
-            st.in_recovery = false;
-        } else {
-            grow(st, acked, mss);
-        }
-        CcAction::None
-    }
-
-    fn on_dup_ack(
-        &self,
-        st: &mut CongestionState,
-        inflight: usize,
-        snd_nxt: SeqNum,
-        mss: usize,
-    ) -> CcAction {
-        dup_ack(st, inflight, snd_nxt, mss)
-    }
-
-    fn on_rto(&self, st: &mut CongestionState, inflight: usize, snd_nxt: SeqNum, mss: usize) {
-        rto(st, inflight, snd_nxt, mss);
-    }
-}
-
-/// NewReno (RFC 6582): like Reno, but a *partial* ACK — one advancing
-/// SND.UNA without reaching the `recover` mark — keeps recovery open
-/// and immediately re-emits the new head, repairing multiple losses in
-/// one window without waiting for an RTO.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NewReno;
-
-impl CongestionControl for NewReno {
-    fn name(&self) -> &'static str {
-        "newreno"
-    }
-
-    fn on_ack(&self, st: &mut CongestionState, acked: usize, ack: SeqNum, mss: usize) -> CcAction {
-        st.dup_acks = 0;
-        if let Some(action) = rto_recovery_ack(st, acked, ack, mss) {
-            return action;
-        }
-        if st.in_recovery {
-            if st.recover.le(ack) {
+        if self.in_recovery {
+            if self.recover.le(ack) {
                 // Full ACK: recovery repaired the whole window.
-                st.cwnd = st.ssthresh;
-                st.in_recovery = false;
+                self.cwnd = self.ssthresh;
+                self.in_recovery = false;
                 return CcAction::None;
             }
             // Partial ACK: deflate by the data the ACK covered, add
             // back one MSS, and retransmit the next hole's head.
-            st.cwnd = st.cwnd.saturating_sub(acked).max(mss) + mss;
+            self.cwnd = self.cwnd.saturating_sub(acked).max(mss) + mss;
             return CcAction::RetransmitHead;
         }
-        grow(st, acked, mss);
+        self.grow(acked, mss);
         CcAction::None
     }
 
-    fn on_dup_ack(
-        &self,
-        st: &mut CongestionState,
-        inflight: usize,
-        snd_nxt: SeqNum,
-        mss: usize,
-    ) -> CcAction {
-        dup_ack(st, inflight, snd_nxt, mss)
+    /// A duplicate ACK arrived (same SND.UNA, no payload, no window
+    /// update) with `inflight` bytes outstanding and SND.NXT at
+    /// `snd_nxt`: count to three, then halve and enter fast recovery,
+    /// re-emitting the presumed-lost head; further duplicates inflate
+    /// `cwnd` by one MSS each (they signal a departed segment).
+    pub fn on_dup_ack(&mut self, inflight: usize, snd_nxt: SeqNum, mss: usize) -> CcAction {
+        if self.in_recovery {
+            self.cwnd += mss;
+            return CcAction::None;
+        }
+        self.dup_acks += 1;
+        if self.dup_acks < 3 {
+            return CcAction::None;
+        }
+        self.ssthresh = (inflight / 2).max(2 * mss);
+        self.cwnd = self.ssthresh + 3 * mss;
+        self.in_recovery = true;
+        self.recover = snd_nxt;
+        CcAction::RetransmitHead
     }
 
-    fn on_rto(&self, st: &mut CongestionState, inflight: usize, snd_nxt: SeqNum, mss: usize) {
-        rto(st, inflight, snd_nxt, mss);
+    /// The retransmission timer expired with `inflight` bytes
+    /// outstanding and SND.NXT at `snd_nxt`: collapse to one MSS,
+    /// restart slow start toward half the data that was in flight
+    /// (RFC 5681 §3.1 eq. 4), and enter RTO recovery — until SND.UNA
+    /// passes the data outstanding at expiry, advancing ACKs re-emit
+    /// the head (see [`in_rto_recovery`](Self::in_rto_recovery)).
+    pub fn on_rto(&mut self, inflight: usize, snd_nxt: SeqNum, mss: usize) {
+        self.ssthresh = (inflight / 2).max(2 * mss);
+        self.cwnd = mss;
+        self.in_recovery = false;
+        self.in_rto_recovery = true;
+        self.recover = snd_nxt;
+        self.dup_acks = 0;
+    }
+
+    /// Slow start below `ssthresh` (exponential per RTT), additive
+    /// increase above it (~one MSS per cwnd of acknowledged data) —
+    /// RFC 5681 §3.1.
+    fn grow(&mut self, acked: usize, mss: usize) {
+        if self.cwnd < self.ssthresh {
+            self.cwnd += acked.min(mss);
+        } else {
+            self.cwnd += (mss * mss / self.cwnd.max(1)).max(1);
+        }
     }
 }
 
@@ -259,17 +163,15 @@ mod tests {
 
     #[test]
     fn slow_start_grows_exponentially_per_window() {
-        let cc = NewReno;
         let mut st = fresh();
         // Acknowledge one full window: cwnd roughly doubles.
-        cc.on_ack(&mut st, MSS, SeqNum(1000), MSS);
-        cc.on_ack(&mut st, MSS, SeqNum(2000), MSS);
+        st.on_ack(MSS, SeqNum(1000), MSS);
+        st.on_ack(MSS, SeqNum(2000), MSS);
         assert_eq!(st.cwnd, 4 * MSS);
     }
 
     #[test]
     fn congestion_avoidance_is_additive() {
-        let cc = NewReno;
         let mut st = fresh();
         st.cwnd = 10 * MSS;
         st.ssthresh = st.cwnd; // already at threshold: AIMD from here
@@ -280,7 +182,7 @@ mod tests {
         let mut seq = 0u32;
         while acked < before {
             seq += MSS as u32;
-            cc.on_ack(&mut st, MSS, SeqNum(seq), MSS);
+            st.on_ack(MSS, SeqNum(seq), MSS);
             acked += MSS;
         }
         assert!(
@@ -293,21 +195,14 @@ mod tests {
 
     #[test]
     fn third_dup_ack_halves_and_requests_head_retransmit() {
-        let cc = Reno;
         let mut st = fresh();
         st.cwnd = 10 * MSS;
         st.ssthresh = st.cwnd;
         let inflight = 10 * MSS;
+        assert_eq!(st.on_dup_ack(inflight, SeqNum(10_000), MSS), CcAction::None);
+        assert_eq!(st.on_dup_ack(inflight, SeqNum(10_000), MSS), CcAction::None);
         assert_eq!(
-            cc.on_dup_ack(&mut st, inflight, SeqNum(10_000), MSS),
-            CcAction::None
-        );
-        assert_eq!(
-            cc.on_dup_ack(&mut st, inflight, SeqNum(10_000), MSS),
-            CcAction::None
-        );
-        assert_eq!(
-            cc.on_dup_ack(&mut st, inflight, SeqNum(10_000), MSS),
+            st.on_dup_ack(inflight, SeqNum(10_000), MSS),
             CcAction::RetransmitHead
         );
         assert!(st.in_recovery);
@@ -315,58 +210,34 @@ mod tests {
         assert_eq!(st.cwnd, 5 * MSS + 3 * MSS, "halved plus three inflations");
         assert_eq!(st.recover, SeqNum(10_000));
         // A fourth duplicate inflates rather than recounting.
-        cc.on_dup_ack(&mut st, inflight, SeqNum(10_000), MSS);
+        st.on_dup_ack(inflight, SeqNum(10_000), MSS);
         assert_eq!(st.cwnd, 9 * MSS);
     }
 
     #[test]
-    fn reno_exits_recovery_on_any_advance() {
-        let cc = Reno;
-        let mut st = fresh();
-        st.cwnd = 10 * MSS;
-        st.ssthresh = st.cwnd;
-        for _ in 0..3 {
-            cc.on_dup_ack(&mut st, 10 * MSS, SeqNum(10_000), MSS);
-        }
-        assert!(st.in_recovery);
-        // A partial ACK (below recover) still ends Reno's recovery.
-        assert_eq!(cc.on_ack(&mut st, MSS, SeqNum(3_000), MSS), CcAction::None);
-        assert!(!st.in_recovery);
-        assert_eq!(st.cwnd, st.ssthresh);
-    }
-
-    #[test]
     fn newreno_partial_ack_retransmits_and_stays_in_recovery() {
-        let cc = NewReno;
         let mut st = fresh();
         st.cwnd = 10 * MSS;
         st.ssthresh = st.cwnd;
         for _ in 0..3 {
-            cc.on_dup_ack(&mut st, 10 * MSS, SeqNum(10_000), MSS);
+            st.on_dup_ack(10 * MSS, SeqNum(10_000), MSS);
         }
         assert!(st.in_recovery);
         // Partial ACK: stay in recovery, re-emit the new head.
-        assert_eq!(
-            cc.on_ack(&mut st, MSS, SeqNum(3_000), MSS),
-            CcAction::RetransmitHead
-        );
+        assert_eq!(st.on_ack(MSS, SeqNum(3_000), MSS), CcAction::RetransmitHead);
         assert!(st.in_recovery);
         // Full ACK at the recover mark: done.
-        assert_eq!(
-            cc.on_ack(&mut st, 7 * MSS, SeqNum(10_000), MSS),
-            CcAction::None
-        );
+        assert_eq!(st.on_ack(7 * MSS, SeqNum(10_000), MSS), CcAction::None);
         assert!(!st.in_recovery);
         assert_eq!(st.cwnd, st.ssthresh);
     }
 
     #[test]
     fn rto_collapses_to_one_mss() {
-        let cc = NewReno;
         let mut st = fresh();
         st.cwnd = 8 * MSS;
         st.in_recovery = true;
-        cc.on_rto(&mut st, 8 * MSS, SeqNum(8_000), MSS);
+        st.on_rto(8 * MSS, SeqNum(8_000), MSS);
         assert_eq!(st.cwnd, MSS);
         assert_eq!(st.ssthresh, 4 * MSS);
         assert!(!st.in_recovery);
@@ -377,36 +248,25 @@ mod tests {
 
     #[test]
     fn rto_recovery_reemits_head_per_ack_until_the_mark() {
-        let cc = NewReno;
         let mut st = fresh();
         st.cwnd = 8 * MSS;
-        cc.on_rto(&mut st, 8 * MSS, SeqNum(8_000), MSS);
+        st.on_rto(8 * MSS, SeqNum(8_000), MSS);
         // Partial ACKs below the mark keep asking for the head (the
         // receiver discarded everything behind the hole) while slow
         // start regrows the window.
-        assert_eq!(
-            cc.on_ack(&mut st, MSS, SeqNum(1_000), MSS),
-            CcAction::RetransmitHead
-        );
+        assert_eq!(st.on_ack(MSS, SeqNum(1_000), MSS), CcAction::RetransmitHead);
         assert!(st.in_rto_recovery);
         assert_eq!(st.cwnd, 2 * MSS, "slow-start regrowth during repair");
-        assert_eq!(
-            cc.on_ack(&mut st, MSS, SeqNum(2_000), MSS),
-            CcAction::RetransmitHead
-        );
+        assert_eq!(st.on_ack(MSS, SeqNum(2_000), MSS), CcAction::RetransmitHead);
         // The ACK covering the mark ends RTO recovery.
-        assert_eq!(
-            cc.on_ack(&mut st, 6 * MSS, SeqNum(8_000), MSS),
-            CcAction::None
-        );
+        assert_eq!(st.on_ack(6 * MSS, SeqNum(8_000), MSS), CcAction::None);
         assert!(!st.in_rto_recovery);
     }
 
     #[test]
     fn ssthresh_floor_is_two_mss() {
-        let cc = Reno;
         let mut st = fresh();
-        cc.on_rto(&mut st, MSS, SeqNum(1_000), MSS);
+        st.on_rto(MSS, SeqNum(1_000), MSS);
         assert_eq!(st.ssthresh, 2 * MSS);
     }
 }

@@ -38,7 +38,7 @@ mod seq;
 mod state;
 
 pub use arena::{PcbArena, PcbId};
-pub use cc::{CcAction, CongestionControl, CongestionState, NewReno, Reno};
+pub use cc::{CcAction, CongestionState};
 pub use key::{ConnectionKey, ListenKey};
 pub use pcb::{Pcb, PcbCounters, RecvSequenceSpace, SendSequenceSpace};
 pub use rtt::RttEstimator;

@@ -65,8 +65,7 @@ pub struct Pcb {
     /// Reset to zero whenever the peer acknowledges new data.
     pub rto_attempts: u32,
     /// Congestion-control variables (cwnd, ssthresh, dup-ACK count),
-    /// updated by the stack's [`CongestionControl`](crate::CongestionControl)
-    /// algorithm on each ACK-clock event.
+    /// updated by the stack on each ACK-clock event.
     pub cong: crate::CongestionState,
     /// Accounting counters.
     pub counters: PcbCounters,

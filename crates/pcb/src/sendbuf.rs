@@ -1,18 +1,27 @@
 //! Per-connection send buffer backing the enqueue/poll transmit API.
 //!
-//! [`SendBuffer`] is a capped byte queue between the application's
-//! `send` (enqueue) and the stack's `poll_transmit` (drain). It is a
-//! flat `Vec<u8>` with a head cursor rather than a ring: unsent bytes
-//! are always one contiguous slice, so the transmit path can frame
-//! MSS-sized chunks straight out of the buffer without gathering.
+//! [`SendBuffer`] is a capped byte queue holding everything a
+//! connection may still have to put on the wire, in sequence order:
+//! the bytes already sent and not yet acknowledged, then the bytes the
+//! application's `send` enqueued that `poll_transmit` has not framed
+//! yet. It is the retransmission store as well — BSD's `so_snd` — so
+//! each in-flight byte exists once. The buffer does not know where the
+//! sent/unsent boundary is; the stack derives it from its
+//! retransmission queue, whose segments are contiguous from offset 0.
+//!
+//! It is a flat `Vec<u8>` with a head cursor rather than a ring: the
+//! contents are always one contiguous slice, so a first transmission
+//! and a retransmission both frame MSS-sized chunks straight out of
+//! the buffer without gathering.
 
-/// A capped FIFO byte buffer for unsent application data.
+/// A capped FIFO byte buffer for unacknowledged and unsent data.
 ///
 /// `push` accepts as many bytes as fit under the cap and reports how
-/// many it took; `peek` exposes the unsent bytes as one contiguous
-/// slice; `consume` retires bytes handed to the transmit path. Storage
-/// is compacted when the consumed prefix grows past half the backing
-/// vector, so the buffer never holds more than ~2× its occupancy.
+/// many it took; `peek` exposes the contents, oldest first, as one
+/// contiguous slice; `consume` releases the oldest bytes once the
+/// peer's cumulative ACK has passed them. Storage is compacted when the
+/// consumed prefix grows past half the backing vector, so the buffer
+/// never holds more than ~2× its occupancy.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
     data: Vec<u8>,
@@ -21,7 +30,7 @@ pub struct SendBuffer {
 }
 
 impl SendBuffer {
-    /// An empty buffer accepting at most `cap` unsent bytes.
+    /// An empty buffer holding at most `cap` bytes.
     pub fn new(cap: usize) -> Self {
         Self {
             data: Vec::new(),
@@ -35,12 +44,12 @@ impl SendBuffer {
         self.cap
     }
 
-    /// Unsent bytes currently buffered.
+    /// Bytes currently buffered.
     pub fn len(&self) -> usize {
         self.data.len() - self.head
     }
 
-    /// Whether no unsent bytes are buffered.
+    /// Whether nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.head == self.data.len()
     }
@@ -58,7 +67,7 @@ impl SendBuffer {
             return 0;
         }
         if self.is_empty() {
-            // Nothing queued: restart at the front so `peek` slices
+            // Nothing buffered: restart at the front so `peek` slices
             // stay near the allocation's start.
             self.data.clear();
             self.head = 0;
@@ -67,13 +76,13 @@ impl SendBuffer {
         take
     }
 
-    /// The unsent bytes, oldest first, as one contiguous slice.
+    /// The buffered bytes, oldest first, as one contiguous slice.
     pub fn peek(&self) -> &[u8] {
         &self.data[self.head..]
     }
 
-    /// Retire the oldest `n` bytes (they have been handed to the
-    /// transmit path and are now the retransmission queue's problem).
+    /// Release the oldest `n` bytes (the peer has acknowledged them, so
+    /// they will never be transmitted again).
     ///
     /// # Panics
     ///
@@ -138,6 +147,16 @@ mod tests {
             "backing vec grew to {} despite compaction",
             buf.data.capacity()
         );
+    }
+
+    /// One `SendBuffer` sits inline in a map entry per connection that
+    /// has ever sent, so a field added here is paid by every connection
+    /// at rest (the benchmark's `heap_bytes_per_conn`). That is why the
+    /// sent/unsent boundary is derived by the stack, not stored here.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn stays_five_words() {
+        assert_eq!(core::mem::size_of::<SendBuffer>(), 40);
     }
 
     #[test]

@@ -395,15 +395,11 @@ mod tests {
     }
 
     /// The recovery machinery must hold under many fault-stream seeds,
-    /// not one lucky one. `TCPDEMUX_CC_SEEDS` widens the sweep in CI
+    /// not one lucky one. `TCPDEMUX_SEEDS` widens the sweep in CI
     /// (scripts/verify.sh runs it at 8) across the A9 drop rates.
     #[test]
     fn bulk_transfer_recovers_across_seeds() {
-        let seeds: u64 = std::env::var("TCPDEMUX_CC_SEEDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
-        for seed in 1..=seeds {
+        for seed in 1..=u64::from(tcpdemux_testprop::sweep_seeds(2)) {
             for drop in [0.0, 0.10, 0.25] {
                 let report = run_bulk_transfer(&BulkTransferConfig {
                     bytes: 256 << 10,

@@ -21,10 +21,9 @@
 //! [`Stack::send`] enqueues into a per-connection send buffer and
 //! [`Stack::poll_transmit`] emits whatever `min(peer rwnd, cwnd)`
 //! permits, with slow start, AIMD congestion avoidance, fast retransmit
-//! / fast recovery on three duplicate ACKs (Reno or NewReno via the
-//! pluggable [`CongestionControl`] trait, configured through
-//! [`WindowConfig`]), zero-window persist probes, optional delayed ACKs,
-//! and dynamic receive-window advertisement. Also faithful: header
+//! / NewReno fast recovery on three duplicate ACKs (the methods of each
+//! connection's [`CongestionState`]), zero-window persist probes,
+//! optional delayed ACKs, and dynamic receive-window advertisement. Also faithful: header
 //! formats, checksums, sequence-number accounting, the RFC 793 state
 //! machine, listener (wildcard) matching semantics, RST generation for
 //! unmatched segments, and sender-side loss recovery: every SYN,
@@ -34,7 +33,10 @@
 //! [`Stack::advance_time`] fires the retransmits (head-of-queue only;
 //! the provoked cumulative ACK retires the rest) and, past the retry
 //! budget, aborts the connection with a [`SocketError`] the application
-//! can observe.
+//! can observe. The queue holds metadata only: every in-flight payload
+//! byte stays in the connection's send buffer — its one copy — until
+//! the cumulative ACK passes it, so [`WindowConfig::send_buffer`] bounds
+//! unacknowledged plus unsent bytes, as `SO_SNDBUF` does.
 //!
 //! # Allocation-free transmit
 //!
@@ -85,14 +87,13 @@ pub use runtime::{RingFull, ShardedStack};
 pub use shard::{steering_key, PlacementStats, ShardId, SteerTable};
 pub use socket::{SocketBuffer, SocketError};
 pub use stack::{
-    BatchRxResult, CcFactory, ConnectionInfo, DemuxFactory, ListenConfig, ListenerInfo, RxOutcome,
-    RxResult, Stack, StackConfig, StackError, TimeAdvance, TxScratch, WindowConfig,
+    BatchRxResult, ConnectionInfo, DemuxFactory, ListenConfig, ListenerInfo, RxOutcome, RxResult,
+    Stack, StackConfig, StackError, TimeAdvance, TxScratch, WindowConfig,
 };
 pub use stats::{StackStats, StatsSnapshot};
-// Congestion-control building blocks, re-exported so applications can
-// configure `WindowConfig::with_congestion_control` without a direct
-// tcpdemux-pcb dependency.
-pub use tcpdemux_pcb::{CcAction, CongestionControl, CongestionState, NewReno, Reno};
+// What `Stack::congestion` returns, re-exported so applications need no
+// direct tcpdemux-pcb dependency.
+pub use tcpdemux_pcb::{CcAction, CongestionState};
 // The telemetry types a Stack user touches through `Stack::stats()` and
 // `Stack::recorder()`, re-exported for convenience.
 pub use tcpdemux_core::spsc::RingStats;

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use tcpdemux_core::{Demux, PacketKind, SequentDemux};
 use tcpdemux_hash::Multiplicative;
 use tcpdemux_pcb::{
-    CcAction, CongestionControl, CongestionState, ConnectionKey, ListenKey, NewReno, Pcb, PcbArena,
-    PcbId, RttEstimator, SendBuffer, SeqNum, TcpEvent, TcpState,
+    CcAction, CongestionState, ConnectionKey, ListenKey, Pcb, PcbArena, PcbId, RttEstimator,
+    SendBuffer, SeqNum, TcpEvent, TcpState,
 };
 use tcpdemux_telemetry::{CloseCause, Event, HistogramId, Recorder};
 use tcpdemux_wire::{
@@ -196,11 +196,11 @@ enum TimerEvent {
 }
 
 /// One transmitted, not-yet-acknowledged segment, kept until the peer's
-/// cumulative ACK passes `end`. Frames are not stored — a retransmission
-/// rebuilds the segment with the *current* ack/window state, as a real
-/// stack does — only the payload bytes are, in a buffer borrowed from the
-/// [`TxPool`] so steady-state tracking allocates nothing.
-#[derive(Debug)]
+/// cumulative ACK passes `end`. Metadata only: frames are not stored — a
+/// retransmission rebuilds the segment with the *current* ack/window
+/// state, as a real stack does — and neither are payload bytes, which
+/// stay in the connection's [`SendBuffer`] until acknowledged.
+#[derive(Debug, Clone, Copy)]
 struct InflightSegment {
     /// First sequence number the segment occupies.
     seq: SeqNum,
@@ -210,7 +210,10 @@ struct InflightSegment {
     flags: TcpFlags,
     /// MSS option to carry on rebuild (SYN/SYN-ACK segments).
     mss: Option<u16>,
-    payload: Vec<u8>,
+    /// Payload bytes carried. Segments retire whole and in order, so the
+    /// queue head's payload is always the first `len` bytes of the send
+    /// buffer.
+    len: u32,
     /// Stack tick at which the segment was first transmitted.
     sent_at: u64,
     /// Karn's rule: once set, an ACK covering this segment is ambiguous
@@ -227,6 +230,16 @@ struct InflightSegment {
 struct RetxQueue {
     segments: VecDeque<InflightSegment>,
     timer: Option<TimerId>,
+}
+
+impl RetxQueue {
+    /// Payload bytes on the queue: how far into the connection's send
+    /// buffer the sent-but-unacknowledged prefix reaches. Summed on
+    /// demand rather than stored — one of these sits inline in a map
+    /// entry per connection with anything in flight.
+    fn data_len(&self) -> usize {
+        self.segments.iter().map(|s| s.len as usize).sum()
+    }
 }
 
 /// Per-connection delayed-ACK bookkeeping (only populated when
@@ -246,23 +259,18 @@ struct DelayedAckState {
 /// [`ShardedStack`]: crate::ShardedStack
 pub type DemuxFactory = Arc<dyn Fn() -> Box<dyn Demux> + Send + Sync>;
 
-/// How a [`StackConfig`] builds each stack's congestion controller (one
-/// per stack; the controller itself is stateless — per-connection state
-/// lives in each PCB's [`CongestionState`]).
-pub type CcFactory = Arc<dyn Fn() -> Box<dyn CongestionControl> + Send + Sync>;
-
 /// Window, buffering, and congestion-control parameters, folded into
-/// [`StackConfig`] via [`StackConfig::with_window`]. A bare `u16`
-/// converts (`config.with_window(1024)`) and sets only the advertised
-/// receive window, keeping the pre-windowed call sites working.
-#[derive(Clone)]
+/// [`StackConfig`] via [`StackConfig::with_window`].
+#[derive(Debug, Clone)]
 pub struct WindowConfig {
     /// Upper bound on the receive window advertised to the peer. The
     /// *actual* advertisement shrinks as delivered-but-unread bytes pile
     /// up in the socket (`min(advertise, recv_buffer − occupancy)`).
     pub advertise: u16,
-    /// Per-connection send-buffer capacity in bytes; [`Stack::send`]
-    /// accepts at most this much un-transmitted data.
+    /// Per-connection send-buffer capacity in bytes (`SO_SNDBUF`
+    /// semantics): [`Stack::send`] accepts data while unacknowledged
+    /// plus unsent bytes stay under it, so it bounds everything the
+    /// connection holds for transmission.
     pub send_buffer: usize,
     /// Receive-side cap: delivered-but-unread bytes beyond this are
     /// dropped (and re-ACKed) instead of buffered without bound.
@@ -276,21 +284,6 @@ pub struct WindowConfig {
     pub ack_every: u32,
     /// Initial congestion window in bytes (RFC 5681 allows up to 4·MSS).
     pub initial_cwnd: usize,
-    /// Builds the congestion controller (Reno, NewReno, …).
-    cc: CcFactory,
-}
-
-impl core::fmt::Debug for WindowConfig {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("WindowConfig")
-            .field("advertise", &self.advertise)
-            .field("send_buffer", &self.send_buffer)
-            .field("recv_buffer", &self.recv_buffer)
-            .field("delayed_ack_ticks", &self.delayed_ack_ticks)
-            .field("ack_every", &self.ack_every)
-            .field("initial_cwnd", &self.initial_cwnd)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for WindowConfig {
@@ -302,7 +295,6 @@ impl Default for WindowConfig {
             delayed_ack_ticks: None,
             ack_every: 2,
             initial_cwnd: 4 * 1460,
-            cc: Arc::new(|| Box::new(NewReno)),
         }
     }
 }
@@ -344,27 +336,6 @@ impl WindowConfig {
     pub fn with_initial_cwnd(mut self, bytes: usize) -> Self {
         self.initial_cwnd = bytes;
         self
-    }
-
-    /// Use `factory` to build the congestion controller (e.g.
-    /// `|| Box::new(Reno)`).
-    pub fn with_congestion_control(
-        mut self,
-        factory: impl Fn() -> Box<dyn CongestionControl> + Send + Sync + 'static,
-    ) -> Self {
-        self.cc = Arc::new(factory);
-        self
-    }
-
-    /// Build one congestion controller from the configured factory.
-    pub(crate) fn build_cc(&self) -> Box<dyn CongestionControl> {
-        (self.cc)()
-    }
-}
-
-impl From<u16> for WindowConfig {
-    fn from(advertise: u16) -> Self {
-        Self::default().with_advertise(advertise)
     }
 }
 
@@ -469,19 +440,6 @@ impl StackConfig {
         self
     }
 
-    /// Wrap whatever demultiplexer the current factory builds in a
-    /// [`FrontDemux`] fingerprint front filter, so table misses are
-    /// rejected from a cache-resident structure before any PCB chain is
-    /// walked. Composes with [`StackConfig::with_demux`] in either
-    /// order relative to other settings; call it last if both are used.
-    ///
-    /// [`FrontDemux`]: tcpdemux_core::FrontDemux
-    pub fn with_front_filter(mut self) -> Self {
-        let inner = Arc::clone(&self.demux);
-        self.demux = Arc::new(move || Box::new(tcpdemux_core::FrontDemux::new(inner())));
-        self
-    }
-
     /// Send telemetry to `recorder` (e.g. one shared with a bench harness
     /// or suite entry) instead of a private one.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -525,16 +483,9 @@ impl StackConfig {
         self
     }
 
-    /// Use a different local address (overriding the one given to `new`).
-    pub fn with_local_addr(mut self, addr: Ipv4Addr) -> Self {
-        self.local_addr = addr;
-        self
-    }
-
-    /// Set the window/buffering/congestion parameters. Accepts a full
-    /// [`WindowConfig`] or a bare `u16` advertised receive window.
-    pub fn with_window(mut self, window: impl Into<WindowConfig>) -> Self {
-        self.window = window.into();
+    /// Set the window/buffering/congestion parameters.
+    pub fn with_window(mut self, window: WindowConfig) -> Self {
+        self.window = window;
         self
     }
 
@@ -564,8 +515,9 @@ pub struct ConnectionInfo {
     pub state: TcpState,
     /// Bytes delivered to the socket and not yet read by the application.
     pub rx_queued: usize,
-    /// Payload bytes sitting on the retransmission queue (sent, not yet
-    /// cumulatively acknowledged).
+    /// Payload bytes sent and not yet cumulatively acknowledged: the
+    /// prefix of the connection's send buffer that the retransmission
+    /// queue's segments describe.
     pub tx_queued: usize,
     /// Segments on the retransmission queue (includes zero-payload SYN,
     /// SYN-ACK, and FIN segments, which occupy sequence space).
@@ -674,12 +626,6 @@ impl ListenConfig {
         self.backlog = backlog;
         self
     }
-
-    /// The classic BSD default backlog (4.2BSD's `SOMAXCONN` of
-    /// [`Stack::BSD_BACKLOG`]), for period-accurate semantics.
-    pub fn with_bsd_backlog(self) -> Self {
-        self.with_backlog(Stack::BSD_BACKLOG)
-    }
 }
 
 impl From<u16> for ListenConfig {
@@ -724,8 +670,11 @@ pub struct Stack {
     /// Unacknowledged segments per connection, awaiting cumulative ACKs
     /// or retransmission.
     retx: HashMap<PcbId, RetxQueue>,
-    /// Enqueued-but-untransmitted application bytes per connection; the
-    /// windowed transmit path drains these in [`Stack::poll_transmit`].
+    /// Each connection's unacknowledged bytes followed by its unsent
+    /// ones. [`Stack::poll_transmit`] frames segments out of the unsent
+    /// part, whose start is the `retx` queue's
+    /// [`data_len`](RetxQueue::data_len); a cumulative ACK consumes from
+    /// the front.
     sendbufs: HashMap<PcbId, SendBuffer>,
     /// Connections with buffered data awaiting a transmit poll, FIFO.
     tx_pending: VecDeque<PcbId>,
@@ -734,8 +683,6 @@ pub struct Stack {
     /// Per-connection delayed-ACK state (unacked in-order data segments
     /// and the armed ack timer, if any).
     delayed: HashMap<PcbId, DelayedAckState>,
-    /// The congestion controller driving every connection's cwnd.
-    cc: Box<dyn CongestionControl>,
     neighbors: crate::neighbor::NeighborCache,
     now_ticks: u64,
     /// Structured telemetry: every demux lookup, connection lifecycle
@@ -751,7 +698,6 @@ impl Stack {
     pub fn with_config(config: StackConfig) -> Self {
         let demux = config.build_demux();
         let recorder = config.recorder().unwrap_or_default();
-        let cc = config.window.build_cc();
         Self {
             next_ephemeral: config.ephemeral_base,
             config,
@@ -770,7 +716,6 @@ impl Stack {
             tx_pending: VecDeque::new(),
             tx_pending_set: HashSet::new(),
             delayed: HashMap::new(),
-            cc,
             neighbors: crate::neighbor::NeighborCache::with_defaults(),
             now_ticks: 0,
             recorder,
@@ -883,10 +828,7 @@ impl Stack {
                 key: p.key(),
                 state: p.state(),
                 rx_queued: self.sockets.get(&id).map_or(0, |s| s.available()),
-                tx_queued: self
-                    .retx
-                    .get(&id)
-                    .map_or(0, |q| q.segments.iter().map(|s| s.payload.len()).sum()),
+                tx_queued: self.retx.get(&id).map_or(0, RetxQueue::data_len),
                 inflight_segments: self.retx.get(&id).map_or(0, |q| q.segments.len()),
                 rto_attempts: p.rto_attempts,
             })
@@ -1093,11 +1035,6 @@ impl Stack {
         self.sockets.get_mut(&pcb)
     }
 
-    /// The classic BSD default backlog (4.2BSD's `SOMAXCONN`), for
-    /// callers who want period-accurate semantics via
-    /// [`ListenConfig::with_bsd_backlog`].
-    pub const BSD_BACKLOG: usize = 5;
-
     /// Start a TCP listener. A bare port listens on all local addresses
     /// with no backlog limit (`stack.listen(80)`); pass a [`ListenConfig`]
     /// to bound the backlog:
@@ -1268,16 +1205,18 @@ impl Stack {
         };
         let frame = self.emit_tcp(&key, &syn, b"");
         // The SYN occupies one sequence number and must be answered.
-        self.track_segment(id, &key, iss, iss + 1, TcpFlags::SYN, syn.mss, b"", false);
+        self.track_segment(id, &key, iss, iss + 1, TcpFlags::SYN, syn.mss, false);
         Ok((id, frame))
     }
 
     /// Enqueue payload for transmission on an established connection.
     ///
     /// Returns how many bytes the connection's send buffer accepted
-    /// (zero when it is full — backpressure, not an error). Nothing goes
-    /// on the wire here: [`Stack::poll_transmit`] drains the buffer
-    /// under the transmit window `min(peer rwnd, cwnd)`.
+    /// (zero when it is full — backpressure, not an error). Bytes stay
+    /// in the buffer, counting against
+    /// [`WindowConfig::send_buffer`], until the peer acknowledges them.
+    /// Nothing goes on the wire here: [`Stack::poll_transmit`] frames
+    /// the unsent bytes under the transmit window `min(peer rwnd, cwnd)`.
     pub fn send(&mut self, pcb: PcbId, payload: &[u8]) -> Result<usize, StackError> {
         {
             let p = self.arena.get(pcb).ok_or(StackError::NoSuchConnection)?;
@@ -1291,15 +1230,24 @@ impl Stack {
             .entry(pcb)
             .or_insert_with(|| SendBuffer::new(cap));
         let accepted = buf.push(payload);
-        if !buf.is_empty() {
+        // A connection with unsent bytes is always pending already, so
+        // only newly accepted ones can change that.
+        if accepted > 0 {
             self.mark_tx_pending(pcb);
         }
         Ok(accepted)
     }
 
-    /// Bytes enqueued on a connection's send buffer and not yet emitted.
+    /// Bytes enqueued on a connection's send buffer and not yet emitted
+    /// (sent-but-unacknowledged bytes, which the buffer also holds, are
+    /// [`ConnectionInfo::tx_queued`]).
     pub fn send_queued(&self, pcb: PcbId) -> usize {
-        self.sendbufs.get(&pcb).map_or(0, |b| b.len())
+        match self.sendbufs.get(&pcb) {
+            Some(buf) if !buf.is_empty() => {
+                buf.len() - self.retx.get(&pcb).map_or(0, RetxQueue::data_len)
+            }
+            _ => 0,
+        }
     }
 
     /// A connection's congestion-control state (cwnd, ssthresh, recovery
@@ -1340,23 +1288,28 @@ impl Stack {
         scratch.frames.len()
     }
 
-    /// Drain one connection's send buffer under its transmit window.
+    /// Frame one connection's unsent bytes under its transmit window.
+    /// They stay in the send buffer: the segments queued for
+    /// retransmission only mark how far into it transmission has got.
     fn transmit_for(&mut self, pcb: PcbId, scratch: &mut TxScratch) {
-        let Some(mut buf) = self.sendbufs.remove(&pcb) else {
-            return;
-        };
         let mss = usize::from(self.config.mss);
-        loop {
-            if buf.is_empty() {
-                break;
+        let mut sent = self.retx.get(&pcb).map_or(0, RetxQueue::data_len);
+        // Whether unsent bytes remain for a later poll.
+        let more = loop {
+            let Some(buf) = self.sendbufs.get(&pcb) else {
+                return;
+            };
+            debug_assert!(sent <= buf.len(), "queued segments overrun the send buffer");
+            let unsent = &buf.peek()[sent..];
+            if unsent.is_empty() {
+                break false;
             }
             let window = self.advertised_window(pcb);
             let Some(p) = self.arena.get_mut(pcb) else {
-                // Connection died with data still buffered; drop it.
                 return;
             };
             if !p.state().can_transfer_data() {
-                break;
+                break true;
             }
             let key = p.key();
             let inflight = p.snd.nxt.raw().wrapping_sub(p.snd.una.raw()) as usize;
@@ -1367,7 +1320,7 @@ impl Stack {
             // one-byte zero-window probe that forces the peer to re-ACK
             // its current window (the persist mechanism).
             let (take, probe) = if wnd > inflight {
-                (buf.len().min(wnd - inflight).min(mss), false)
+                (unsent.len().min(wnd - inflight).min(mss), false)
             } else if rwnd == 0 && inflight == 0 {
                 (1, true)
             } else {
@@ -1376,48 +1329,40 @@ impl Stack {
                     // incoming ACK will reopen it, no probe needed.
                     self.record_rwnd_stall();
                 }
-                break;
+                break true;
             };
             let seq = p.snd.nxt;
             p.snd.nxt += take as u32;
             p.note_segment_out(take);
-            let ack = p.rcv.nxt;
             let repr = TcpRepr {
                 src_port: key.local_port,
                 dst_port: key.remote_port,
                 seq: seq.raw(),
-                ack: ack.raw(),
+                ack: p.rcv.nxt.raw(),
                 flags: TcpFlags::ACK | TcpFlags::PSH,
                 window,
                 ..TcpRepr::default()
             };
-            // `peek` is contiguous from the head; `take` never exceeds
-            // it because SendBuffer stores one linear run.
-            let payload = &buf.peek()[..take];
-            let frame = self.emit_tcp(&key, &repr, payload);
-            self.track_segment(
-                pcb,
+            let unsent_after = unsent.len() - take;
+            scratch.frames.push(Self::emit_tcp_split(
+                &mut self.tx_pool,
+                &mut self.stats,
+                &mut *self.demux,
                 &key,
-                seq,
-                seq + take as u32,
-                repr.flags,
-                None,
-                payload,
-                probe,
-            );
-            scratch.frames.push(frame);
-            buf.consume(take);
+                &repr,
+                &unsent[..take],
+            ));
+            self.track_segment(pcb, &key, seq, seq + take as u32, repr.flags, None, probe);
+            sent += take;
             if probe {
                 self.record_rwnd_stall();
                 self.recorder.event(Event::ZeroWindowProbe);
-                break;
+                break unsent_after > 0;
             }
-        }
-        if !buf.is_empty() {
+        };
+        if more {
             self.mark_tx_pending(pcb);
         }
-        // Keep the (possibly empty) buffer so its allocation is reused.
-        self.sendbufs.insert(pcb, buf);
     }
 
     /// Record an rwnd-bound transmit stall in stats and telemetry.
@@ -1495,7 +1440,7 @@ impl Stack {
             ..TcpRepr::default()
         };
         let frame = self.emit_tcp(&key, &repr, b"");
-        self.track_segment(pcb, &key, seq, seq + 1, repr.flags, None, b"", false);
+        self.track_segment(pcb, &key, seq, seq + 1, repr.flags, None, false);
         Ok(frame)
     }
 
@@ -1567,25 +1512,19 @@ impl Stack {
         self.sockets.remove(&pcb)
     }
 
-    /// Cancel a connection's retransmission timer and return its queued
-    /// payload buffers to the pool.
+    /// Cancel a connection's retransmission timer and free its queue.
     fn drop_retx(&mut self, pcb: PcbId) {
-        if let Some(queue) = self.retx.remove(&pcb) {
-            if let Some(timer) = queue.timer {
-                self.timers.cancel(timer);
-            }
-            for seg in queue.segments {
-                if seg.payload.capacity() > 0 {
-                    self.tx_pool.recycle(seg.payload);
-                }
-            }
+        if let Some(timer) = self.retx.remove(&pcb).and_then(|queue| queue.timer) {
+            self.timers.cancel(timer);
         }
     }
 
     /// Put a just-transmitted segment on the retransmission queue and
     /// make sure the RTO timer is running. Segments that occupy no
     /// sequence space (pure ACKs, RSTs, window probes) are not tracked —
-    /// nothing acknowledges them.
+    /// nothing acknowledges them. Whatever of `seq..end` is not a SYN or
+    /// FIN is payload, which the caller framed from the send buffer
+    /// right behind the bytes already queued here.
     #[allow(clippy::too_many_arguments)]
     fn track_segment(
         &mut self,
@@ -1595,27 +1534,20 @@ impl Stack {
         end: SeqNum,
         flags: TcpFlags,
         mss: Option<u16>,
-        payload: &[u8],
         probe: bool,
     ) {
         if end == seq {
             return;
         }
-        let buf = if payload.is_empty() {
-            Vec::new()
-        } else {
-            let mut buf = self.tx_pool.take();
-            buf.clear();
-            buf.extend_from_slice(payload);
-            buf
-        };
+        let control =
+            u32::from(flags.contains(TcpFlags::SYN)) + u32::from(flags.contains(TcpFlags::FIN));
         let queue = self.retx.entry(pcb).or_default();
         queue.segments.push_back(InflightSegment {
             seq,
             end,
             flags,
             mss,
-            payload: buf,
+            len: end.raw().wrapping_sub(seq.raw()) - control,
             sent_at: self.now_ticks,
             retransmitted: false,
             probe,
@@ -1652,43 +1584,50 @@ impl Stack {
     }
 
     /// A cumulative ACK advanced SND.UNA to `ack`: retire every fully
-    /// covered segment, sample the RTT from clean (never-retransmitted)
-    /// ones per Karn's rule, reset the backoff, and re-arm or cancel the
-    /// RTO timer.
+    /// covered segment and release its bytes from the send buffer,
+    /// sample the RTT from clean (never-retransmitted) ones per Karn's
+    /// rule, reset the backoff, and re-arm or cancel the RTO timer.
     fn on_ack(&mut self, pcb: PcbId, key: &ConnectionKey, ack: SeqNum) {
         let now = self.now_ticks;
         let Some(queue) = self.retx.get_mut(&pcb) else {
             return;
         };
         let mut retired = false;
-        while let Some(front) = queue.segments.front() {
-            if !front.end.le(ack) {
+        let mut acked_data = 0;
+        while let Some(&seg) = queue.segments.front() {
+            if !seg.end.le(ack) {
                 break;
             }
-            let seg = queue.segments.pop_front().expect("front exists");
+            queue.segments.pop_front();
             retired = true;
+            acked_data += seg.len as usize;
             if let Some(p) = self.arena.get_mut(pcb) {
                 let elapsed = now.saturating_sub(seg.sent_at) * US_PER_TICK;
                 if p.rtt.sample_acked(elapsed, seg.retransmitted) {
                     self.stats.rtt_samples += 1;
                 }
             }
-            if seg.payload.capacity() > 0 {
-                self.tx_pool.recycle(seg.payload);
-            }
         }
         if !retired {
             return;
+        }
+        let drained = queue.segments.is_empty();
+        if acked_data > 0 {
+            let buf = self
+                .sendbufs
+                .get_mut(&pcb)
+                .expect("data segments are framed from the send buffer");
+            debug_assert!(
+                acked_data + queue.data_len() <= buf.len(),
+                "queued segments overrun the send buffer"
+            );
+            buf.consume(acked_data);
         }
         // New data was acknowledged: the peer is alive, backoff resets.
         if let Some(p) = self.arena.get_mut(pcb) {
             p.rto_attempts = 0;
         }
-        if self
-            .retx
-            .get(&pcb)
-            .is_some_and(|queue| queue.segments.is_empty())
-        {
+        if drained {
             self.drop_retx(pcb);
         } else {
             self.arm_retx_timer(pcb, key);
@@ -1704,19 +1643,14 @@ impl Stack {
     /// a zero-window probe, whose re-emission *is* the persist timer and
     /// never exhausts the budget.
     fn on_retx_timeout(&mut self, pcb: PcbId, key: &ConnectionKey, advance: &mut TimeAdvance) {
-        // Take the queue out so frames can be rebuilt through
-        // `emit_tcp` while holding its head.
-        let Some(mut queue) = self.retx.remove(&pcb) else {
+        let Some(queue) = self.retx.get_mut(&pcb) else {
             return; // stale fire: the connection died this same batch
         };
         queue.timer = None;
-        if queue.segments.is_empty() {
+        let Some(head_is_probe) = queue.segments.front().map(|s| s.probe) else {
             return;
-        }
-        let head_is_probe = queue.segments.front().is_some_and(|s| s.probe);
+        };
         let Some(p) = self.arena.get_mut(pcb) else {
-            // Connection already gone; return the buffers and move on.
-            self.retx.insert(pcb, queue);
             self.drop_retx(pcb);
             return;
         };
@@ -1730,7 +1664,6 @@ impl Stack {
             if let Some(sock) = self.sockets.get_mut(&pcb) {
                 sock.set_error(SocketError::TimedOut);
             }
-            self.retx.insert(pcb, queue);
             self.reclaim_inner(pcb, key, true, CloseCause::Timeout);
             advance.aborted.push(pcb);
             return;
@@ -1738,38 +1671,11 @@ impl Stack {
         if !head_is_probe {
             p.rto_attempts += 1;
             let inflight = p.snd.nxt.raw().wrapping_sub(p.snd.una.raw()) as usize;
-            let mss = usize::from(self.config.mss);
-            let snd_nxt = p.snd.nxt;
-            let mut st = p.cong;
-            self.cc.on_rto(&mut st, inflight, snd_nxt, mss);
-            p.cong = st;
+            p.cong
+                .on_rto(inflight, p.snd.nxt, usize::from(self.config.mss));
         }
         let attempts = p.rto_attempts;
-        let ack = p.rcv.nxt;
-        let window = p.rcv.wnd;
-        {
-            let seg = queue.segments.front_mut().expect("checked non-empty");
-            seg.retransmitted = true;
-            let repr = TcpRepr {
-                src_port: key.local_port,
-                dst_port: key.remote_port,
-                seq: seg.seq.raw(),
-                // ACK-bearing segments carry the *current* cumulative
-                // ack, not the one from first transmission.
-                ack: if seg.flags.contains(TcpFlags::ACK) {
-                    ack.raw()
-                } else {
-                    0
-                },
-                flags: seg.flags,
-                window,
-                mss: seg.mss,
-                window_scale: None,
-            };
-            advance
-                .retransmits
-                .push(self.emit_tcp(key, &repr, &seg.payload));
-        }
+        advance.retransmits.extend(self.rebuild_head(pcb, key));
         if head_is_probe {
             advance.zero_window_probes += 1;
             self.recorder.event(Event::ZeroWindowProbe);
@@ -1777,7 +1683,6 @@ impl Stack {
             self.stats.retransmits += 1;
             self.recorder.event(Event::Retransmit { attempt: attempts });
         }
-        self.retx.insert(pcb, queue);
         self.observe_cwnd(pcb);
         self.arm_retx_timer(pcb, key);
         // The re-armed timer reflects the doubled backoff: record it.
@@ -1802,35 +1707,7 @@ impl Stack {
         fast: bool,
         dup_acks: u32,
     ) -> Option<Vec<u8>> {
-        let (ack, window) = {
-            let p = self.arena.get(pcb)?;
-            (p.rcv.nxt, p.rcv.wnd)
-        };
-        let (repr, payload) = {
-            let seg = self.retx.get_mut(&pcb)?.segments.front_mut()?;
-            seg.retransmitted = true;
-            let repr = TcpRepr {
-                src_port: key.local_port,
-                dst_port: key.remote_port,
-                seq: seg.seq.raw(),
-                ack: if seg.flags.contains(TcpFlags::ACK) {
-                    ack.raw()
-                } else {
-                    0
-                },
-                flags: seg.flags,
-                window,
-                mss: seg.mss,
-                window_scale: None,
-            };
-            // Escape the queue borrow for `emit_tcp`; the payload goes
-            // back on the segment right after.
-            (repr, std::mem::take(&mut seg.payload))
-        };
-        let frame = self.emit_tcp(key, &repr, &payload);
-        if let Some(seg) = self.retx.get_mut(&pcb).and_then(|q| q.segments.front_mut()) {
-            seg.payload = payload;
-        }
+        let frame = self.rebuild_head(pcb, key)?;
         if fast {
             self.recorder.event(Event::FastRetransmit { dup_acks });
         } else {
@@ -1839,6 +1716,46 @@ impl Stack {
         }
         self.arm_retx_timer(pcb, key);
         Some(frame)
+    }
+
+    /// Frame the oldest unacked segment again, marking it retransmitted
+    /// (Karn's rule). Its header carries the *current* acknowledgement
+    /// and window, not those of its first transmission; its payload is
+    /// the front of the send buffer, where it has sat since.
+    fn rebuild_head(&mut self, pcb: PcbId, key: &ConnectionKey) -> Option<Vec<u8>> {
+        let p = self.arena.get(pcb)?;
+        let seg = self.retx.get_mut(&pcb)?.segments.front_mut()?;
+        seg.retransmitted = true;
+        let repr = TcpRepr {
+            src_port: key.local_port,
+            dst_port: key.remote_port,
+            seq: seg.seq.raw(),
+            ack: if seg.flags.contains(TcpFlags::ACK) {
+                p.rcv.nxt.raw()
+            } else {
+                0
+            },
+            flags: seg.flags,
+            window: p.rcv.wnd,
+            mss: seg.mss,
+            window_scale: None,
+        };
+        let payload = match seg.len {
+            0 => &[][..],
+            len => {
+                let buf = self.sendbufs.get(&pcb);
+                &buf.expect("data segments are framed from the send buffer")
+                    .peek()[..len as usize]
+            }
+        };
+        Some(Self::emit_tcp_split(
+            &mut self.tx_pool,
+            &mut self.stats,
+            &mut *self.demux,
+            key,
+            &repr,
+            payload,
+        ))
     }
 
     /// Record the connection's current cwnd into the [`CwndBytes`]
@@ -1859,10 +1776,30 @@ impl Stack {
     }
 
     fn emit_tcp(&mut self, key: &ConnectionKey, repr: &TcpRepr, payload: &[u8]) -> Vec<u8> {
+        Self::emit_tcp_split(
+            &mut self.tx_pool,
+            &mut self.stats,
+            &mut *self.demux,
+            key,
+            repr,
+            payload,
+        )
+    }
+
+    /// [`emit_tcp`](Self::emit_tcp) over just the fields it touches, for
+    /// callers whose `payload` is borrowed from the send buffer.
+    fn emit_tcp_split(
+        tx_pool: &mut TxPool,
+        stats: &mut StackStats,
+        demux: &mut dyn Demux,
+        key: &ConnectionKey,
+        repr: &TcpRepr,
+        payload: &[u8],
+    ) -> Vec<u8> {
         let ip = Ipv4Repr::new(key.local_addr, key.remote_addr, IpProtocol::Tcp);
-        self.stats.frames_out += 1;
-        self.demux.note_send(key);
-        let mut buf = self.tx_pool.take();
+        stats.frames_out += 1;
+        demux.note_send(key);
+        let mut buf = tx_pool.take();
         build_tcp_frame_into(&ip, repr, payload, &mut buf);
         buf
     }
@@ -2152,7 +2089,7 @@ impl Stack {
         let frame = self.emit_tcp(key, &synack, b"");
         // The SYN-ACK occupies one sequence number; retransmit until the
         // handshake-completing ACK arrives.
-        self.track_segment(id, key, iss, iss + 1, synack.flags, synack.mss, b"", false);
+        self.track_segment(id, key, iss, iss + 1, synack.flags, synack.mss, false);
         RxResult {
             outcome: RxOutcome::NewConnection { pcb: id },
             replies: vec![frame],
@@ -2440,11 +2377,8 @@ impl Stack {
                 // Retire covered segments and service the RTO timer.
                 self.on_ack(id, key, ack);
                 let (action, in_fast_recovery) = {
-                    let p = self.arena.get_mut(id).unwrap();
-                    let mut st = p.cong;
-                    let action = self.cc.on_ack(&mut st, acked_bytes, ack, mss);
-                    p.cong = st;
-                    (action, st.in_recovery)
+                    let cong = &mut self.arena.get_mut(id).unwrap().cong;
+                    (cong.on_ack(acked_bytes, ack, mss), cong.in_recovery)
                 };
                 self.observe_cwnd(id);
                 if matches!(action, CcAction::RetransmitHead) {
@@ -2456,12 +2390,8 @@ impl Stack {
                 }
             } else if is_dup {
                 let (action, dup_acks) = {
-                    let p = self.arena.get_mut(id).unwrap();
-                    let mut st = p.cong;
-                    let action = self.cc.on_dup_ack(&mut st, inflight, snd_nxt, mss);
-                    let dup_acks = st.dup_acks;
-                    p.cong = st;
-                    (action, dup_acks)
+                    let cong = &mut self.arena.get_mut(id).unwrap().cong;
+                    (cong.on_dup_ack(inflight, snd_nxt, mss), cong.dup_acks)
                 };
                 self.observe_cwnd(id);
                 if matches!(action, CcAction::RetransmitHead) {
@@ -2472,7 +2402,7 @@ impl Stack {
             }
             // An ACK may have reopened the transmit window: requeue any
             // buffered data for the next poll.
-            if self.sendbufs.get(&id).is_some_and(|b| !b.is_empty()) {
+            if self.send_queued(id) > 0 {
                 self.mark_tx_pending(id);
             }
             let p = self.arena.get_mut(id).unwrap();
@@ -2650,7 +2580,12 @@ mod tests {
     #[test]
     fn front_filter_config_wraps_the_demux_and_zeroes_miss_cost() {
         const OTHER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
-        let mut server = Stack::with_config(StackConfig::new(SERVER).with_front_filter());
+        let mut server = Stack::with_config(StackConfig::new(SERVER).with_demux(|| {
+            Box::new(tcpdemux_core::FrontDemux::new(SequentDemux::new(
+                Multiplicative,
+                19,
+            )))
+        }));
         let mut client = Stack::with_config(StackConfig::new(CLIENT));
         let (cp, sp) = handshake(&mut server, &mut client, 1521);
         let frame = send_now(&mut client, cp, b"front");
@@ -3499,14 +3434,49 @@ mod tests {
         assert!(server.stats().stack.pcbs_examined >= 1);
         // The SYN's lookup scanned an empty structure (0 examined), so the
         // mean sits below 1 here; it must still be positive.
-        assert!(server.stats().stack.mean_pcbs_examined() > 0.0);
+        assert!(server.stats().demux.mean_examined() > 0.0);
+    }
+
+    #[test]
+    fn mean_examined_counts_every_frame_that_paid_a_lookup() {
+        // Fill a one-slot backlog, then keep SYNing: every dropped SYN
+        // walks the table past the embryonic PCB and counts as neither a
+        // hit, a new connection, nor a reset, and so does an RST for an
+        // unknown four-tuple. A mean over those three outcomes alone
+        // would overstate the cost under exactly this flood.
+        let mut server =
+            Stack::with_config(StackConfig::new(SERVER).with_demux(|| Box::new(BsdDemux::new())));
+        server
+            .listen(ListenConfig::port(80).with_backlog(1))
+            .unwrap();
+        let mut client = Stack::with_config(StackConfig::new(CLIENT));
+        let mut frames = 0u64;
+        for _ in 0..9 {
+            let (_, syn) = client.connect(SERVER, 80).unwrap();
+            let r = server.receive(&syn).unwrap();
+            frames += 1;
+            if frames > 1 {
+                assert!(matches!(r.outcome, RxOutcome::SynDropped));
+                assert_eq!(r.pcbs_examined, 1);
+            }
+        }
+        let (ghost, _) = client.connect(SERVER, 81).unwrap();
+        let rst = client.abort(ghost).unwrap();
+        assert!(server.receive(&rst).unwrap().replies.is_empty());
+        frames += 1;
+
+        let snap = server.stats();
+        let counted = snap.stack.demux_hits + snap.stack.listener_hits + snap.stack.resets_sent;
+        assert_eq!((snap.stack.syn_drops, counted), (8, 1));
+        assert_eq!(snap.demux.lookups, frames);
+        assert_eq!(snap.demux.pcbs_examined, snap.stack.pcbs_examined);
+        assert_eq!(snap.demux.mean_examined(), 9.0 / 10.0);
     }
 
     #[test]
     fn config_builders_cover_every_field() {
-        let cfg = StackConfig::new(SERVER)
-            .with_local_addr(CLIENT)
-            .with_window(1024)
+        let cfg = StackConfig::new(CLIENT)
+            .with_window(WindowConfig::default().with_advertise(1024))
             .with_mss(536)
             .with_ephemeral_base(55_555)
             .with_time_wait(7);
@@ -3545,6 +3515,7 @@ mod tests {
 
         exchange(&mut server, &mut client, 4); // warm-up
         let client_base = client.stats().tx_pool.allocations;
+        let client_takes = client_base + client.stats().tx_pool.reuses;
         let server_base = server.stats().tx_pool.allocations;
         exchange(&mut server, &mut client, 100);
         assert_eq!(
@@ -3553,12 +3524,111 @@ mod tests {
             "client data frames reuse recycled buffers"
         );
         assert_eq!(
+            client.stats().tx_pool.allocations + client.stats().tx_pool.reuses - client_takes,
+            100,
+            "one pool buffer per data segment: the frame, and no payload copy beside it"
+        );
+        assert_eq!(
             server.stats().tx_pool.allocations,
             server_base,
             "server ACKs reuse recycled buffers"
         );
         assert!(client.stats().tx_pool.reuses >= 100);
         assert!(server.stats().tx_pool.reuses >= 100);
+    }
+
+    /// A windowed pair: the client's send buffer holds `send_buffer`
+    /// bytes and neither cwnd nor the peer's window limits a short burst.
+    fn windowed_pair(send_buffer: usize) -> (Stack, Stack) {
+        let window = WindowConfig::default()
+            .with_advertise(32_000)
+            .with_initial_cwnd(16 * 1460)
+            .with_send_buffer(send_buffer);
+        (
+            Stack::with_config(StackConfig::new(SERVER).with_window(window.clone())),
+            Stack::with_config(StackConfig::new(CLIENT).with_window(window)),
+        )
+    }
+
+    /// `stack` acknowledges `frame`; returns the ACK.
+    fn ack_of(stack: &mut Stack, frame: &[u8]) -> Vec<u8> {
+        let mut replies = stack.receive(frame).unwrap().replies;
+        assert_eq!(replies.len(), 1, "one ACK per segment");
+        replies.pop().unwrap()
+    }
+
+    #[test]
+    fn unacknowledged_bytes_count_against_the_send_buffer_cap() {
+        let (mut server, mut client) = windowed_pair(2048);
+        let (cp, _sp) = handshake(&mut server, &mut client, 80);
+
+        assert_eq!(
+            client.send(cp, &[7; 3000]).unwrap(),
+            2048,
+            "filled to the cap"
+        );
+        let mut scratch = TxScratch::new();
+        assert_eq!(client.poll_transmit(&mut scratch), 2);
+        assert_eq!(client.send_queued(cp), 0, "everything is on the wire");
+        assert_eq!(client.connection_table()[0].tx_queued, 2048);
+        // Sent is not gone: until the peer acknowledges them the bytes
+        // occupy the buffer, and the application is held back.
+        assert_eq!(client.send(cp, &[8; 100]).unwrap(), 0);
+
+        let ack = ack_of(&mut server, &scratch.frames[0]);
+        client.receive(&ack).unwrap();
+        assert_eq!(client.connection_table()[0].tx_queued, 2048 - 1460);
+        assert_eq!(
+            client.send(cp, &[8; 3000]).unwrap(),
+            1460,
+            "the acknowledged segment's room, no more"
+        );
+        assert_eq!(client.send_queued(cp), 1460);
+    }
+
+    #[test]
+    fn retransmissions_find_their_bytes_after_top_up_and_compaction() {
+        let (mut server, mut client) = windowed_pair(8 * 1460);
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let stream: Vec<u8> = (0..7 * 1460u32).map(|i| (i % 251) as u8).collect();
+        let mut scratch = TxScratch::new();
+
+        // Four segments out; the first three are acknowledged, which
+        // moves the fourth to the front of the storage (the consumed
+        // prefix passed half of it).
+        assert_eq!(client.send(cp, &stream[..4 * 1460]).unwrap(), 4 * 1460);
+        assert_eq!(client.poll_transmit(&mut scratch), 4);
+        let fourth = scratch.frames[3].clone();
+        for frame in &scratch.frames[..3] {
+            let ack = ack_of(&mut server, frame);
+            client.receive(&ack).unwrap();
+        }
+        // Top up behind it and send that too; the fourth is "lost".
+        assert_eq!(client.send(cp, &stream[4 * 1460..]).unwrap(), 3 * 1460);
+        assert_eq!(client.poll_transmit(&mut scratch), 3);
+        assert_eq!(client.connection_table()[0].tx_queued, 4 * 1460);
+
+        // Three duplicate ACKs: fast retransmit re-emits the fourth.
+        let mut fast = Vec::new();
+        for frame in &scratch.frames {
+            let dup = ack_of(&mut server, frame);
+            fast.extend(client.receive(&dup).unwrap().replies);
+        }
+        assert_eq!(fast, [&fourth[..]], "same bytes as the first time");
+
+        // That one is lost as well: the RTO re-emits it again.
+        let due = client.next_timer_deadline().expect("RTO armed");
+        let fired = client.advance_time(due);
+        assert_eq!(fired.retransmits, [&fourth[..]]);
+
+        // Delivered at last, the receiver's stream is the sender's.
+        let ack = ack_of(&mut server, &fourth);
+        client.receive(&ack).unwrap();
+        assert_eq!(client.connection_table()[0].tx_queued, 3 * 1460);
+        assert_eq!(
+            server.socket_mut(sp).unwrap().read_all(),
+            &stream[..4 * 1460]
+        );
     }
 
     #[test]

@@ -94,23 +94,13 @@ impl StackStats {
         self.rtt_samples += rtt_samples;
         self.timeout_aborts += timeout_aborts;
     }
-
-    /// Mean PCBs examined per demultiplexed segment.
-    pub fn mean_pcbs_examined(&self) -> f64 {
-        let lookups = self.demux_hits + self.listener_hits + self.resets_sent;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.pcbs_examined as f64 / lookups as f64
-        }
-    }
 }
 
 impl fmt::Display for StackStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "in={} rejected={} hits={} new={} rst={} delivered={}B rtx={} mean_pcbs={:.2}",
+            "in={} rejected={} hits={} new={} rst={} delivered={}B rtx={}",
             self.frames_in,
             self.total_rejected(),
             self.demux_hits,
@@ -118,7 +108,6 @@ impl fmt::Display for StackStats {
             self.resets_sent,
             self.bytes_delivered,
             self.retransmits,
-            self.mean_pcbs_examined(),
         )
     }
 }
@@ -206,18 +195,6 @@ mod tests {
             ..StackStats::default()
         };
         assert_eq!(stats.total_rejected(), 10);
-    }
-
-    #[test]
-    fn mean_examined() {
-        let stats = StackStats {
-            demux_hits: 3,
-            listener_hits: 1,
-            pcbs_examined: 20,
-            ..StackStats::default()
-        };
-        assert!((stats.mean_pcbs_examined() - 5.0).abs() < 1e-12);
-        assert_eq!(StackStats::default().mean_pcbs_examined(), 0.0);
     }
 
     #[test]

@@ -36,6 +36,10 @@
 //! one case with that seed; `TESTPROP_CASES=<n>` overrides the
 //! iteration count for soak runs. Neither is needed for normal `cargo
 //! test` — defaults are fixed so CI is deterministic.
+//!
+//! Tests that loop over whole-scenario seeds themselves (fault streams,
+//! thread interleavings) size the loop with [`sweep_seeds`], which
+//! `TCPDEMUX_SEEDS=<n>` widens for every such test at once.
 
 #![forbid(unsafe_code)]
 
@@ -234,6 +238,13 @@ pub fn check_cases(name: &str, cases: u32, body: impl Fn(&mut TestRng)) {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// How many seeds a seed-sweep test should run: `default`, unless the
+/// `TCPDEMUX_SEEDS` environment variable asks for a wider (or narrower)
+/// sweep. `scripts/verify.sh` sets it per stage.
+pub fn sweep_seeds(default: u32) -> u32 {
+    env_u64("TCPDEMUX_SEEDS").map_or(default, |n| n as u32)
 }
 
 /// [`check_cases`] with the default [`DEFAULT_CASES`] iteration count.

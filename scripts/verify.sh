@@ -92,8 +92,8 @@ if ! cmp -s "$run_a" "$run_b"; then
 fi
 echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 
-echo "== 5/13 multi-seed fault-injection sweep (TCPDEMUX_FAULT_SEEDS=32) =="
-TCPDEMUX_FAULT_SEEDS=32 cargo test -q --release --offline \
+echo "== 5/13 multi-seed fault-injection sweep (TCPDEMUX_SEEDS=32) =="
+TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery
 echo "ok: loss recovery and checksum rejection hold across 32 fault seeds"
 
@@ -111,8 +111,8 @@ if ! cmp -s "$export_run" "$golden"; then
 fi
 echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
-echo "== 7/13 concurrent stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
-TCPDEMUX_STRESS_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
+echo "== 7/13 concurrent stress sweep (TCPDEMUX_SEEDS=16) =="
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"
 
 echo "== 8/13 bench-smoke JSON snapshots (schema, label-set drift, required cells) =="
@@ -127,32 +127,32 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin loss_r
 python3 scripts/check_bench_json.py "$bench_json_dir" \
   BENCH_demux_lookup.json BENCH_mt_scaling.json BENCH_loss_recovery.json
 
-echo "== 9/13 sharded-runtime stress sweep + mt_stack smoke (TCPDEMUX_SHARD_SEEDS=12) =="
-TCPDEMUX_SHARD_SEEDS=12 cargo test -q --release --offline \
+echo "== 9/13 sharded-runtime stress sweep + mt_stack smoke (TCPDEMUX_SEEDS=12) =="
+TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin mt_stack -- \
   --json "$bench_json_dir/BENCH_stack_shards.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_stack_shards.json
 
-echo "== 10/13 cuckoo churn sweep + demux_scale smoke (TCPDEMUX_CUCKOO_SEEDS=16) =="
-TCPDEMUX_CUCKOO_SEEDS=16 cargo test -q --release --offline --test demux_churn
+echo "== 10/13 cuckoo churn sweep + demux_scale smoke (TCPDEMUX_SEEDS=16) =="
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test demux_churn
 echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin demux_scale -- \
   --json "$bench_json_dir/BENCH_demux_scale.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_demux_scale.json
 
-echo "== 11/13 congestion-control seed sweep + bulk_transfer smoke (TCPDEMUX_CC_SEEDS=8) =="
-TCPDEMUX_CC_SEEDS=8 cargo test -q --release --offline \
+echo "== 11/13 congestion-control seed sweep + bulk_transfer smoke (TCPDEMUX_SEEDS=8) =="
+TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
-TCPDEMUX_CC_SEEDS=8 cargo test -q --release --offline --test congestion
+cargo test -q --release --offline --test congestion
 echo "ok: 8-seed bulk transfer recovers at 0/10/25% drop; window machinery holds"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin bulk_transfer -- \
   --json "$bench_json_dir/BENCH_bulk_transfer.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_bulk_transfer.json
 
-echo "== 12/13 front-filter oracle sweep + miss_flood/train_windowed smoke (TCPDEMUX_FRONT_SEEDS=16) =="
-TCPDEMUX_FRONT_SEEDS=16 cargo test -q --release --offline --test front_filter
+echo "== 12/13 front-filter oracle sweep + miss_flood/train_windowed smoke (TCPDEMUX_SEEDS=16) =="
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test front_filter
 echo "ok: 16-seed filter churn has zero false negatives and stays inside the FP budget"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin miss_flood -- \
   --json "$bench_json_dir/BENCH_miss_flood.json" >/dev/null

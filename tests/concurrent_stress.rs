@@ -24,7 +24,7 @@
 //! sized so `cuckoo-conc` kicks and grows through several generations
 //! while the readers are live.
 //!
-//! The seed sweep is driven by `TCPDEMUX_STRESS_SEEDS` (default 4;
+//! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 4;
 //! `scripts/verify.sh` runs 16).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +32,7 @@ use tcpdemux::demux::concurrent::{ConcurrentDemux, ShardedDemux};
 use tcpdemux::demux::{ConcurrentCuckooDemux, PacketKind};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::{ConnectionKey, PcbId};
-use tcpdemux_testprop::TestRng;
+use tcpdemux_testprop::{sweep_seeds, TestRng};
 
 const WRITERS: usize = 2;
 const READERS: usize = 2;
@@ -60,13 +60,6 @@ fn fabricate(global: usize, generation: u64) -> PcbId {
 
 fn generation_of(id: PcbId) -> u64 {
     id.to_bits() >> 32
-}
-
-fn seed_count() -> u64 {
-    std::env::var("TCPDEMUX_STRESS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
 }
 
 struct KeyTracker {
@@ -223,7 +216,7 @@ fn churn(demux: &dyn ConcurrentDemux, seed: u64) {
 
 #[test]
 fn shared_tables_survive_concurrent_churn_across_seeds() {
-    for seed in 0..seed_count() {
+    for seed in 0..u64::from(sweep_seeds(4)) {
         let seed = 0xc0ffee ^ seed.wrapping_mul(0x0100_0000_01b3);
         churn(&ShardedDemux::new(Multiplicative, CHAINS), seed);
         let cuckoo = ConcurrentCuckooDemux::new();

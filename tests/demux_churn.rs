@@ -10,7 +10,7 @@
 //! the identical operation sequence and must agree with the oracle on
 //! every lookup and on the final population.
 //!
-//! The seed sweep is driven by `TCPDEMUX_CUCKOO_SEEDS` (default 4;
+//! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 4;
 //! `scripts/verify.sh` stage 10 runs a deeper sweep).
 
 use std::collections::BTreeMap;
@@ -18,7 +18,7 @@ use std::net::Ipv4Addr;
 use tcpdemux::demux::concurrent::concurrent_suite;
 use tcpdemux::demux::{extended_suite, PacketKind};
 use tcpdemux::pcb::{ConnectionKey, Pcb, PcbArena, PcbId};
-use tcpdemux_testprop::{check_cases, TestRng};
+use tcpdemux_testprop::{check_cases, sweep_seeds, TestRng};
 
 /// Population of distinct keys the churn draws from. The cuckoo tier
 /// starts at 32 slots, sequent tables at 19 chains: several hundred live
@@ -33,13 +33,6 @@ fn key(n: u32) -> ConnectionKey {
         Ipv4Addr::from(0x0a02_0000 + n),
         (40_000 + (n % 20_000)) as u16,
     )
-}
-
-fn seed_count() -> u32 {
-    std::env::var("TCPDEMUX_CUCKOO_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
 }
 
 /// One pre-generated churn script, so every tier replays the identical
@@ -67,7 +60,7 @@ fn script(rng: &mut TestRng) -> Vec<Op> {
 
 #[test]
 fn every_tier_agrees_with_oracle_under_high_occupancy_churn() {
-    check_cases("demux_churn_oracle", seed_count(), |rng| {
+    check_cases("demux_churn_oracle", sweep_seeds(4), |rng| {
         let ops = script(rng);
         let mut arena = PcbArena::new();
         // Pre-create one PCB per key so all tiers share ids; the

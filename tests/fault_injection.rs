@@ -5,6 +5,7 @@
 use std::net::Ipv4Addr;
 use tcpdemux::pcb::PcbId;
 use tcpdemux::stack::{FaultInjector, FaultOutcome, RxOutcome, Stack, StackConfig, TxScratch};
+use tcpdemux_testprop::sweep_seeds;
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 1);
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 2);
@@ -104,13 +105,10 @@ fn drops_leave_state_recoverable() {
 /// flip there sails through validation and "corruption never reaches
 /// the demux" held only by seed luck. Sweep many fault streams and real
 /// frame shapes; every flip must now land in checksum-covered bytes and
-/// be rejected. `TCPDEMUX_FAULT_SEEDS` widens the sweep in CI.
+/// be rejected. `TCPDEMUX_SEEDS` widens the sweep in CI.
 #[test]
 fn corruption_is_rejected_across_seed_sweep() {
-    let seeds: u64 = std::env::var("TCPDEMUX_FAULT_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let seeds = u64::from(sweep_seeds(8));
     let (mut server, mut client, cp) = connected_pair();
     // Frames of several sizes: tiny ones force Ethernet padding, the
     // shape that used to let flips escape every checksum.

@@ -10,7 +10,7 @@
 //! both filter-wrapped tiers, then pin the false-positive budget at
 //! the 15/16 occupancy watermark.
 //!
-//! The seed sweep is driven by `TCPDEMUX_FRONT_SEEDS` (default 4;
+//! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 4;
 //! `scripts/verify.sh` stage 12 runs a deeper sweep).
 
 use std::collections::BTreeMap;
@@ -18,7 +18,7 @@ use std::net::Ipv4Addr;
 use tcpdemux::demux::{CuckooDemux, Demux, FrontDemux, PacketKind, SequentDemux};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::{ConnectionKey, Pcb, PcbArena, PcbId};
-use tcpdemux_testprop::{check_cases, TestRng};
+use tcpdemux_testprop::{check_cases, sweep_seeds, TestRng};
 
 /// Live-key population; probes draw from a 2x larger space so roughly
 /// half of all lookups exercise the reject path.
@@ -33,13 +33,6 @@ fn key(n: u32) -> ConnectionKey {
         Ipv4Addr::from(0x0a03_0000 + n),
         (40_000 + (n % 20_000)) as u16,
     )
-}
-
-fn seed_count() -> u32 {
-    std::env::var("TCPDEMUX_FRONT_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
 }
 
 enum Op {
@@ -62,7 +55,7 @@ fn script(rng: &mut TestRng) -> Vec<Op> {
 
 #[test]
 fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
-    check_cases("front_filter_oracle", seed_count(), |rng| {
+    check_cases("front_filter_oracle", sweep_seeds(4), |rng| {
         let ops = script(rng);
         let mut arena = PcbArena::new();
         let ids: Vec<PcbId> = (0..KEYSPACE)
@@ -137,7 +130,7 @@ fn false_positive_rate_within_budget_at_high_occupancy() {
     // is ~8 candidate lanes / 2^16 fingerprints ≈ 2^-13, so the budget
     // has 2x headroom without being loose enough to hide a broken lane
     // comparison (which would reject nothing and fail instantly).
-    check_cases("front_filter_fp_budget", seed_count(), |rng| {
+    check_cases("front_filter_fp_budget", sweep_seeds(4), |rng| {
         let base = rng.u32_in(0, 1 << 20);
         let mut demux = FrontDemux::new(CuckooDemux::new());
         let mut arena = PcbArena::new();

@@ -9,6 +9,7 @@
 use std::net::Ipv4Addr;
 use tcpdemux::sim::lossy::{run_lossy_link, LossyLinkConfig};
 use tcpdemux::stack::{SocketError, Stack, StackConfig, TxScratch};
+use tcpdemux_testprop::sweep_seeds;
 
 /// The issue's acceptance scenario: 20% drop + 5% corruption, one hundred
 /// request/response exchanges, recovered purely by retransmission.
@@ -37,15 +38,11 @@ fn hundred_exchanges_survive_20pct_drop_5pct_corruption() {
 }
 
 /// The recovery machinery must hold under many fault-stream seeds, not
-/// one lucky one. `TCPDEMUX_FAULT_SEEDS` widens the sweep in CI
+/// one lucky one. `TCPDEMUX_SEEDS` widens the sweep in CI
 /// (scripts/verify.sh runs it at 32).
 #[test]
 fn lossy_link_recovers_across_seeds() {
-    let seeds: u64 = std::env::var("TCPDEMUX_FAULT_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    for seed in 1..=seeds {
+    for seed in 1..=u64::from(sweep_seeds(8)) {
         let report = run_lossy_link(&LossyLinkConfig {
             drop_chance: 0.20,
             corrupt_chance: 0.05,

@@ -15,7 +15,7 @@
 //!   provoked an RST (an RST would mean a frame reached a shard that
 //!   does not own the PCB).
 //!
-//! The seed sweep is driven by `TCPDEMUX_SHARD_SEEDS` (default 4;
+//! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 4;
 //! `scripts/verify.sh` runs more).
 
 use std::collections::BTreeMap;
@@ -23,7 +23,7 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tcpdemux::pcb::ConnectionKey;
 use tcpdemux::stack::{ShardId, ShardedStack, Stack, StackConfig, TxScratch};
-use tcpdemux_testprop::TestRng;
+use tcpdemux_testprop::{sweep_seeds, TestRng};
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
 const PORT: u16 = 1521;
@@ -38,13 +38,6 @@ fn send_now(stack: &mut Stack, pcb: tcpdemux::pcb::PcbId, payload: &[u8]) -> Vec
     let mut scratch = TxScratch::new();
     assert_eq!(stack.poll_transmit(&mut scratch), 1);
     scratch.frames.pop().unwrap()
-}
-
-fn seed_count() -> u64 {
-    std::env::var("TCPDEMUX_SHARD_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
 }
 
 struct Flow {
@@ -225,7 +218,7 @@ fn run_one_seed(seed: u64) {
 
 #[test]
 fn sharded_runtime_preserves_flow_order_under_concurrency() {
-    for seed in 0..seed_count() {
+    for seed in 0..u64::from(sweep_seeds(4)) {
         run_one_seed(0xDE40 + seed);
     }
 }
