@@ -6,11 +6,18 @@
 //! counter, so stale handles held by a forgetful cache can never alias a
 //! new connection — exactly the bug class a real one-entry PCB cache must
 //! guard against.
+//!
+//! The arena is generic over what a slot holds: [`PcbArena`] stores bare
+//! [`Pcb`]s, and the stack instantiates [`Arena`] with its whole
+//! per-connection value (the PCB plus its socket and sender state), so the
+//! handle the demultiplexer returns resolves everything about the
+//! connection with one index and one generation compare.
 
 use crate::pcb::Pcb;
 use core::fmt;
 
-/// A stable handle to a PCB in a [`PcbArena`].
+/// A stable handle to a PCB in a [`PcbArena`] (or to whatever an
+/// [`Arena`] holds per connection).
 ///
 /// Internally an index plus a generation; a handle from a removed PCB
 /// (even if the slot was reused) fails to resolve instead of returning the
@@ -53,26 +60,36 @@ impl fmt::Display for PcbId {
 }
 
 #[derive(Debug)]
-struct Slot {
+struct Slot<T> {
     generation: u32,
-    value: Option<Pcb>,
+    value: Option<T>,
 }
 
-/// Arena of PCBs with O(1) insert, remove, and handle resolution.
-#[derive(Debug, Default)]
-pub struct PcbArena {
-    slots: Vec<Slot>,
+/// Arena of per-connection values with O(1) insert, remove, and handle
+/// resolution.
+#[derive(Debug)]
+pub struct Arena<T> {
+    slots: Vec<Slot<T>>,
     free: Vec<u32>,
     live: usize,
 }
 
-impl PcbArena {
+/// The arena of bare PCBs.
+pub type PcbArena = Arena<Pcb>;
+
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<T> Arena<T> {
     /// Create an empty arena.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Create an arena with capacity reserved for `n` PCBs.
+    /// Create an arena with capacity reserved for `n` values.
     pub fn with_capacity(n: usize) -> Self {
         Self {
             slots: Vec::with_capacity(n),
@@ -81,23 +98,23 @@ impl PcbArena {
         }
     }
 
-    /// Number of live PCBs.
+    /// Number of live values.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Whether the arena holds no live PCBs.
+    /// Whether the arena holds no live values.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Insert a PCB, returning its handle.
-    pub fn insert(&mut self, pcb: Pcb) -> PcbId {
+    /// Insert a value, returning its handle.
+    pub fn insert(&mut self, value: T) -> PcbId {
         self.live += 1;
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
             debug_assert!(slot.value.is_none());
-            slot.value = Some(pcb);
+            slot.value = Some(value);
             PcbId {
                 index,
                 generation: slot.generation,
@@ -106,7 +123,7 @@ impl PcbArena {
             let index = self.slots.len() as u32;
             self.slots.push(Slot {
                 generation: 0,
-                value: Some(pcb),
+                value: Some(value),
             });
             PcbId {
                 index,
@@ -115,9 +132,9 @@ impl PcbArena {
         }
     }
 
-    /// Resolve a handle to a shared reference, or `None` if the PCB was
+    /// Resolve a handle to a shared reference, or `None` if the value was
     /// removed (even if its slot has since been reused).
-    pub fn get(&self, id: PcbId) -> Option<&Pcb> {
+    pub fn get(&self, id: PcbId) -> Option<&T> {
         let slot = self.slots.get(id.index as usize)?;
         if slot.generation != id.generation {
             return None;
@@ -126,7 +143,7 @@ impl PcbArena {
     }
 
     /// Resolve a handle to an exclusive reference.
-    pub fn get_mut(&mut self, id: PcbId) -> Option<&mut Pcb> {
+    pub fn get_mut(&mut self, id: PcbId) -> Option<&mut T> {
         let slot = self.slots.get_mut(id.index as usize)?;
         if slot.generation != id.generation {
             return None;
@@ -134,9 +151,9 @@ impl PcbArena {
         slot.value.as_mut()
     }
 
-    /// Remove a PCB, returning it. The slot's generation is bumped so the
+    /// Remove a value, returning it. The slot's generation is bumped so the
     /// handle (and any cached copies of it) becomes invalid.
-    pub fn remove(&mut self, id: PcbId) -> Option<Pcb> {
+    pub fn remove(&mut self, id: PcbId) -> Option<T> {
         let slot = self.slots.get_mut(id.index as usize)?;
         if slot.generation != id.generation {
             return None;
@@ -148,16 +165,16 @@ impl PcbArena {
         Some(value)
     }
 
-    /// Iterate over `(id, &pcb)` for all live PCBs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (PcbId, &Pcb)> {
+    /// Iterate over `(id, &value)` for all live values in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (PcbId, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, slot)| {
-            slot.value.as_ref().map(|pcb| {
+            slot.value.as_ref().map(|value| {
                 (
                     PcbId {
                         index: i as u32,
                         generation: slot.generation,
                     },
-                    pcb,
+                    value,
                 )
             })
         })

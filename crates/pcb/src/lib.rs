@@ -37,7 +37,7 @@ mod sendbuf;
 mod seq;
 mod state;
 
-pub use arena::{PcbArena, PcbId};
+pub use arena::{Arena, PcbArena, PcbId};
 pub use cc::{CcAction, CongestionState};
 pub use key::{ConnectionKey, ListenKey};
 pub use pcb::{Pcb, PcbCounters, RecvSequenceSpace, SendSequenceSpace};

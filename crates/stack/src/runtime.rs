@@ -67,8 +67,16 @@ use tcpdemux_telemetry::Recorder;
 struct ShardSlot {
     stack: Mutex<Stack>,
     producer: Mutex<SpscProducer<Vec<u8>>>,
-    consumer: Mutex<SpscConsumer<Vec<u8>>>,
+    consumer: Mutex<DrainSide>,
     recorder: Recorder,
+}
+
+/// The consuming half of a shard's ring and the scratch
+/// [`ShardedStack::drain`] pops a batch into, kept between drains for
+/// its capacity.
+struct DrainSide {
+    ring: SpscConsumer<Vec<u8>>,
+    batch: Vec<Vec<u8>>,
 }
 
 /// A frame refused because its shard's ingress ring was full; the frame
@@ -112,7 +120,10 @@ impl ShardedStack {
                 ShardSlot {
                     stack: Mutex::new(Stack::with_config(shard_config)),
                     producer: Mutex::new(producer),
-                    consumer: Mutex::new(consumer),
+                    consumer: Mutex::new(DrainSide {
+                        ring: consumer,
+                        batch: Vec::new(),
+                    }),
                     recorder,
                 }
             })
@@ -161,25 +172,23 @@ impl ShardedStack {
     /// Drain up to `max` frames from one shard's ring into its stack:
     /// one [`Stack::receive`] per frame, in ring order. The shard's worker
     /// calls this in a loop; any thread may call it for any shard, but
-    /// only one at a time per shard makes progress (the consumer lock
-    /// serializes).
+    /// only one at a time per shard makes progress (the consumer lock,
+    /// held until the popped batch has been processed, serializes).
     pub fn drain(&self, shard: ShardId, max: usize) -> BatchRxResult {
         let slot = &self.slots[shard.index()];
-        let mut frames = Vec::new();
-        {
-            let mut consumer = slot.consumer.lock().expect("shard consumer lock");
-            consumer.pop_batch(&mut frames, max);
-        }
-        if frames.is_empty() {
+        let mut consumer = slot.consumer.lock().expect("shard consumer lock");
+        let DrainSide { ring, batch } = &mut *consumer;
+        ring.pop_batch(batch, max);
+        if batch.is_empty() {
             return BatchRxResult::default();
         }
         let mut stack = slot.stack.lock().expect("shard stack lock");
         let lookups_before = stack.demux_lookups();
         let mut out = BatchRxResult {
-            results: Vec::with_capacity(frames.len()),
+            results: Vec::with_capacity(batch.len()),
             ..BatchRxResult::default()
         };
-        for frame in frames {
+        for frame in batch.drain(..) {
             out.results.push(stack.receive(&frame));
             // The frame is spent; recycle its buffer into the shard's
             // transmit pool so steady state allocates nothing new.
@@ -464,7 +473,7 @@ mod tests {
     fn recorded_handshake(twin: &ShardedStack, client: &mut Stack) -> (PcbId, Vec<u8>, Vec<u8>) {
         let (cp, syn) = client.connect(SERVER, 80).unwrap();
         let synack = pump(twin, syn.clone());
-        let ack = client.receive(&synack[0]).unwrap().replies.remove(0);
+        let ack = client.receive(&synack[0]).unwrap().replies[0].clone();
         pump(twin, ack.clone());
         (cp, syn, ack)
     }

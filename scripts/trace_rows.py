@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Before/after rows for EXPERIMENTS.md from two benchmark result files.
+
+    scripts/trace_rows.py <before/results.json> <after/results.json> [workload...]
+
+Each file is what `cargo run --release --manifest-path benchmark/Cargo.toml
+-- --seed N` leaves in `benchmark/out/results.json`. Prints each file's
+host block, then one markdown table per workload (default `tpca` and
+`bulk`): the end-to-end medians and the `--trace 1` per-layer values,
+before and after. Numbers are copied, never recomputed, so the table is
+what the benchmark said.
+"""
+import json
+import statistics
+import sys
+
+END_TO_END = ["ops_per_s", "allocs_per_op", "heap_bytes_per_conn"]
+PER_LAYER = [
+    "stack.receive_data_ns",
+    "stack.receive_ack_ns",
+    "stack.send_ns",
+    "stack.poll_transmit_ns_per_frame",
+    "stack.residual_ns",
+    "core.lookup_ns",
+    "core.probe_mismatch",
+    "wire.tcp_parse_ns",
+    "wire.tcp_emit_ns",
+    "telemetry.record_ns",
+    "stack.allocs_per_frame",
+]
+
+
+def fmt(value):
+    if value == int(value) and abs(value) < 1e15:
+        return f"{int(value):,}"
+    return f"{value:,.3g}" if abs(value) < 100 else f"{value:,.0f}"
+
+
+def main(argv):
+    if len(argv) < 2:
+        sys.exit(__doc__)
+    workloads = argv[2:] or ["tpca", "bulk"]
+    before, after = (json.load(open(p)) for p in argv[:2])
+    for label, results in (("before", before), ("after", after)):
+        host = ", ".join(f"{k}: {v}" for k, v in results["host"].items())
+        print(f"{label}: seed {results['seed']:g}, {results['seconds']:g} s per run; {host}")
+    for workload in workloads:
+        b, a = (r["workloads"][workload] for r in (before, after))
+        print(f"\n| `{workload}` | before | after |\n|---|---|---|")
+        for name in END_TO_END:
+            values = [statistics.median(r["end_to_end"][name]["values"]) for r in (b, a)]
+            print(f"| `{name}` | {fmt(values[0])} | {fmt(values[1])} |")
+        for name in PER_LAYER:
+            values = [r["per_layer"][name]["value"] for r in (b, a)]
+            print(f"| `{name}` | {fmt(values[0])} | {fmt(values[1])} |")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -44,14 +44,19 @@
 #      miss_flood and train_windowed bins run end to end in smoke mode
 #      with schema-checked JSON snapshots;
 #  13. the end-to-end benchmark crate (benchmark/, its own workspace)
-#      builds against the current crates and passes its smoke test.
+#      builds against the current crates and passes its smoke test;
+#  14. the three test binaries that install a counting global allocator
+#      (telemetry record path, steady-state transaction, heap per
+#      connection) pass in release with --test-threads=1: their
+#      counters are process-global, so they mean something only when no
+#      sibling test runs beside them.
 #
 # Run from anywhere inside the repo. Exits non-zero on first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== 1/13 dependency audit (cargo metadata) =="
+echo "== 1/14 dependency audit (cargo metadata) =="
 # --no-deps still lists every workspace member's declared dependencies.
 # Any dependency whose `source` is non-null comes from a registry or
 # git — both are forbidden; in-tree path deps have `"source": null`.
@@ -71,15 +76,15 @@ if bad:
 print("ok: %d workspace crates, all dependencies in-tree" % len(meta["packages"]))
 '
 
-echo "== 2/13 formatting + lints (rustfmt, clippy -D warnings) =="
+echo "== 2/14 formatting + lints (rustfmt, clippy -D warnings) =="
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== 3/13 offline tier-1 (release build + tests) =="
+echo "== 3/14 offline tier-1 (release build + tests) =="
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
-echo "== 4/13 same-seed determinism (byte-identical sim output) =="
+echo "== 4/14 same-seed determinism (byte-identical sim output) =="
 run_a=$(mktemp)
 run_b=$(mktemp)
 trap 'rm -f "$run_a" "$run_b"' EXIT
@@ -92,12 +97,12 @@ if ! cmp -s "$run_a" "$run_b"; then
 fi
 echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 
-echo "== 5/13 multi-seed fault-injection sweep (TCPDEMUX_SEEDS=32) =="
+echo "== 5/14 multi-seed fault-injection sweep (TCPDEMUX_SEEDS=32) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery
 echo "ok: loss recovery and checksum rejection hold across 32 fault seeds"
 
-echo "== 6/13 golden telemetry export (fixed-seed lossy-link run) =="
+echo "== 6/14 golden telemetry export (fixed-seed lossy-link run) =="
 golden="crates/bench/goldens/telemetry_lossy.jsonl"
 export_run=$(mktemp)
 trap 'rm -f "$run_a" "$run_b" "$export_run"' EXIT
@@ -111,11 +116,11 @@ if ! cmp -s "$export_run" "$golden"; then
 fi
 echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
-echo "== 7/13 concurrent stress sweep (TCPDEMUX_SEEDS=16) =="
+echo "== 7/14 concurrent stress sweep (TCPDEMUX_SEEDS=16) =="
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"
 
-echo "== 8/13 bench-smoke JSON snapshots (schema, label-set drift, required cells) =="
+echo "== 8/14 bench-smoke JSON snapshots (schema, label-set drift, required cells) =="
 bench_json_dir=$(mktemp -d)
 trap 'rm -f "$run_a" "$run_b" "$export_run"; rm -rf "$bench_json_dir"' EXIT
 TCPDEMUX_SMOKE=1 cargo bench -q --offline -p tcpdemux-bench --bench demux_lookup -- \
@@ -127,7 +132,7 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin loss_r
 python3 scripts/check_bench_json.py "$bench_json_dir" \
   BENCH_demux_lookup.json BENCH_mt_scaling.json BENCH_loss_recovery.json
 
-echo "== 9/13 sharded-runtime stress sweep + mt_stack smoke (TCPDEMUX_SEEDS=12) =="
+echo "== 9/14 sharded-runtime stress sweep + mt_stack smoke (TCPDEMUX_SEEDS=12) =="
 TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
@@ -135,14 +140,14 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin mt_sta
   --json "$bench_json_dir/BENCH_stack_shards.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_stack_shards.json
 
-echo "== 10/13 cuckoo churn sweep + demux_scale smoke (TCPDEMUX_SEEDS=16) =="
+echo "== 10/14 cuckoo churn sweep + demux_scale smoke (TCPDEMUX_SEEDS=16) =="
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test demux_churn
 echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin demux_scale -- \
   --json "$bench_json_dir/BENCH_demux_scale.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_demux_scale.json
 
-echo "== 11/13 congestion-control seed sweep + bulk_transfer smoke (TCPDEMUX_SEEDS=8) =="
+echo "== 11/14 congestion-control seed sweep + bulk_transfer smoke (TCPDEMUX_SEEDS=8) =="
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 cargo test -q --release --offline --test congestion
@@ -151,7 +156,7 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin bulk_t
   --json "$bench_json_dir/BENCH_bulk_transfer.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_bulk_transfer.json
 
-echo "== 12/13 front-filter oracle sweep + miss_flood/train_windowed smoke (TCPDEMUX_SEEDS=16) =="
+echo "== 12/14 front-filter oracle sweep + miss_flood/train_windowed smoke (TCPDEMUX_SEEDS=16) =="
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test front_filter
 echo "ok: 16-seed filter churn has zero false negatives and stays inside the FP budget"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin miss_flood -- \
@@ -161,7 +166,12 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin train_
 python3 scripts/check_bench_json.py "$bench_json_dir" \
   BENCH_miss_flood.json BENCH_train_windowed.json
 
-echo "== 13/13 end-to-end benchmark smoke test (benchmark/) =="
+echo "== 13/14 end-to-end benchmark smoke test (benchmark/) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== 14/14 allocator-counting tests (release, one thread) =="
+cargo test -q --release --offline --test telemetry_overhead \
+  --test steady_state_allocs --test heap_per_connection -- --test-threads=1
+echo "ok: no allocation per record or per transaction; heap per connection under its ceiling"
 
 echo "verify.sh: all checks passed"
