@@ -25,8 +25,8 @@
 //!
 //! The headline is the 0%-hit column: bare `sequent(19)` degrades
 //! linearly in N while `front+sequent(19)` stays near-flat, ≥ 10× ahead
-//! by N = 1M. See `sim::missflood` for the closed-loop version with
-//! collision-crafted attack traffic and telemetry assertions.
+//! by N = 1M. `tests/front_filter.rs` fires the collision-crafted
+//! version of the flood at the same two tiers.
 //!
 //! `TCPDEMUX_SMOKE=1` caps the *actual* population at 20k keys while
 //! keeping nominal N in every label, so `scripts/verify.sh` can validate

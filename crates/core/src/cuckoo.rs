@@ -958,6 +958,7 @@ mod tests {
     use crate::test_util;
     use std::collections::BTreeMap;
     use tcpdemux_pcb::{Pcb, PcbArena};
+    use tcpdemux_telemetry::HistogramId;
     use tcpdemux_testprop::{check_cases, TestRng};
 
     #[test]
@@ -1017,6 +1018,11 @@ mod tests {
             stats.kicks,
             "telemetry must mirror the internal kick count"
         );
+        // One histogram sample per insert; kicks made by a growth's
+        // rehash are counted but belong to no one insert.
+        let per_insert = snap.histogram(HistogramId::CuckooInsertKicks);
+        assert_eq!(per_insert.count(), 50_000);
+        assert!(per_insert.sum() > 0 && per_insert.sum() <= stats.kicks);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   worst case for move-to-front, §3.2).
 //! * [`locality`] — Zipf-distributed connection popularity (Mogul's
 //!   "network locality" traffic, cited in §3.3).
-//! * [`missflood`] — an IPS-style mix where most lookups miss, including
-//!   hash-collision attack traffic (the front filter's reason to exist).
 //!
 //! # Example
 //!
@@ -44,13 +42,10 @@
 #![forbid(unsafe_code)]
 
 pub mod bulk;
-pub mod churn;
 pub mod engine;
 pub mod locality;
 pub mod lossy;
-pub mod missflood;
 pub mod polling;
-pub mod replicate;
 pub mod rng;
 pub mod runner;
 pub mod shards;
@@ -63,7 +58,7 @@ pub use lossy::{
     run_lossy_link, run_lossy_link_with_telemetry, LossyLinkConfig, LossyLinkReport,
     LossyLinkTelemetry,
 };
-pub use runner::{merged_snapshot, reset_recorders, run_trace, AlgoReport, TraceEvent};
+pub use runner::{run_trace, AlgoReport, TraceEvent};
 pub use shards::{
     run_shard_scenario, ConnStreams, ShardScenarioConfig, ShardScenarioReport, ShardWorkload,
 };

@@ -19,7 +19,6 @@
 //!
 //! | seed | used by |
 //! |------|---------|
-//! | `1..=5`          | TPC/A replication experiments (`replicate.rs`) |
 //! | `1..=8`, `1992`  | distribution/stream tests in this module |
 //! | `0`, `1`, `31`, `42` | sim engine / runner / TPC/A smoke tests |
 //!

@@ -84,45 +84,13 @@ pub struct AlgoReport {
     pub snapshot: Snapshot,
 }
 
-/// Reset every recorder in a slice so a measurement interval starts from
-/// zero everywhere at once.
-///
-/// A single-shard run passes `slice::from_ref(&entry.recorder)`; a
-/// sharded run passes all K per-shard recorders (e.g.
-/// [`ShardedStack::recorders`](tcpdemux_stack::ShardedStack::recorders))
-/// so no shard carries warm-up traffic into the measured window.
-pub fn reset_recorders(recorders: &[Recorder]) {
-    for recorder in recorders {
-        recorder.reset();
-    }
-}
-
-/// Snapshot a slice of recorders and merge them into one [`Snapshot`].
-///
-/// Each recorder is read exactly once, so per-shard telemetry folds into
-/// the aggregate without double-counting: counters and histogram buckets
-/// add, and the event trace is the *first* recorder's (per-shard traces
-/// interleave arbitrarily — concatenating them would fabricate an
-/// ordering). An empty slice merges to an empty snapshot.
-pub fn merged_snapshot(recorders: &[Recorder]) -> Snapshot {
-    let mut iter = recorders.iter();
-    let Some(first) = iter.next() else {
-        return Snapshot::empty();
-    };
-    let mut merged = first.snapshot();
-    for recorder in iter {
-        merged.merge_aggregates(&recorder.snapshot());
-    }
-    merged
-}
-
 /// Empty per-algorithm reports, with every entry's recorder reset so the
 /// run ahead is the only thing its snapshot will contain.
 fn fresh_reports(suite: &[SuiteEntry]) -> Vec<AlgoReport> {
     suite
         .iter()
         .map(|e| {
-            reset_recorders(std::slice::from_ref(&e.recorder));
+            e.recorder.reset();
             AlgoReport {
                 name: e.name.clone(),
                 stats: LookupStats::new(),
@@ -141,7 +109,7 @@ fn fresh_reports(suite: &[SuiteEntry]) -> Vec<AlgoReport> {
 /// source of truth for distributions.
 fn seal_reports(suite: &[SuiteEntry], reports: &mut [AlgoReport]) {
     for (entry, report) in suite.iter().zip(reports.iter_mut()) {
-        report.snapshot = merged_snapshot(std::slice::from_ref(&entry.recorder));
+        report.snapshot = entry.recorder.snapshot();
         report.histogram = report.snapshot.histogram(HistogramId::Examined).clone();
     }
 }

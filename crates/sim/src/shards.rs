@@ -12,8 +12,7 @@
 //! steering and per-shard state must be invisible to applications, so
 //! running the same seed at K=1 and K=4 must yield identical
 //! per-connection byte streams on both sides (pinned by
-//! `tests/shard_properties.rs`). It also feeds the `mt_stack` bench a
-//! deterministic single-threaded baseline.
+//! `tests/shard_properties.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;

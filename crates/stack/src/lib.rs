@@ -66,7 +66,7 @@
 //! let server_addr = Ipv4Addr::new(10, 0, 0, 1);
 //! let client_addr = Ipv4Addr::new(10, 0, 0, 2);
 //! // One construction path: the config carries the demux factory (the
-//! // paper's sequent(19) by default), recorder, and shard id.
+//! // paper's sequent(19) by default) and the shard id.
 //! let mut server = Stack::with_config(StackConfig::new(server_addr));
 //! let mut client = Stack::with_config(StackConfig::new(client_addr));
 //! server.listen(1521).unwrap();
@@ -107,9 +107,9 @@ pub use stats::{StackStats, StatsSnapshot};
 // What `Stack::congestion` returns, re-exported so applications need no
 // direct tcpdemux-pcb dependency.
 pub use tcpdemux_pcb::{CcAction, CongestionState};
-// The telemetry types a Stack user touches through `Stack::stats()` and
-// `Stack::recorder()`, re-exported for convenience.
+// The telemetry types a Stack user touches through `Stack::stats()`,
+// re-exported for convenience.
 pub use tcpdemux_core::spsc::RingStats;
-pub use tcpdemux_telemetry::{CloseCause, CounterId, Event, HistogramId, Recorder, Snapshot};
+pub use tcpdemux_telemetry::{CloseCause, CounterId, Event, HistogramId, Snapshot};
 pub use timer::{TimerId, TimerWheel};
 pub use txpool::{TxPool, TxPoolStats};

@@ -2,7 +2,7 @@
 //!
 //! A [`ShardedStack`] owns K independent [`Stack`] shards — each with its
 //! own PCB arena, demultiplexer, timer wheel, transmit pool, and
-//! telemetry [`Recorder`] — and steers every ingress frame to the shard
+//! telemetry store — and steers every ingress frame to the shard
 //! owning its flow with the symmetric connection-key hash
 //! ([`tcpdemux_hash::symmetric_hash`]). Because the hash is symmetric,
 //! the SYN a listener sees and the SYN-ACK that answers it land on the
@@ -59,7 +59,6 @@ use std::net::Ipv4Addr;
 use std::sync::Mutex;
 use tcpdemux_core::spsc::{spsc_ring, RingStats, SpscConsumer, SpscProducer};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
-use tcpdemux_telemetry::Recorder;
 
 /// One shard: its stack and the two halves of its ingress ring, each
 /// behind its own lock so ingress and drain never contend with each
@@ -68,7 +67,6 @@ struct ShardSlot {
     stack: Mutex<Stack>,
     producer: Mutex<SpscProducer<Vec<u8>>>,
     consumer: Mutex<DrainSide>,
-    recorder: Recorder,
 }
 
 /// The consuming half of a shard's ring and the scratch
@@ -102,20 +100,16 @@ impl ShardedStack {
     /// path as a single [`Stack::with_config`], plus the shard count.
     ///
     /// Each shard gets its own demultiplexer (from the config's factory)
-    /// and its *own fresh* [`Recorder`] (per-shard telemetry is the
-    /// point; a recorder set on `config` applies only to single-stack
-    /// construction and is ignored here — fetch per-shard handles via
-    /// [`recorder`](Self::recorder)).
+    /// and owns its telemetry like the rest of its state: read one
+    /// shard's through [`with_shard`](Self::with_shard) and
+    /// [`Stack::stats`], or all of them merged through
+    /// [`stats`](Self::stats).
     pub fn with_config(config: StackConfig, shards: usize) -> Self {
         assert!(shards > 0, "shard count must be nonzero");
         let table = SteerTable::new(shards, config.ephemeral_base);
         let slots = (0..shards)
             .map(|k| {
-                let recorder = Recorder::new();
-                let shard_config = config
-                    .clone()
-                    .with_shard(ShardId::new(k))
-                    .with_recorder(recorder.clone());
+                let shard_config = config.clone().with_shard(ShardId::new(k));
                 let (producer, consumer) = spsc_ring(config.ring_capacity);
                 ShardSlot {
                     stack: Mutex::new(Stack::with_config(shard_config)),
@@ -124,7 +118,6 @@ impl ShardedStack {
                         ring: consumer,
                         batch: Vec::new(),
                     }),
-                    recorder,
                 }
             })
             .collect();
@@ -392,17 +385,6 @@ impl ShardedStack {
                     .connection_count()
             })
             .sum()
-    }
-
-    /// One shard's telemetry recorder handle.
-    pub fn recorder(&self, shard: ShardId) -> Recorder {
-        self.slots[shard.index()].recorder.clone()
-    }
-
-    /// Per-shard recorder handles, in shard order (for sealing per-shard
-    /// telemetry into reports).
-    pub fn recorders(&self) -> Vec<Recorder> {
-        self.slots.iter().map(|s| s.recorder.clone()).collect()
     }
 
     /// Per-shard ingress-ring counters, in shard order.

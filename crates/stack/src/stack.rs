@@ -15,7 +15,7 @@ use tcpdemux_pcb::{
     Arena, CcAction, CongestionState, ConnectionKey, ListenKey, Pcb, PcbId, RttEstimator,
     SendBuffer, SeqNum, TcpEvent, TcpState,
 };
-use tcpdemux_telemetry::{CloseCause, Event, HistogramId, Recorder};
+use tcpdemux_telemetry::{CloseCause, Event, HistogramId, Telemetry};
 use tcpdemux_wire::{
     build_tcp_frame_into, build_udp_frame_into, IpProtocol, Ipv4Packet, Ipv4Repr, TcpFlags,
     TcpRepr, TcpSegment, UdpDatagram, UdpRepr, WireError,
@@ -434,9 +434,8 @@ impl TxScratch {
 /// Stack construction parameters — the *one* construction path for both
 /// a single [`Stack`] ([`Stack::with_config`]) and a K-shard
 /// [`ShardedStack`](crate::ShardedStack). Carries everything a stack
-/// needs, including its demultiplexer factory, its telemetry
-/// [`Recorder`], and the typed [`ShardId`] it reports in introspection
-/// rows.
+/// needs, including its demultiplexer factory and the typed [`ShardId`]
+/// it reports in introspection rows.
 #[derive(Clone)]
 pub struct StackConfig {
     /// This host's IPv4 address.
@@ -465,8 +464,6 @@ pub struct StackConfig {
     /// Capacity of each shard's ingress SPSC ring (frames); unused by a
     /// standalone [`Stack`], which has no ingress queue.
     pub ring_capacity: usize,
-    /// Telemetry destination; `None` means a private recorder.
-    recorder: Option<Recorder>,
     /// Builds the demultiplexer (one per shard).
     demux: DemuxFactory,
 }
@@ -482,15 +479,14 @@ impl core::fmt::Debug for StackConfig {
             .field("time_wait_ticks", &self.time_wait_ticks)
             .field("shard", &self.shard)
             .field("ring_capacity", &self.ring_capacity)
-            .field("recorder", &self.recorder.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl StackConfig {
     /// Defaults appropriate for tests and simulation: the paper's default
-    /// hashed demultiplexer (`sequent(19)` over [`Multiplicative`]), a
-    /// private recorder, shard 0.
+    /// hashed demultiplexer (`sequent(19)` over [`Multiplicative`]),
+    /// shard 0.
     pub fn new(local_addr: Ipv4Addr) -> Self {
         Self {
             local_addr,
@@ -501,7 +497,6 @@ impl StackConfig {
             time_wait_ticks: None,
             shard: ShardId::default(),
             ring_capacity: 1024,
-            recorder: None,
             demux: Arc::new(|| Box::new(SequentDemux::new(Multiplicative, 19))),
         }
     }
@@ -513,13 +508,6 @@ impl StackConfig {
         factory: impl Fn() -> Box<dyn Demux> + Send + Sync + 'static,
     ) -> Self {
         self.demux = Arc::new(factory);
-        self
-    }
-
-    /// Send telemetry to `recorder` (e.g. one shared with a bench harness
-    /// or suite entry) instead of a private one.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -539,11 +527,6 @@ impl StackConfig {
     /// Build one demultiplexer instance from the configured factory.
     pub(crate) fn build_demux(&self) -> Box<dyn Demux> {
         (self.demux)()
-    }
-
-    /// The configured recorder, if any.
-    pub(crate) fn recorder(&self) -> Option<Recorder> {
-        self.recorder.clone()
     }
 
     /// Abort a connection after `max_retries` retransmissions of the same
@@ -767,8 +750,9 @@ pub struct Stack {
     neighbors: crate::neighbor::NeighborCache,
     now_ticks: u64,
     /// Structured telemetry: every demux lookup, connection lifecycle
-    /// change, and retransmission records here.
-    recorder: Recorder,
+    /// change, and retransmission records here. Owned like everything
+    /// else a shard has; read through [`Stack::stats`].
+    telemetry: Telemetry,
 }
 
 /// What is left to do to the connection table once a segment's handler
@@ -795,7 +779,7 @@ struct Cx<'a> {
     timers: &'a mut TimerWheel<TimerEvent>,
     idle_halves: &'a mut IdleHalves,
     tx_pending: &'a mut VecDeque<PcbId>,
-    recorder: &'a Recorder,
+    telemetry: &'a mut Telemetry,
     now_ticks: u64,
 }
 
@@ -834,12 +818,9 @@ fn release_half(
 
 impl Stack {
     /// Create a stack from its config — the single construction path.
-    /// The demultiplexer comes from [`StackConfig::with_demux`]'s factory
-    /// and telemetry goes to [`StackConfig::with_recorder`]'s recorder
-    /// (or a private one).
+    /// The demultiplexer comes from [`StackConfig::with_demux`]'s factory.
     pub fn with_config(config: StackConfig) -> Self {
         let demux = config.build_demux();
-        let recorder = config.recorder().unwrap_or_default();
         Self {
             next_ephemeral: config.ephemeral_base,
             config,
@@ -856,7 +837,7 @@ impl Stack {
             tx_pending: VecDeque::new(),
             neighbors: crate::neighbor::NeighborCache::with_defaults(),
             now_ticks: 0,
-            recorder,
+            telemetry: Telemetry::new(),
         }
     }
 
@@ -873,7 +854,7 @@ impl Stack {
             timers: &mut self.timers,
             idle_halves: &mut self.idle_halves,
             tx_pending: &mut self.tx_pending,
-            recorder: &self.recorder,
+            telemetry: &mut self.telemetry,
             now_ticks: self.now_ticks,
         })
     }
@@ -881,13 +862,6 @@ impl Stack {
     /// The shard this stack was configured as (shard 0 standalone).
     pub fn shard_id(&self) -> ShardId {
         self.config.shard
-    }
-
-    /// A handle to the stack's telemetry recorder. Clones share the
-    /// underlying store, so callers can snapshot, reset, or record
-    /// alongside the stack.
-    pub fn recorder(&self) -> Recorder {
-        self.recorder.clone()
     }
 
     /// Advance the stack's clock to `tick`: fire TIME-WAIT expirations,
@@ -938,7 +912,7 @@ impl Stack {
                     if owed {
                         let frame = cx.make_ack();
                         cx.note_ack_emitted();
-                        cx.recorder.event(Event::DelayedAck);
+                        cx.telemetry.event(Event::DelayedAck);
                         advance.acks.push(frame);
                         advance.acks_sent += 1;
                     }
@@ -1147,7 +1121,7 @@ impl Stack {
             stack: self.stats,
             demux: *self.demux.stats(),
             tx_pool: self.tx_pool.stats(),
-            telemetry: self.recorder.snapshot(),
+            telemetry: self.telemetry.snapshot(),
         }
     }
 
@@ -1264,7 +1238,7 @@ impl Stack {
         let key = pcb.key();
         let id = self.conns.insert(Conn::new(pcb));
         self.demux.insert(key, id);
-        self.recorder.event(Event::ConnOpen);
+        self.telemetry.event(Event::ConnOpen);
         id
     }
 
@@ -1527,7 +1501,7 @@ impl Stack {
             self.timers.cancel(timer);
         }
         self.demux.remove(&conn.pcb.key());
-        self.recorder.event(Event::ConnClose { cause });
+        self.telemetry.event(Event::ConnClose { cause });
         if keep_socket {
             self.orphans.insert(pcb, conn.socket);
         }
@@ -1671,7 +1645,7 @@ impl Stack {
         let key = ConnectionKey::from_incoming_udp(ip, &udp);
         let lookup = self.demux.lookup(&key, PacketKind::Data);
         self.stats.pcbs_examined += u64::from(lookup.examined);
-        self.recorder
+        self.telemetry
             .demux_lookup(lookup.examined, lookup.pcb.is_some(), lookup.cache_hit);
         let unanswered = |outcome| RxResult {
             pcbs_examined: lookup.examined,
@@ -1736,7 +1710,7 @@ impl Stack {
         };
         let lookup = self.demux.lookup(&key, kind);
         self.stats.pcbs_examined += u64::from(lookup.examined);
-        self.recorder
+        self.telemetry
             .demux_lookup(lookup.examined, lookup.pcb.is_some(), lookup.cache_hit);
         let unanswered = |outcome| RxResult {
             pcbs_examined: lookup.examined,
@@ -1951,7 +1925,7 @@ impl Cx<'_> {
                 if rwnd <= inflight {
                     // The peer's window, not cwnd, is the bottleneck; an
                     // incoming ACK will reopen it, no probe needed.
-                    self.recorder.event(Event::RwndStall);
+                    self.telemetry.event(Event::RwndStall);
                 }
                 break true;
             };
@@ -1979,8 +1953,8 @@ impl Cx<'_> {
             self.track_segment(seq, seq + take as u32, repr.flags, None, probe);
             sent += take;
             if probe {
-                self.recorder.event(Event::RwndStall);
-                self.recorder.event(Event::ZeroWindowProbe);
+                self.telemetry.event(Event::RwndStall);
+                self.telemetry.event(Event::ZeroWindowProbe);
                 break unsent_after > 0;
             }
         };
@@ -2111,7 +2085,7 @@ impl Cx<'_> {
             // bytes that were delivered before the silence.
             let _ = p.on_event(TcpEvent::Timeout);
             self.stats.timeout_aborts += 1;
-            self.recorder.event(Event::Timeout);
+            self.telemetry.event(Event::Timeout);
             self.conn.socket.set_error(SocketError::TimedOut);
             return true;
         }
@@ -2125,16 +2099,17 @@ impl Cx<'_> {
         advance.retransmits.extend(self.rebuild_head());
         if head_is_probe {
             advance.zero_window_probes += 1;
-            self.recorder.event(Event::ZeroWindowProbe);
+            self.telemetry.event(Event::ZeroWindowProbe);
         } else {
             self.stats.retransmits += 1;
-            self.recorder.event(Event::Retransmit { attempt: attempts });
+            self.telemetry
+                .event(Event::Retransmit { attempt: attempts });
         }
         self.observe_cwnd();
         self.arm_retx_timer();
         // The re-armed timer reflects the doubled backoff: record it.
         if !head_is_probe {
-            self.recorder.event(Event::RtoBackoff {
+            self.telemetry.event(Event::RtoBackoff {
                 attempts,
                 rto_ticks: self.rto_ticks(),
             });
@@ -2151,10 +2126,10 @@ impl Cx<'_> {
     fn retransmit_head(&mut self, fast: bool, dup_acks: u32) -> Option<Vec<u8>> {
         let frame = self.rebuild_head()?;
         if fast {
-            self.recorder.event(Event::FastRetransmit { dup_acks });
+            self.telemetry.event(Event::FastRetransmit { dup_acks });
         } else {
             self.stats.retransmits += 1;
-            self.recorder.event(Event::Retransmit { attempt: 0 });
+            self.telemetry.event(Event::Retransmit { attempt: 0 });
         }
         self.arm_retx_timer();
         Some(frame)
@@ -2199,9 +2174,9 @@ impl Cx<'_> {
     /// histogram (the A9 sawtooth evidence).
     ///
     /// [`CwndBytes`]: HistogramId::CwndBytes
-    fn observe_cwnd(&self) {
+    fn observe_cwnd(&mut self) {
         let cwnd = u32::try_from(self.conn.pcb.cong.cwnd).unwrap_or(u32::MAX);
-        self.recorder.observe(HistogramId::CwndBytes, cwnd);
+        self.telemetry.observe(HistogramId::CwndBytes, cwnd);
     }
 
     fn make_ack(&mut self) -> Vec<u8> {
@@ -2247,7 +2222,7 @@ impl Cx<'_> {
         if state.pending >= self.config.window.ack_every.max(1) {
             let frame = self.make_ack();
             self.note_ack_emitted();
-            self.recorder.event(Event::DelayedAck);
+            self.telemetry.event(Event::DelayedAck);
             return Some(frame);
         }
         if state.timer.is_none() {

@@ -7,31 +7,34 @@
 //! has `S` slots, and a timer due at tick `t` lives in slot `t mod S`
 //! carrying its absolute due tick (so timers farther than one rotation
 //! simply stay in their slot until their rotation comes around).
+//!
+//! All timers are nodes of one slab and a slot is a doubly linked list
+//! threaded through it, so capacity is shared: the slab grows only when
+//! more timers are outstanding at once than ever before, not whenever
+//! one tick arms more than its own slot has held.
 
-use core::fmt;
+/// "No node": ends a slot's list and the free list. Never a slab index
+/// (`schedule` asserts it), so looking it up finds nothing.
+const NIL: u32 = u32::MAX;
 
-/// Handle to a scheduled timer, usable to cancel it.
-///
-/// The handle carries the timer's absolute due tick, which pins down the
-/// one slot the entry can live in — `cancel` therefore scans a single
-/// slot instead of the whole wheel.
+/// Handle to a scheduled timer, usable to cancel it: the index of the
+/// timer's slab node, and the never-reused id that tells a node since
+/// recycled for another timer from the handle's own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId {
     id: u64,
-    due_tick: u64,
+    node: u32,
 }
 
-impl fmt::Display for TimerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "timer#{}", self.id)
-    }
-}
-
+/// A scheduled timer while `payload` is `Some`, linked into its slot's
+/// list; otherwise on the free list, linked by `next` alone.
 #[derive(Debug)]
-struct Entry<T> {
+struct Node<T> {
     id: u64,
     due_tick: u64,
-    payload: T,
+    prev: u32,
+    next: u32,
+    payload: Option<T>,
 }
 
 /// A hashed timing wheel over payloads `T`.
@@ -41,7 +44,12 @@ struct Entry<T> {
 /// values.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    slots: Vec<Vec<Entry<T>>>,
+    nodes: Vec<Node<T>>,
+    /// Each slot's first node, and the first free one.
+    heads: Vec<u32>,
+    free: u32,
+    /// Scratch for `advance_to`, kept for its capacity.
+    expiring: Vec<u32>,
     current_tick: u64,
     next_id: u64,
     live: usize,
@@ -53,7 +61,10 @@ impl<T> TimerWheel<T> {
     pub fn new(slots: usize) -> Self {
         assert!(slots > 0, "wheel needs at least one slot");
         Self {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            heads: vec![NIL; slots],
+            free: NIL,
+            expiring: Vec::new(),
             current_tick: 0,
             next_id: 0,
             live: 0,
@@ -75,6 +86,10 @@ impl<T> TimerWheel<T> {
         self.live == 0
     }
 
+    fn slot_of(&self, due_tick: u64) -> usize {
+        (due_tick % self.heads.len() as u64) as usize
+    }
+
     /// Schedule `payload` to expire `after` ticks from now. Time must
     /// actually pass before a timer fires: an `after` of 0 (or 1) expires
     /// on the next `advance_to` past the current tick, never on an
@@ -83,71 +98,96 @@ impl<T> TimerWheel<T> {
         let due_tick = self.current_tick + after.max(1);
         let id = self.next_id;
         self.next_id += 1;
-        let slot = (due_tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push(Entry {
+        let slot = self.slot_of(due_tick);
+        let next = self.heads[slot];
+        let timer = Node {
             id,
             due_tick,
-            payload,
-        });
+            prev: NIL,
+            next,
+            payload: Some(payload),
+        };
+        let mut node = self.free;
+        match self.nodes.get_mut(node as usize) {
+            Some(free) => self.free = std::mem::replace(free, timer).next,
+            None => {
+                assert!(self.nodes.len() < NIL as usize, "fewer than 2^32 timers");
+                node = self.nodes.len() as u32;
+                self.nodes.push(timer);
+            }
+        }
+        self.heads[slot] = node;
+        if let Some(old_head) = self.nodes.get_mut(next as usize) {
+            old_head.prev = node;
+        }
         self.live += 1;
-        TimerId { id, due_tick }
+        TimerId { id, node }
+    }
+
+    /// Unlink a scheduled node and free it, returning its payload.
+    fn release(&mut self, idx: u32) -> T {
+        let node = &mut self.nodes[idx as usize];
+        let payload = node.payload.take().expect("a scheduled node");
+        let (prev, next, due_tick) = (node.prev, node.next, node.due_tick);
+        node.next = std::mem::replace(&mut self.free, idx);
+        match self.nodes.get_mut(prev as usize) {
+            Some(before) => before.next = next,
+            None => {
+                let slot = self.slot_of(due_tick);
+                self.heads[slot] = next;
+            }
+        }
+        if let Some(after) = self.nodes.get_mut(next as usize) {
+            after.prev = prev;
+        }
+        self.live -= 1;
+        payload
     }
 
     /// Cancel a timer; returns its payload if it had not yet expired.
-    ///
-    /// Cost is O(length of the one slot the timer hashes to), not
-    /// O(total timers): the handle's due tick names the slot directly.
+    /// O(1): the handle names the node, and the node's id says whether
+    /// it is still that timer's.
     pub fn cancel(&mut self, id: TimerId) -> Option<T> {
-        let slot_idx = (id.due_tick % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[slot_idx];
-        if let Some(pos) = slot.iter().position(|e| e.id == id.id) {
-            self.live -= 1;
-            return Some(slot.swap_remove(pos).payload);
-        }
-        None
+        let node = self.nodes.get(id.node as usize)?;
+        (node.id == id.id && node.payload.is_some()).then(|| self.release(id.node))
     }
 
     /// The earliest due tick among scheduled timers, if any. Lets a
     /// discrete-event driver jump the clock straight to the next
     /// deadline instead of ticking through idle time.
     pub fn next_due_tick(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .flat_map(|slot| slot.iter().map(|e| e.due_tick))
-            .min()
+        let scheduled = self.nodes.iter().filter(|n| n.payload.is_some());
+        scheduled.map(|n| n.due_tick).min()
     }
 
     /// Advance the wheel to `tick`, collecting every expired payload in
     /// due order. `tick` must be ≥ the current tick.
     pub fn advance_to(&mut self, tick: u64) -> Vec<T> {
-        assert!(
-            tick >= self.current_tick,
-            "time went backwards: {} < {}",
-            tick,
-            self.current_tick
-        );
-        let slots = self.slots.len() as u64;
-        let mut expired: Vec<(u64, u64, T)> = Vec::new();
+        let now = self.current_tick;
+        assert!(tick >= now, "time went backwards: {tick} < {now}");
+        let mut expiring = std::mem::take(&mut self.expiring);
         // Visit each slot at most once even if the jump spans rotations.
-        let span = (tick - self.current_tick + 1).min(slots);
+        let span = (tick - now + 1).min(self.heads.len() as u64);
         for offset in 0..span {
-            let slot_idx = ((self.current_tick + offset) % slots) as usize;
-            let slot = &mut self.slots[slot_idx];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].due_tick <= tick {
-                    let entry = slot.swap_remove(i);
-                    expired.push((entry.due_tick, entry.id, entry.payload));
-                } else {
-                    i += 1;
+            let mut idx = self.heads[self.slot_of(now + offset)];
+            while let Some(node) = self.nodes.get(idx as usize) {
+                if node.due_tick <= tick {
+                    expiring.push(idx);
                 }
+                idx = node.next;
             }
         }
         self.current_tick = tick;
-        self.live -= expired.len();
         // Due order, then schedule order for ties.
-        expired.sort_by_key(|&(due, id, _)| (due, id));
-        expired.into_iter().map(|(_, _, payload)| payload).collect()
+        expiring.sort_unstable_by_key(|&idx| {
+            let node = &self.nodes[idx as usize];
+            (node.due_tick, node.id)
+        });
+        // The one allocation, made only when something expired.
+        let mut expired = Vec::with_capacity(expiring.len());
+        expired.extend(expiring.drain(..).map(|idx| self.release(idx)));
+        self.expiring = expiring;
+        expired
     }
 }
 
@@ -206,6 +246,25 @@ mod tests {
         let id = wheel.schedule(1, ());
         wheel.advance_to(1);
         assert_eq!(wheel.cancel(id), None);
+    }
+
+    #[test]
+    fn stale_handle_to_a_reused_node_cancels_nothing() {
+        let mut wheel = TimerWheel::new(8);
+        let stale = wheel.schedule(4, "first");
+        assert_eq!(wheel.cancel(stale), Some("first"));
+        // The freed node is the next one handed out.
+        let reused = wheel.schedule(6, "second");
+        assert_eq!(reused.node, stale.node);
+        assert_eq!(wheel.cancel(stale), None, "not this handle's timer");
+        assert_eq!(wheel.len(), 1);
+        // Same after the first tenant expired rather than was cancelled.
+        assert_eq!(wheel.advance_to(6), vec!["second"]);
+        let third = wheel.schedule(3, "third");
+        assert_eq!(third.node, reused.node);
+        assert_eq!(wheel.cancel(reused), None);
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.advance_to(9), vec!["third"]);
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! * [`Event`] + a bounded ring buffer — the most recent N structured
 //!   events (demux hit/miss with examined counts, connection lifecycle,
 //!   retransmission and RTO backoff);
-//! * [`Recorder`] — the cheap, cloneable handle the hot paths record
-//!   through. Recording never allocates: counters and histograms are
+//! * [`Telemetry`] — the store itself, recorded into through
+//!   `&mut self`: what a single-threaded owner (a stack shard) holds by
+//!   value. Recording never allocates: counters and histograms are
 //!   fixed arrays, the event ring is pre-allocated and overwrites its
 //!   oldest entry when full.
+//! * [`Recorder`] — a cloneable `&self` handle to one shared store
+//!   behind a mutex, for the callers that really share one (a demux
+//!   suite entry and the table it wraps, a bench harness). Its methods
+//!   forward to [`Telemetry`]'s, so the event → counter mapping exists
+//!   once.
 //! * [`Snapshot`] — an owned, `Clone`-able copy of everything above,
 //!   with deterministic text and JSON-lines exporters (integer-only
 //!   fields, fixed ordering) so same-seed runs export byte-identical
@@ -52,5 +58,5 @@ mod snapshot;
 pub use counter::{CounterId, Counters};
 pub use event::{CloseCause, Event, EventRing, SeqEvent};
 pub use histogram::Histogram;
-pub use recorder::{HistogramId, Recorder, DEFAULT_RING_CAPACITY};
+pub use recorder::{HistogramId, Recorder, Telemetry, DEFAULT_RING_CAPACITY};
 pub use snapshot::Snapshot;

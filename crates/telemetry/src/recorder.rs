@@ -1,4 +1,4 @@
-//! The [`Recorder`] handle that hot paths record through.
+//! The [`Telemetry`] store and the shared [`Recorder`] handle to one.
 
 use std::sync::{Arc, Mutex};
 
@@ -59,28 +59,56 @@ impl core::fmt::Display for HistogramId {
     }
 }
 
-/// Everything one recorder accumulates: fixed counter and histogram
-/// arrays plus the pre-allocated event ring.
+/// Event-ring capacity of a [`Telemetry`] store.
+pub const DEFAULT_RING_CAPACITY: usize = 256;
+
+/// The telemetry store: fixed counter and histogram arrays plus the
+/// pre-allocated event ring, recorded into through `&mut self`.
+///
+/// This is what a single-threaded owner — a `tcpdemux-stack` `Stack`,
+/// standalone or one shard of K — holds by value: recording is plain
+/// stores into fixed arrays, with no lock and no allocation. Code that
+/// has to share one store between several writers wraps it in a
+/// [`Recorder`], whose methods forward to these.
 #[derive(Debug)]
-struct Telemetry {
+pub struct Telemetry {
     counters: Counters,
     histograms: [Histogram; HistogramId::ALL.len()],
     ring: EventRing,
 }
 
+impl Default for Telemetry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Telemetry {
-    fn new(ring_capacity: usize) -> Self {
+    /// An empty store whose event ring holds the most recent
+    /// [`DEFAULT_RING_CAPACITY`] events.
+    pub fn new() -> Self {
         Self {
             counters: Counters::new(),
             histograms: std::array::from_fn(|_| Histogram::new()),
-            ring: EventRing::with_capacity(ring_capacity),
+            ring: EventRing::with_capacity(DEFAULT_RING_CAPACITY),
         }
     }
 
-    /// Record an event and bump its correlated counters/histograms.
-    /// Every event kind maps to exactly one counter family, so the
-    /// counters, histograms and trace can never drift apart.
-    fn event(&mut self, event: Event) {
+    /// Add `delta` to a counter.
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        self.counters.add(id, delta);
+    }
+
+    /// Record one sample into a histogram.
+    pub fn observe(&mut self, id: HistogramId, value: u32) {
+        self.histograms[id as usize].record(value);
+    }
+
+    /// Record a structured event and bump its correlated counters and
+    /// histograms. Every event kind maps to exactly one counter family,
+    /// here and nowhere else, so the counters, histograms and trace can
+    /// never drift apart.
+    pub fn event(&mut self, event: Event) {
         match event {
             Event::DemuxHit {
                 examined,
@@ -123,79 +151,12 @@ impl Telemetry {
         }
         self.ring.push(event);
     }
-}
-
-/// Default event-ring capacity for [`Recorder::new`].
-pub const DEFAULT_RING_CAPACITY: usize = 256;
-
-/// The cloneable recording handle.
-///
-/// Clones share one underlying store, so a [`Recorder`] can be handed to
-/// a demux suite entry, a stack, and a bench harness at the same time and
-/// all three record into the same snapshot. Recording takes an
-/// uncontended mutex and touches fixed arrays — it never allocates in
-/// steady state (a test under `tests/` pins this with a counting
-/// allocator).
-#[derive(Debug, Clone)]
-pub struct Recorder {
-    inner: Arc<Mutex<Telemetry>>,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Recorder {
-    /// A fresh recorder with the default event-ring capacity
-    /// ([`DEFAULT_RING_CAPACITY`]).
-    pub fn new() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// A fresh recorder whose event ring holds at most `capacity`
-    /// events (0 disables the trace; counters and histograms still
-    /// record).
-    pub fn with_ring_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(Telemetry::new(capacity))),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Telemetry> {
-        // Recording never panics while holding the lock, so poisoning
-        // cannot arise from this crate; recover rather than propagate.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Add `delta` to a counter.
-    pub fn add(&self, id: CounterId, delta: u64) {
-        self.lock().counters.add(id, delta);
-    }
-
-    /// Increment a counter by one.
-    pub fn incr(&self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Record one sample into a histogram.
-    pub fn observe(&self, id: HistogramId, value: u32) {
-        self.lock().histograms[id as usize].record(value);
-    }
-
-    /// Record a structured event. The matching counters (and, for demux
-    /// and RTO events, histograms) update in the same call, so the trace
-    /// and the aggregates can never disagree.
-    pub fn event(&self, event: Event) {
-        self.lock().event(event);
-    }
 
     /// Record the outcome of one demultiplexer lookup: `examined` PCBs
     /// touched, whether a PCB was `found`, and whether a one-entry
     /// `cache_hit` answered it. Shorthand for the matching
     /// [`Event::DemuxHit`]/[`Event::DemuxMiss`].
-    pub fn demux_lookup(&self, examined: u32, found: bool, cache_hit: bool) {
+    pub fn demux_lookup(&mut self, examined: u32, found: bool, cache_hit: bool) {
         self.event(if found {
             Event::DemuxHit {
                 examined,
@@ -209,38 +170,101 @@ impl Recorder {
     /// Record one cuckoo insert: `kicks` entries displaced to their
     /// alternate bucket on the way to a vacancy (sampled into the
     /// `cuckoo_insert_kicks` histogram), and whether the bounded search
-    /// failed outright (`eviction_loop`, forcing a grow-and-rehash). One
-    /// lock acquisition for all three updates.
-    pub fn cuckoo_insert(&self, kicks: u32, eviction_loop: bool) {
-        let mut t = self.lock();
-        t.counters.add(CounterId::CuckooKicks, u64::from(kicks));
+    /// failed outright (`eviction_loop`, forcing a grow-and-rehash).
+    pub fn cuckoo_insert(&mut self, kicks: u32, eviction_loop: bool) {
+        self.counters.add(CounterId::CuckooKicks, u64::from(kicks));
         if eviction_loop {
-            t.counters.incr(CounterId::CuckooEvictionLoops);
+            self.counters.incr(CounterId::CuckooEvictionLoops);
         }
-        t.histograms[HistogramId::CuckooInsertKicks as usize].record(kicks);
+        self.histograms[HistogramId::CuckooInsertKicks as usize].record(kicks);
     }
 
     /// An owned, independent copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
-        let t = self.lock();
         Snapshot::assemble(
-            t.counters,
-            t.histograms.clone(),
-            t.ring.to_vec(),
-            t.ring.recorded(),
-            t.ring.dropped(),
+            self.counters,
+            self.histograms.clone(),
+            self.ring.to_vec(),
+            self.ring.recorded(),
+            self.ring.dropped(),
         )
     }
 
     /// Zero every counter and histogram and empty the event ring
     /// (allocations are kept). Used between warm-up and measured runs.
-    pub fn reset(&self) {
-        let mut t = self.lock();
-        t.counters.reset();
-        for h in &mut t.histograms {
+    pub fn reset(&mut self) {
+        self.counters.reset();
+        for h in &mut self.histograms {
             *h = Histogram::new();
         }
-        t.ring.reset();
+        self.ring.reset();
+    }
+}
+
+/// The cloneable `&self` handle to a shared [`Telemetry`] store.
+///
+/// Clones share one underlying store, so a [`Recorder`] can be handed to
+/// a demux suite entry, the table it wraps and a bench harness at the
+/// same time and all three record into the same snapshot. Every method
+/// takes an uncontended mutex and forwards to the store's method of the
+/// same name — it never allocates in steady state (a test under `tests/`
+/// pins this with a counting allocator).
+#[derive(Debug, Clone, Default)]
+pub struct Recorder {
+    inner: Arc<Mutex<Telemetry>>,
+}
+
+impl Recorder {
+    /// A handle to a fresh, empty store ([`Telemetry::new`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Telemetry> {
+        // Recording never panics while holding the lock, so poisoning
+        // cannot arise from this crate; recover rather than propagate.
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// [`Telemetry::add`] on the shared store.
+    pub fn add(&self, id: CounterId, delta: u64) {
+        self.lock().add(id, delta);
+    }
+
+    /// Increment a counter by one.
+    pub fn incr(&self, id: CounterId) {
+        self.add(id, 1);
+    }
+
+    /// [`Telemetry::observe`] on the shared store.
+    pub fn observe(&self, id: HistogramId, value: u32) {
+        self.lock().observe(id, value);
+    }
+
+    /// [`Telemetry::event`] on the shared store.
+    pub fn event(&self, event: Event) {
+        self.lock().event(event);
+    }
+
+    /// [`Telemetry::demux_lookup`] on the shared store.
+    pub fn demux_lookup(&self, examined: u32, found: bool, cache_hit: bool) {
+        self.lock().demux_lookup(examined, found, cache_hit);
+    }
+
+    /// [`Telemetry::cuckoo_insert`] on the shared store: one lock
+    /// acquisition for all three updates.
+    pub fn cuckoo_insert(&self, kicks: u32, eviction_loop: bool) {
+        self.lock().cuckoo_insert(kicks, eviction_loop);
+    }
+
+    /// [`Telemetry::snapshot`] of the shared store.
+    pub fn snapshot(&self) -> Snapshot {
+        self.lock().snapshot()
+    }
+
+    /// [`Telemetry::reset`] on the shared store.
+    pub fn reset(&self) {
+        self.lock().reset();
     }
 }
 
@@ -328,6 +352,50 @@ mod tests {
         let h = snap.histogram(HistogramId::CuckooInsertKicks);
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), 3);
+    }
+
+    #[test]
+    fn owned_store_and_shared_handle_export_the_same_bytes() {
+        let mut owned = Telemetry::new();
+        let shared = Recorder::new();
+        for i in 0..300u32 {
+            // More events than the ring holds, so the trace wraps too.
+            owned.demux_lookup(i % 41, i % 7 != 0, i % 3 == 0);
+            shared.demux_lookup(i % 41, i % 7 != 0, i % 3 == 0);
+        }
+        for event in [
+            Event::ConnOpen,
+            Event::Retransmit { attempt: 2 },
+            Event::RtoBackoff {
+                attempts: 2,
+                rto_ticks: 400,
+            },
+            Event::FastRetransmit { dup_acks: 3 },
+            Event::DelayedAck,
+            Event::ZeroWindowProbe,
+            Event::RwndStall,
+            Event::Timeout,
+            Event::ConnClose {
+                cause: CloseCause::Timeout,
+            },
+        ] {
+            owned.event(event);
+            shared.event(event);
+        }
+        owned.observe(HistogramId::CwndBytes, 8760);
+        shared.observe(HistogramId::CwndBytes, 8760);
+        owned.add(CounterId::FrontRejects, 5);
+        shared.add(CounterId::FrontRejects, 5);
+        owned.cuckoo_insert(4, true);
+        shared.cuckoo_insert(4, true);
+        assert_eq!(
+            owned.snapshot().to_json_lines(),
+            shared.snapshot().to_json_lines()
+        );
+        owned.reset();
+        shared.reset();
+        assert_eq!(owned.snapshot(), shared.snapshot());
+        assert_eq!(owned.snapshot(), Snapshot::empty());
     }
 
     #[test]

@@ -34,8 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # Per-bench required measurement labels, beyond the generic schema: these
 # are the cells downstream analysis (EXPERIMENTS.md) reads by name, so a
 # run that silently skips one must fail even if the snapshot is
-# regenerated to match. Conditional cells (e.g. mt_stack's
-# connect/local vs connect/cross split) are deliberately not listed.
+# regenerated to match.
 REQUIRED_LABELS = {
     "BENCH_mt_scaling.json": {
         f"mt_scaling/{section}/t={t}/{tier}"
@@ -43,17 +42,12 @@ REQUIRED_LABELS = {
         for t in (1, 2, 4, 8)
         for tier in ("sharded-sequent(64)", "cuckoo-conc")
     },
-    "BENCH_stack_shards.json": {
-        f"mt_stack/{mix}/shards={k}" for mix in ("tpca", "bulk") for k in (1, 2, 4, 8)
-    }
-    | {"mt_stack/steer"},
     "BENCH_demux_scale.json": {
         f"demux_scale/{cell}/n={n}/{tier}"
         for cell in ("build", "lookup")
         for n in (10_000, 100_000, 1_000_000, 10_000_000)
         for tier in ("sequent(19)", "sequent(499)", "cuckoo")
     },
-    "BENCH_bulk_transfer.json": {f"bulk_transfer/drop={p}%" for p in (0, 5, 10, 25, 40)},
     "BENCH_miss_flood.json": {
         f"miss_flood/lookup/n={n}/hit={h}/{tier}"
         for n in (10_000, 100_000, 1_000_000, 10_000_000)

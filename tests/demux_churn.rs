@@ -11,7 +11,7 @@
 //! every lookup and on the final population.
 //!
 //! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 4;
-//! `scripts/verify.sh` stage 10 runs a deeper sweep).
+//! `scripts/verify.sh`'s seed-sweep stage runs a deeper one).
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;

@@ -7,16 +7,17 @@
 //! churn — insert-heavy bursts that force kick walks and filter growth,
 //! removals that must clear exactly one lane, and probes of keys that
 //! were never (or no longer) present — against a `BTreeMap` oracle for
-//! both filter-wrapped tiers, then pin the false-positive budget at
-//! the 15/16 occupancy watermark.
+//! both filter-wrapped tiers, then fire a flood of absent keys crafted
+//! to collide into one chain at what the churn left, and pin the
+//! false-positive budget at the 15/16 occupancy watermark.
 //!
 //! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 4;
-//! `scripts/verify.sh` stage 12 runs a deeper sweep).
+//! `scripts/verify.sh`'s seed-sweep stage runs a deeper one).
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tcpdemux::demux::{CuckooDemux, Demux, FrontDemux, PacketKind, SequentDemux};
-use tcpdemux::hash::Multiplicative;
+use tcpdemux::hash::{KeyHasher, Multiplicative};
 use tcpdemux::pcb::{ConnectionKey, Pcb, PcbArena, PcbId};
 use tcpdemux_testprop::{check_cases, sweep_seeds, TestRng};
 
@@ -25,6 +26,9 @@ use tcpdemux_testprop::{check_cases, sweep_seeds, TestRng};
 const KEYSPACE: u32 = 700;
 const PROBESPACE: u32 = 1_400;
 const OPS: usize = 3_000;
+/// The paper's chain count, which the flood below is crafted against.
+const CHAINS: usize = 19;
+const FLOOD: usize = 2_048;
 
 fn key(n: u32) -> ConnectionKey {
     ConnectionKey::new(
@@ -32,6 +36,17 @@ fn key(n: u32) -> ConnectionKey {
         1521,
         Ipv4Addr::from(0x0a03_0000 + n),
         (40_000 + (n % 20_000)) as u16,
+    )
+}
+
+/// The `n`-th candidate for a spoofed key, from a subnet of its own so
+/// that it is never a live connection's.
+fn spoofed(n: u32) -> ConnectionKey {
+    ConnectionKey::new(
+        Ipv4Addr::new(10, 0, 0, 1),
+        1521,
+        Ipv4Addr::from(0xac10_0000 + n / 16_000),
+        (49_152 + n % 16_000) as u16,
     )
 }
 
@@ -62,8 +77,11 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
             .map(|n| arena.insert(Pcb::new(key(n))))
             .collect();
 
-        let mut tiers: Vec<Box<dyn Demux>> = vec![
-            Box::new(FrontDemux::new(SequentDemux::new(Multiplicative, 19))),
+        // The bare table goes through the same operations as the cost
+        // reference for its wrapped self.
+        let mut tiers: [Box<dyn Demux>; 3] = [
+            Box::new(SequentDemux::new(Multiplicative, CHAINS)),
+            Box::new(FrontDemux::new(SequentDemux::new(Multiplicative, CHAINS))),
             Box::new(FrontDemux::new(CuckooDemux::new())),
         ];
         let mut oracle: BTreeMap<u32, PcbId> = BTreeMap::new();
@@ -105,20 +123,43 @@ fn filter_wrapped_tiers_agree_with_oracle_under_churn() {
         // Exhaustive final sweep: every live key found, every dead or
         // never-inserted key rejected or missed — a single false
         // negative anywhere fails here even if churn never probed it.
+        let mut hit_cost = [0u64; 3];
         for n in 0..PROBESPACE {
             let expected = oracle.get(&n).copied();
-            for demux in tiers.iter_mut() {
-                assert_eq!(
-                    demux.lookup(&key(n), PacketKind::Data).pcb,
-                    expected,
-                    "{} final sweep key {n}",
-                    demux.name()
-                );
+            for (demux, cost) in tiers.iter_mut().zip(&mut hit_cost) {
+                let r = demux.lookup(&key(n), PacketKind::Data);
+                assert_eq!(r.pcb, expected, "{} final sweep key {n}", demux.name());
+                if expected.is_some() {
+                    *cost += u64::from(r.examined);
+                }
             }
         }
         for demux in &tiers {
             assert_eq!(demux.len(), oracle.len(), "{}", demux.name());
         }
+        // A hit through the filter examines what the bare table does.
+        assert!(hit_cost[1] <= hit_cost[0], "{hit_cost:?}");
+
+        // The algorithmic-complexity attack: absent keys picked offline
+        // (the hash is public) to land in one chain of the 19, one that
+        // holds live connections. The bare table walks that whole chain
+        // to say no to each; the filter has to say it first.
+        let live = oracle.keys().next().expect("the churn leaves live keys");
+        let chain = Multiplicative.bucket(&key(*live), CHAINS);
+        let flood = (0..)
+            .map(spoofed)
+            .filter(|k| Multiplicative.bucket(k, CHAINS) == chain);
+        let mut miss_cost = [0u64; 3];
+        for k in flood.take(FLOOD) {
+            for (demux, cost) in tiers.iter_mut().zip(&mut miss_cost) {
+                let r = demux.lookup(&k, PacketKind::Data);
+                assert_eq!(r.pcb, None, "{} found a spoofed key", demux.name());
+                *cost += u64::from(r.examined);
+            }
+        }
+        let [bare, front, _] = miss_cost;
+        assert!(bare > 4 * FLOOD as u64, "no chain piled up: {miss_cost:?}");
+        assert!(front * 8 < bare, "flood reached the chain: {miss_cost:?}");
     });
 }
 

@@ -5,11 +5,15 @@
 //! before and after each one; the client is an ordinary `Stack` that
 //! allocates as it likes in between). After warm-up — every connection
 //! has transacted, the frame pool and the idle sender halves are
-//! stocked, the socket buffers and the timer wheel's slot have their
-//! capacity — 1 000 TPC/A-shaped transactions spread over 64
-//! connections (request in → ACK out, read, `send`, `poll_transmit` →
-//! response out, ACK in), with every frame the server emitted recycled
-//! to it, must make exactly zero allocator calls.
+//! stocked, the socket buffers and the timer slab have their capacity —
+//! two phases must each make exactly zero allocator calls: 1 000
+//! TPC/A-shaped transactions spread over 64 connections (request in →
+//! ACK out, read, `send`, `poll_transmit` → response out, ACK in), one
+//! at a time; then 2 000 clock ticks in each of which a varying 1 … 20
+//! connections transact together, the shape of the benchmark's
+//! `miss_flood`, where a timer wheel with per-slot storage allocated
+//! whenever a tick armed more timers than its slot had ever held. Every
+//! frame the server emitted is recycled to it.
 //!
 //! This is what `transmit_is_allocation_free_after_warmup` in
 //! `stack.rs` cannot see: it reads the frame pool's counters, and the
@@ -63,6 +67,9 @@ const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const PORT: u16 = 1521;
 const CONNECTIONS: usize = 64;
 const TRANSACTIONS: usize = 1_000;
+/// Most connections transacting in one tick of the second phase.
+const BLOCK_MAX: usize = 20;
+const TICKS: u64 = 2_000;
 const REQUEST: [u8; 100] = [0x5a; 100];
 const RESPONSE: [u8; 200] = [0xa5; 200];
 
@@ -84,44 +91,62 @@ impl Counted {
     }
 }
 
-/// One transaction on connection (`cp`, `sp`).
-fn transact(server: &mut Counted, client: &mut Stack, cp: PcbId, sp: PcbId) {
+/// A request in on each connection of `batch`: delivered, acknowledged,
+/// read.
+fn requests(server: &mut Counted, client: &mut Stack, batch: &[(PcbId, PcbId)]) {
     let mut out = TxScratch::new();
     let mut read = [0u8; REQUEST.len()];
-
-    // Request in: delivered, acknowledged, read.
-    assert_eq!(client.send(cp, &REQUEST), Ok(REQUEST.len()));
-    assert_eq!(client.poll_transmit(&mut out), 1);
-    let delivered = server.call(|s, _| s.receive(&out.frames[0])).unwrap();
-    assert!(matches!(delivered.outcome, RxOutcome::Delivered { pcb, .. } if pcb == sp));
-    let n = server.call(|s, _| s.socket_mut(sp).unwrap().read_into(&mut read));
-    assert_eq!(n, REQUEST.len());
-    assert_eq!(delivered.replies.len(), 1);
-    for ack in delivered.replies {
-        assert!(client.receive(&ack).unwrap().replies.is_empty());
-        server.call(|s, _| s.recycle(ack));
+    for &(cp, sp) in batch {
+        assert_eq!(client.send(cp, &REQUEST), Ok(REQUEST.len()));
+        assert_eq!(client.poll_transmit(&mut out), 1);
+        let request = out.frames.pop().unwrap();
+        let delivered = server.call(|s, _| s.receive(&request)).unwrap();
+        assert!(matches!(delivered.outcome, RxOutcome::Delivered { pcb, .. } if pcb == sp));
+        let n = server.call(|s, _| s.socket_mut(sp).unwrap().read_into(&mut read));
+        assert_eq!(n, REQUEST.len());
+        assert_eq!(delivered.replies.len(), 1);
+        for ack in delivered.replies {
+            assert!(client.receive(&ack).unwrap().replies.is_empty());
+            server.call(|s, _| s.recycle(ack));
+        }
     }
+}
 
-    // Response out, its ACK in.
+/// A response out on each connection of `batch` in one transmit poll —
+/// so that many retransmission timers are armed at once — then their
+/// ACKs in.
+fn responses(server: &mut Counted, client: &mut Stack, batch: &[(PcbId, PcbId)]) {
     let sent = server.call(|s, scratch| {
-        assert_eq!(s.send(sp, &RESPONSE), Ok(RESPONSE.len()));
+        for &(_, sp) in batch {
+            assert_eq!(s.send(sp, &RESPONSE), Ok(RESPONSE.len()));
+        }
         s.poll_transmit(scratch)
     });
-    assert_eq!(sent, 1);
-    let response = server.scratch.frames.pop().unwrap();
-    let acked = client.receive(&response).unwrap();
-    assert!(matches!(acked.outcome, RxOutcome::Delivered { .. }));
-    client.socket_mut(cp).unwrap().read_into(&mut [0; 200]);
-    server.call(|s, _| s.recycle(response));
-    assert_eq!(acked.replies.len(), 1);
-    let r = server.call(|s, _| s.receive(&acked.replies[0])).unwrap();
-    assert!(matches!(r.outcome, RxOutcome::AckProcessed { .. }));
-    assert!(r.replies.is_empty());
+    assert_eq!(sent, batch.len());
+    while let Some(response) = server.scratch.frames.pop() {
+        let acked = client.receive(&response).unwrap();
+        let RxOutcome::Delivered { pcb: cp, .. } = acked.outcome else {
+            panic!("response not delivered: {:?}", acked.outcome);
+        };
+        client.socket_mut(cp).unwrap().read_into(&mut [0; 200]);
+        server.call(|s, _| s.recycle(response));
+        assert_eq!(acked.replies.len(), 1);
+        let r = server.call(|s, _| s.receive(&acked.replies[0])).unwrap();
+        assert!(matches!(r.outcome, RxOutcome::AckProcessed { .. }));
+        assert!(r.replies.is_empty());
+    }
+}
+
+/// One transaction on each connection of `batch`, all together.
+fn transact(server: &mut Counted, client: &mut Stack, batch: &[(PcbId, PcbId)]) {
+    requests(server, client, batch);
+    responses(server, client, batch);
 }
 
 /// One measured attempt: fresh stacks, 64 connections, a warm-up pass,
-/// then the allocator calls the server made over 1 000 transactions.
-fn measure_one_attempt() -> u64 {
+/// then the allocator calls the server made over 1 000 transactions one
+/// at a time, and over 2 000 ticks of 1 … 20 transactions at a time.
+fn measure_one_attempt() -> (u64, u64) {
     let mut server = Counted {
         stack: Stack::with_config(StackConfig::new(SERVER)),
         scratch: TxScratch::new(),
@@ -139,20 +164,39 @@ fn measure_one_attempt() -> u64 {
         })
         .collect();
 
-    // Warm up: twice round, so every socket buffer has its capacity.
-    for &(cp, sp) in conns.iter().chain(&conns) {
-        transact(&mut server, &mut client, cp, sp);
+    // Warm up: twice round, so every socket buffer has its capacity, and
+    // one block as large as any below, so the sender halves, the transmit
+    // scratch and the timer slab have theirs.
+    for pair in conns.iter().chain(&conns) {
+        transact(&mut server, &mut client, std::slice::from_ref(pair));
     }
+    transact(&mut server, &mut client, &conns[..BLOCK_MAX]);
 
     server.allocations = 0;
     for t in 0..TRANSACTIONS {
         // A stride coprime to 64 visits every connection, out of order.
-        let (cp, sp) = conns[t * 37 % CONNECTIONS];
-        transact(&mut server, &mut client, cp, sp);
+        let pair = &conns[t * 37 % CONNECTIONS];
+        transact(&mut server, &mut client, std::slice::from_ref(pair));
+    }
+    let one_at_a_time = server.allocations;
+
+    // The shape of the benchmark's `miss_flood`: each tick a different
+    // number of connections transact together, so each tick's timers
+    // share one wheel slot, and the load differs from slot to slot.
+    server.allocations = 0;
+    let mut batch = Vec::with_capacity(BLOCK_MAX);
+    for tick in 1..=TICKS {
+        let size = 1 + (tick as usize * 7919) % BLOCK_MAX;
+        batch.clear();
+        // Strides coprime to 64: distinct connections within a tick.
+        batch.extend((0..size).map(|j| conns[(tick as usize * 37 + j * 5) % CONNECTIONS]));
+        transact(&mut server, &mut client, &batch);
+        let fired = server.call(|s, _| s.advance_time(tick));
+        assert_eq!(fired.retransmits.len() + fired.acks.len(), 0, "lossless");
     }
     let stats = server.stack.stats().stack;
     assert_eq!(stats.retransmits + stats.out_of_order_drops, 0, "lossless");
-    server.allocations
+    (one_at_a_time, server.allocations)
 }
 
 #[test]
@@ -161,13 +205,13 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
     let mut counts = Vec::with_capacity(ATTEMPTS);
     for _ in 0..ATTEMPTS {
         let count = measure_one_attempt();
-        if count == 0 {
+        if count == (0, 0) {
             return;
         }
         counts.push(count);
     }
     panic!(
         "the server allocated in steady state in every attempt ({counts:?} \
-         allocator calls over {TRANSACTIONS} transactions)"
+         allocator calls over ({TRANSACTIONS} transactions, {TICKS} ticks))"
     );
 }
