@@ -24,10 +24,20 @@ impl std::error::Error for SocketError {}
 
 /// The application-facing side of one connection: bytes the stack has
 /// accepted in order and not yet read.
+///
+/// Reads advance a head index instead of shifting what is still buffered,
+/// so draining a backlog in small reads costs what it copies out. The dead
+/// prefix is dropped when the buffer empties and compacted away when it
+/// outgrows the live bytes (as `pcb::SendBuffer` does), so the backing
+/// vector never holds more than ~2× its occupancy.
 #[derive(Debug, Default, Clone)]
 pub struct SocketBuffer {
     data: Vec<u8>,
     total_received: u64,
+    /// Bytes of `data` already read. 32 bits, so that it shares a word with
+    /// the two flags below and a connection at rest pays nothing for it;
+    /// [`consume`](Self::consume) compacts rather than let it overflow.
+    head: u32,
     fin_seen: bool,
     error: Option<SocketError>,
 }
@@ -62,9 +72,14 @@ impl SocketBuffer {
         self.error
     }
 
+    /// The unread bytes.
+    fn unread(&self) -> &[u8] {
+        &self.data[self.head as usize..]
+    }
+
     /// Bytes available to read.
     pub fn available(&self) -> usize {
-        self.data.len()
+        self.unread().len()
     }
 
     /// Total bytes ever delivered on this connection.
@@ -74,19 +89,38 @@ impl SocketBuffer {
 
     /// Whether the peer has closed its direction.
     pub fn is_eof(&self) -> bool {
-        self.fin_seen && self.data.is_empty()
+        self.fin_seen && self.unread().is_empty()
+    }
+
+    /// Release the oldest `n` unread bytes.
+    fn consume(&mut self, n: usize) {
+        let head = self.head as usize + n;
+        if head == self.data.len() {
+            self.data.clear();
+            self.head = 0;
+        } else if head > self.data.len() / 2 || head > u32::MAX as usize {
+            // The dead prefix dominates: compact in place.
+            self.data.copy_within(head.., 0);
+            self.data.truncate(self.data.len() - head);
+            self.head = 0;
+        } else {
+            self.head = head as u32;
+        }
     }
 
     /// Read up to `max` bytes, removing them from the buffer.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.data.len());
-        let rest = self.data.split_off(n);
-        core::mem::replace(&mut self.data, rest)
+        let n = max.min(self.available());
+        let out = self.unread()[..n].to_vec();
+        self.consume(n);
+        out
     }
 
     /// Read everything currently buffered.
     pub fn read_all(&mut self) -> Vec<u8> {
-        core::mem::take(&mut self.data)
+        let mut out = core::mem::take(&mut self.data);
+        out.drain(..core::mem::take(&mut self.head) as usize);
+        out
     }
 
     /// Read up to `out.len()` bytes into `out`, removing them from the
@@ -94,9 +128,9 @@ impl SocketBuffer {
     /// bulk-transfer loop drains the socket through one reused slice
     /// instead of materializing a `Vec` per read.
     pub fn read_into(&mut self, out: &mut [u8]) -> usize {
-        let n = out.len().min(self.data.len());
-        out[..n].copy_from_slice(&self.data[..n]);
-        self.data.drain(..n);
+        let n = out.len().min(self.available());
+        out[..n].copy_from_slice(&self.unread()[..n]);
+        self.consume(n);
         n
     }
 }
@@ -142,6 +176,53 @@ mod tests {
         assert_eq!(buf.read_into(&mut scratch), 0);
         assert_eq!(buf.available(), 0);
         assert_eq!(buf.total_received(), 11);
+    }
+
+    #[test]
+    fn partial_reads_keep_backing_storage_bounded() {
+        let byte = |i: usize| (i * 31 % 251) as u8;
+        let mut buf = SocketBuffer::new();
+        let mut scratch = [0u8; 512];
+        let (mut delivered, mut read) = (0usize, 0usize);
+        let mut check_read = |buf: &mut SocketBuffer, read: &mut usize| {
+            let n = buf.read_into(&mut scratch);
+            for (i, got) in scratch[..n].iter().enumerate() {
+                assert_eq!(*got, byte(*read + i));
+            }
+            *read += n;
+            n
+        };
+        // A reader that stays 8 KiB behind a 256 KiB stream: the buffer is
+        // never empty, so only compaction can keep the dead prefix bounded.
+        while delivered < 256 * 1024 {
+            let segment: Vec<u8> = (delivered..delivered + 1024).map(byte).collect();
+            buf.deliver(&segment);
+            delivered += segment.len();
+            while delivered - read > 8 * 1024 {
+                assert_eq!(check_read(&mut buf, &mut read), 512);
+                assert_eq!(buf.available(), delivered - read);
+            }
+            assert!(
+                buf.data.capacity() <= 32 * 1024,
+                "backing vec grew to {} for 9 KiB of occupancy",
+                buf.data.capacity()
+            );
+        }
+        while check_read(&mut buf, &mut read) > 0 {}
+        assert_eq!((read, buf.available()), (delivered, 0));
+        assert_eq!(
+            (buf.head, buf.data.len()),
+            (0, 0),
+            "empty resets the prefix"
+        );
+    }
+
+    /// `head` lives in the padding beside the two flags: the buffer sits
+    /// inline in every connection slot.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn stays_five_words() {
+        assert_eq!(core::mem::size_of::<SocketBuffer>(), 40);
     }
 
     #[test]

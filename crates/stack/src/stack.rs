@@ -1068,21 +1068,13 @@ impl Stack {
         if arp.operation == ArpOperation::Request && arp.dst_ip == self.config.local_addr {
             let reply = arp.reply_to(self.mac());
             let bytes = reply.emit();
-            let payload_len = bytes.len().max(tcpdemux_wire::ethernet::MIN_PAYLOAD);
             let mut out = self.tx_pool.take();
-            out.clear();
-            out.resize(tcpdemux_wire::ethernet::HEADER_LEN + payload_len, 0);
-            {
-                let mut eth = tcpdemux_wire::EthernetFrame::new_unchecked(&mut out[..]);
-                tcpdemux_wire::EthernetRepr {
-                    src_addr: self.mac(),
-                    dst_addr: arp.src_mac,
-                    ethertype: tcpdemux_wire::EtherType::Arp,
-                }
-                .emit(&mut eth)
-                .expect("sized buffer");
-                eth.payload_mut()[..bytes.len()].copy_from_slice(&bytes);
+            tcpdemux_wire::EthernetRepr {
+                src_addr: self.mac(),
+                dst_addr: arp.src_mac,
+                ethertype: tcpdemux_wire::EtherType::Arp,
             }
+            .encapsulate_into(&bytes, &mut out);
             self.stats.frames_out += 1;
             return Ok(RxResult {
                 outcome: RxOutcome::ArpReplied,
@@ -1584,8 +1576,9 @@ impl Stack {
         };
         let mut buf = self.tx_pool.take();
         buf.clear();
-        buf.resize(ip.total_len(), 0);
-        buf[tcpdemux_wire::ipv4::HEADER_LEN..].copy_from_slice(icmp_bytes);
+        buf.reserve(ip.total_len());
+        buf.resize(tcpdemux_wire::ipv4::HEADER_LEN, 0);
+        buf.extend_from_slice(icmp_bytes);
         let mut packet = Ipv4Packet::new_unchecked(&mut buf[..]);
         ip.emit(&mut packet).expect("sized buffer");
         self.stats.frames_out += 1;
@@ -3047,6 +3040,31 @@ mod tests {
                 assert_eq!(echoed, payload);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// `emit_icmp` appends the message instead of zero-filling the frame
+    /// first, so a recycled buffer's old contents must not show through.
+    #[test]
+    fn icmp_into_a_recycled_buffer_carries_no_stale_bytes() {
+        use tcpdemux_wire::IcmpRepr;
+        let (_, mut client) = pair();
+        let ping = IcmpRepr::EchoRequest {
+            ident: 7,
+            seq: 42,
+            payload: &[0x5a; 301],
+        }
+        .emit();
+        let fresh = client.emit_icmp(SERVER, &ping);
+        assert!(Ipv4Repr::parse(&Ipv4Packet::new_checked(&fresh[..]).unwrap()).is_ok());
+        assert_eq!(fresh[tcpdemux_wire::ipv4::HEADER_LEN..], ping[..]);
+        for stale_len in [0, 20, 321, 1500] {
+            client.recycle(vec![0xAA; stale_len]);
+            assert_eq!(
+                client.emit_icmp(SERVER, &ping),
+                fresh,
+                "{stale_len} stale bytes"
+            );
         }
     }
 

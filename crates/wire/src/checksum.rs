@@ -6,11 +6,28 @@
 //! *pseudo-header* containing the IP source/destination addresses, the
 //! protocol number, and the transport-layer length.
 //!
-//! The functions here operate on raw accumulators (`u32` partial sums) so a
+//! The functions here operate on raw accumulators (partial sums) so a
 //! checksum can be composed from several discontiguous pieces — exactly what
 //! the pseudo-header requires — without copying.
+//!
+//! RFC 1071 §2(B): the ones'-complement sum is byte-order independent, so
+//! [`Accumulator::add_bytes`] sums words in the order they lie in memory,
+//! as wide as the machine loads them, and swaps the folded 16-bit result
+//! once; the big-endian 16-bit loop of the definition survives only as the
+//! reference the tests compare against.
 
 use std::net::Ipv4Addr;
+
+/// Bytes per iteration of the block kernel: four 64-bit words, each with
+/// its own pair of lanes, so the loop carries no dependency between them
+/// and vectorises at the default target.
+const BLOCK: usize = 32;
+
+/// Inputs shorter than this are summed a 64-bit word at a time where they
+/// are used, without entering the block kernel: every header, every pure
+/// ACK and the paper's 100 B / 200 B transactions. The crossover is
+/// measured (EXPERIMENTS A13: the kernel is ahead from about 300 B).
+const WIDE_MIN: usize = 256;
 
 /// A running ones'-complement sum.
 ///
@@ -27,7 +44,9 @@ use std::net::Ipv4Addr;
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Accumulator {
-    sum: u32,
+    /// Unfolded sum of big-endian 16-bit words. Every add contributes at
+    /// most 16 bits, so 2^48 of them fit.
+    sum: u64,
 }
 
 impl Accumulator {
@@ -36,25 +55,34 @@ impl Accumulator {
         Self { sum: 0 }
     }
 
-    /// Add a byte slice to the sum. A trailing odd byte is padded with zero,
-    /// so this must only be used for the *final* piece of data or for pieces
-    /// with even length (the pseudo-header and all fixed headers are even).
+    /// Add a byte slice to the sum. A trailing odd byte is padded with
+    /// zero, so this must only be used for the *final* piece of data or for
+    /// pieces with even length (the pseudo-header and all fixed headers are
+    /// even).
+    ///
+    /// Inlined, like the two transport entry points below, so that a short
+    /// segment is summed where it is parsed and only long inputs pay a call.
+    /// [`checksum`] and [`verify`] are deliberately not: inlined into
+    /// `Ipv4Repr::parse`, the 20-byte header sum read 12 ns against 6 over
+    /// frames that are not in L1 (EXPERIMENTS A13).
+    #[inline]
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
-        }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
-        }
+        let native = if data.len() < WIDE_MIN {
+            sum_words(data)
+        } else {
+            sum_blocks(data)
+        };
+        self.sum += u64::from(u16::from_be(fold(native)));
     }
 
     /// Add one big-endian 16-bit word.
+    #[inline]
     pub fn add_u16(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.sum += u64::from(word);
     }
 
     /// Add a 32-bit quantity as two 16-bit words (used for IPv4 addresses).
+    #[inline]
     pub fn add_u32(&mut self, word: u32) {
         self.add_u16((word >> 16) as u16);
         self.add_u16(word as u16);
@@ -62,6 +90,11 @@ impl Accumulator {
 
     /// Add the TCP/UDP pseudo-header for the given addresses, protocol
     /// number, and transport-layer length (header + payload, in bytes).
+    ///
+    /// The length field is 16 bits on the wire: a caller summing more than
+    /// 65,535 transport bytes has left IPv4, and truncating its length to
+    /// `u16` is that caller's bound, not this function's.
+    #[inline]
     pub fn add_pseudo_header(
         &mut self,
         src: Ipv4Addr,
@@ -76,12 +109,84 @@ impl Accumulator {
     }
 
     /// Fold the carries and return the ones'-complement checksum.
-    pub fn finish(mut self) -> u16 {
-        while self.sum > 0xffff {
-            self.sum = (self.sum & 0xffff) + (self.sum >> 16);
-        }
-        !(self.sum as u16)
+    #[inline]
+    pub fn finish(self) -> u16 {
+        !fold(self.sum)
     }
+}
+
+/// Fold a ones'-complement sum to 16 bits with end-around carry. Zero only
+/// for a zero input, as the word-at-a-time definition has it.
+#[inline]
+fn fold(sum: u64) -> u16 {
+    let sum = half_fold(half_fold(sum));
+    let sum = (sum & 0xffff) + (sum >> 16);
+    let sum = (sum & 0xffff) + (sum >> 16);
+    sum as u16
+}
+
+/// One folding step, 64 bits to 33: what keeps a sum of sums from wrapping.
+#[inline]
+fn half_fold(sum: u64) -> u64 {
+    (sum & 0xffff_ffff) + (sum >> 32)
+}
+
+/// Unfolded sum of `data` as native-endian words, a trailing odd byte
+/// zero-padded on the right: the short path, and the block kernel's tail.
+/// 64-bit words with the carries counted, which stays a handful of scalar
+/// instructions where it is inlined.
+#[inline]
+fn sum_words(data: &[u8]) -> u64 {
+    let mut words = data.chunks_exact(8);
+    let (mut sum, mut carries) = (0u64, 0u64);
+    for word in &mut words {
+        let (wrapped, carry) =
+            sum.overflowing_add(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        sum = wrapped;
+        carries += u64::from(carry);
+    }
+    let mut rest = words.remainder();
+    let mut tail = 0u64;
+    if rest.len() >= 4 {
+        tail += u64::from(u32::from_ne_bytes([rest[0], rest[1], rest[2], rest[3]]));
+        rest = &rest[4..];
+    }
+    if rest.len() >= 2 {
+        tail += u64::from(u16::from_ne_bytes([rest[0], rest[1]]));
+        rest = &rest[2..];
+    }
+    if let [byte] = *rest {
+        tail += u64::from(u16::from_ne_bytes([byte, 0]));
+    }
+    half_fold(sum) + carries + tail
+}
+
+/// The block kernel: unfolded native-endian sum of `data`.
+///
+/// Each 64-bit word is two 32-bit summands. `all` adds the whole word and
+/// is allowed to wrap; `high` adds its upper half exactly. The lower halves
+/// sum to `all - (high << 32)` modulo 2^64, and that sum is itself below
+/// 2^64 (until 128 GiB of input, where `high` would wrap too), so the
+/// subtraction recovers it exactly: three vector operations per word
+/// where widening each half on its own costs four.
+#[inline(never)]
+fn sum_blocks(data: &[u8]) -> u64 {
+    const LANES: usize = BLOCK / 8;
+    let mut all = [0u64; LANES];
+    let mut high = [0u64; LANES];
+    let mut blocks = data.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        for ((all, high), word) in all.iter_mut().zip(&mut high).zip(block.chunks_exact(8)) {
+            let word = u64::from_ne_bytes(word.try_into().expect("8-byte chunk"));
+            *all = all.wrapping_add(word);
+            *high += word >> 32;
+        }
+    }
+    let mut sum = sum_words(blocks.remainder());
+    for (all, high) in all.iter().zip(&high) {
+        sum += half_fold(*high) + half_fold(all.wrapping_sub(high << 32));
+    }
+    sum
 }
 
 /// Compute the Internet checksum of a single contiguous buffer.
@@ -101,6 +206,7 @@ pub fn verify(data: &[u8]) -> bool {
 
 /// Compute the TCP or UDP checksum over `transport` (header + payload, with
 /// the checksum field zeroed or skipped by the caller) plus the pseudo-header.
+#[inline]
 pub fn transport_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, transport: &[u8]) -> u16 {
     let mut acc = Accumulator::new();
     acc.add_pseudo_header(src, dst, protocol, transport.len() as u16);
@@ -109,14 +215,120 @@ pub fn transport_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, transport:
 }
 
 /// Verify a transport segment whose checksum field is included in the data.
+#[inline]
 pub fn verify_transport(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, transport: &[u8]) -> bool {
     transport_checksum(src, dst, protocol, transport) == 0
+}
+
+/// The definition, word for word — the loop `add_bytes` was before the
+/// kernel — kept as the reference the kernel and the frame builders are
+/// tested against.
+#[cfg(test)]
+pub(crate) fn reference(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    let mut chunks = data.chunks_exact(2);
+    for chunk in &mut chunks {
+        sum += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+    }
+    if let [last] = chunks.remainder() {
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
+    }
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcpdemux_testprop::check;
+    use tcpdemux_testprop::{check, sweep_seeds, TestRng};
+
+    /// Every length on both sides of the short/wide crossover and of every
+    /// block and tail boundary, at every alignment a slice can start on.
+    #[test]
+    fn matches_the_reference_at_every_length_and_offset() {
+        let data = TestRng::from_seed(1071).bytes(2048 + 7, 2048 + 8);
+        for len in 0..=2048 {
+            for offset in 0..=7 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    checksum(slice),
+                    reference(slice),
+                    "len {len} offset {offset}"
+                );
+            }
+        }
+    }
+
+    /// All-ones input carries out of every lane on every add; all-zero input
+    /// must keep the sum's one zero. The long cases wrapped the 32-bit sum of
+    /// 16-bit words this accumulator used to be (`0x0001` for the first).
+    #[test]
+    fn matches_the_reference_on_all_ones_and_all_zeros_of_any_length() {
+        for fill in [0xffu8, 0x00] {
+            let data = vec![fill; 1 << 20];
+            for len in (0..=1500).chain([65_535, 131_072, 262_146, 1 << 20]) {
+                assert_eq!(
+                    checksum(&data[..len]),
+                    reference(&data[..len]),
+                    "{fill:#x} x {len}"
+                );
+            }
+        }
+        assert_eq!(checksum(&[0xff; 262_146]), 0x0000);
+        assert_eq!(checksum(&vec![0xff; 1 << 20]), 0x0000);
+        assert_eq!(checksum(&vec![0x00; 1 << 20]), 0xffff);
+    }
+
+    /// Seeded inputs up to the largest IPv4 packet, whole and cut into
+    /// even-length pieces at seeded places (the accumulator's contract).
+    #[test]
+    fn matches_the_reference_across_seeds() {
+        for seed in 0..u64::from(sweep_seeds(8)) {
+            let mut rng = TestRng::from_seed(seed);
+            for _ in 0..16 {
+                let data = rng.bytes(0, 65_536);
+                let want = reference(&data);
+                assert_eq!(checksum(&data), want, "seed {seed} len {}", data.len());
+                let mut pieces = Accumulator::new();
+                let mut rest = &data[..];
+                while !rest.is_empty() {
+                    let cut = if rng.chance(0.1) {
+                        rest.len()
+                    } else {
+                        (rng.usize_in(0, 2 * WIDE_MIN) * 2).min(rest.len())
+                    };
+                    pieces.add_bytes(&rest[..cut]);
+                    rest = &rest[cut..];
+                }
+                assert_eq!(
+                    pieces.finish(),
+                    want,
+                    "seed {seed} len {} in pieces",
+                    data.len()
+                );
+            }
+        }
+    }
+
+    /// Exhaustive: no single-bit error anywhere in a full-sized segment gets
+    /// past `verify_transport` (12,000 cases through the block kernel).
+    #[test]
+    fn every_single_bit_flip_of_a_1500_byte_segment_is_caught() {
+        let src = Ipv4Addr::new(10, 0, 0, 1);
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
+        let mut segment = TestRng::from_seed(1500).bytes(1500, 1501);
+        segment[16..18].copy_from_slice(&[0, 0]); // the TCP checksum field
+        let sum = transport_checksum(src, dst, 6, &segment);
+        segment[16..18].copy_from_slice(&sum.to_be_bytes());
+        assert!(verify_transport(src, dst, 6, &segment));
+        for bit in 0..segment.len() * 8 {
+            segment[bit / 8] ^= 1 << (bit % 8);
+            assert!(!verify_transport(src, dst, 6, &segment), "bit {bit}");
+            segment[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
 
     #[test]
     fn rfc1071_worked_example() {
@@ -249,16 +461,6 @@ mod tests {
             let idx = flip_byte % data.len();
             data[idx] ^= 1 << flip_bit;
             assert!(!verify(&data));
-        });
-    }
-
-    /// The accumulator's u32 cannot overflow for any realistic packet:
-    /// even 2^16 bytes of 0xff only reach ~2^31. Check the sum is stable
-    /// for large inputs.
-    #[test]
-    fn prop_large_input_no_panic() {
-        check("prop_large_input_no_panic", |rng| {
-            let _ = checksum(&rng.bytes(0, 4096));
         });
     }
 }

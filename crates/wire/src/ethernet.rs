@@ -195,6 +195,20 @@ impl EthernetRepr {
         frame.set_ethertype(self.ethertype);
         Ok(())
     }
+
+    /// Assemble header + `payload` into `out` (contents replaced), zero-padded
+    /// to the 60-byte minimum. Each byte is written once: the header is
+    /// emitted, the payload appended, and only the pad is zero-filled.
+    pub fn encapsulate_into(&self, payload: &[u8], out: &mut Vec<u8>) {
+        let padded_len = HEADER_LEN + payload.len().max(MIN_PAYLOAD);
+        out.clear();
+        out.reserve(padded_len);
+        out.resize(HEADER_LEN, 0);
+        self.emit(&mut EthernetFrame::new_unchecked(&mut out[..]))
+            .expect("sized buffer");
+        out.extend_from_slice(payload);
+        out.resize(padded_len, 0);
+    }
 }
 
 /// Wrap an IPv4 packet in an Ethernet II frame, padding to the 60-byte
@@ -213,18 +227,12 @@ pub fn encapsulate_ipv4_into(
     ip_packet: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let payload_len = ip_packet.len().max(MIN_PAYLOAD);
-    out.clear();
-    out.resize(HEADER_LEN + payload_len, 0);
-    let mut frame = EthernetFrame::new_unchecked(&mut out[..]);
     EthernetRepr {
         src_addr: src,
         dst_addr: dst,
         ethertype: EtherType::Ipv4,
     }
-    .emit(&mut frame)
-    .expect("sized buffer");
-    frame.payload_mut()[..ip_packet.len()].copy_from_slice(ip_packet);
+    .encapsulate_into(ip_packet, out);
 }
 
 #[cfg(test)]
@@ -304,6 +312,11 @@ mod tests {
         // Large packets are not padded.
         let big = encapsulate_ipv4(addr(1), addr(2), &[0xbb; 500]);
         assert_eq!(big.len(), HEADER_LEN + 500);
+        // A recycled buffer's old contents show through neither the header,
+        // nor the payload, nor the pad.
+        let mut recycled = vec![0xcc; 700];
+        encapsulate_ipv4_into(addr(1), addr(2), &[0xaa; 20], &mut recycled);
+        assert_eq!(recycled, framed);
     }
 
     #[test]

@@ -129,11 +129,10 @@ impl<'a> IcmpRepr<'a> {
             IcmpRepr::DestinationUnreachable { code, original } => (3, *code, [0u8; 4], original),
             IcmpRepr::Unknown { kind, code } => (*kind, *code, [0u8; 4], &[]),
         };
-        let mut out = vec![0u8; HEADER_LEN + payload.len()];
-        out[0] = kind;
-        out[1] = code;
-        out[4..8].copy_from_slice(&word);
-        out[8..].copy_from_slice(payload);
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&[kind, code, 0, 0]);
+        out.extend_from_slice(&word);
+        out.extend_from_slice(payload);
         let sum = checksum::checksum(&out);
         out[2..4].copy_from_slice(&sum.to_be_bytes());
         out
@@ -164,6 +163,28 @@ mod tests {
         let bytes = request.emit();
         let parsed = IcmpRepr::parse(&bytes).unwrap();
         assert_eq!(parsed, request);
+    }
+
+    /// Header, then payload, then one sum: the same bytes as zero-filling
+    /// the whole message first and checksumming it with the 16-bit loop.
+    #[test]
+    fn emit_is_byte_identical_to_fill_copy_and_reference_sum() {
+        let payload = tcpdemux_testprop::TestRng::from_seed(8).bytes(1472, 1473);
+        for len in 0..=1472 {
+            let message = IcmpRepr::EchoRequest {
+                ident: 0x1234,
+                seq: len as u16,
+                payload: &payload[..len],
+            };
+            let mut want = vec![0u8; HEADER_LEN + len];
+            want[0] = 8;
+            want[4..6].copy_from_slice(&0x1234u16.to_be_bytes());
+            want[6..8].copy_from_slice(&(len as u16).to_be_bytes());
+            want[8..].copy_from_slice(&payload[..len]);
+            let sum = checksum::reference(&want);
+            want[2..4].copy_from_slice(&sum.to_be_bytes());
+            assert_eq!(message.emit(), want, "{len} B");
+        }
     }
 
     #[test]

@@ -355,16 +355,26 @@ impl Ipv4Repr {
         if self.total_len() > u16::MAX as usize || packet.buffer.as_ref().len() < self.total_len() {
             return Err(WireError::PayloadTooLong);
         }
-        packet.set_version_and_header_len(HEADER_LEN);
-        packet.set_tos(0);
-        packet.set_total_len(self.total_len() as u16);
-        packet.set_ident(0);
-        packet.set_dont_frag(true);
-        packet.set_ttl(self.ttl);
-        packet.set_protocol(self.protocol);
-        packet.set_src_addr(self.src_addr);
-        packet.set_dst_addr(self.dst_addr);
-        packet.fill_checksum();
+        // The header as its five big-endian words, summed while they are
+        // still in registers: reading the bytes back right after storing
+        // them field by field is what a 20-byte checksum mostly costs.
+        // Every byte is written, so the buffer need not be zeroed first.
+        let mut words = [
+            0x4500_0000 | self.total_len() as u32, // version 4, IHL 5, TOS 0, total length
+            0x0000_4000,                           // ident 0, don't fragment, offset 0
+            u32::from(self.ttl) << 24 | u32::from(u8::from(self.protocol)) << 16, // checksum 0
+            u32::from(self.src_addr),
+            u32::from(self.dst_addr),
+        ];
+        let mut sum = checksum::Accumulator::new();
+        for word in words {
+            sum.add_u32(word);
+        }
+        words[field::CHECKSUM.start / 4] |= u32::from(sum.finish());
+        let header = &mut packet.buffer.as_mut()[..HEADER_LEN];
+        for (bytes, word) in header.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
         Ok(())
     }
 }

@@ -466,35 +466,41 @@ impl TcpRepr {
         if segment.buffer.as_ref().len() < header_len {
             return Err(WireError::Truncated);
         }
-        segment.set_src_port(self.src_port);
-        segment.set_dst_port(self.dst_port);
-        segment.set_seq(self.seq);
-        segment.set_ack(self.ack);
-        segment.set_header_len_and_flags(header_len, self.flags);
-        segment.set_window(self.window);
-        segment.set_urgent_pointer(0);
-
-        // Emit options, padded with NOPs to the header length.
-        let mut cursor = HEADER_LEN;
-        let buf = segment.buffer.as_mut();
+        // The header as big-endian words (each option we emit is exactly
+        // one, NOP-padded), summed while still in registers; only the
+        // payload is summed from memory. Reading the header bytes back right
+        // after storing them field by field is what a pure ACK's checksum
+        // mostly costs.
+        let mut words = [0u32; MAX_HEADER_LEN / 4];
+        words[0] = u32::from(self.src_port) << 16 | u32::from(self.dst_port);
+        words[1] = self.seq;
+        words[2] = self.ack;
+        words[3] = ((header_len as u32 / 4) << 12 | u32::from(self.flags.bits())) << 16
+            | u32::from(self.window);
+        // words[4]: checksum, filled below, and urgent pointer 0.
+        let mut count = HEADER_LEN / 4;
         if let Some(mss) = self.mss {
-            buf[cursor] = 2;
-            buf[cursor + 1] = 4;
-            buf[cursor + 2..cursor + 4].copy_from_slice(&mss.to_be_bytes());
-            cursor += 4;
+            words[count] = 0x0204_0000 | u32::from(mss);
+            count += 1;
         }
         if let Some(shift) = self.window_scale {
-            buf[cursor] = 3;
-            buf[cursor + 1] = 3;
-            buf[cursor + 2] = shift;
-            cursor += 3;
+            words[count] = 0x0303_0001 | u32::from(shift) << 8;
+            count += 1;
         }
-        while cursor < header_len {
-            buf[cursor] = 1; // NOP padding
-            cursor += 1;
-        }
+        debug_assert_eq!(count * 4, header_len);
+        let words = &mut words[..count];
 
-        segment.fill_checksum(src_addr, dst_addr);
+        let buffer = segment.buffer.as_mut();
+        let mut sum = checksum::Accumulator::new();
+        sum.add_pseudo_header(src_addr, dst_addr, 6, buffer.len() as u16);
+        for word in words.iter() {
+            sum.add_u32(*word);
+        }
+        sum.add_bytes(&buffer[header_len..]);
+        words[field::CHECKSUM.start / 4] |= u32::from(sum.finish()) << 16;
+        for (bytes, word) in buffer[..header_len].chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
         Ok(())
     }
 

@@ -14,7 +14,13 @@ import json
 import statistics
 import sys
 
-END_TO_END = ["ops_per_s", "allocs_per_op", "heap_bytes_per_conn"]
+END_TO_END = [
+    "ops_per_s",
+    "rx_goodput_bytes_per_s",
+    "tx_goodput_bytes_per_s",
+    "allocs_per_op",
+    "heap_bytes_per_conn",
+]
 PER_LAYER = [
     "stack.receive_data_ns",
     "stack.receive_ack_ns",
@@ -23,8 +29,11 @@ PER_LAYER = [
     "stack.residual_ns",
     "core.lookup_ns",
     "core.probe_mismatch",
+    "wire.ipv4_parse_ns",
     "wire.tcp_parse_ns",
     "wire.tcp_emit_ns",
+    "wire.checksum_ns_per_kib",
+    "stack.socket.read_into_ns_per_kib",
     "telemetry.record_ns",
     "stack.allocs_per_frame",
 ]

@@ -11,7 +11,9 @@
 #      seed produce byte-identical output;
 #   5. every whole-scenario seed sweep holds at a widened
 #      TCPDEMUX_SEEDS: loss recovery and checksum rejection (32 fault
-#      streams through the lossy-link scenario); both shared-table
+#      streams through the lossy-link scenario, and the checksum kernel
+#      against its 16-bit reference on 32 seeds of inputs up to 65,535
+#      bytes); both shared-table
 #      tiers (16 seeds of multi-threaded churn, a generation-tagged
 #      PcbId oracle, and stable keys that must never miss while
 #      cuckoo-conc kicks and grows); the sharded runtime (per-flow
@@ -91,6 +93,8 @@ echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery
+TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
+  -p tcpdemux-wire checksum::tests::matches_the_reference_across_seeds
 echo "ok: loss recovery and checksum rejection hold across 32 fault seeds"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"

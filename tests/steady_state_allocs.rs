@@ -6,14 +6,18 @@
 //! allocates as it likes in between). After warm-up — every connection
 //! has transacted, the frame pool and the idle sender halves are
 //! stocked, the socket buffers and the timer slab have their capacity —
-//! two phases must each make exactly zero allocator calls: 1 000
+//! three phases must each make exactly zero allocator calls: 1 000
 //! TPC/A-shaped transactions spread over 64 connections (request in →
 //! ACK out, read, `send`, `poll_transmit` → response out, ACK in), one
 //! at a time; then 2 000 clock ticks in each of which a varying 1 … 20
 //! connections transact together, the shape of the benchmark's
 //! `miss_flood`, where a timer wheel with per-slot storage allocated
-//! whenever a tick armed more timers than its slot had ever held. Every
-//! frame the server emitted is recycled to it.
+//! whenever a tick armed more timers than its slot had ever held; then
+//! 256 KiB in on one connection whose reader takes 512 B at a time and
+//! stays 8 KiB behind, so its socket buffer is never empty and only
+//! compaction of the already-read prefix keeps the backing vector from
+//! growing (growth is a `realloc`, which is counted). Every frame the
+//! server emitted is recycled to it.
 //!
 //! This is what `transmit_is_allocation_free_after_warmup` in
 //! `stack.rs` cannot see: it reads the frame pool's counters, and the
@@ -70,6 +74,10 @@ const TRANSACTIONS: usize = 1_000;
 /// Most connections transacting in one tick of the second phase.
 const BLOCK_MAX: usize = 20;
 const TICKS: u64 = 2_000;
+/// The third phase: segments in, their size, the reader's lag.
+const BULK_SEGMENTS: usize = 256;
+const BULK_SEGMENT: [u8; 1024] = [0x3c; 1024];
+const BACKLOG: usize = 8 * 1024;
 const REQUEST: [u8; 100] = [0x5a; 100];
 const RESPONSE: [u8; 200] = [0xa5; 200];
 
@@ -143,10 +151,38 @@ fn transact(server: &mut Counted, client: &mut Stack, batch: &[(PcbId, PcbId)]) 
     responses(server, client, batch);
 }
 
+/// `segments` bulk segments in on one connection, read 512 B at a time by
+/// a reader that leaves `BACKLOG` bytes unread.
+fn backlogged_reads(
+    server: &mut Counted,
+    client: &mut Stack,
+    (cp, sp): (PcbId, PcbId),
+    segments: usize,
+) {
+    let mut out = TxScratch::new();
+    let mut read = [0u8; 512];
+    for _ in 0..segments {
+        assert_eq!(client.send(cp, &BULK_SEGMENT), Ok(BULK_SEGMENT.len()));
+        assert_eq!(client.poll_transmit(&mut out), 1);
+        let segment = out.frames.pop().unwrap();
+        let delivered = server.call(|s, _| s.receive(&segment)).unwrap();
+        assert!(matches!(delivered.outcome, RxOutcome::Delivered { pcb, .. } if pcb == sp));
+        for ack in delivered.replies {
+            assert!(client.receive(&ack).unwrap().replies.is_empty());
+            server.call(|s, _| s.recycle(ack));
+        }
+        while server.stack.socket(sp).unwrap().available() > BACKLOG {
+            let n = server.call(|s, _| s.socket_mut(sp).unwrap().read_into(&mut read));
+            assert_eq!((n, read), (512, [BULK_SEGMENT[0]; 512]));
+        }
+    }
+}
+
 /// One measured attempt: fresh stacks, 64 connections, a warm-up pass,
 /// then the allocator calls the server made over 1 000 transactions one
-/// at a time, and over 2 000 ticks of 1 … 20 transactions at a time.
-fn measure_one_attempt() -> (u64, u64) {
+/// at a time, over 2 000 ticks of 1 … 20 transactions at a time, and
+/// over 256 KiB read 512 B at a time from a backlog.
+fn measure_one_attempt() -> (u64, u64, u64) {
     let mut server = Counted {
         stack: Stack::with_config(StackConfig::new(SERVER)),
         scratch: TxScratch::new(),
@@ -194,9 +230,30 @@ fn measure_one_attempt() -> (u64, u64) {
         let fired = server.call(|s, _| s.advance_time(tick));
         assert_eq!(fired.retransmits.len() + fired.acks.len(), 0, "lossless");
     }
+    let many_at_a_time = server.allocations;
+
+    // Warm up until the backlog stands and the socket buffer has grown to
+    // the ~2x of it that compaction lets it reach.
+    backlogged_reads(
+        &mut server,
+        &mut client,
+        conns[0],
+        4 * BACKLOG / BULK_SEGMENT.len(),
+    );
+    server.allocations = 0;
+    backlogged_reads(&mut server, &mut client, conns[0], BULK_SEGMENTS);
+    let drained = server.call(|s, _| {
+        let socket = s.socket_mut(conns[0].1).unwrap();
+        let mut drained = 0;
+        while socket.read_into(&mut [0; 512]) > 0 {
+            drained += 1;
+        }
+        drained
+    });
+    assert_eq!(drained, BACKLOG / 512);
     let stats = server.stack.stats().stack;
     assert_eq!(stats.retransmits + stats.out_of_order_drops, 0, "lossless");
-    (one_at_a_time, server.allocations)
+    (one_at_a_time, many_at_a_time, server.allocations)
 }
 
 #[test]
@@ -205,13 +262,14 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
     let mut counts = Vec::with_capacity(ATTEMPTS);
     for _ in 0..ATTEMPTS {
         let count = measure_one_attempt();
-        if count == (0, 0) {
+        if count == (0, 0, 0) {
             return;
         }
         counts.push(count);
     }
     panic!(
         "the server allocated in steady state in every attempt ({counts:?} \
-         allocator calls over ({TRANSACTIONS} transactions, {TICKS} ticks))"
+         allocator calls over ({TRANSACTIONS} transactions, {TICKS} ticks, \
+         {BULK_SEGMENTS} backlogged segments))"
     );
 }
