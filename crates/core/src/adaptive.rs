@@ -64,8 +64,11 @@ impl<H: KeyHasher + Clone> AdaptiveDemux<H> {
         }
         let mut grown =
             SequentDemux::new(self.hasher_template.clone(), self.inner.chain_count() * 2);
-        for (key, id) in self.inner.iter_entries() {
-            grown.insert(key, id);
+        // Every entry came out of a table, so it is distinct and needs no
+        // duplicate scan; tail first, so that pushing each at the head of
+        // its new chain keeps the order the entries had in the old one.
+        for (key, id) in self.inner.iter_entries().rev() {
+            grown.preload(key, id);
         }
         self.inner = grown;
         self.resizes += 1;
@@ -136,6 +139,30 @@ mod tests {
             assert_eq!(r.pcb, Some(id), "lost key {i} across resizes");
         }
         assert!(demux.resizes() >= 6, "{}", demux.resizes());
+    }
+
+    #[test]
+    fn growing_keeps_every_chain_in_the_order_it_was_built() {
+        // Seven doublings (1 → 128 chains) must leave exactly the table
+        // that inserting the same keys into 128 chains builds: entries
+        // that share a chain are examined newest first, as before a grow.
+        let mut arena = PcbArena::new();
+        let mut grown = AdaptiveDemux::new(Multiplicative, 1, 4);
+        populate(&mut grown, &mut arena, 500);
+        assert_eq!((grown.chain_count(), grown.resizes()), (128, 7));
+        let mut built = SequentDemux::new(Multiplicative, 128);
+        populate(&mut built, &mut arena, 500);
+        let keys = |d: &SequentDemux<Multiplicative>| -> Vec<_> {
+            d.iter_entries().map(|(k, _)| k).collect()
+        };
+        assert_eq!(keys(&grown.inner), keys(&built));
+        for i in (0..500).map(|i| (i * 7) % 500) {
+            assert_eq!(
+                grown.lookup(&key(i), PacketKind::Data).examined,
+                built.lookup(&key(i), PacketKind::Data).examined,
+                "key {i}"
+            );
+        }
     }
 
     #[test]

@@ -72,9 +72,10 @@ impl<H: KeyHasher> SequentDemux<H> {
         self.chains.iter().map(|c| c.len()).collect()
     }
 
-    /// Iterate every installed `(key, id)` pair, chain by chain. Used by
-    /// [`crate::AdaptiveDemux`] when rehashing into a larger table.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (ConnectionKey, PcbId)> + '_ {
+    /// Iterate every installed `(key, id)` pair, chain by chain, each
+    /// chain head first. Used by [`crate::AdaptiveDemux`] when rehashing
+    /// into a larger table.
+    pub fn iter_entries(&self) -> impl DoubleEndedIterator<Item = (ConnectionKey, PcbId)> + '_ {
         self.chains.iter().flat_map(|c| c.iter())
     }
 
@@ -378,8 +379,8 @@ mod tests {
 
     /// Model-based oracle for the whole demux: chains as Vec-of-pairs,
     /// caches as plain Options, stats rebuilt with the same `record`
-    /// calls. Pins the SoA chain layout + tag prefilter to the exact
-    /// pre-refactor walk semantics — every `LookupResult` field and the
+    /// calls. Pins the chain layout + tag prefilter to the exact walk
+    /// semantics of a list of pairs — every `LookupResult` field and the
     /// final accumulated `LookupStats` — across insert/remove/reorder
     /// churn, with the cache both enabled and disabled.
     #[test]

@@ -38,6 +38,8 @@ pub enum StackError {
     NoEphemeralPorts,
     /// The state machine refused the operation in the current state.
     InvalidState(TcpState),
+    /// A live connection already holds this exact four-tuple.
+    ConnectionExists(ConnectionKey),
 }
 
 impl core::fmt::Display for StackError {
@@ -48,6 +50,7 @@ impl core::fmt::Display for StackError {
             StackError::NotEstablished => write!(f, "connection not established"),
             StackError::NoEphemeralPorts => write!(f, "ephemeral ports exhausted"),
             StackError::InvalidState(s) => write!(f, "invalid in state {s}"),
+            StackError::ConnectionExists(key) => write!(f, "connection {key} already exists"),
         }
     }
 }
@@ -1243,7 +1246,22 @@ impl Stack {
         remote_port: u16,
     ) -> Result<PcbId, StackError> {
         let key = ConnectionKey::new(self.config.local_addr, local_port, remote_addr, remote_port);
+        self.refuse_live_key(key)?;
         Ok(self.open(Pcb::new_in_state(key, TcpState::Established)))
+    }
+
+    /// Refuse a caller-chosen four-tuple that a live connection holds.
+    /// [`Demux::insert`] would re-point the one table entry at the
+    /// newcomer, and the first connection's teardown would then remove
+    /// it from under the second. A pass over the arena (as
+    /// [`ephemeral_port_in_use`](Self::ephemeral_port_in_use) makes for
+    /// every active open) rather than a `lookup`, which would count as
+    /// traffic in `stats().demux`.
+    fn refuse_live_key(&self, key: ConnectionKey) -> Result<(), StackError> {
+        if self.conns.iter().any(|(_, c)| c.pcb.key() == key) {
+            return Err(StackError::ConnectionExists(key));
+        }
+        Ok(())
     }
 
     /// Whether a local port is currently held by anything that demuxes:
@@ -1296,15 +1314,19 @@ impl Stack {
         remote_addr: Ipv4Addr,
         remote_port: u16,
     ) -> Result<(PcbId, Vec<u8>), StackError> {
+        // A port no connection holds cannot be part of a live four-tuple.
         let local_port = self.alloc_ephemeral()?;
-        self.connect_from(local_port, remote_addr, remote_port)
+        let key = ConnectionKey::new(self.config.local_addr, local_port, remote_addr, remote_port);
+        Ok(self.active_open(key))
     }
 
     /// [`connect`](Self::connect) with an explicit local port instead of
     /// a freshly-allocated ephemeral one. The sharded runtime uses this:
     /// the four-tuple decides which shard owns a flow, so the runtime
     /// must allocate the port *globally*, compute the owning shard from
-    /// the full key, and only then place the connection there.
+    /// the full key, and only then place the connection there. A
+    /// four-tuple that a live connection already holds is refused with
+    /// [`StackError::ConnectionExists`] and nothing is opened.
     pub fn connect_from(
         &mut self,
         local_port: u16,
@@ -1312,6 +1334,13 @@ impl Stack {
         remote_port: u16,
     ) -> Result<(PcbId, Vec<u8>), StackError> {
         let key = ConnectionKey::new(self.config.local_addr, local_port, remote_addr, remote_port);
+        self.refuse_live_key(key)?;
+        Ok(self.active_open(key))
+    }
+
+    /// Open `key`, a four-tuple known to be free, in SYN-SENT and build
+    /// its SYN.
+    fn active_open(&mut self, key: ConnectionKey) -> (PcbId, Vec<u8>) {
         let mut pcb = Pcb::new(key);
         pcb.on_event(TcpEvent::AppConnect)
             .expect("CLOSED accepts connect");
@@ -1335,7 +1364,7 @@ impl Stack {
         let frame = cx.emit_tcp(&syn, b"");
         // The SYN occupies one sequence number and must be answered.
         cx.track_segment(iss, iss + 1, TcpFlags::SYN, syn.mss, false);
-        Ok((id, frame))
+        (id, frame)
     }
 
     /// Enqueue payload for transmission on an established connection.
@@ -2731,6 +2760,35 @@ mod tests {
         assert!(matches!(r.outcome, RxOutcome::Delivered { bytes: 5, .. }));
         assert!(r.pcbs_examined >= 1);
         assert_eq!(server.socket_mut(server_sock).unwrap().read_all(), b"query");
+    }
+
+    #[test]
+    fn a_live_four_tuple_cannot_be_opened_twice() {
+        let (mut server, mut client) = pair();
+        server.listen(80).unwrap();
+        let (first, syn) = client.connect_from(5000, SERVER, 80).unwrap();
+        let key = ConnectionKey::new(CLIENT, 5000, SERVER, 80);
+        assert_eq!(
+            client.connect_from(5000, SERVER, 80).unwrap_err(),
+            StackError::ConnectionExists(key)
+        );
+        assert_eq!(
+            client.udp_open(5000, SERVER, 80).unwrap_err(),
+            StackError::ConnectionExists(key)
+        );
+        assert_eq!(client.connection_count(), 1);
+        // The first connection still owns the demux entry: its SYN-ACK
+        // finds it and the handshake completes.
+        let syn_ack = server.receive(&syn).unwrap();
+        let ack = client.receive(&syn_ack.replies[0]).unwrap();
+        assert!(matches!(ack.outcome, RxOutcome::Established { pcb } if pcb == first));
+        assert_eq!(client.state(first), Some(TcpState::Established));
+        // Another port to the same peer, or the same port once the first
+        // is gone, is still free.
+        client.connect_from(5001, SERVER, 80).unwrap();
+        client.abort(first).unwrap();
+        client.connect_from(5000, SERVER, 80).unwrap();
+        assert_eq!(client.connection_count(), 2);
     }
 
     #[test]

@@ -15,19 +15,27 @@ import statistics
 import sys
 
 END_TO_END = [
+    "setup_s",
     "ops_per_s",
     "rx_goodput_bytes_per_s",
     "tx_goodput_bytes_per_s",
+    "pcbs_examined_per_frame",
     "allocs_per_op",
     "heap_bytes_per_conn",
 ]
 PER_LAYER = [
     "stack.receive_data_ns",
     "stack.receive_ack_ns",
+    "stack.receive_syn_ns",
+    "stack.receive_miss_ns",
     "stack.send_ns",
     "stack.poll_transmit_ns_per_frame",
     "stack.residual_ns",
     "core.lookup_ns",
+    "core.examined_per_lookup",
+    "core.miss_lookup_ns",
+    "core.insert_ns",
+    "core.remove_ns",
     "core.probe_mismatch",
     "wire.ipv4_parse_ns",
     "wire.tcp_parse_ns",

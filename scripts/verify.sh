@@ -19,7 +19,10 @@
 #      cuckoo-conc kicks and grows); the sharded runtime (per-flow
 #      ordering + zero cross-shard PCB access across 12 seeds of
 #      concurrent ingress/drain); every suite tier at high occupancy
-#      (16 seeds of oracle-checked insert/remove/lookup); the
+#      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
+#      dense lanes against a Vec model over 2,000-operation scripts and
+#      against the linked list they replaced over 10,000-lookup BSD/MTF/
+#      Sequent traces); the
 #      congestion-controlled send path (8 seeds of the bulk-transfer
 #      scenario at 0/10/25% drop, plus the delayed-ACK/zero-window/
 #      fast-recovery suite); and the fingerprint front filter (16 seeds
@@ -102,7 +105,8 @@ TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test demux_churn
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier"
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core list::tests
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 cargo test -q --release --offline --test congestion

@@ -15,11 +15,13 @@
 //! the slab timer wheel (10 470 656 B in all against 10 477 536: only
 //! one timer is ever armed at a time here, so the per-slot vectors the
 //! slab replaced held 7 KB, not the 30 B per connection they cost when
-//! a block of transactions arms its timers together). The assertion
-//! holds the line just above that number, so that a field added to the
-//! slot — paid for by every connection, 1.64 times over at this
-//! population because 20 000 connections sit in 32 768 slots — fails
-//! here and has to be decided rather than drift in.
+//! a block of transactions arms its timers together). `PcbList` as two
+//! dense lanes (a 4 B tag and a 20 B entry per installed connection,
+//! where the linked list kept 33 B in five arrays) reads 508 B. The
+//! assertion holds the line just above that number, so that a field
+//! added to the slot — paid for by every connection, 1.64 times over at
+//! this population because 20 000 connections sit in 32 768 slots —
+//! fails here and has to be decided rather than drift in.
 //!
 //! One `#[test]`, because the byte count is process-global.
 
@@ -71,7 +73,7 @@ const RESPONSE: usize = 200;
 const ISS: u32 = 1_000;
 
 /// Heap bytes per connection this population may cost.
-const CEILING: i64 = 525;
+const CEILING: i64 = 510;
 
 /// The sequence number of a segment the server emitted.
 fn seq_of(frame: &[u8]) -> u32 {
