@@ -22,15 +22,8 @@ pub struct CongestionState {
     pub dup_acks: u32,
     /// Whether fast recovery is in progress.
     pub in_recovery: bool,
-    /// Whether RTO recovery is in progress: the head was re-emitted by
-    /// the retransmission timer and the segments behind it may have been
-    /// discarded by an in-order-only receiver, so each advancing ACK
-    /// below `recover` re-emits the new head (go-back-N paced by the
-    /// ACK clock) instead of stretching new data over the hole.
-    pub in_rto_recovery: bool,
-    /// The `recover` mark: SND.NXT when fast retransmit or an RTO
-    /// fired. ACKs below it are partial; at or above it, recovery
-    /// completes.
+    /// The `recover` mark: SND.NXT when fast retransmit fired. ACKs
+    /// below it are partial; at or above it, recovery completes.
     pub recover: SeqNum,
 }
 
@@ -44,7 +37,6 @@ impl CongestionState {
             ssthresh: usize::MAX / 2,
             dup_acks: 0,
             in_recovery: false,
-            in_rto_recovery: false,
             recover: SeqNum(0),
         }
     }
@@ -77,16 +69,6 @@ impl CongestionState {
     /// losses in one window without waiting for an RTO.
     pub fn on_ack(&mut self, acked: usize, ack: SeqNum, mss: usize) -> CcAction {
         self.dup_acks = 0;
-        if self.in_rto_recovery {
-            if !self.recover.le(ack) {
-                // Below the RTO-time mark: we are back in slow start,
-                // and an in-order-only receiver has necessarily
-                // discarded whatever followed the hole.
-                self.grow(acked, mss);
-                return CcAction::RetransmitHead;
-            }
-            self.in_rto_recovery = false;
-        }
         if self.in_recovery {
             if self.recover.le(ack) {
                 // Full ACK: recovery repaired the whole window.
@@ -125,17 +107,14 @@ impl CongestionState {
     }
 
     /// The retransmission timer expired with `inflight` bytes
-    /// outstanding and SND.NXT at `snd_nxt`: collapse to one MSS,
-    /// restart slow start toward half the data that was in flight
-    /// (RFC 5681 §3.1 eq. 4), and enter RTO recovery — until SND.UNA
-    /// passes the data outstanding at expiry, advancing ACKs re-emit
-    /// the head (see [`in_rto_recovery`](Self::in_rto_recovery)).
-    pub fn on_rto(&mut self, inflight: usize, snd_nxt: SeqNum, mss: usize) {
+    /// outstanding: collapse to one MSS and restart slow start toward
+    /// half the data that was in flight (RFC 5681 §3.1 eq. 4). The
+    /// receiver kept what arrived behind the lost head, so the ACK the
+    /// re-emitted head provokes covers it and nothing else is resent.
+    pub fn on_rto(&mut self, inflight: usize, mss: usize) {
         self.ssthresh = (inflight / 2).max(2 * mss);
         self.cwnd = mss;
         self.in_recovery = false;
-        self.in_rto_recovery = true;
-        self.recover = snd_nxt;
         self.dup_acks = 0;
     }
 
@@ -233,40 +212,28 @@ mod tests {
     }
 
     #[test]
-    fn rto_collapses_to_one_mss() {
+    fn rto_collapses_to_one_mss_and_the_next_ack_is_plain_slow_start() {
         let mut st = fresh();
         st.cwnd = 8 * MSS;
         st.in_recovery = true;
-        st.on_rto(8 * MSS, SeqNum(8_000), MSS);
+        st.dup_acks = 2;
+        st.on_rto(8 * MSS, MSS);
         assert_eq!(st.cwnd, MSS);
         assert_eq!(st.ssthresh, 4 * MSS);
         assert!(!st.in_recovery);
-        assert!(st.in_rto_recovery);
-        assert_eq!(st.recover, SeqNum(8_000));
         assert_eq!(st.dup_acks, 0);
-    }
-
-    #[test]
-    fn rto_recovery_reemits_head_per_ack_until_the_mark() {
-        let mut st = fresh();
-        st.cwnd = 8 * MSS;
-        st.on_rto(8 * MSS, SeqNum(8_000), MSS);
-        // Partial ACKs below the mark keep asking for the head (the
-        // receiver discarded everything behind the hole) while slow
-        // start regrows the window.
-        assert_eq!(st.on_ack(MSS, SeqNum(1_000), MSS), CcAction::RetransmitHead);
-        assert!(st.in_rto_recovery);
-        assert_eq!(st.cwnd, 2 * MSS, "slow-start regrowth during repair");
-        assert_eq!(st.on_ack(MSS, SeqNum(2_000), MSS), CcAction::RetransmitHead);
-        // The ACK covering the mark ends RTO recovery.
-        assert_eq!(st.on_ack(6 * MSS, SeqNum(8_000), MSS), CcAction::None);
-        assert!(!st.in_rto_recovery);
+        // The head's ACK: the window regrows and nothing is re-emitted,
+        // however far short of the data outstanding at expiry it falls.
+        assert_eq!(st.on_ack(MSS, SeqNum(1_000), MSS), CcAction::None);
+        assert_eq!(st.cwnd, 2 * MSS);
+        assert_eq!(st.on_ack(5 * MSS, SeqNum(6_000), MSS), CcAction::None);
+        assert_eq!(st.cwnd, 3 * MSS, "one MSS per ACK, whatever it covers");
     }
 
     #[test]
     fn ssthresh_floor_is_two_mss() {
         let mut st = fresh();
-        st.on_rto(MSS, SeqNum(1_000), MSS);
+        st.on_rto(MSS, MSS);
         assert_eq!(st.ssthresh, 2 * MSS);
     }
 }

@@ -155,7 +155,11 @@ impl Pcb {
     }
 
     /// Whether an arriving segment with this sequence number and length is
-    /// acceptable per the RFC 793 four-case acceptability test.
+    /// acceptable per the RFC 793 four-case acceptability test: whether
+    /// any of it lies inside the receive window. (By the letter of the
+    /// RFC a segment is acceptable if its first or its last byte does,
+    /// which turns away one that covers the whole window from before
+    /// RCV.NXT to past the right edge; here that one is acceptable too.)
     pub fn segment_acceptable(&self, seq: SeqNum, seg_len: u32) -> bool {
         let rcv_nxt = self.rcv.nxt;
         let rcv_wnd = u32::from(self.rcv.wnd);
@@ -163,9 +167,8 @@ impl Pcb {
             (0, 0) => seq == rcv_nxt,
             (0, _) => seq.in_window(rcv_nxt, rcv_wnd),
             (_, 0) => false,
-            (_, _) => {
-                seq.in_window(rcv_nxt, rcv_wnd) || (seq + (seg_len - 1)).in_window(rcv_nxt, rcv_wnd)
-            }
+            // Two stretches overlap when either starts inside the other.
+            (_, _) => seq.in_window(rcv_nxt, rcv_wnd) || rcv_nxt.in_window(seq, seg_len),
         }
     }
 }
@@ -260,6 +263,8 @@ mod tests {
         assert!(pcb.segment_acceptable(SeqNum(1000), 50));
         assert!(pcb.segment_acceptable(SeqNum(950), 51)); // last byte = 1000
         assert!(!pcb.segment_acceptable(SeqNum(949), 50)); // ends at 998
+        assert!(pcb.segment_acceptable(SeqNum(950), 200)); // covers the window
+        assert!(!pcb.segment_acceptable(SeqNum(1100), 50)); // past the edge
 
         // Case: zero window.
         pcb.rcv.wnd = 0;

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use tcpdemux_core::SequentDemux;
 use tcpdemux_hash::Multiplicative;
-use tcpdemux_stack::{FaultInjector, FaultOutcome, Stack, StackConfig, TxScratch, WindowConfig};
+use tcpdemux_stack::{FaultInjector, Stack, StackConfig, TxScratch, WindowConfig};
 use tcpdemux_telemetry::Snapshot;
 
 /// The server port the train flows toward.
@@ -32,6 +32,12 @@ pub struct BulkTransferConfig {
     pub drop_chance: f64,
     /// Probability each surviving frame has one bit flipped.
     pub corrupt_chance: f64,
+    /// Probability each surviving frame is delivered twice.
+    pub duplicate_chance: f64,
+    /// Probability each surviving frame is held back and overtaken.
+    pub reorder_chance: f64,
+    /// The most frames that overtake a held one (0: no reordering).
+    pub max_displacement: u32,
     /// RNG seed for both fault injectors (direction-mixed).
     pub seed: u64,
     /// Give-up horizon: the run fails if the clock passes this tick.
@@ -48,6 +54,9 @@ impl Default for BulkTransferConfig {
             bytes: 1 << 20,
             drop_chance: 0.0,
             corrupt_chance: 0.0,
+            duplicate_chance: 0.0,
+            reorder_chance: 0.0,
+            max_displacement: 0,
             seed: 0xB01D_FACE,
             max_ticks: 500_000_000,
             max_retries: 16,
@@ -62,6 +71,9 @@ impl std::fmt::Debug for BulkTransferConfig {
             .field("bytes", &self.bytes)
             .field("drop_chance", &self.drop_chance)
             .field("corrupt_chance", &self.corrupt_chance)
+            .field("duplicate_chance", &self.duplicate_chance)
+            .field("reorder_chance", &self.reorder_chance)
+            .field("max_displacement", &self.max_displacement)
             .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
@@ -90,6 +102,12 @@ pub struct BulkTransferReport {
     pub corrupted: u64,
     /// Corrupted frames rejected by wire validation on receive.
     pub checksum_rejections: u64,
+    /// Frames the links delivered twice.
+    pub duplicated: u64,
+    /// Frames the links held back to be overtaken.
+    pub reordered: u64,
+    /// The most bytes the receiver ever held behind a hole.
+    pub max_rx_staged: usize,
     /// Whether either stack aborted its connection.
     pub aborted: bool,
     /// Sender cwnd (bytes) sampled after every ACK the sender processed
@@ -137,23 +155,6 @@ fn sequent() -> Box<SequentDemux<Multiplicative>> {
     Box::new(SequentDemux::new(Multiplicative, 19))
 }
 
-/// Push one frame through a fault injector onto a delivery queue.
-fn transmit(
-    link: &mut FaultInjector,
-    frame: Vec<u8>,
-    queue: &mut VecDeque<Vec<u8>>,
-    report: &mut BulkTransferReport,
-) {
-    match link.transmit(&frame) {
-        FaultOutcome::Passed(f) => queue.push_back(f),
-        FaultOutcome::Corrupted(f) => {
-            report.corrupted += 1;
-            queue.push_back(f);
-        }
-        FaultOutcome::Dropped => report.drops += 1,
-    }
-}
-
 /// The sender's payload byte at stream offset `i` (cheap, deterministic,
 /// position-dependent so misordered delivery cannot verify).
 fn payload_byte(i: usize) -> u8 {
@@ -194,12 +195,13 @@ fn run_stacks(cfg: &BulkTransferConfig) -> (BulkTransferReport, Stack, Stack) {
     );
     receiver.listen(PORT).expect("fresh stack");
 
-    let mut c2s = FaultInjector::new(cfg.drop_chance, cfg.corrupt_chance, cfg.seed | 1);
-    let mut s2c = FaultInjector::new(
-        cfg.drop_chance,
-        cfg.corrupt_chance,
-        cfg.seed.rotate_left(21) | 1,
-    );
+    let link = |seed| {
+        FaultInjector::new(cfg.drop_chance, cfg.corrupt_chance, seed)
+            .with_duplication(cfg.duplicate_chance)
+            .with_reordering(cfg.reorder_chance, cfg.max_displacement)
+    };
+    let mut c2s = link(cfg.seed | 1);
+    let mut s2c = link(cfg.seed.rotate_left(21) | 1);
     let mut to_receiver: VecDeque<Vec<u8>> = VecDeque::new();
     let mut to_sender: VecDeque<Vec<u8>> = VecDeque::new();
     let mut report = BulkTransferReport::default();
@@ -207,7 +209,7 @@ fn run_stacks(cfg: &BulkTransferConfig) -> (BulkTransferReport, Stack, Stack) {
     let mut read_buf = vec![0u8; 16 * 1024];
 
     let (cp, syn) = sender.connect(server_addr, PORT).expect("connect");
-    transmit(&mut c2s, syn, &mut to_receiver, &mut report);
+    c2s.transmit_onto(&syn, &mut to_receiver);
 
     let mut sp = None;
     let mut enqueued = 0usize; // stream bytes accepted by the send buffer
@@ -216,17 +218,31 @@ fn run_stacks(cfg: &BulkTransferConfig) -> (BulkTransferReport, Stack, Stack) {
     let mut now: u64 = 0;
 
     loop {
-        // Deliver everything in flight at this tick (zero-latency wire).
-        while !to_receiver.is_empty() || !to_sender.is_empty() {
+        // Deliver everything in flight at this tick (zero-latency wire);
+        // a frame a link holds back goes once nothing is left to pass it.
+        loop {
+            if to_receiver.is_empty() && to_sender.is_empty() {
+                c2s.flush(&mut to_receiver);
+                s2c.flush(&mut to_sender);
+                if to_receiver.is_empty() && to_sender.is_empty() {
+                    break;
+                }
+            }
             while let Some(frame) = to_receiver.pop_front() {
                 match receiver.receive(&frame) {
                     Ok(result) => {
                         for reply in result.replies {
-                            transmit(&mut s2c, reply, &mut to_sender, &mut report);
+                            s2c.transmit_onto(&reply, &mut to_sender);
                         }
                     }
                     Err(_) => report.checksum_rejections += 1,
                 }
+                let staged = receiver
+                    .connection_table()
+                    .iter()
+                    .map(|c| c.rx_staged)
+                    .sum();
+                report.max_rx_staged = report.max_rx_staged.max(staged);
             }
             if sp.is_none() {
                 sp = receiver.accept(PORT);
@@ -254,7 +270,7 @@ fn run_stacks(cfg: &BulkTransferConfig) -> (BulkTransferReport, Stack, Stack) {
                 match sender.receive(&frame) {
                     Ok(result) => {
                         for reply in result.replies {
-                            transmit(&mut c2s, reply, &mut to_receiver, &mut report);
+                            c2s.transmit_onto(&reply, &mut to_receiver);
                         }
                         if let Some(cong) = sender.congestion(cp) {
                             report
@@ -280,7 +296,7 @@ fn run_stacks(cfg: &BulkTransferConfig) -> (BulkTransferReport, Stack, Stack) {
                 let emitted = sender.poll_transmit(&mut scratch);
                 report.frames_sent += emitted as u64;
                 for frame in scratch.frames.drain(..) {
-                    transmit(&mut c2s, frame, &mut to_receiver, &mut report);
+                    c2s.transmit_onto(&frame, &mut to_receiver);
                 }
             }
         }
@@ -309,12 +325,16 @@ fn run_stacks(cfg: &BulkTransferConfig) -> (BulkTransferReport, Stack, Stack) {
             report.aborted |= !advance.aborted.is_empty();
             report.zero_window_probes += advance.zero_window_probes;
             for frame in advance.retransmits.into_iter().chain(advance.acks) {
-                transmit(link, frame, queue, &mut report);
+                link.transmit_onto(&frame, queue);
             }
         }
     }
 
     report.ticks = now;
+    report.drops = c2s.dropped() + s2c.dropped();
+    report.corrupted = c2s.corrupted() + s2c.corrupted();
+    report.duplicated = c2s.duplicated() + s2c.duplicated();
+    report.reordered = c2s.reordered() + s2c.reordered();
     report.delivered = verified;
     report.verified = !corrupt_delivered && verified >= cfg.bytes;
     report.retransmits = sender.stats().stack.retransmits;

@@ -3,8 +3,11 @@
 //! Modeled on smoltcp's example fault injector: frames may be dropped or
 //! have a random octet mutated with configurable probabilities. Corrupted
 //! frames must be caught by the IPv4 or TCP checksum and never reach the
-//! demultiplexer — the integration tests assert exactly that.
+//! demultiplexer — the integration tests assert exactly that. A link
+//! that delivers onto a queue ([`FaultInjector::transmit_onto`]) may also
+//! duplicate frames and let later ones overtake them.
 
+use std::collections::VecDeque;
 use tcpdemux_sim_free_rng::FaultRng;
 
 /// A tiny xorshift generator so the injector does not depend on the sim
@@ -58,15 +61,22 @@ impl FaultOutcome {
     }
 }
 
-/// A lossy, corrupting link.
+/// A lossy, corrupting, duplicating, reordering link.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     drop_chance: f64,
     corrupt_chance: f64,
+    duplicate_chance: f64,
+    reorder_chance: f64,
+    max_displacement: u32,
+    /// A frame held back, and how many more frames are to overtake it.
+    held: Option<(Vec<u8>, u32)>,
     rng: FaultRng,
     dropped: u64,
     corrupted: u64,
     passed: u64,
+    duplicated: u64,
+    reordered: u64,
 }
 
 impl FaultInjector {
@@ -77,11 +87,37 @@ impl FaultInjector {
         Self {
             drop_chance,
             corrupt_chance,
+            duplicate_chance: 0.0,
+            reorder_chance: 0.0,
+            max_displacement: 0,
+            held: None,
             rng: FaultRng::new(seed),
             dropped: 0,
             corrupted: 0,
             passed: 0,
+            duplicated: 0,
+            reordered: 0,
         }
+    }
+
+    /// Deliver a surviving frame twice with probability `chance`
+    /// ([`transmit_onto`](Self::transmit_onto) only).
+    pub fn with_duplication(mut self, chance: f64) -> Self {
+        assert!((0.0..=1.0).contains(&chance));
+        self.duplicate_chance = chance;
+        self
+    }
+
+    /// With probability `chance`, hold a surviving frame back until
+    /// between one and `max_displacement` later frames have overtaken it
+    /// ([`transmit_onto`](Self::transmit_onto) only). One frame is held
+    /// at a time, so no frame arrives more than `max_displacement`
+    /// places late, nor more than one place early for each frame held.
+    pub fn with_reordering(mut self, chance: f64, max_displacement: u32) -> Self {
+        assert!((0.0..=1.0).contains(&chance));
+        self.reorder_chance = if max_displacement == 0 { 0.0 } else { chance };
+        self.max_displacement = max_displacement;
+        self
     }
 
     /// A transparent link.
@@ -115,6 +151,49 @@ impl FaultInjector {
         FaultOutcome::Passed(frame.to_vec())
     }
 
+    /// Pass a frame through the link onto `wire`, the queue the far end
+    /// receives from: [`transmit`](Self::transmit), and then what
+    /// survives may be duplicated and may be overtaken. With neither
+    /// configured this draws exactly what `transmit` draws, so a seed
+    /// means the same fault stream through either.
+    pub fn transmit_onto(&mut self, frame: &[u8], wire: &mut VecDeque<Vec<u8>>) {
+        let (FaultOutcome::Passed(frame) | FaultOutcome::Corrupted(frame)) = self.transmit(frame)
+        else {
+            return;
+        };
+        if self.duplicate_chance > 0.0 && self.rng.unit() < self.duplicate_chance {
+            self.duplicated += 1;
+            self.deliver(frame.clone(), wire);
+        }
+        self.deliver(frame, wire);
+    }
+
+    /// Put a surviving frame on the wire, or hold it back; let go of the
+    /// held one once enough frames have passed it.
+    fn deliver(&mut self, frame: Vec<u8>, wire: &mut VecDeque<Vec<u8>>) {
+        match &mut self.held {
+            None if self.reorder_chance > 0.0 && self.rng.unit() < self.reorder_chance => {
+                self.reordered += 1;
+                let late = 1 + (self.rng.next_u64() % u64::from(self.max_displacement)) as u32;
+                self.held = Some((frame, late));
+            }
+            None => wire.push_back(frame),
+            Some((_, late)) => {
+                wire.push_back(frame);
+                *late -= 1;
+                if *late == 0 {
+                    self.flush(wire);
+                }
+            }
+        }
+    }
+
+    /// The wire has gone quiet: deliver the held frame, if any, rather
+    /// than wait for frames that may never come to overtake it.
+    pub fn flush(&mut self, wire: &mut VecDeque<Vec<u8>>) {
+        wire.extend(self.held.take().map(|(frame, _)| frame));
+    }
+
     /// Frames dropped so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -128,6 +207,16 @@ impl FaultInjector {
     /// Frames passed unmodified so far.
     pub fn passed(&self) -> u64 {
         self.passed
+    }
+
+    /// Frames delivered twice so far.
+    pub fn duplicated(&self) -> u64 {
+        self.duplicated
+    }
+
+    /// Frames held back to be overtaken so far.
+    pub fn reordered(&self) -> u64 {
+        self.reordered
     }
 }
 
@@ -283,6 +372,63 @@ mod tests {
                     );
                 }
                 other => panic!("expected corruption, got {other:?}"),
+            }
+        }
+    }
+
+    /// Frames 0..n through `link`, flushed at the end, as the order and
+    /// multiplicity in which they come out.
+    fn arrivals(link: &mut FaultInjector, n: u8) -> Vec<u8> {
+        let mut wire = VecDeque::new();
+        for i in 0..n {
+            link.transmit_onto(&[i; 4], &mut wire);
+        }
+        link.flush(&mut wire);
+        wire.iter().map(|f| f[0]).collect()
+    }
+
+    #[test]
+    fn without_duplication_or_reordering_onto_is_transmit() {
+        let mut plain = FaultInjector::new(0.3, 0.3, 5);
+        let want: Vec<Vec<u8>> = (0..50u8)
+            .filter_map(|i| plain.transmit(&[i; 16]).frame().map(<[u8]>::to_vec))
+            .collect();
+        let mut link = FaultInjector::new(0.3, 0.3, 5);
+        let mut wire = VecDeque::new();
+        for i in 0..50u8 {
+            link.transmit_onto(&[i; 16], &mut wire);
+        }
+        assert_eq!(Vec::from(wire), want);
+    }
+
+    #[test]
+    fn always_duplicate_delivers_everything_twice_in_order() {
+        let mut link = FaultInjector::transparent().with_duplication(1.0);
+        assert_eq!(arrivals(&mut link, 3), [0, 0, 1, 1, 2, 2]);
+        assert_eq!(link.duplicated(), 3);
+    }
+
+    #[test]
+    fn reordering_displaces_no_frame_by_more_than_the_bound() {
+        for seed in 1..=64u64 {
+            for bound in 1..=4u32 {
+                let mut link = FaultInjector::new(0.0, 0.0, seed).with_reordering(0.4, bound);
+                let out = arrivals(&mut link, 100);
+                assert!(link.reordered() > 0, "seed {seed}");
+                let mut sorted = out.clone();
+                sorted.sort_unstable();
+                assert_eq!(
+                    sorted,
+                    (0..100).collect::<Vec<u8>>(),
+                    "nothing lost or made"
+                );
+                for (at, &frame) in out.iter().enumerate() {
+                    let late = at as i64 - i64::from(frame);
+                    assert!(
+                        (-1..=i64::from(bound)).contains(&late),
+                        "seed {seed} bound {bound}: frame {frame} arrived at {at}"
+                    );
+                }
             }
         }
     }

@@ -11,13 +11,16 @@
 //!
 //! Two [`Stack`]s can be wired back to back ([`Stack::connect`] +
 //! shuttling the returned frames) to run full handshakes, data transfer,
-//! and teardown purely in memory. A [`FaultInjector`] can corrupt or drop
-//! frames in between, demonstrating that damaged packets die at the
-//! checksum long before they reach the demultiplexer.
+//! and teardown purely in memory. A [`FaultInjector`] can corrupt, drop,
+//! duplicate or reorder frames in between, demonstrating that damaged
+//! packets die at the checksum long before they reach the demultiplexer.
 //!
-//! The transfer engine keeps in-order delivery only (out-of-order
-//! segments are dropped and re-ACKed) because the object of study is the
-//! lookup path — but the *send* path is a real windowed transmit engine:
+//! The receiver reassembles: a segment that arrives ahead of a missing
+//! one is written into the connection's [`SocketBuffer`] at its final
+//! offset, inside the window last advertised, and becomes readable when
+//! the hole before it fills (no SACK: the cumulative ACK that follows a
+//! filled hole covers what was held). The *send* path is a real windowed
+//! transmit engine:
 //! [`Stack::send`] enqueues into a per-connection send buffer and
 //! [`Stack::poll_transmit`] emits whatever `min(peer rwnd, cwnd)`
 //! permits, with slow start, AIMD congestion avoidance, fast retransmit

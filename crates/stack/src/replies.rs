@@ -7,9 +7,9 @@ use core::ops::Index;
 /// the (pooled) frame buffers themselves.
 ///
 /// Two is the protocol's bound, not a tuning choice: a segment draws at
-/// most one congestion-control retransmission (fast retransmit, a NewReno
-/// partial-ACK head, or an ACK-paced re-emission during RTO recovery —
-/// one `CcAction` per ACK) and at most one acknowledgement of its own
+/// most one congestion-control retransmission (fast retransmit or a
+/// NewReno partial-ACK head — one `CcAction` per ACK) and at most one
+/// acknowledgement of its own
 /// (ACK, SYN-ACK, RST or ICMP reply). Reads like the `Vec<Vec<u8>>` it
 /// replaced: `len`, indexing, and by-value or by-reference iteration
 /// yielding the frames in emission order.

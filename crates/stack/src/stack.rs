@@ -105,7 +105,10 @@ pub enum RxOutcome {
     ResetSent,
     /// The peer reset the connection; it was reclaimed.
     ResetReceived,
-    /// Out-of-order or duplicate segment; dropped and re-acknowledged.
+    /// A segment that delivered nothing, re-acknowledged: either held in
+    /// the socket for reassembly because it arrived ahead of a missing
+    /// one (counted in `out_of_order_queued`), or discarded as a
+    /// duplicate or as lying outside the window (`out_of_order_drops`).
     Duplicate {
         /// The connection.
         pcb: PcbId,
@@ -289,7 +292,8 @@ struct DelayedAckState {
 #[derive(Debug)]
 struct Conn {
     pcb: Pcb,
-    /// In-order bytes delivered and not yet read by the application.
+    /// Bytes delivered and not yet read by the application, and bytes
+    /// held for reassembly.
     socket: SocketBuffer,
     /// Sender state, while there is any.
     tx: Option<Box<SendHalf>>,
@@ -577,6 +581,11 @@ pub struct ConnectionInfo {
     pub state: TcpState,
     /// Bytes delivered to the socket and not yet read by the application.
     pub rx_queued: usize,
+    /// Bytes that arrived ahead of a missing segment and are held in the
+    /// socket until it comes; never more than the advertised window.
+    pub rx_staged: usize,
+    /// Missing stretches the receiver is waiting for (0 = in order).
+    pub rx_holes: usize,
     /// Payload bytes sent and not yet cumulatively acknowledged: the
     /// prefix of the connection's send buffer that the retransmission
     /// queue's segments describe.
@@ -592,12 +601,14 @@ impl core::fmt::Display for ConnectionInfo {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "tcp  {:<4} {:<28} {:<24} {} rxq={} txq={} rto_attempts={}",
+            "tcp  {:<4} {:<28} {:<24} {} rxq={} rx_staged={} rx_holes={} txq={} rto_attempts={}",
             self.shard.to_string(),
             format!("{}:{}", self.key.local_addr, self.key.local_port),
             format!("{}:{}", self.key.remote_addr, self.key.remote_port),
             self.state,
             self.rx_queued,
+            self.rx_staged,
+            self.rx_holes,
             self.tx_queued,
             self.rto_attempts,
         )
@@ -961,6 +972,8 @@ impl Stack {
                 key: c.pcb.key(),
                 state: c.pcb.state(),
                 rx_queued: c.socket.available(),
+                rx_staged: c.socket.staged(),
+                rx_holes: c.socket.hole_count(),
                 tx_queued: c.tx.as_deref().map_or(0, SendHalf::data_len),
                 inflight_segments: c.tx.as_deref().map_or(0, |half| half.segments.len()),
                 rto_attempts: c.pcb.rto_attempts,
@@ -1954,6 +1967,9 @@ impl Cx<'_> {
             let seq = p.snd.nxt;
             p.snd.nxt += take as u32;
             p.note_segment_out(take);
+            // The segment advertises `window`: that is now the edge the
+            // receive path holds arrivals to.
+            p.rcv.wnd = window;
             let repr = TcpRepr {
                 src_port: key.local_port,
                 dst_port: key.remote_port,
@@ -2084,9 +2100,9 @@ impl Cx<'_> {
     }
 
     /// The RTO fired: retransmit the *oldest* unacked segment only (the
-    /// cumulative ACK it provokes retires everything it covers —
-    /// re-emitting the whole queue go-back-N style just burns the path's
-    /// remaining capacity), marking it ambiguous for Karn's rule,
+    /// receiver kept what arrived behind it, so the cumulative ACK it
+    /// provokes retires everything up to the next loss), marking it
+    /// ambiguous for Karn's rule,
     /// shrinking cwnd to one MSS, and doubling the backoff. Past the
     /// retry budget the connection is to be aborted, which the caller
     /// does on a `true` return — unless the head is a zero-window probe,
@@ -2114,8 +2130,7 @@ impl Cx<'_> {
         if !head_is_probe {
             p.rto_attempts += 1;
             let inflight = p.snd.nxt.raw().wrapping_sub(p.snd.una.raw()) as usize;
-            p.cong
-                .on_rto(inflight, p.snd.nxt, usize::from(self.config.mss));
+            p.cong.on_rto(inflight, usize::from(self.config.mss));
         }
         let attempts = p.rto_attempts;
         advance.retransmits.extend(self.rebuild_head());
@@ -2139,20 +2154,13 @@ impl Cx<'_> {
         false
     }
 
-    /// Re-emit the oldest unacked segment right now — fast retransmit on
-    /// the third duplicate ACK or a NewReno partial-ACK head re-emission
-    /// (`fast`, counted as [`Event::FastRetransmit`]), or an ACK-paced
-    /// go-back-N re-emission during RTO recovery (counted as a plain
-    /// retransmission). Does not touch the retry budget: the path is
+    /// Re-emit the oldest unacked segment right now: fast retransmit on
+    /// the third duplicate ACK, or a NewReno partial-ACK head re-emission
+    /// (`dup_acks` 0). Does not touch the retry budget: the path is
     /// delivering ACKs, it is not dead.
-    fn retransmit_head(&mut self, fast: bool, dup_acks: u32) -> Option<Vec<u8>> {
+    fn retransmit_head(&mut self, dup_acks: u32) -> Option<Vec<u8>> {
         let frame = self.rebuild_head()?;
-        if fast {
-            self.telemetry.event(Event::FastRetransmit { dup_acks });
-        } else {
-            self.stats.retransmits += 1;
-            self.telemetry.event(Event::Retransmit { attempt: 0 });
-        }
+        self.telemetry.event(Event::FastRetransmit { dup_acks });
         self.arm_retx_timer();
         Some(frame)
     }
@@ -2265,9 +2273,21 @@ impl Cx<'_> {
         };
         let no_reply = |outcome| done(outcome, Replies::default(), Then::Keep);
 
-        // RST: tear down unconditionally (sequence validation of RSTs is
-        // out of scope for the lookup study).
+        // RST: honoured only where the peer itself could have sent it —
+        // acknowledging our SYN in SYN-SENT, inside the receive window
+        // from then on (RFC 793 p. 37) — so a forged one has to guess the
+        // window and not merely the four-tuple.
         if tcp.flags.contains(TcpFlags::RST) {
+            let p = &self.conn.pcb;
+            let genuine = if p.state() == TcpState::SynSent {
+                tcp.flags.contains(TcpFlags::ACK) && SeqNum(tcp.ack) == p.snd.nxt
+            } else {
+                p.segment_acceptable(SeqNum(tcp.seq), 0)
+            };
+            if !genuine {
+                self.stats.out_of_order_drops += 1;
+                return no_reply(RxOutcome::Duplicate { pcb: id });
+            }
             return done(
                 RxOutcome::ResetReceived,
                 Replies::default(),
@@ -2358,12 +2378,35 @@ impl Cx<'_> {
             }
         }
 
-        // In-order check for data/FIN segments.
+        // Sequence check for data/FIN segments (RFC 793 p. 69). One with
+        // nothing inside the window last advertised — an old duplicate,
+        // one past the right edge, any at all while the window is closed —
+        // is discarded and re-acknowledged. One that straddles an edge is
+        // trimmed to the window, and to the receive buffer's free space
+        // where unacknowledged deliveries have taken that below it.
+        let seq = SeqNum(tcp.seq);
+        let fin_seq = seq + payload.len() as u32;
         let seg_len = payload.len() as u32 + u32::from(tcp.flags.contains(TcpFlags::FIN));
-        if seg_len > 0 && SeqNum(tcp.seq) != self.conn.pcb.rcv.nxt {
-            self.stats.out_of_order_drops += 1;
-            let ack = self.make_ack();
-            return done(RxOutcome::Duplicate { pcb: id }, ack.into(), Then::Keep);
+        let mut payload = payload;
+        // How far past RCV.NXT what is left of the payload starts.
+        let mut offset = 0;
+        if seg_len > 0 {
+            let p = &self.conn.pcb;
+            if !p.segment_acceptable(seq, seg_len) {
+                self.stats.out_of_order_drops += 1;
+                let ack = self.make_ack();
+                return done(RxOutcome::Duplicate { pcb: id }, ack.into(), Then::Keep);
+            }
+            if seq.lt(p.rcv.nxt) {
+                let stale = (p.rcv.nxt - seq) as usize;
+                payload = &payload[stale.min(payload.len())..];
+            } else {
+                offset = (seq - p.rcv.nxt) as usize;
+            }
+            let occupancy = self.conn.socket.available();
+            let room = self.config.window.recv_buffer.saturating_sub(occupancy);
+            let window = usize::from(p.rcv.wnd).min(room);
+            payload = &payload[..payload.len().min(window.saturating_sub(offset))];
         }
 
         // ACK bookkeeping (cumulative), congestion control, and
@@ -2390,14 +2433,11 @@ impl Cx<'_> {
                 p.snd.una = ack;
                 // Retire covered segments and service the RTO timer.
                 self.on_ack(ack);
-                let cong = &mut self.conn.pcb.cong;
-                let action = cong.on_ack(acked_bytes, ack, mss);
-                let in_fast_recovery = cong.in_recovery;
+                let action = self.conn.pcb.cong.on_ack(acked_bytes, ack, mss);
                 self.observe_cwnd();
                 if matches!(action, CcAction::RetransmitHead) {
-                    // NewReno partial ACK (fast recovery) or ACK-paced
-                    // go-back-N (RTO recovery): re-emit the new head.
-                    replies.extend(self.retransmit_head(in_fast_recovery, 0));
+                    // NewReno partial ACK: re-emit the new head.
+                    replies.extend(self.retransmit_head(0));
                 }
             } else if is_dup {
                 let inflight = p.snd.nxt.raw().wrapping_sub(p.snd.una.raw()) as usize;
@@ -2405,7 +2445,7 @@ impl Cx<'_> {
                 let dup_acks = p.cong.dup_acks;
                 self.observe_cwnd();
                 if matches!(action, CcAction::RetransmitHead) {
-                    replies.extend(self.retransmit_head(true, dup_acks));
+                    replies.extend(self.retransmit_head(dup_acks));
                 }
             }
             // An ACK may have reopened the transmit window: requeue any
@@ -2441,28 +2481,30 @@ impl Cx<'_> {
             }
         }
 
-        // Payload delivery, bounded by the receive buffer: a segment
-        // that does not fit is dropped un-ACKed (the shrunken — possibly
-        // zero — window in our ACK tells the peer to back off; the data
-        // is retransmitted once the reader drains the socket).
+        // Payload. Ahead of RCV.NXT it is held in the socket, where it
+        // will be read from, and acknowledged at once: the duplicate ACK
+        // is what tells the sender a segment is missing (RFC 5681 §4.2).
+        // At RCV.NXT it is delivered, and with it whatever was held behind
+        // the hole it fills.
         let mut delivered = 0usize;
         if !payload.is_empty() && self.conn.pcb.state().can_transfer_data() {
-            let occupancy = self.conn.socket.available();
-            let room = self.config.window.recv_buffer.saturating_sub(occupancy);
-            if payload.len() > room {
+            if offset > 0 {
+                self.conn.socket.stage(offset, payload);
+                self.conn.pcb.note_segment_in(0);
+                self.stats.out_of_order_queued += 1;
                 replies.push(self.make_ack());
+                self.note_ack_emitted();
                 return done(RxOutcome::Duplicate { pcb: id }, replies, Then::Keep);
             }
-            self.conn.pcb.rcv.nxt += payload.len() as u32;
-            self.conn.pcb.note_segment_in(payload.len());
-            delivered = payload.len();
-            self.stats.bytes_delivered += payload.len() as u64;
-            self.conn.socket.deliver(payload);
+            delivered = self.conn.socket.deliver(payload);
+            self.conn.pcb.rcv.nxt += delivered as u32;
+            self.conn.pcb.note_segment_in(delivered);
+            self.stats.bytes_delivered += delivered as u64;
         }
 
-        // FIN processing.
+        // FIN processing, once every byte before it has been delivered.
         let mut peer_closed = false;
-        if tcp.flags.contains(TcpFlags::FIN) {
+        if tcp.flags.contains(TcpFlags::FIN) && fin_seq == self.conn.pcb.rcv.nxt {
             let p = &mut self.conn.pcb;
             if p.on_event(TcpEvent::RecvFin).is_ok() {
                 p.rcv.nxt += 1;
@@ -2482,13 +2524,27 @@ impl Cx<'_> {
             };
         }
         if delivered > 0 {
-            // Plain in-order data may owe a delayed ACK instead.
-            replies.extend(self.ack_for_delivery());
+            if delivered > payload.len() || self.conn.socket.has_holes() {
+                // A hole closed or is still open: the sender is repairing
+                // a loss and waits on this ACK.
+                replies.push(self.make_ack());
+                self.note_ack_emitted();
+            } else {
+                // Plain in-order data may owe a delayed ACK instead.
+                replies.extend(self.ack_for_delivery());
+            }
             let outcome = RxOutcome::Delivered {
                 pcb: id,
                 bytes: delivered,
             };
             return done(outcome, replies, Then::Keep);
+        }
+        if seg_len > 0 {
+            // Nothing of it could be taken: a FIN ahead of a hole, or
+            // payload the receive buffer or the state has no place for.
+            self.stats.out_of_order_drops += 1;
+            replies.push(self.make_ack());
+            return done(RxOutcome::Duplicate { pcb: id }, replies, Then::Keep);
         }
         done(RxOutcome::AckProcessed { pcb: id }, replies, Then::Keep)
     }
@@ -2535,6 +2591,14 @@ mod tests {
         let n = stack.poll_transmit(&mut scratch);
         assert_eq!(n, 1, "one small payload polls as one frame");
         scratch.frames.pop().unwrap()
+    }
+
+    /// The TCP header of a frame a stack emitted.
+    fn header_of(frame: &[u8]) -> TcpRepr {
+        let packet = Ipv4Packet::new_checked(frame).unwrap();
+        let ip = Ipv4Repr::parse(&packet).unwrap();
+        let segment = TcpSegment::new_checked(packet.payload()).unwrap();
+        TcpRepr::parse(&segment, ip.src_addr, ip.dst_addr).unwrap()
     }
 
     #[test]
@@ -2659,28 +2723,18 @@ mod tests {
     #[test]
     fn segment_to_unknown_connection_gets_rst() {
         let (mut server, mut client) = pair();
-        // No listener, no connection: a data segment out of nowhere.
-        let (cp, _syn) = client.connect(SERVER, 9999).unwrap();
-        // Pretend established so we can fabricate a data segment.
-        let frame = {
-            let key = client.connection_key(cp).unwrap();
-            let repr = TcpRepr {
-                src_port: key.local_port,
-                dst_port: 9999,
-                seq: 1,
-                ack: 1,
-                flags: TcpFlags::ACK | TcpFlags::PSH,
-                window: 100,
-                ..TcpRepr::default()
-            };
-            client.emit_tcp(&key, &repr, b"ghost")
-        };
+        let (cp, _sp) = handshake(&mut server, &mut client, 9999);
+        // The server loses its state: no listener, no connection, and
+        // the client's next data segment comes out of nowhere.
+        let (mut server, _) = pair();
+        let frame = send_now(&mut client, cp, b"ghost");
         let r = server.receive(&frame).unwrap();
         assert!(matches!(r.outcome, RxOutcome::ResetSent));
         assert_eq!(r.replies.len(), 1);
         assert_eq!(server.stats().stack.resets_sent, 1);
 
-        // The RST comes back and kills the half-open client connection.
+        // The RST comes back carrying the sequence number the segment
+        // acknowledged, and kills the half-open client connection.
         let r = client.receive(&r.replies[0]).unwrap();
         assert!(matches!(r.outcome, RxOutcome::ResetReceived));
         assert_eq!(client.connection_count(), 0);
@@ -2939,7 +2993,8 @@ mod tests {
         // An RST lands during TIME-WAIT and reclaims immediately.
         let rst_frame = {
             // Rebuild a valid RST from the server's (now closed) side by
-            // aborting a reconstructed connection is overkill: craft one.
+            // aborting a reconstructed connection is overkill: craft one,
+            // at the sequence number that follows the server's FIN.
             let key = ConnectionKey::new(
                 CLIENT,
                 {
@@ -2953,7 +3008,7 @@ mod tests {
             let repr = TcpRepr {
                 src_port: key.local_port,
                 dst_port: key.remote_port,
-                seq: 0,
+                seq: header_of(&fin2).seq.wrapping_add(1),
                 ack: 0,
                 flags: TcpFlags::RST,
                 window: 0,
@@ -3629,26 +3684,239 @@ mod tests {
         assert_eq!(client.poll_transmit(&mut scratch), 3);
         assert_eq!(client.connection_table()[0].tx_queued, 4 * 1460);
 
-        // Three duplicate ACKs: fast retransmit re-emits the fourth.
+        // Three duplicate ACKs — the receiver keeps what they answer —
+        // and fast retransmit re-emits the fourth.
         let mut fast = Vec::new();
         for frame in &scratch.frames {
             let dup = ack_of(&mut server, frame);
             fast.extend(client.receive(&dup).unwrap().replies);
         }
         assert_eq!(fast, [&fourth[..]], "same bytes as the first time");
+        let held = server.connection_table()[0];
+        assert_eq!((held.rx_staged, held.rx_holes), (3 * 1460, 1));
 
         // That one is lost as well: the RTO re-emits it again.
         let due = client.next_timer_deadline().expect("RTO armed");
         let fired = client.advance_time(due);
         assert_eq!(fired.retransmits, [&fourth[..]]);
 
-        // Delivered at last, the receiver's stream is the sender's.
-        let ack = ack_of(&mut server, &fourth);
-        client.receive(&ack).unwrap();
-        assert_eq!(client.connection_table()[0].tx_queued, 3 * 1460);
+        // Delivered at last, it fills the hole: one ACK covers all seven
+        // segments, and the three sent after the lost one, which the
+        // receiver held, are not sent again.
+        let r = server.receive(&fourth).unwrap();
         assert_eq!(
-            server.socket_mut(sp).unwrap().read_all(),
-            &stream[..4 * 1460]
+            r.outcome,
+            RxOutcome::Delivered {
+                pcb: sp,
+                bytes: 4 * 1460
+            }
+        );
+        assert!(client.receive(&r.replies[0]).unwrap().replies.is_empty());
+        assert_eq!(client.connection_table()[0].tx_queued, 0);
+        assert_eq!(client.poll_transmit(&mut scratch), 0, "nothing is resent");
+        let held = server.connection_table()[0];
+        assert_eq!(
+            (held.rx_queued, held.rx_staged, held.rx_holes),
+            (7 * 1460, 0, 0)
+        );
+        assert_eq!(server.socket_mut(sp).unwrap().read_all(), stream);
+    }
+
+    /// A forged RST has to land inside the receive window to count; the
+    /// four-tuple alone is not enough.
+    #[test]
+    fn an_rst_outside_the_window_is_discarded() {
+        let (mut server, mut client) = pair();
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let first = send_now(&mut client, cp, b"before");
+        let ack = header_of(&ack_of(&mut server, &first));
+        let rst = |client: &mut Stack, seq: u32| {
+            let key = client.connection_key(cp).unwrap();
+            let repr = TcpRepr {
+                src_port: key.local_port,
+                dst_port: key.remote_port,
+                seq,
+                flags: TcpFlags::RST,
+                ..TcpRepr::default()
+            };
+            client.emit_tcp(&key, &repr, b"")
+        };
+        // One below RCV.NXT, and one past the right edge.
+        let right_edge = ack.ack.wrapping_add(u32::from(ack.window));
+        for seq in [ack.ack.wrapping_sub(1), right_edge] {
+            let frame = rst(&mut client, seq);
+            let r = server.receive(&frame).unwrap();
+            assert_eq!(r.outcome, RxOutcome::Duplicate { pcb: sp }, "seq {seq}");
+            assert!(r.replies.is_empty());
+            assert!(server.is_established(sp));
+        }
+        assert_eq!(server.stats().stack.out_of_order_drops, 2);
+        // The connection is untouched: its next segment is delivered.
+        let next = send_now(&mut client, cp, b"after");
+        let r = server.receive(&next).unwrap();
+        assert_eq!(r.outcome, RxOutcome::Delivered { pcb: sp, bytes: 5 });
+        assert_eq!(server.socket_mut(sp).unwrap().read_all(), b"beforeafter");
+        // The last sequence number inside the window still resets it.
+        let frame = rst(&mut client, right_edge.wrapping_sub(1));
+        let r = server.receive(&frame).unwrap();
+        assert_eq!(r.outcome, RxOutcome::ResetReceived);
+        assert_eq!(server.connection_count(), 0);
+    }
+
+    /// In SYN-SENT there is no window yet: an RST counts only if it
+    /// acknowledges the SYN.
+    #[test]
+    fn an_rst_in_syn_sent_must_acknowledge_the_syn() {
+        let (_, mut client) = pair();
+        let (cp, syn) = client.connect(SERVER, 80).unwrap();
+        let key = client.connection_key(cp).unwrap().reversed();
+        let syn_seq = header_of(&syn).seq;
+        let mut rst = |ack: u32| {
+            let repr = TcpRepr {
+                src_port: key.local_port,
+                dst_port: key.remote_port,
+                ack,
+                flags: TcpFlags::RST | TcpFlags::ACK,
+                ..TcpRepr::default()
+            };
+            let frame = client.emit_tcp(&key, &repr, b"");
+            client.receive(&frame).unwrap().outcome
+        };
+        assert_eq!(rst(syn_seq), RxOutcome::Duplicate { pcb: cp });
+        assert_eq!(
+            rst(syn_seq.wrapping_add(2)),
+            RxOutcome::Duplicate { pcb: cp }
+        );
+        assert_eq!(rst(syn_seq.wrapping_add(1)), RxOutcome::ResetReceived);
+    }
+
+    /// With ACKs delayed the window last advertised can promise more than
+    /// the receive buffer has left; the buffer's bound is the one that holds.
+    #[test]
+    fn a_delayed_ack_does_not_let_the_receive_buffer_overfill() {
+        let window = WindowConfig::default()
+            .with_advertise(2000)
+            .with_recv_buffer(2000)
+            .with_delayed_ack(10)
+            .with_ack_every(4);
+        let mut server = Stack::with_config(StackConfig::new(SERVER).with_window(window));
+        let (_, mut client) = pair();
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let first = send_now(&mut client, cp, &[7; 1460]);
+        let r = server.receive(&first).unwrap();
+        assert_eq!(
+            r.outcome,
+            RxOutcome::Delivered {
+                pcb: sp,
+                bytes: 1460
+            }
+        );
+        assert!(r.replies.is_empty(), "the ACK is owed, not sent");
+        // The window that went out still says 2000 B from the new
+        // RCV.NXT; the buffer has 540 B left, and a peer that sends on
+        // the former is held to the latter.
+        let key = client.connection_key(cp).unwrap();
+        let repr = TcpRepr {
+            seq: header_of(&first).seq.wrapping_add(1460),
+            ..header_of(&first)
+        };
+        let second = client.emit_tcp(&key, &repr, &[8; 1000]);
+        let r = server.receive(&second).unwrap();
+        assert_eq!(
+            r.outcome,
+            RxOutcome::Delivered {
+                pcb: sp,
+                bytes: 540
+            }
+        );
+        assert_eq!(server.connection_table()[0].rx_queued, 2000);
+    }
+
+    /// The receive path against the edges of the window: what straddles
+    /// one is trimmed, what lies outside is discarded, what is ahead of
+    /// RCV.NXT is held — and a connection with no hole holds nothing.
+    #[test]
+    fn segments_are_trimmed_to_the_window_and_held_behind_holes() {
+        let window = WindowConfig::default().with_advertise(1000);
+        let mut server = Stack::with_config(StackConfig::new(SERVER).with_window(window));
+        let (_, mut client) = pair();
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let key = client.connection_key(cp).unwrap();
+        let stream: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let base = header_of(&send_now(&mut client, cp, &stream[..100])).seq;
+        // Offer `stream[from..to]` (and a FIN, if asked) as one segment.
+        let mut offer = |server: &mut Stack, from: usize, to: usize, fin: bool| {
+            let repr = TcpRepr {
+                src_port: key.local_port,
+                dst_port: key.remote_port,
+                seq: base.wrapping_add(from as u32),
+                ack: 0,
+                flags: if fin { TcpFlags::FIN } else { TcpFlags::PSH },
+                window: 1000,
+                ..TcpRepr::default()
+            };
+            let frame = client.emit_tcp(&key, &repr, &stream[from..to]);
+            let r = server.receive(&frame).unwrap();
+            let row = server.connection_table()[0];
+            let acked = r
+                .replies
+                .iter()
+                .next()
+                .map(|f| header_of(f).ack.wrapping_sub(base));
+            (r.outcome, acked, row.rx_queued, row.rx_staged, row.rx_holes)
+        };
+        let delivered = |bytes| RxOutcome::Delivered { pcb: sp, bytes };
+        let duplicate = RxOutcome::Duplicate { pcb: sp };
+
+        assert_eq!(
+            offer(&mut server, 0, 100, false),
+            (delivered(100), Some(100), 100, 0, 0)
+        );
+        // Ahead of RCV.NXT: held, and acknowledged with a duplicate ACK.
+        assert_eq!(
+            offer(&mut server, 300, 400, false),
+            (duplicate, Some(100), 100, 100, 1)
+        );
+        // Running past the right edge (100 + 1000): cut off there.
+        assert_eq!(
+            offer(&mut server, 1000, 1300, false),
+            (duplicate, Some(100), 100, 200, 2)
+        );
+        // Wholly past it, wholly before RCV.NXT, a FIN ahead of a hole:
+        // discarded, each with an ACK that says where the receiver is.
+        assert_eq!(
+            offer(&mut server, 1100, 1200, false),
+            (duplicate, Some(100), 100, 200, 2)
+        );
+        assert_eq!(
+            offer(&mut server, 0, 100, false),
+            (duplicate, Some(100), 100, 200, 2)
+        );
+        assert_eq!(
+            offer(&mut server, 400, 400, true),
+            (duplicate, Some(100), 100, 200, 2)
+        );
+        let stats = server.stats().stack;
+        assert_eq!(
+            (stats.out_of_order_queued, stats.out_of_order_drops),
+            (2, 3)
+        );
+        // Straddling RCV.NXT: the stale half is cut off, the fresh half
+        // fills the hole and takes the span behind it along.
+        assert_eq!(
+            offer(&mut server, 50, 300, false),
+            (delivered(300), Some(400), 400, 100, 1)
+        );
+        // The rest, FIN and all, in one oversized segment: delivered up
+        // to the new right edge (400 + 1000), where the FIN is not yet.
+        assert_eq!(
+            offer(&mut server, 400, 3000, true),
+            (delivered(1000), Some(1400), 1400, 0, 0)
+        );
+        assert_eq!(server.socket_mut(sp).unwrap().read_all(), &stream[..1400]);
+        assert_eq!(
+            offer(&mut server, 1400, 1500, true),
+            (RxOutcome::PeerClosed { pcb: sp }, Some(1501), 100, 0, 0)
         );
     }
 

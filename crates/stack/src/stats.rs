@@ -24,8 +24,13 @@ pub struct StackStats {
     pub listener_hits: u64,
     /// Segments that matched nothing and provoked an RST.
     pub resets_sent: u64,
-    /// Out-of-order segments dropped (re-ACKed, not queued).
+    /// Data, FIN and RST segments discarded for where they sat in
+    /// sequence space: outside the receive window, a full duplicate, or a
+    /// FIN ahead of a hole (re-ACKed, except for an RST).
     pub out_of_order_drops: u64,
+    /// Data segments that arrived ahead of a missing one and were held in
+    /// the socket for reassembly (re-ACKed).
+    pub out_of_order_queued: u64,
     /// Payload bytes delivered to sockets.
     pub bytes_delivered: u64,
     /// Frames the stack emitted (replies and sends).
@@ -65,6 +70,7 @@ impl StackStats {
             listener_hits,
             resets_sent,
             out_of_order_drops,
+            out_of_order_queued,
             bytes_delivered,
             frames_out,
             pcbs_examined,
@@ -84,6 +90,7 @@ impl StackStats {
         self.listener_hits += listener_hits;
         self.resets_sent += resets_sent;
         self.out_of_order_drops += out_of_order_drops;
+        self.out_of_order_queued += out_of_order_queued;
         self.bytes_delivered += bytes_delivered;
         self.frames_out += frames_out;
         self.pcbs_examined += pcbs_examined;

@@ -22,13 +22,18 @@ END_TO_END = [
     "pcbs_examined_per_frame",
     "allocs_per_op",
     "heap_bytes_per_conn",
+    "segments_sent_per_needed",
+    "virtual_goodput_bytes_per_ktick",
 ]
 PER_LAYER = [
     "stack.receive_data_ns",
+    "stack.receive_data_calls",
     "stack.receive_ack_ns",
     "stack.receive_syn_ns",
+    "stack.receive_fin_ns",
     "stack.receive_miss_ns",
     "stack.send_ns",
+    "stack.advance_time_ns",
     "stack.poll_transmit_ns_per_frame",
     "stack.residual_ns",
     "core.lookup_ns",
@@ -44,6 +49,10 @@ PER_LAYER = [
     "stack.socket.read_into_ns_per_kib",
     "telemetry.record_ns",
     "stack.allocs_per_frame",
+    "stack.out_of_order_drops",
+    "stack.retransmits",
+    "stack.fast_retransmits",
+    "stack.rto_retransmits",
 ]
 
 

@@ -11,7 +11,9 @@
 #      seed produce byte-identical output;
 #   5. every whole-scenario seed sweep holds at a widened
 #      TCPDEMUX_SEEDS: loss recovery and checksum rejection (32 fault
-#      streams through the lossy-link scenario, and the checksum kernel
+#      streams through the lossy-link scenario, 32 through a bulk
+#      transfer whose link reorders by a bounded displacement,
+#      duplicates and drops, and the checksum kernel
 #      against its 16-bit reference on 32 seeds of inputs up to 65,535
 #      bytes); both shared-table
 #      tiers (16 seeds of multi-threaded churn, a generation-tagged
@@ -22,7 +24,8 @@
 #      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
 #      dense lanes against a Vec model over 2,000-operation scripts and
 #      against the linked list they replaced over 10,000-lookup BSD/MTF/
-#      Sequent traces); the
+#      Sequent traces; 16 seeds of crafted segments through one
+#      connection's receive path against a byte-map reference); the
 #      congestion-controlled send path (8 seeds of the bulk-transfer
 #      scenario at 0/10/25% drop, plus the delayed-ACK/zero-window/
 #      fast-recovery suite); and the fingerprint front filter (16 seeds
@@ -98,15 +101,16 @@ TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   -p tcpdemux-wire checksum::tests::matches_the_reference_across_seeds
-echo "ok: loss recovery and checksum rejection hold across 32 fault seeds"
+echo "ok: loss recovery, reassembly under reordering and checksum rejection hold across 32 fault seeds"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"
 TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
-TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test demux_churn
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline \
+  --test demux_churn --test reassembly_oracle
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core list::tests
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference"
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; the receiver agrees with its byte-map reference"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 cargo test -q --release --offline --test congestion

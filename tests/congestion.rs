@@ -215,11 +215,12 @@ fn closed_window_probes_until_reopened() {
     assert!(tail.iter().all(|&b| b == 0x5a), "stream bytes intact");
 }
 
-/// NewReno fast recovery against a real in-order-only receiver: three
-/// duplicate ACKs trigger fast retransmit; because the receiver
-/// discarded everything behind the hole, each advancing ACK is partial
-/// and re-emits the next head while recovery stays open; the ACK that
-/// reaches the `recover` mark closes it.
+/// NewReno fast recovery against the real, reassembling receiver, with
+/// two segments of one window lost: three duplicate ACKs trigger fast
+/// retransmit; the receiver kept everything behind the first hole, so
+/// the retransmission's ACK runs up to the second — partial, which
+/// re-emits that head while recovery stays open; the ACK that reaches
+/// the `recover` mark closes it, and no segment that arrived is resent.
 #[test]
 fn newreno_partial_acks_repair_the_window_then_exit_recovery() {
     let window = WindowConfig::default()
@@ -231,18 +232,18 @@ fn newreno_partial_acks_repair_the_window_then_exit_recovery() {
         StackConfig::new(CLIENT).with_window(window),
     );
 
-    // Eight full segments in one poll; the first is "lost".
+    // Eight full segments in one poll; the first and the fifth are "lost".
     let payload: Vec<u8> = (0..8 * 1460u32).map(|i| i as u8).collect();
     let frames = pump(&mut client, cp, &payload);
     assert_eq!(frames.len(), 8, "cwnd must cover the whole burst");
 
     let mut dup_acks = Vec::new();
-    for frame in &frames[1..] {
+    for frame in frames[1..4].iter().chain(&frames[5..]) {
         let r = server.receive(frame).unwrap();
         assert!(matches!(r.outcome, RxOutcome::Duplicate { .. }));
         dup_acks.extend(r.replies);
     }
-    assert_eq!(dup_acks.len(), 7);
+    assert_eq!(dup_acks.len(), 6);
 
     // Feed the duplicates: the third must provoke fast retransmit.
     let mut retransmission = None;
@@ -259,16 +260,19 @@ fn newreno_partial_acks_repair_the_window_then_exit_recovery() {
     assert!(cong.in_recovery, "fast recovery must be open");
     assert!(client.stats().telemetry.counter(CounterId::FastRetransmits) >= 1);
 
-    // Partial-ACK chain: the receiver took only the retransmitted head,
-    // so its ACK is partial; NewReno re-emits the next head per ACK
-    // until the mark is reached, all without any RTO.
+    // Partial-ACK chain: the retransmitted head fills the first hole, so
+    // its ACK stops at the second and is partial; NewReno re-emits that
+    // head, whose ACK reaches the mark, all without any RTO.
     let mut next = retransmission.expect("fast retransmit frame");
     let mut hops = 0;
     loop {
         hops += 1;
         assert!(hops <= 16, "recovery must converge");
         let r = server.receive(&next).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::Delivered { .. }));
+        let RxOutcome::Delivered { bytes, .. } = r.outcome else {
+            panic!("{:?}", r.outcome);
+        };
+        assert_eq!(bytes, 4 * 1460, "the filler and the three held behind it");
         let ack = r.replies.into_iter().next().expect("cumulative ACK");
         let r = client.receive(&ack).unwrap();
         match r.replies.into_iter().next() {
@@ -282,6 +286,7 @@ fn newreno_partial_acks_repair_the_window_then_exit_recovery() {
             None => break, // the full ACK closed recovery
         }
     }
+    assert_eq!(hops, 2, "one retransmission per lost segment");
     let cong = client.congestion(cp).expect("live");
     assert!(!cong.in_recovery, "full ACK must exit fast recovery");
     assert_eq!(cong.cwnd, cong.ssthresh, "window deflates to ssthresh");

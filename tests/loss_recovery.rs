@@ -7,6 +7,7 @@
 //! `Stack::advance_time`, or not at all.
 
 use std::net::Ipv4Addr;
+use tcpdemux::sim::bulk::{run_bulk_transfer, BulkTransferConfig};
 use tcpdemux::sim::lossy::{run_lossy_link, LossyLinkConfig};
 use tcpdemux::stack::{SocketError, Stack, StackConfig, TxScratch};
 use tcpdemux_testprop::sweep_seeds;
@@ -56,6 +57,53 @@ fn lossy_link_recovers_across_seeds() {
             report.corrupted, report.checksum_rejections,
             "seed {seed}: {report:?}"
         );
+    }
+}
+
+/// A stream reordered by displacement ≤ d never needs more than d
+/// segments of reassembly space (*Identifying almost sorted permutations
+/// from TCP buffer dynamics*), and below three duplicate ACKs the sender
+/// retransmits nothing; past that bound, with duplication and loss on
+/// top, the stream still arrives whole. `TCPDEMUX_SEEDS` widens the
+/// sweep (scripts/verify.sh runs it at 32).
+#[test]
+fn reordered_and_duplicated_streams_reassemble_across_seeds() {
+    const MSS: usize = 1460;
+    const BYTES: usize = 128 << 10;
+    for seed in 1..=u64::from(sweep_seeds(8)) {
+        let base = BulkTransferConfig {
+            bytes: BYTES,
+            seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ..BulkTransferConfig::default()
+        };
+        for max_displacement in [1, 2] {
+            let report = run_bulk_transfer(&BulkTransferConfig {
+                reorder_chance: 0.2,
+                max_displacement,
+                ..base.clone()
+            });
+            let tag = format!("seed {seed} displacement {max_displacement}: {report:?}");
+            assert!(report.verified && !report.aborted, "{tag}");
+            assert!(report.reordered > 0, "{tag}");
+            assert_eq!(report.frames_sent, BYTES.div_ceil(MSS) as u64, "{tag}");
+            assert_eq!(report.retransmits + report.fast_retransmits, 0, "{tag}");
+            assert!(
+                (1..=max_displacement as usize * MSS).contains(&report.max_rx_staged),
+                "{tag}"
+            );
+        }
+        let report = run_bulk_transfer(&BulkTransferConfig {
+            drop_chance: 0.10,
+            duplicate_chance: 0.05,
+            reorder_chance: 0.2,
+            max_displacement: 4,
+            ..base
+        });
+        let tag = format!("seed {seed} lossy: {report:?}");
+        assert!(report.verified && !report.aborted, "{tag}");
+        assert!(report.drops > 0 && report.duplicated > 0, "{tag}");
+        // Never more than the window the receiver advertises.
+        assert!((1..=8760).contains(&report.max_rx_staged), "{tag}");
     }
 }
 
