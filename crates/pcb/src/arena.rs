@@ -234,8 +234,8 @@ mod tests {
     fn get_mut_mutates() {
         let mut arena = PcbArena::new();
         let id = arena.insert(pcb(1));
-        arena.get_mut(id).unwrap().note_segment_in(10);
-        assert_eq!(arena.get(id).unwrap().counters.segments_in, 1);
+        arena.get_mut(id).unwrap().mss = 1460;
+        assert_eq!(arena.get(id).unwrap().mss, 1460);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A PCB holds the per-endpoint state of one TCP connection: the 96-bit
 //! connection key (addresses and ports), the RFC 793 state machine, send and
-//! receive sequence bookkeeping, and accounting. The demultiplexing
-//! algorithms in `tcpdemux-core` find the PCB matching each arriving
-//! segment; this crate defines what they are finding.
+//! receive sequence bookkeeping, and the RTT and congestion estimates. The
+//! demultiplexing algorithms in `tcpdemux-core` find the PCB matching each
+//! arriving segment; this crate defines what they are finding.
 //!
 //! The layout mirrors the BSD `inpcb`/`tcpcb` split loosely: [`Pcb`] is the
 //! combined object, [`PcbArena`] owns all PCBs and hands out stable
@@ -40,7 +40,7 @@ mod state;
 pub use arena::{Arena, PcbArena, PcbId};
 pub use cc::{CcAction, CongestionState};
 pub use key::{ConnectionKey, ListenKey};
-pub use pcb::{Pcb, PcbCounters, RecvSequenceSpace, SendSequenceSpace};
+pub use pcb::{Pcb, RecvSequenceSpace, SendSequenceSpace};
 pub use rtt::RttEstimator;
 pub use sendbuf::SendBuffer;
 pub use seq::SeqNum;

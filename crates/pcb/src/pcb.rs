@@ -29,24 +29,12 @@ pub struct RecvSequenceSpace {
     pub irs: SeqNum,
 }
 
-/// Per-connection accounting, exposed so experiments can attribute load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PcbCounters {
-    /// Segments received for this connection.
-    pub segments_in: u64,
-    /// Segments sent on this connection.
-    pub segments_out: u64,
-    /// Payload bytes received.
-    pub bytes_in: u64,
-    /// Payload bytes sent.
-    pub bytes_out: u64,
-}
-
 /// A protocol control block: one endpoint of one TCP (or UDP) connection.
 ///
-/// The struct is deliberately "heavy" (sequence spaces, counters, MSS) —
-/// the paper's whole argument is that PCBs are too big to all sit in cache,
-/// so a realistic PCB should cost a realistic number of cache lines.
+/// The paper's argument is that PCBs are too many to all sit in cache, so
+/// every connection pays for each byte here in memory traffic: what is
+/// left is what the state machine, the window checks, the retransmission
+/// timer and congestion control read — a cache line and a half.
 #[derive(Debug, Clone)]
 pub struct Pcb {
     key: ConnectionKey,
@@ -67,8 +55,6 @@ pub struct Pcb {
     /// Congestion-control variables (cwnd, ssthresh, dup-ACK count),
     /// updated by the stack on each ACK-clock event.
     pub cong: crate::CongestionState,
-    /// Accounting counters.
-    pub counters: PcbCounters,
 }
 
 impl Pcb {
@@ -86,7 +72,6 @@ impl Pcb {
             rtt: crate::RttEstimator::new(),
             rto_attempts: 0,
             cong: crate::CongestionState::default(),
-            counters: PcbCounters::default(),
         }
     }
 
@@ -114,18 +99,6 @@ impl Pcb {
         let next = self.state.on_event(event)?;
         self.state = next;
         Ok(next)
-    }
-
-    /// Record an inbound segment's accounting.
-    pub fn note_segment_in(&mut self, payload_len: usize) {
-        self.counters.segments_in += 1;
-        self.counters.bytes_in += payload_len as u64;
-    }
-
-    /// Record an outbound segment's accounting.
-    pub fn note_segment_out(&mut self, payload_len: usize) {
-        self.counters.segments_out += 1;
-        self.counters.bytes_out += payload_len as u64;
     }
 
     /// Initialize the send space for an active or passive open.
@@ -221,18 +194,6 @@ mod tests {
         let mut pcb = Pcb::new(key());
         assert!(pcb.on_event(TcpEvent::RecvFin).is_err());
         assert_eq!(pcb.state(), TcpState::Closed);
-    }
-
-    #[test]
-    fn accounting_accumulates() {
-        let mut pcb = Pcb::new(key());
-        pcb.note_segment_in(100);
-        pcb.note_segment_in(0);
-        pcb.note_segment_out(42);
-        assert_eq!(pcb.counters.segments_in, 2);
-        assert_eq!(pcb.counters.bytes_in, 100);
-        assert_eq!(pcb.counters.segments_out, 1);
-        assert_eq!(pcb.counters.bytes_out, 42);
     }
 
     #[test]

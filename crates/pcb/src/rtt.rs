@@ -9,64 +9,61 @@
 //! err    = sample − srtt
 //! srtt  += err / 8
 //! rttvar += (|err| − rttvar) / 4
-//! rto    = srtt + 4·rttvar        (clamped to [min_rto, max_rto])
+//! rto    = srtt + 4·rttvar        (clamped to [MIN_RTO, MAX_RTO])
 //! ```
 //!
 //! computed in integer microseconds, exactly as a kernel would.
 
 /// Jacobson–Karels smoothed RTT estimator (microsecond integers).
+///
+/// Every connection slot carries one, so the state is three 32-bit words:
+/// 2³² µs is 71 minutes, seventy times the RTO ceiling, and a sample
+/// above that saturates. Both estimates stay between their previous value
+/// and the sample, so 32-bit arithmetic on them is exact; only the RTO
+/// sum is widened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RttEstimator {
-    srtt: u64,
-    rttvar: u64,
-    samples: u64,
-    min_rto: u64,
-    max_rto: u64,
+    srtt: u32,
+    rttvar: u32,
+    samples: u32,
 }
 
 impl RttEstimator {
-    /// Conventional clamps: 200 ms floor (BSD's slow-timer granularity
-    /// era used 500 ms; modern stacks use 200), 60 s ceiling.
+    /// RTO floor: 200 ms (BSD's slow-timer granularity era used 500 ms;
+    /// modern stacks use 200).
     pub const DEFAULT_MIN_RTO: u64 = 200_000;
-    /// Ceiling (60 s).
+    /// RTO ceiling (60 s).
     pub const DEFAULT_MAX_RTO: u64 = 60_000_000;
 
-    /// A fresh estimator with default clamps. Before the first sample,
-    /// [`rto`](Self::rto) returns a conservative 1 s (RFC 6298's initial
-    /// value, rounded from 3 s as modern practice does).
+    /// A fresh estimator. Before the first sample, [`rto`](Self::rto)
+    /// returns a conservative 1 s (RFC 6298's initial value, rounded from
+    /// 3 s as modern practice does).
     pub fn new() -> Self {
-        Self::with_bounds(Self::DEFAULT_MIN_RTO, Self::DEFAULT_MAX_RTO)
-    }
-
-    /// An estimator with explicit RTO clamps (microseconds).
-    pub fn with_bounds(min_rto: u64, max_rto: u64) -> Self {
-        assert!(min_rto > 0 && min_rto <= max_rto);
         Self {
             srtt: 0,
             rttvar: 0,
             samples: 0,
-            min_rto,
-            max_rto,
         }
     }
 
     /// Number of samples absorbed.
     pub fn samples(&self) -> u64 {
-        self.samples
+        u64::from(self.samples)
     }
 
     /// The smoothed RTT in microseconds (0 before any sample).
     pub fn srtt(&self) -> u64 {
-        self.srtt
+        u64::from(self.srtt)
     }
 
     /// The RTT variation estimate in microseconds.
     pub fn rttvar(&self) -> u64 {
-        self.rttvar
+        u64::from(self.rttvar)
     }
 
     /// Absorb one RTT measurement (microseconds).
     pub fn record(&mut self, sample: u64) {
+        let sample = u32::try_from(sample).unwrap_or(u32::MAX);
         if self.samples == 0 {
             // RFC 6298 initialization: srtt = R, rttvar = R/2.
             self.srtt = sample;
@@ -86,7 +83,7 @@ impl RttEstimator {
                 self.rttvar -= (self.rttvar - err) / 4;
             }
         }
-        self.samples += 1;
+        self.samples = self.samples.saturating_add(1);
     }
 
     /// Absorb the measurement for an acknowledged segment, subject to
@@ -106,9 +103,9 @@ impl RttEstimator {
     /// sample, a conservative 1 s.
     pub fn rto(&self) -> u64 {
         if self.samples == 0 {
-            return 1_000_000.clamp(self.min_rto, self.max_rto);
+            return 1_000_000;
         }
-        (self.srtt + 4 * self.rttvar).clamp(self.min_rto, self.max_rto)
+        (self.srtt() + 4 * self.rttvar()).clamp(Self::DEFAULT_MIN_RTO, Self::DEFAULT_MAX_RTO)
     }
 
     /// Exponential backoff of the current RTO after a retransmission
@@ -116,7 +113,7 @@ impl RttEstimator {
     pub fn backed_off(&self, attempts: u32) -> u64 {
         let rto = self.rto();
         rto.saturating_mul(1u64 << attempts.min(16))
-            .min(self.max_rto)
+            .min(Self::DEFAULT_MAX_RTO)
     }
 }
 
@@ -130,6 +127,97 @@ impl Default for RttEstimator {
 mod tests {
     use super::*;
     use tcpdemux_testprop::check;
+
+    /// The estimator as it was in 64-bit words: what the 32-bit one must
+    /// agree with wherever a sample can matter.
+    #[derive(Default)]
+    struct Reference {
+        srtt: u64,
+        rttvar: u64,
+        samples: u64,
+    }
+
+    impl Reference {
+        fn record(&mut self, sample: u64) {
+            if self.samples == 0 {
+                self.srtt = sample;
+                self.rttvar = sample / 2;
+            } else {
+                let err = sample.abs_diff(self.srtt);
+                if sample >= self.srtt {
+                    self.srtt += err / 8;
+                } else {
+                    self.srtt -= err / 8;
+                }
+                if err >= self.rttvar {
+                    self.rttvar += (err - self.rttvar) / 4;
+                } else {
+                    self.rttvar -= (self.rttvar - err) / 4;
+                }
+            }
+            self.samples += 1;
+        }
+
+        fn rto(&self) -> u64 {
+            if self.samples == 0 {
+                return 1_000_000;
+            }
+            (self.srtt + 4 * self.rttvar)
+                .clamp(RttEstimator::DEFAULT_MIN_RTO, RttEstimator::DEFAULT_MAX_RTO)
+        }
+
+        fn backed_off(&self, attempts: u32) -> u64 {
+            self.rto()
+                .saturating_mul(1u64 << attempts.min(16))
+                .min(RttEstimator::DEFAULT_MAX_RTO)
+        }
+    }
+
+    /// Up to the RTO ceiling — sixty times what any path this stack meets
+    /// measures — 32-bit state gives what 64-bit state gave, to the bit.
+    #[test]
+    fn prop_narrow_state_agrees_with_the_wide_reference() {
+        check(
+            "rtt_prop_narrow_state_agrees_with_the_wide_reference",
+            |rng| {
+                let mut est = RttEstimator::new();
+                let mut wide = Reference::default();
+                for _ in 0..rng.usize_in(0, 200) {
+                    // Mostly ordinary round trips, sometimes anything up to
+                    // the ceiling, sometimes the ceiling itself.
+                    let sample = match rng.u32_below(8) {
+                        0 => RttEstimator::DEFAULT_MAX_RTO,
+                        1..=2 => rng.u64_in(0, RttEstimator::DEFAULT_MAX_RTO + 1),
+                        _ => rng.u64_in(0, 2_000_000),
+                    };
+                    est.record(sample);
+                    wide.record(sample);
+                    assert_eq!(
+                        (est.srtt(), est.rttvar(), est.samples(), est.rto()),
+                        (wide.srtt, wide.rttvar, wide.samples, wide.rto())
+                    );
+                    let attempts = rng.u32_below(40);
+                    assert_eq!(est.backed_off(attempts), wide.backed_off(attempts));
+                }
+            },
+        );
+    }
+
+    /// A sample no 32-bit microsecond count can hold pins the estimate at
+    /// the top of the range; it does not wrap round to a short one.
+    #[test]
+    fn samples_past_the_range_saturate() {
+        let mut est = RttEstimator::new();
+        est.record(u64::from(u32::MAX) + 1_000);
+        assert_eq!(est.srtt(), u64::from(u32::MAX), "2^32 + 1000 is not 1000");
+        for _ in 0..100 {
+            est.record(u64::MAX);
+        }
+        assert_eq!(est.srtt(), u64::from(u32::MAX));
+        assert!(est.rttvar() <= u64::from(u32::MAX));
+        assert_eq!(est.rto(), RttEstimator::DEFAULT_MAX_RTO);
+        assert_eq!(est.backed_off(5), RttEstimator::DEFAULT_MAX_RTO);
+    }
 
     #[test]
     fn initial_rto_is_one_second() {
@@ -175,9 +263,9 @@ mod tests {
 
     #[test]
     fn rto_respects_ceiling() {
-        let mut est = RttEstimator::with_bounds(1_000, 500_000);
-        est.record(10_000_000); // 10 s sample
-        assert_eq!(est.rto(), 500_000);
+        let mut est = RttEstimator::new();
+        est.record(30_000_000); // 30 s sample: srtt + 4·rttvar is 90 s
+        assert_eq!(est.rto(), RttEstimator::DEFAULT_MAX_RTO);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::replies::Replies;
 use crate::shard::ShardId;
-use crate::socket::{SocketBuffer, SocketError};
+use crate::socket::{BlockPool, SocketBuffer, SocketError};
 use crate::stats::{StackStats, StatsSnapshot};
 use crate::timer::{TimerId, TimerWheel};
 use crate::txpool::TxPool;
@@ -293,7 +293,8 @@ struct DelayedAckState {
 struct Conn {
     pcb: Pcb,
     /// Bytes delivered and not yet read by the application, and bytes
-    /// held for reassembly.
+    /// held for reassembly, in a block borrowed from
+    /// [`Stack::rx_blocks`] for as long as there are any.
     socket: SocketBuffer,
     /// Sender state, while there is any.
     tx: Option<Box<SendHalf>>,
@@ -751,6 +752,15 @@ pub struct Stack {
     orphans: HashMap<PcbId, SocketBuffer>,
     stats: StackStats,
     tx_pool: TxPool,
+    /// Receive storage no socket is using: what a socket's first segment
+    /// is copied into, and where the block goes back once the application
+    /// has read the socket dry.
+    rx_blocks: BlockPool,
+    /// The socket [`socket_mut`](Self::socket_mut) last handed out. Reads
+    /// happen behind that `&mut`, where the stack cannot see them, so the
+    /// next entry point [settles](Self::settle) it: a socket read dry in
+    /// between gives its block back then.
+    last_socket: Option<PcbId>,
     next_ephemeral: u16,
     next_iss: u32,
     timers: TimerWheel<TimerEvent>,
@@ -790,6 +800,7 @@ struct Cx<'a> {
     demux: &'a mut dyn Demux,
     stats: &'a mut StackStats,
     tx_pool: &'a mut TxPool,
+    rx_blocks: &'a mut BlockPool,
     timers: &'a mut TimerWheel<TimerEvent>,
     idle_halves: &'a mut IdleHalves,
     tx_pending: &'a mut VecDeque<PcbId>,
@@ -812,6 +823,19 @@ fn emit_tcp(
     let mut buf = tx_pool.take();
     build_tcp_frame_into(&ip, repr, payload, &mut buf);
     buf
+}
+
+/// A connection's socket, or that of one the stack aborted and the
+/// application has not released yet.
+fn socket_of<'a>(
+    conns: &'a mut Arena<Conn>,
+    orphans: &'a mut HashMap<PcbId, SocketBuffer>,
+    pcb: PcbId,
+) -> Option<&'a mut SocketBuffer> {
+    match conns.get_mut(pcb) {
+        Some(conn) => Some(&mut conn.socket),
+        None => orphans.get_mut(&pcb),
+    }
 }
 
 /// Cancel a sender half's timer, empty it, and park it for reuse.
@@ -837,6 +861,7 @@ impl Stack {
         let demux = config.build_demux();
         Self {
             next_ephemeral: config.ephemeral_base,
+            rx_blocks: BlockPool::new(config.window.recv_buffer),
             config,
             conns: Arena::new(),
             demux,
@@ -845,6 +870,7 @@ impl Stack {
             orphans: HashMap::new(),
             stats: StackStats::default(),
             tx_pool: TxPool::default(),
+            last_socket: None,
             next_iss: 0x1000_0000,
             timers: TimerWheel::new(256),
             idle_halves: Vec::new(),
@@ -865,6 +891,7 @@ impl Stack {
             demux: &mut *self.demux,
             stats: &mut self.stats,
             tx_pool: &mut self.tx_pool,
+            rx_blocks: &mut self.rx_blocks,
             timers: &mut self.timers,
             idle_halves: &mut self.idle_halves,
             tx_pending: &mut self.tx_pending,
@@ -1122,13 +1149,15 @@ impl Stack {
 
     /// Everything observable about the stack right now, owned: the
     /// receive-path counters, the demultiplexer's lookup statistics, the
-    /// transmit-pool counters, and the full telemetry snapshot. Capture
-    /// one before an operation and another after to diff any counter.
+    /// transmit- and receive-pool counters, and the full telemetry
+    /// snapshot. Capture one before an operation and another after to diff
+    /// any counter.
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
             stack: self.stats,
             demux: *self.demux.stats(),
             tx_pool: self.tx_pool.stats(),
+            rx_blocks_free: self.rx_blocks.parked(),
             telemetry: self.telemetry.snapshot(),
         }
     }
@@ -1170,9 +1199,22 @@ impl Stack {
 
     /// Mutable socket buffer (to read delivered bytes).
     pub fn socket_mut(&mut self, pcb: PcbId) -> Option<&mut SocketBuffer> {
-        match self.conns.get_mut(pcb) {
-            Some(conn) => Some(&mut conn.socket),
-            None => self.orphans.get_mut(&pcb),
+        self.settle();
+        self.last_socket = Some(pcb);
+        socket_of(&mut self.conns, &mut self.orphans, pcb)
+    }
+
+    /// Take back the receive block of the socket
+    /// [`socket_mut`](Self::socket_mut) last handed out, if the
+    /// application has read it dry since. First thing in every entry
+    /// point that may want a block or follow a read, while the
+    /// connection's slot and the block are still in cache.
+    fn settle(&mut self) {
+        let Some(id) = self.last_socket.take() else {
+            return;
+        };
+        if let Some(socket) = socket_of(&mut self.conns, &mut self.orphans, id) {
+            socket.settle(&mut self.rx_blocks);
         }
     }
 
@@ -1389,6 +1431,7 @@ impl Stack {
     /// Nothing goes on the wire here: [`Stack::poll_transmit`] frames
     /// the unsent bytes under the transmit window `min(peer rwnd, cwnd)`.
     pub fn send(&mut self, pcb: PcbId, payload: &[u8]) -> Result<usize, StackError> {
+        self.settle();
         let mut cx = self.cx(pcb).ok_or(StackError::NoSuchConnection)?;
         if !cx.conn.pcb.state().can_transfer_data() {
             return Err(StackError::NotEstablished);
@@ -1429,6 +1472,7 @@ impl Stack {
     /// retransmission timer doubles as the persist timer and never
     /// counts against the retry budget.
     pub fn poll_transmit(&mut self, scratch: &mut TxScratch) -> usize {
+        self.settle();
         scratch.frames.clear();
         let rounds = self.tx_pending.len();
         for _ in 0..rounds {
@@ -1448,11 +1492,9 @@ impl Stack {
 
     /// Send a UDP datagram on a connected UDP socket.
     pub fn udp_send(&mut self, pcb: PcbId, payload: &[u8]) -> Result<Vec<u8>, StackError> {
-        let conn = self
-            .conns
-            .get_mut(pcb)
+        let key = self
+            .connection_key(pcb)
             .ok_or(StackError::NoSuchConnection)?;
-        let key = conn.pcb.key();
         let ip = Ipv4Repr::new(key.local_addr, key.remote_addr, IpProtocol::Udp);
         let udp = UdpRepr {
             src_port: key.local_port,
@@ -1460,7 +1502,6 @@ impl Stack {
         };
         self.stats.frames_out += 1;
         self.demux.note_send(&key);
-        conn.pcb.note_segment_out(payload.len());
         let mut buf = self.tx_pool.take();
         build_udp_frame_into(&ip, &udp, payload, &mut buf);
         Ok(buf)
@@ -1474,6 +1515,7 @@ impl Stack {
     /// buffer ([`Stack::poll_transmit`] until [`Stack::send_queued`] is
     /// zero) before closing.
     pub fn close(&mut self, pcb: PcbId) -> Result<Vec<u8>, StackError> {
+        self.settle();
         let mut cx = self.cx(pcb).ok_or(StackError::NoSuchConnection)?;
         let queued = cx.conn.send_queued();
         let p = &mut cx.conn.pcb;
@@ -1536,6 +1578,7 @@ impl Stack {
         }
         self.demux.remove(&conn.pcb.key());
         self.telemetry.event(Event::ConnClose { cause });
+        conn.socket.settle(&mut self.rx_blocks);
         if keep_socket {
             self.orphans.insert(pcb, conn.socket);
         }
@@ -1556,7 +1599,9 @@ impl Stack {
     /// while the connection is still live (its socket stays attached) or
     /// if the handle is unknown.
     pub fn release_socket(&mut self, pcb: PcbId) -> Option<SocketBuffer> {
-        self.orphans.remove(&pcb)
+        let mut socket = self.orphans.remove(&pcb)?;
+        socket.settle(&mut self.rx_blocks);
+        Some(socket)
     }
 
     /// A connection's RTT estimator state (for instrumentation and
@@ -1582,6 +1627,7 @@ impl Stack {
     /// counted); `Ok` carries the classification, any reply frames, and
     /// the demultiplexing cost.
     pub fn receive(&mut self, frame: &[u8]) -> Result<RxResult, WireError> {
+        self.settle();
         self.stats.frames_in += 1;
 
         let packet = Ipv4Packet::new_checked(frame).map_err(|e| {
@@ -1691,8 +1737,7 @@ impl Stack {
             self.stats.demux_hits += 1;
             self.stats.bytes_delivered += payload.len() as u64;
             let conn = self.conns.get_mut(id).expect("demux returned a live id");
-            conn.pcb.note_segment_in(payload.len());
-            conn.socket.deliver(payload);
+            conn.socket.deliver(payload, &mut self.rx_blocks);
             return Ok(unanswered(RxOutcome::Delivered {
                 pcb: id,
                 bytes: payload.len(),
@@ -1819,7 +1864,6 @@ impl Stack {
         pcb.snd.wnd = tcp.window;
         pcb.cong = CongestionState::new(self.config.window.initial_cwnd);
         pcb.mss = tcp.mss.unwrap_or(Pcb::DEFAULT_MSS).min(self.config.mss);
-        pcb.note_segment_in(0);
         let id = self.open(pcb);
         self.listeners[listener_idx].embryonic += 1;
 
@@ -1966,7 +2010,6 @@ impl Cx<'_> {
             };
             let seq = p.snd.nxt;
             p.snd.nxt += take as u32;
-            p.note_segment_out(take);
             // The segment advertises `window`: that is now the edge the
             // receive path holds arrivals to.
             p.rcv.wnd = window;
@@ -2307,7 +2350,6 @@ impl Cx<'_> {
                     if let Some(mss) = tcp.mss {
                         p.mss = p.mss.min(mss);
                     }
-                    p.note_segment_in(0);
                     // The SYN-ACK acknowledges our SYN: retire it.
                     self.on_ack(SeqNum(tcp.ack));
                     let ack = self.make_ack();
@@ -2317,7 +2359,6 @@ impl Cx<'_> {
                     // Simultaneous open.
                     p.on_event(TcpEvent::RecvSyn).expect("SYN-SENT");
                     p.init_recv(SeqNum(tcp.seq), tcp.window);
-                    p.note_segment_in(0);
                     let ack = self.make_ack();
                     return done(RxOutcome::NewConnection { pcb: id }, ack.into(), Then::Keep);
                 }
@@ -2329,7 +2370,6 @@ impl Cx<'_> {
                     p.on_event(TcpEvent::RecvAck).expect("SYN-RECEIVED");
                     p.snd.una = SeqNum(tcp.ack);
                     p.snd.wnd = tcp.window;
-                    p.note_segment_in(0);
                     // The ACK covers our SYN-ACK: retire it.
                     self.on_ack(SeqNum(tcp.ack));
                     // The handshake completed: from embryonic to the
@@ -2489,16 +2529,14 @@ impl Cx<'_> {
         let mut delivered = 0usize;
         if !payload.is_empty() && self.conn.pcb.state().can_transfer_data() {
             if offset > 0 {
-                self.conn.socket.stage(offset, payload);
-                self.conn.pcb.note_segment_in(0);
+                self.conn.socket.stage(offset, payload, self.rx_blocks);
                 self.stats.out_of_order_queued += 1;
                 replies.push(self.make_ack());
                 self.note_ack_emitted();
                 return done(RxOutcome::Duplicate { pcb: id }, replies, Then::Keep);
             }
-            delivered = self.conn.socket.deliver(payload);
+            delivered = self.conn.socket.deliver(payload, self.rx_blocks);
             self.conn.pcb.rcv.nxt += delivered as u32;
-            self.conn.pcb.note_segment_in(delivered);
             self.stats.bytes_delivered += delivered as u64;
         }
 
@@ -4242,17 +4280,72 @@ mod tests {
         assert_eq!(client.poll_transmit(&mut scratch), 0);
     }
 
+    #[test]
+    fn a_socket_holds_a_block_only_while_it_holds_bytes() {
+        let (mut server, mut client) = pair();
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let (_, other) = handshake(&mut server, &mut client, 81);
+        let parked = |s: &Stack| s.rx_blocks.parked();
+        let mut deliver = |server: &mut Stack, payload: &[u8]| {
+            let frame = send_now(&mut client, cp, payload);
+            let r = server.receive(&frame).unwrap();
+            client.receive(&r.replies[0]).unwrap();
+        };
+
+        deliver(&mut server, b"hello");
+        assert_eq!(parked(&server), 0, "the first block is made, not found");
+        assert_eq!(server.socket_mut(sp).unwrap().read(2), b"he");
+        // Each entry point settles the socket handed out last; one that
+        // still holds bytes keeps its block.
+        assert_eq!(server.send(other, b"x"), Ok(1));
+        assert_eq!(parked(&server), 0);
+        assert_eq!(server.socket_mut(sp).unwrap().read_all(), b"llo");
+        assert_eq!(parked(&server), 0, "a read is behind the stack's back");
+        assert_eq!(server.send(other, b"y"), Ok(1));
+        assert_eq!(parked(&server), 1, "read dry: the next entry takes it back");
+
+        // The next segment lands in that block, whichever entry point
+        // comes after the read.
+        let mut scratch = TxScratch::new();
+        type Entry<'a> = &'a mut dyn FnMut(&mut Stack);
+        let entries: [Entry; 4] = [
+            &mut |s| assert!(s.receive(&[]).is_err()),
+            &mut |s| assert_eq!(s.poll_transmit(&mut scratch), 1),
+            &mut |s| assert!(s.socket_mut(other).is_some()),
+            &mut |s| assert!(s.close(other).is_ok()),
+        ];
+        for entry in entries {
+            deliver(&mut server, b"again");
+            assert_eq!(parked(&server), 0);
+            assert_eq!(server.socket_mut(sp).unwrap().read_all(), b"again");
+            entry(&mut server);
+            assert_eq!(parked(&server), 1);
+        }
+
+        // A connection that goes takes nothing with it.
+        deliver(&mut server, b"unread");
+        assert_eq!(server.socket_mut(sp).unwrap().read_all(), b"unread");
+        server.abort(sp).unwrap();
+        assert_eq!(parked(&server), 1);
+    }
+
     /// What a connection costs in the slot array, which is sized for the
     /// most connections the stack has ever held: a field added to
     /// [`Conn`] is paid for by every one of them (`heap_bytes_per_conn`
     /// in the benchmark, `tests/heap_per_connection.rs` here), so it
-    /// changes this number on purpose or not at all.
+    /// changes these numbers on purpose or not at all.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn the_connection_slot_stays_27_words() {
+    fn the_connection_slot_stays_20_words() {
         use core::mem::size_of;
-        assert_eq!(size_of::<Conn>(), 216);
-        assert_eq!(size_of::<Option<Conn>>(), 216, "vacancy costs no tag");
+        assert_eq!(size_of::<Conn>(), 160);
+        assert_eq!(size_of::<Option<Conn>>(), 160, "vacancy costs no tag");
+        // Its parts: the PCB is a cache line and a half, the socket sits
+        // inline (`head` in the padding beside its flags, the span list
+        // behind one pointer) and owns no storage while empty.
+        assert_eq!(size_of::<Pcb>(), 96);
+        assert!(size_of::<RttEstimator>() <= 16);
+        assert_eq!(size_of::<SocketBuffer>(), 40);
         // Behind the `tx` pointer, for senders only.
         assert_eq!(size_of::<SendHalf>(), 96);
     }

@@ -136,6 +136,9 @@ pub struct StatsSnapshot {
     pub demux: LookupStats,
     /// Transmit-buffer pool counters.
     pub tx_pool: TxPoolStats,
+    /// Receive blocks no socket is using, parked for the next one that
+    /// fills (at most 64 per stack).
+    pub rx_blocks_free: usize,
     /// Structured telemetry: counters, histograms, event trace.
     pub telemetry: Snapshot,
 }
@@ -159,6 +162,7 @@ impl StatsSnapshot {
                 stack: StackStats::default(),
                 demux: LookupStats::new(),
                 tx_pool: TxPoolStats::default(),
+                rx_blocks_free: 0,
                 telemetry: Snapshot::empty(),
             };
         };
@@ -169,6 +173,7 @@ impl StatsSnapshot {
             merged.tx_pool.allocations += part.tx_pool.allocations;
             merged.tx_pool.reuses += part.tx_pool.reuses;
             merged.tx_pool.free += part.tx_pool.free;
+            merged.rx_blocks_free += part.rx_blocks_free;
             merged.telemetry.merge_aggregates(&part.telemetry);
         }
         merged
@@ -184,6 +189,7 @@ impl fmt::Display for StatsSnapshot {
             "tx_pool: allocations={} reuses={} free={}",
             self.tx_pool.allocations, self.tx_pool.reuses, self.tx_pool.free
         )?;
+        writeln!(f, "rx_blocks: free={}", self.rx_blocks_free)?;
         write!(f, "{}", self.telemetry)
     }
 }

@@ -24,6 +24,15 @@ pub struct TxPoolStats {
 }
 
 /// A bounded free-list of `Vec<u8>` transmit buffers.
+///
+/// The bound follows the caller: the pool parks as many buffers as it
+/// has ever had to make (never fewer than `max_free`, never more than
+/// [`BURST_MAX_FREE`](Self::BURST_MAX_FREE)). A buffer is made only when
+/// every parked one is out, so that count is the burst the caller has
+/// shown it holds, and what the same burst will ask for next time: a
+/// driver that collects a block of 64 replies and then 64 FINs before
+/// recycling either holds 128, and a bound of 64 would free half of them
+/// only to make them again.
 #[derive(Debug)]
 pub struct TxPool {
     free: Vec<Vec<u8>>,
@@ -39,12 +48,15 @@ impl Default for TxPool {
 }
 
 impl TxPool {
-    /// Default bound on parked buffers — enough for any burst this
-    /// workspace's harnesses generate, small enough that a caller who
-    /// never recycles wastes nothing.
+    /// Default floor of the bound on parked buffers. A caller who never
+    /// recycles wastes nothing whatever the bound.
     pub const DEFAULT_MAX_FREE: usize = 64;
 
-    /// Create a pool that parks at most `max_free` recycled buffers.
+    /// Most buffers parked however large a burst the caller has held.
+    pub const BURST_MAX_FREE: usize = 1024;
+
+    /// Create a pool that parks `max_free` recycled buffers, and more
+    /// only for a caller it has had to make more for.
     pub fn new(max_free: usize) -> Self {
         Self {
             free: Vec::new(),
@@ -65,6 +77,10 @@ impl TxPool {
             }
             None => {
                 self.allocations += 1;
+                // Every buffer made so far is out: the caller holds that
+                // many at once, and will give that many back.
+                let made = usize::try_from(self.allocations).unwrap_or(usize::MAX);
+                self.max_free = self.max_free.max(made.min(Self::BURST_MAX_FREE));
                 Vec::new()
             }
         }
@@ -123,5 +139,26 @@ mod tests {
             pool.recycle(Vec::with_capacity(64));
         }
         assert_eq!(pool.stats().free, 2);
+    }
+
+    #[test]
+    fn the_bound_grows_to_the_burst_the_caller_holds_and_no_further() {
+        let mut pool = TxPool::new(2);
+        for round in 0..3 {
+            let held: Vec<_> = (0..5).map(|_| pool.take()).collect();
+            held.into_iter().for_each(|buf| pool.recycle(buf));
+            assert_eq!(pool.stats().free, 5, "round {round}");
+        }
+        assert_eq!(pool.stats().allocations, 5, "the second burst reuses");
+        // Buffers from elsewhere do not raise the bound.
+        for _ in 0..5 {
+            pool.recycle(Vec::new());
+        }
+        assert_eq!(pool.stats().free, 5);
+        let held: Vec<_> = (0..2 * TxPool::BURST_MAX_FREE)
+            .map(|_| pool.take())
+            .collect();
+        held.into_iter().for_each(|buf| pool.recycle(buf));
+        assert_eq!(pool.stats().free, TxPool::BURST_MAX_FREE);
     }
 }

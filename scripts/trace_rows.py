@@ -9,6 +9,16 @@ host block, then one markdown table per workload (default `tpca` and
 `bulk`): the end-to-end medians and the `--trace 1` per-layer values,
 before and after. Numbers are copied, never recomputed, so the table is
 what the benchmark said.
+
+    scripts/trace_rows.py --pairs <runs.jsonl>...
+
+Each file holds alternating single-workload runs of two binaries, one per
+line: {"bin": "parent" | "change", "seed": N, "r": <the JSON object the
+benchmark printed last>}; lines k and k+1 are a pair. Prints one table
+per file: each end-to-end metric's median and quartiles on both sides
+(`statistics.quantiles(n=4)`, as the benchmark's `--compare` has them)
+and in how many pairs the change read better, then the failed
+operations. With `--trace 1` runs the per-layer rows follow.
 """
 import json
 import statistics
@@ -62,7 +72,46 @@ def fmt(value):
     return f"{value:,.3g}" if abs(value) < 100 else f"{value:,.0f}"
 
 
+LOWER_IS_BETTER = {
+    "setup_s",
+    "pcbs_examined_per_frame",
+    "allocs_per_op",
+    "heap_bytes_per_conn",
+    "segments_sent_per_needed",
+}
+
+
+def spread(values):
+    """Median and quartiles, formatted."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{fmt(statistics.median(values))} [{fmt(q1)} … {fmt(q3)}]"
+
+
+def pairs(paths):
+    for path in paths:
+        runs = [json.loads(line) for line in open(path)]
+        sides = {b: [r["r"] for r in runs if r["bin"] == b] for b in ("parent", "change")}
+        n = len(sides["parent"])
+        seeds = sorted({r["seed"] for r in runs})
+        print(f"\n| `{path.rsplit('/', 1)[-1].removesuffix('.jsonl')}`, {n} pairs, "
+              f"seeds {seeds[0]}–{seeds[-1]} | parent | change | change better in |\n|---|---|---|---|")
+        names = [m for m in END_TO_END if m in sides["parent"][0]["metrics"]]
+        names += [m for m in PER_LAYER if m in sides["parent"][0]["metrics"]]
+        for name in names:
+            p, c = ([r["metrics"][name]["value"] for r in sides[b]] for b in ("parent", "change"))
+            # Every per-layer row printed here is a cost or a count of work.
+            sign = -1 if name in LOWER_IS_BETTER or name in PER_LAYER else 1
+            won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+            tied = sum(a == b for a, b in zip(p, c))
+            verdict = "identical" if tied == n else f"{won} of {n}"
+            print(f"| `{name}` | {spread(p)} | {spread(c)} | {verdict} |")
+        failed = [sum(r["failed"] for r in sides[b]) for b in ("parent", "change")]
+        print(f"| failed operations | {failed[0]} | {failed[1]} | |")
+
+
 def main(argv):
+    if argv[:1] == ["--pairs"] and len(argv) > 1:
+        return pairs(argv[1:])
     if len(argv) < 2:
         sys.exit(__doc__)
     workloads = argv[2:] or ["tpca", "bulk"]

@@ -13,9 +13,12 @@
 #      TCPDEMUX_SEEDS: loss recovery and checksum rejection (32 fault
 #      streams through the lossy-link scenario, 32 through a bulk
 #      transfer whose link reorders by a bounded displacement,
-#      duplicates and drops, and the checksum kernel
+#      duplicates and drops, the checksum kernel
 #      against its 16-bit reference on 32 seeds of inputs up to 65,535
-#      bytes); both shared-table
+#      bytes, and 32 seeds of malformed TCP/UDP/ICMP frames — cut at every
+#      length, bits flipped inside and outside the checksummed span, lies
+#      in IHL, total length, data offset and option lengths — each ending
+#      as a counted error or a classified outcome); both shared-table
 #      tiers (16 seeds of multi-threaded churn, a generation-tagged
 #      PcbId oracle, and stable keys that must never miss while
 #      cuckoo-conc kicks and grows); the sharded runtime (per-flow
@@ -24,8 +27,10 @@
 #      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
 #      dense lanes against a Vec model over 2,000-operation scripts and
 #      against the linked list they replaced over 10,000-lookup BSD/MTF/
-#      Sequent traces; 16 seeds of crafted segments through one
-#      connection's receive path against a byte-map reference); the
+#      Sequent traces; 16 seeds of crafted segments through the receive
+#      path of one connection, and of three sharing a stack's block pool,
+#      against a byte-map reference, and 16 of deliver/stage/read/settle
+#      scripts over five socket buffers lending through one pool); the
 #      congestion-controlled send path (8 seeds of the bulk-transfer
 #      scenario at 0/10/25% drop, plus the delayed-ACK/zero-window/
 #      fast-recovery suite); and the fingerprint front filter (16 seeds
@@ -45,8 +50,9 @@
 #   8. the end-to-end benchmark crate (benchmark/, its own workspace)
 #      builds against the current crates and passes its smoke test;
 #   9. the three test binaries that install a counting global allocator
-#      (telemetry record path, steady-state transaction, heap per
-#      connection) pass in release with --test-threads=1: their
+#      (telemetry record path; steady-state transactions, churn rounds
+#      and blocks of 64 over 2,000 connections; heap per connection)
+#      pass in release with --test-threads=1: their
 #      counters are process-global, so they mean something only when no
 #      sibling test runs beside them.
 #
@@ -98,10 +104,10 @@ echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 
 echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
-  --test fault_injection --test loss_recovery
+  --test fault_injection --test loss_recovery --test malformed_frames
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   -p tcpdemux-wire checksum::tests::matches_the_reference_across_seeds
-echo "ok: loss recovery, reassembly under reordering and checksum rejection hold across 32 fault seeds"
+echo "ok: loss recovery, reassembly under reordering, checksum rejection and malformed-frame classification hold across 32 fault seeds"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"
 TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
@@ -110,7 +116,9 @@ echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline \
   --test demux_churn --test reassembly_oracle
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core list::tests
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; the receiver agrees with its byte-map reference"
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-stack \
+  socket::tests::pooled_buffers_agree_with_a_byte_map_across_seeds
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; the receiver and the pooled socket buffers agree with their byte-map references"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 cargo test -q --release --offline --test congestion

@@ -1,6 +1,6 @@
 //! The receiver against a reference that cannot be wrong in the same way.
 //!
-//! One [`Stack`] connection and a deliberately naive model are offered
+//! A [`Stack`] connection and a deliberately naive model are offered
 //! the same seeded stream of hand-built segments: in random order,
 //! repeated, re-cut so that they overlap each other and straddle RCV.NXT,
 //! wholly stale, wholly or partly past the right edge of the window,
@@ -14,6 +14,13 @@
 //! `read_into` returns, and on how many bytes and holes it holds for
 //! reassembly — which may never exceed that window, and is zero whenever
 //! nothing is missing.
+//!
+//! Receive storage is lent from one pool per stack and given back by a
+//! socket that has been read dry, so the same conversation is also held on
+//! several connections of one stack at once, their segments and their
+//! reads (`read_into`, `read`, `read_all`) interleaved: each connection
+//! must agree with its own model while its blocks pass through the others'
+//! hands.
 //!
 //! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 8;
 //! `scripts/verify.sh`'s seed-sweep stage runs a deeper one).
@@ -46,24 +53,32 @@ fn header_of(frame: &[u8]) -> TcpRepr {
     TcpRepr::parse(&segment, ip.src_addr, ip.dst_addr).unwrap()
 }
 
-/// The hand-built peer: one end of one connection to `server`.
+/// The hand-built peer: one end of one connection to the server, the
+/// reference for what the server should hold of it, and the application
+/// reading it.
 struct Peer {
-    server: Stack,
+    port: u16,
     pcb: PcbId,
     /// What the peer acknowledges: the server sends nothing but its SYN.
     ack: u32,
+    oracle: Oracle,
+    /// Segments sent so far: from, to, FIN.
+    sent: Vec<(usize, usize, bool)>,
+    /// Bytes the application has read.
+    read: usize,
 }
 
-/// One segment from the peer, acknowledging `ack`, into `server`.
+/// One segment from the peer at `port`, acknowledging `ack`, into `server`.
 fn segment(
     server: &mut Stack,
+    port: u16,
     (seq, ack): (u32, u32),
     flags: TcpFlags,
     payload: &[u8],
 ) -> RxResult {
     let ip = Ipv4Repr::new(PEER, SERVER, IpProtocol::Tcp);
     let tcp = TcpRepr {
-        src_port: 40_000,
+        src_port: port,
         dst_port: PORT,
         seq,
         ack,
@@ -78,22 +93,29 @@ fn segment(
 }
 
 impl Peer {
-    fn connect(window: WindowConfig) -> Self {
-        let mut server = Stack::with_config(StackConfig::new(SERVER).with_window(window));
-        server.listen(PORT).unwrap();
-        let opened = segment(&mut server, (IRS, 0), TcpFlags::SYN, b"");
+    fn connect(server: &mut Stack, port: u16, window: &WindowConfig) -> Self {
+        let opened = segment(server, port, (IRS, 0), TcpFlags::SYN, b"");
         let RxOutcome::NewConnection { pcb } = opened.outcome else {
             panic!("{:?}", opened.outcome);
         };
         let ack = header_of(&opened.replies[0]).seq.wrapping_add(1);
-        let r = segment(&mut server, (IRS.wrapping_add(1), ack), TcpFlags::ACK, b"");
+        let at = (IRS.wrapping_add(1), ack);
+        let r = segment(server, port, at, TcpFlags::ACK, b"");
         assert_eq!(r.outcome, RxOutcome::Established { pcb });
         assert_eq!(server.accept(PORT), Some(pcb));
-        Self { server, pcb, ack }
-    }
-
-    fn frame(&mut self, seq: u32, flags: TcpFlags, payload: &[u8]) -> RxResult {
-        segment(&mut self.server, (seq, self.ack), flags, payload)
+        Self {
+            port,
+            pcb,
+            ack,
+            oracle: Oracle {
+                offered: BTreeMap::new(),
+                prefix: 0,
+                window: u32::from(window.advertise),
+                fin_taken: false,
+            },
+            sent: Vec::new(),
+            read: 0,
+        }
     }
 }
 
@@ -134,27 +156,43 @@ impl Oracle {
     }
 }
 
-/// One seeded conversation under `window`; `lag` is how far the reader
-/// lets the socket fill before it reads.
-fn converse(seed: u64, window: WindowConfig, lag: usize) {
+/// One seeded conversation of `STREAM / connections` bytes on each of
+/// `connections` connections of one stack under `window`, interleaved;
+/// `lag` is how far a reader lets its socket fill before it reads.
+fn converse(seed: u64, window: WindowConfig, lag: usize, connections: u16) {
     let mut rng = TestRng::from_seed(seed);
-    let stream: Vec<u8> = (0..STREAM).map(stream_byte).collect();
-    let mut oracle = Oracle {
-        offered: BTreeMap::new(),
-        prefix: 0,
-        window: u32::from(window.advertise),
-        fin_taken: false,
-    };
-    let mut peer = Peer::connect(window);
-    let mut sent: Vec<(usize, usize, bool)> = Vec::new();
-    let mut read = 0usize;
+    let stream: Vec<u8> = (0..STREAM / usize::from(connections))
+        .map(stream_byte)
+        .collect();
+    let mut server = Stack::with_config(StackConfig::new(SERVER).with_window(window.clone()));
+    server.listen(PORT).unwrap();
+    let mut peers: Vec<Peer> = (0..connections)
+        .map(|c| Peer::connect(&mut server, 40_000 + c, &window))
+        .collect();
     let mut scratch = vec![0u8; 4096];
     let mut frames = 0u32;
     let mut most_staged = 0;
 
-    while !oracle.fin_taken {
+    loop {
+        let talking: Vec<usize> = (0..peers.len())
+            .filter(|&c| !peers[c].oracle.fin_taken)
+            .collect();
+        if talking.is_empty() {
+            break;
+        }
+        let Peer {
+            port,
+            pcb,
+            ack,
+            ref mut oracle,
+            ref mut sent,
+            ref mut read,
+        } = peers[*rng.choose(&talking)];
         frames += 1;
-        assert!(frames < 20_000, "seed {seed}: no progress");
+        assert!(
+            frames < 20_000 * u32::from(connections),
+            "seed {seed}: no progress"
+        );
         let prefix = oracle.prefix as usize;
         let edge = prefix + oracle.window as usize;
         // Full segments half the time, so that spans meet end to start.
@@ -180,15 +218,15 @@ fn converse(seed: u64, window: WindowConfig, lag: usize) {
             17 => (prefix + rng.usize_in(0, 8 * MSS), 0),
             // Something sent before, again.
             _ if !sent.is_empty() => {
-                let (from, to, _) = *rng.choose(&sent);
+                let (from, to, _) = *rng.choose(sent);
                 (from, to - from)
             }
             _ => (prefix, len),
         };
-        let from = from.min(STREAM);
-        let to = (from + len).min(STREAM);
+        let from = from.min(stream.len());
+        let to = (from + len).min(stream.len());
         // The FIN rides on the last byte more often than not, hole or no.
-        let fin = to == STREAM && len > 0 && rng.chance(0.7);
+        let fin = to == stream.len() && len > 0 && rng.chance(0.7);
         sent.push((from, to, fin));
 
         let flags = if fin {
@@ -197,12 +235,12 @@ fn converse(seed: u64, window: WindowConfig, lag: usize) {
             TcpFlags::ACK
         };
         let seq = IRS.wrapping_add(1).wrapping_add(from as u32);
-        let r = peer.frame(seq, flags, &stream[from..to]);
+        let r = segment(&mut server, port, (seq, ack), flags, &stream[from..to]);
         oracle.offer(from as u32, &stream[from..to], fin);
 
         // Every segment that occupies sequence space is answered, and the
         // answer says where the reference says the receiver is.
-        let tag = format!("seed {seed} frame {frames}: {from}..{to} fin {fin}");
+        let tag = format!("seed {seed} frame {frames} port {port}: {from}..{to} fin {fin}");
         assert_eq!(r.replies.len(), usize::from(to > from || fin), "{tag}");
         for reply in r.replies.iter() {
             let ack = header_of(reply);
@@ -210,30 +248,44 @@ fn converse(seed: u64, window: WindowConfig, lag: usize) {
             assert_eq!(ack.ack, IRS.wrapping_add(1).wrapping_add(expect), "{tag}");
             oracle.window = u32::from(ack.window);
         }
-        let row = peer.server.connection_table()[0];
+        let table = server.connection_table();
+        let row = table.iter().find(|row| row.key.remote_port == port);
+        let row = row.expect("the connection is in the table");
         let (staged, holes) = oracle.staged_and_holes();
         assert_eq!((row.rx_staged, row.rx_holes), (staged, holes), "{tag}");
-        assert_eq!(row.rx_queued, oracle.prefix as usize - read, "{tag}");
+        assert_eq!(row.rx_queued, oracle.prefix as usize - *read, "{tag}");
         assert!(staged <= oracle.window as usize, "{tag}: {staged} B staged");
         most_staged = most_staged.max(staged);
 
-        // The application, which sometimes falls behind.
+        // The application, which sometimes falls behind, and takes what
+        // there is by whichever call it likes.
         if row.rx_queued > lag || rng.chance(0.3) {
             let want = rng.usize_in(1, scratch.len() + 1);
-            let socket = peer.server.socket_mut(peer.pcb).unwrap();
-            let n = socket.read_into(&mut scratch[..want]);
-            assert_eq!(n, want.min(oracle.prefix as usize - read), "{tag}");
-            assert_eq!(scratch[..n], stream[read..read + n], "{tag}");
-            read += n;
+            let socket = server.socket_mut(pcb).unwrap();
+            let got = match rng.u32_below(8) {
+                0 => socket.read_all(),
+                1 => socket.read(want),
+                _ => {
+                    let n = socket.read_into(&mut scratch[..want]);
+                    assert_eq!(n, want.min(row.rx_queued), "{tag}");
+                    scratch[..n].to_vec()
+                }
+            };
+            assert!(got.len() <= row.rx_queued, "{tag}");
+            assert_eq!(got, stream[*read..*read + got.len()], "{tag}");
+            *read += got.len();
         }
     }
 
-    let socket = peer.server.socket_mut(peer.pcb).unwrap();
-    assert_eq!(socket.read_all(), &stream[read..], "seed {seed}");
-    assert!(socket.is_eof(), "seed {seed}");
+    for peer in &peers {
+        let socket = server.socket_mut(peer.pcb).unwrap();
+        assert_eq!(socket.read_all(), &stream[peer.read..], "seed {seed}");
+        assert!(socket.is_eof(), "seed {seed}");
+    }
     assert!(most_staged >= MSS, "seed {seed}: the store was never used");
-    let stats = peer.server.stats().stack;
-    assert_eq!(stats.bytes_delivered, STREAM as u64, "seed {seed}");
+    let stats = server.stats().stack;
+    let total = peers.len() * stream.len();
+    assert_eq!(stats.bytes_delivered, total as u64, "seed {seed}");
     assert!(stats.out_of_order_queued > 0 && stats.out_of_order_drops > 0);
 }
 
@@ -242,13 +294,17 @@ fn the_receiver_agrees_with_a_naive_reference_across_seeds() {
     for seed in 1..=u64::from(sweep_seeds(8)) {
         let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         // The default window, read promptly: the window never closes.
-        converse(seed, WindowConfig::default(), 2 * MSS);
+        converse(seed, WindowConfig::default(), 2 * MSS, 1);
         // A receive buffer smaller than what the window and a lagging
         // reader ask of it: the advertised window shrinks, closes and
         // reopens, and the store must stay inside whatever it last was.
         let tight = WindowConfig::default()
             .with_advertise(4000)
             .with_recv_buffer(6000);
-        converse(seed, tight, 5000);
+        converse(seed, tight.clone(), 5000, 1);
+        // Both again on three connections of one stack, which pass one
+        // another the blocks their sockets fill.
+        converse(seed, WindowConfig::default(), 2 * MSS, 3);
+        converse(seed, tight, 5000, 3);
     }
 }

@@ -4,9 +4,9 @@
 //! calls into the server [`Stack`] are counted (the counter is read
 //! before and after each one; the client is an ordinary `Stack` that
 //! allocates as it likes in between). After warm-up — every connection
-//! has transacted, the frame pool and the idle sender halves are
-//! stocked, the socket buffers and the timer slab have their capacity —
-//! three phases must each make exactly zero allocator calls: 1 000
+//! has transacted, the frame pool, the receive-block pool and the idle
+//! sender halves are stocked, the timer slab has its capacity — five
+//! phases must each make exactly zero allocator calls: 1 000
 //! TPC/A-shaped transactions spread over 64 connections (request in →
 //! ACK out, read, `send`, `poll_transmit` → response out, ACK in), one
 //! at a time; then 2 000 clock ticks in each of which a varying 1 … 20
@@ -16,8 +16,18 @@
 //! 256 KiB in on one connection whose reader takes 512 B at a time and
 //! stays 8 KiB behind, so its socket buffer is never empty and only
 //! compaction of the already-read prefix keeps the backing vector from
-//! growing (growth is a `realloc`, which is counted). Every frame the
-//! server emitted is recycled to it.
+//! growing (growth is a `realloc`, which is counted); then 50 rounds of
+//! the benchmark's `churn` — 64 connections opened, one transaction on
+//! each, the peers' FINs in, 64 `close`s, the last ACKs in — where the
+//! server has handed out 64 FIN-ACKs and 64 FINs before it sees any of
+//! them again, and a frame pool that parks 64 frees half of them only to
+//! allocate them next round, and where every new connection's first
+//! request lands in a block some closed connection gave back; then, with
+//! 2 000 connections standing, 100 blocks shaped like the benchmark's
+//! `tpca` (64 requests in, then 64 reads, then 64 `send`s and a poll,
+//! then 64 ACKs in), which have 64 receive blocks out at once and must
+//! find all 64 parked again — in the pool, not in the sockets — when the
+//! block is over. Every frame the server emitted is recycled to it.
 //!
 //! This is what `transmit_is_allocation_free_after_warmup` in
 //! `stack.rs` cannot see: it reads the frame pool's counters, and the
@@ -78,6 +88,12 @@ const TICKS: u64 = 2_000;
 const BULK_SEGMENTS: usize = 256;
 const BULK_SEGMENT: [u8; 1024] = [0x3c; 1024];
 const BACKLOG: usize = 8 * 1024;
+/// The fourth and fifth phases: operations in a block, as the benchmark
+/// has; rounds of churn; standing connections and blocks over them.
+const BLOCK: usize = 64;
+const CHURN_ROUNDS: usize = 50;
+const POPULATION: usize = 2_000;
+const BLOCKS: usize = 100;
 const REQUEST: [u8; 100] = [0x5a; 100];
 const RESPONSE: [u8; 200] = [0xa5; 200];
 
@@ -151,6 +167,86 @@ fn transact(server: &mut Counted, client: &mut Stack, batch: &[(PcbId, PcbId)]) 
     responses(server, client, batch);
 }
 
+/// The benchmark's block: a request in on every connection of `batch`,
+/// then every read, then every response out and every ACK in. The ACKs of
+/// the requests are held until the reads are done, as the driver's sink
+/// holds them.
+fn block(server: &mut Counted, client: &mut Stack, batch: &[(PcbId, PcbId)]) {
+    let mut out = TxScratch::new();
+    let mut acks = Vec::with_capacity(batch.len());
+    for &(cp, sp) in batch {
+        assert_eq!(client.send(cp, &REQUEST), Ok(REQUEST.len()));
+        assert_eq!(client.poll_transmit(&mut out), 1);
+        let request = out.frames.pop().unwrap();
+        let delivered = server.call(|s, _| s.receive(&request)).unwrap();
+        assert!(matches!(delivered.outcome, RxOutcome::Delivered { pcb, .. } if pcb == sp));
+        acks.extend(delivered.replies);
+    }
+    assert_eq!(acks.len(), batch.len());
+    let mut read = [0u8; REQUEST.len()];
+    for &(_, sp) in batch {
+        let n = server.call(|s, _| s.socket_mut(sp).unwrap().read_into(&mut read));
+        assert_eq!(n, REQUEST.len());
+    }
+    for ack in acks {
+        assert!(client.receive(&ack).unwrap().replies.is_empty());
+        server.call(|s, _| s.recycle(ack));
+    }
+    responses(server, client, batch);
+}
+
+/// One round of the benchmark's `churn`: `BLOCK` connections opened and
+/// accepted, one transaction on each, the peers' FINs in, `close` on each,
+/// the last ACKs in. The server's FIN-ACKs and FINs are all held before
+/// any is recycled, as the driver holds them.
+fn churn(server: &mut Counted, client: &mut Stack) {
+    let before = server.stack.connection_count();
+    let mut synacks = Vec::with_capacity(BLOCK);
+    for _ in 0..BLOCK {
+        let (cp, syn) = client.connect(SERVER, PORT).unwrap();
+        let opened = server.call(|s, _| s.receive(&syn)).unwrap();
+        assert!(matches!(opened.outcome, RxOutcome::NewConnection { .. }));
+        synacks.extend(opened.replies.into_iter().map(|synack| (cp, synack)));
+    }
+    let mut conns = Vec::with_capacity(BLOCK);
+    for (cp, synack) in synacks {
+        let ack = client.receive(&synack).unwrap().replies;
+        server.call(|s, _| s.recycle(synack));
+        let r = server.call(|s, _| s.receive(&ack[0])).unwrap();
+        assert!(matches!(r.outcome, RxOutcome::Established { .. }));
+        conns.push((cp, server.call(|s, _| s.accept(PORT)).unwrap()));
+    }
+    assert_eq!(conns.len(), BLOCK);
+
+    block(server, client, &conns);
+
+    let mut fin_acks = Vec::with_capacity(BLOCK);
+    for &(cp, _) in &conns {
+        let fin = client.close(cp).unwrap();
+        let r = server.call(|s, _| s.receive(&fin)).unwrap();
+        assert!(matches!(r.outcome, RxOutcome::PeerClosed { .. }));
+        fin_acks.extend(r.replies);
+    }
+    let mut fins = Vec::with_capacity(BLOCK);
+    for &(_, sp) in &conns {
+        fins.push(server.call(|s, _| s.close(sp)).unwrap());
+    }
+    let mut last_acks = Vec::with_capacity(BLOCK);
+    for (fin_ack, fin) in fin_acks.into_iter().zip(fins) {
+        client.receive(&fin_ack).unwrap();
+        last_acks.extend(client.receive(&fin).unwrap().replies);
+        server.call(|s, _| {
+            s.recycle(fin_ack);
+            s.recycle(fin);
+        });
+    }
+    for last_ack in last_acks {
+        let r = server.call(|s, _| s.receive(&last_ack)).unwrap();
+        assert!(matches!(r.outcome, RxOutcome::Closed));
+    }
+    assert_eq!(server.stack.connection_count(), before, "all closed");
+}
+
 /// `segments` bulk segments in on one connection, read 512 B at a time by
 /// a reader that leaves `BACKLOG` bytes unread.
 fn backlogged_reads(
@@ -178,11 +274,21 @@ fn backlogged_reads(
     }
 }
 
+/// One connection from `client`, established and accepted.
+fn connect(server: &mut Stack, client: &mut Stack) -> (PcbId, PcbId) {
+    let (cp, syn) = client.connect(SERVER, PORT).unwrap();
+    let synack = server.receive(&syn).unwrap().replies;
+    let ack = client.receive(&synack[0]).unwrap().replies;
+    server.receive(&ack[0]).unwrap();
+    (cp, server.accept(PORT).unwrap())
+}
+
 /// One measured attempt: fresh stacks, 64 connections, a warm-up pass,
 /// then the allocator calls the server made over 1 000 transactions one
-/// at a time, over 2 000 ticks of 1 … 20 transactions at a time, and
-/// over 256 KiB read 512 B at a time from a backlog.
-fn measure_one_attempt() -> (u64, u64, u64) {
+/// at a time, over 2 000 ticks of 1 … 20 transactions at a time, over
+/// 256 KiB read 512 B at a time from a backlog, over 50 rounds of churn,
+/// and over 100 blocks of 64 transactions among 2 000 connections.
+fn measure_one_attempt() -> [u64; 5] {
     let mut server = Counted {
         stack: Stack::with_config(StackConfig::new(SERVER)),
         scratch: TxScratch::new(),
@@ -190,14 +296,8 @@ fn measure_one_attempt() -> (u64, u64, u64) {
     };
     let mut client = Stack::with_config(StackConfig::new(CLIENT));
     server.stack.listen(PORT).unwrap();
-    let conns: Vec<(PcbId, PcbId)> = (0..CONNECTIONS)
-        .map(|_| {
-            let (cp, syn) = client.connect(SERVER, PORT).unwrap();
-            let synack = server.stack.receive(&syn).unwrap().replies;
-            let ack = client.receive(&synack[0]).unwrap().replies;
-            server.stack.receive(&ack[0]).unwrap();
-            (cp, server.stack.accept(PORT).unwrap())
-        })
+    let mut conns: Vec<(PcbId, PcbId)> = (0..CONNECTIONS)
+        .map(|_| connect(&mut server.stack, &mut client))
         .collect();
 
     // Warm up: twice round, so every socket buffer has its capacity, and
@@ -253,7 +353,45 @@ fn measure_one_attempt() -> (u64, u64, u64) {
     assert_eq!(drained, BACKLOG / 512);
     let stats = server.stack.stats().stack;
     assert_eq!(stats.retransmits + stats.out_of_order_drops, 0, "lossless");
-    (one_at_a_time, many_at_a_time, server.allocations)
+    let backlogged = server.allocations;
+
+    // Warm up until the frame pool has seen the burst and the
+    // demultiplexer's chains have met their longest.
+    for _ in 0..CHURN_ROUNDS {
+        churn(&mut server, &mut client);
+    }
+    server.allocations = 0;
+    for _ in 0..CHURN_ROUNDS {
+        churn(&mut server, &mut client);
+    }
+    let churned = server.allocations;
+
+    conns.extend((CONNECTIONS..POPULATION).map(|_| connect(&mut server.stack, &mut client)));
+    // A stride coprime to 2 000 visits every connection; every block
+    // has 64 distinct ones.
+    let batch = |b: usize| -> Vec<(PcbId, PcbId)> {
+        (0..BLOCK)
+            .map(|j| conns[(b * BLOCK + j) * 37 % POPULATION])
+            .collect()
+    };
+    // Warm up once round, so that every block exists.
+    for b in 0..POPULATION.div_ceil(BLOCK) {
+        block(&mut server, &mut client, &batch(b));
+    }
+    server.allocations = 0;
+    for b in 0..BLOCKS {
+        block(&mut server, &mut client, &batch(b + 1));
+        // The responses' `send` took back the last block read dry.
+        let parked = server.stack.stats().rx_blocks_free;
+        assert_eq!(parked, BLOCK, "the blocks are in the pool, all of them");
+    }
+    [
+        one_at_a_time,
+        many_at_a_time,
+        backlogged,
+        churned,
+        server.allocations,
+    ]
 }
 
 #[test]
@@ -262,7 +400,7 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
     let mut counts = Vec::with_capacity(ATTEMPTS);
     for _ in 0..ATTEMPTS {
         let count = measure_one_attempt();
-        if count == (0, 0, 0) {
+        if count == [0; 5] {
             return;
         }
         counts.push(count);
@@ -270,6 +408,7 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
     panic!(
         "the server allocated in steady state in every attempt ({counts:?} \
          allocator calls over ({TRANSACTIONS} transactions, {TICKS} ticks, \
-         {BULK_SEGMENTS} backlogged segments))"
+         {BULK_SEGMENTS} backlogged segments, {CHURN_ROUNDS} rounds of churn, \
+         {BLOCKS} blocks among {POPULATION} connections))"
     );
 }
