@@ -4,7 +4,10 @@
 //! send/receive cache, and each Sequent hash chain) needs the same three
 //! operations a kernel's `inpcb` queue provides: scan from the head
 //! counting entries examined, take an entry out once found, and insert
-//! at the head. `PcbList` provides exactly that.
+//! at the head. `PcbList` provides exactly that. The Sequent structure
+//! keeps all its chains as regions of one pair of lanes instead (see
+//! [`SequentDemux`](crate::SequentDemux)), walked by the same
+//! [`index_in`].
 //!
 //! The scan order is the *list* order, which is what the paper's analysis
 //! is about: the cost of a lookup is the 1-based position of the key.
@@ -54,7 +57,7 @@ const TAG_M2: u32 = 0xC2B2_AE35;
 /// equal tags; unequal keys collide with probability ~2^-32, in which
 /// case the walk falls back to the full-key comparison and stays correct.
 #[inline]
-fn key_tag(key: &ConnectionKey) -> u32 {
+pub(crate) fn key_tag(key: &ConnectionKey) -> u32 {
     let [w0, w1, w2] = key.as_words();
     w0.wrapping_mul(TAG_M0)
         .wrapping_add(w1.wrapping_mul(TAG_M1))
@@ -64,13 +67,58 @@ fn key_tag(key: &ConnectionKey) -> u32 {
 /// Tags compared per step of a walk: one 64-byte line of the tag lane.
 const BLOCK: usize = 16;
 
+/// One entry of the entries lane.
+pub(crate) type Entry = (ConnectionKey, PcbId);
+
+/// Index of `key` in a list held as the lanes `tags` and `entries` (in
+/// reverse list order, `tags[i]` prefiltering `entries[i]`): the entry
+/// nearest the head whose tag and full key both match. The walk of every
+/// list held this way — a [`PcbList`], or one chain's region of the lanes
+/// [`SequentDemux`](crate::SequentDemux) shares among its chains.
+// Forced into its callers: left to the compiler it stays a call of its
+// own, which costs a walk of up to ~50 entries 2–5 ns.
+#[inline(always)]
+pub(crate) fn index_in(tags: &[u32], entries: &[Entry], key: &ConnectionKey) -> Option<usize> {
+    let tag = key_tag(key);
+    // Nearest the head first within `range`; the cold lane is read
+    // only behind a matching tag. (Behind a block hit this is sixteen
+    // unrolled compares. Building a bitmask of the block instead saved
+    // 6 ns of a hit at 40–200 entries, but the compiler folded it into
+    // the scan and misses past 500 entries cost half as much again.)
+    let confirm = |range: core::ops::Range<usize>| {
+        let mut lanes = tags[range.clone()].iter().zip(&entries[range.clone()]);
+        lanes
+            .rposition(|(&t, entry)| t == tag && entry.0 == *key)
+            .map(|i| range.start + i)
+    };
+    let mut end = tags.len();
+    while end >= BLOCK {
+        let start = end - BLOCK;
+        let block: &[u32; BLOCK] = tags[start..end].try_into().expect("BLOCK tags");
+        if block.iter().fold(false, |hit, &t| hit | (t == tag)) {
+            if let Some(i) = confirm(start..end) {
+                return Some(i);
+            }
+        }
+        end = start;
+    }
+    confirm(0..end)
+}
+
+/// `examined` for a walk of a `len`-entry list that ended at `index`:
+/// its 1-based list position, or the whole list on a miss.
+#[inline]
+pub(crate) fn examined(len: usize, index: Option<usize>) -> u32 {
+    (len - index.unwrap_or(0)) as u32
+}
+
 /// A list of `(ConnectionKey, PcbId)` pairs as two dense lanes in reverse
 /// list order (the head is the last element): `tags[i]` prefilters
 /// `entries[i]`.
 #[derive(Debug, Clone, Default)]
 pub struct PcbList {
     tags: Vec<u32>,
-    entries: Vec<(ConnectionKey, PcbId)>,
+    entries: Vec<Entry>,
 }
 
 impl PcbList {
@@ -100,44 +148,16 @@ impl PcbList {
         self.entries.push((key, id));
     }
 
-    /// Index of `key` in the lanes: the entry nearest the head whose tag
-    /// and full key both match.
-    // Forced into its four callers: left to the compiler it stays a call
-    // of its own, which costs a walk of up to ~50 entries 2–5 ns.
+    /// Index of `key` in the lanes.
     #[inline(always)]
     fn index_of(&self, key: &ConnectionKey) -> Option<usize> {
-        let tag = key_tag(key);
-        let (tags, entries) = (self.tags.as_slice(), self.entries.as_slice());
-        // Nearest the head first within `range`; the cold lane is read
-        // only behind a matching tag. (Behind a block hit this is sixteen
-        // unrolled compares. Building a bitmask of the block instead saved
-        // 6 ns of a hit at 40–200 entries, but the compiler folded it into
-        // the scan and misses past 500 entries cost half as much again.)
-        let confirm = |range: core::ops::Range<usize>| {
-            let mut lanes = tags[range.clone()].iter().zip(&entries[range.clone()]);
-            lanes
-                .rposition(|(&t, entry)| t == tag && entry.0 == *key)
-                .map(|i| range.start + i)
-        };
-        let mut end = tags.len();
-        while end >= BLOCK {
-            let start = end - BLOCK;
-            let block: &[u32; BLOCK] = tags[start..end].try_into().expect("BLOCK tags");
-            if block.iter().fold(false, |hit, &t| hit | (t == tag)) {
-                if let Some(i) = confirm(start..end) {
-                    return Some(i);
-                }
-            }
-            end = start;
-        }
-        confirm(0..end)
+        index_in(&self.tags, &self.entries, key)
     }
 
-    /// `examined` for a walk that ended at `index`: its 1-based list
-    /// position, or the whole list on a miss.
+    /// `examined` for a walk that ended at `index`.
     #[inline]
     fn examined(&self, index: Option<usize>) -> u32 {
-        (self.tags.len() - index.unwrap_or(0)) as u32
+        examined(self.tags.len(), index)
     }
 
     /// Scan from the head for `key`. Returns the PCB handle and the

@@ -33,9 +33,17 @@ impl std::error::Error for SocketError {}
 /// than one receive buffer: a burst of more sockets filling at once
 /// allocates (and later frees) the excess, as `idle_halves` and `TxPool`
 /// do for theirs.
+///
+/// Beside the blocks it parks as many [`Holes`] records, each with the
+/// capacity of its span list, so a loss episode takes the record the last
+/// one gave back and only a connection's first episode allocates.
 #[derive(Debug)]
 pub(crate) struct BlockPool {
     free: Vec<Vec<u8>>,
+    /// Reassembly records between episodes, spans emptied. Boxed because
+    /// the box is what a socket holds: parking one moves a pointer.
+    #[allow(clippy::vec_box)]
+    holes: Vec<Box<Holes>>,
     /// The capacity above which a block is freed rather than parked.
     max_block: usize,
 }
@@ -45,11 +53,12 @@ impl BlockPool {
     pub(crate) const MAX_BLOCKS: usize = 64;
 
     /// An empty pool for sockets that buffer up to `max_block` bytes. The
-    /// list itself is allocated here, with the stack, so that giving a
-    /// block back never allocates.
+    /// lists themselves are allocated here, with the stack, so that giving
+    /// a block or a record back never allocates.
     pub(crate) fn new(max_block: usize) -> Self {
         Self {
             free: Vec::with_capacity(Self::MAX_BLOCKS),
+            holes: Vec::with_capacity(Self::MAX_BLOCKS),
             max_block,
         }
     }
@@ -64,6 +73,28 @@ impl BlockPool {
         block.clear();
         if self.free.len() < Self::MAX_BLOCKS && block.capacity() <= self.max_block {
             self.free.push(block);
+        }
+    }
+
+    /// A reassembly record whose in-order end is `ready` and which has no
+    /// spans yet.
+    fn take_holes(&mut self, ready: usize) -> Box<Holes> {
+        match self.holes.pop() {
+            Some(mut holes) => {
+                holes.ready = ready;
+                holes
+            }
+            None => Box::new(Holes {
+                ready,
+                spans: Vec::new(),
+            }),
+        }
+    }
+
+    fn give_holes(&mut self, mut holes: Box<Holes>) {
+        holes.spans.clear();
+        if self.holes.len() < Self::MAX_BLOCKS {
+            self.holes.push(holes);
         }
     }
 
@@ -87,8 +118,8 @@ impl BlockPool {
 /// Reads advance a head index instead of shifting what is still buffered,
 /// so draining a backlog in small reads costs what it copies out. The dead
 /// prefix is dropped when the readable bytes run out and compacted away
-/// when it outgrows the live bytes (as `pcb::SendBuffer` does), so the
-/// backing vector never holds more than ~2× its occupancy.
+/// when it outgrows the live bytes, so the backing vector never holds more
+/// than ~2× its occupancy.
 ///
 /// Reassembly happens in place: a segment ahead of the in-order end is
 /// written at its final offset behind a zero-filled hole, and becomes
@@ -131,7 +162,7 @@ impl SocketBuffer {
     /// behind the hole it filled.
     pub(crate) fn deliver(&mut self, payload: &[u8], pool: &mut BlockPool) -> usize {
         if self.holes.is_some() {
-            return self.fill(payload);
+            return self.fill(payload, pool);
         }
         self.borrow_block(payload, pool);
         self.data.extend_from_slice(payload);
@@ -156,8 +187,9 @@ impl SocketBuffer {
 
     /// [`deliver`](Self::deliver) into a buffer that has holes: write at
     /// the first one and take in every span the in-order end now reaches.
+    /// The record goes back to `pool` when the last hole closes.
     #[cold]
-    fn fill(&mut self, payload: &[u8]) -> usize {
+    fn fill(&mut self, payload: &[u8], pool: &mut BlockPool) -> usize {
         let ready = self.ready();
         self.write_at(ready, payload);
         let holes = self.holes.as_mut().expect("fill is called with holes");
@@ -169,7 +201,7 @@ impl SocketBuffer {
         }
         holes.spans.drain(..reached);
         if holes.spans.is_empty() {
-            self.holes = None;
+            pool.give_holes(self.holes.take().expect("checked above"));
         } else {
             holes.ready += run as usize;
             for span in &mut holes.spans {
@@ -191,12 +223,7 @@ impl SocketBuffer {
         // would add is a second window nothing can ever fill.
         self.data.reserve_exact(end.saturating_sub(self.data.len()));
         self.write_at(ready + offset, payload);
-        let holes = self.holes.get_or_insert_with(|| {
-            Box::new(Holes {
-                ready,
-                spans: Vec::new(),
-            })
-        });
+        let holes = self.holes.get_or_insert_with(|| pool.take_holes(ready));
         // Merge with every span the new one overlaps or touches.
         let (mut lo, mut hi) = (offset as u32, (offset + payload.len()) as u32);
         let first = holes.spans.partition_point(|s| s.end < lo);
@@ -425,6 +452,28 @@ mod tests {
         assert!(buf.holes.is_none(), "the list lives only while a hole does");
         assert_eq!(buf.read_all(), b"ghij".to_vec());
         assert_eq!((buf.head, buf.data.len()), (0, 0));
+    }
+
+    /// The record a closed hole leaves goes to the pool, span list and
+    /// all, and the next episode of any socket takes it from there.
+    #[test]
+    fn a_second_loss_episode_reuses_the_first_ones_record() {
+        let mut pool = BlockPool::new(64 * 1024);
+        let (mut first, mut second) = (SocketBuffer::new(), SocketBuffer::new());
+        first.stage(2, b"cd", &mut pool);
+        first.stage(6, b"gh", &mut pool);
+        let record: *const Holes = &**first.holes.as_ref().unwrap();
+        assert_eq!(first.deliver(b"ab", &mut pool), 4);
+        assert!(pool.holes.is_empty(), "one hole is still open");
+        assert_eq!(first.deliver(b"ef", &mut pool), 4);
+        assert!(first.holes.is_none());
+        assert_eq!(pool.holes.len(), 1);
+        second.stage(1, b"x", &mut pool);
+        let holes = second.holes.as_deref().unwrap();
+        assert!(core::ptr::eq(holes, record), "the parked record");
+        assert_eq!((holes.ready, holes.spans.len()), (0, 1));
+        assert!(holes.spans.capacity() >= 2, "with its span list");
+        assert!(pool.holes.is_empty());
     }
 
     #[test]

@@ -17,8 +17,8 @@ use tcpdemux_pcb::{
 };
 use tcpdemux_telemetry::{CloseCause, Event, HistogramId, Telemetry};
 use tcpdemux_wire::{
-    build_tcp_frame_into, build_udp_frame_into, IpProtocol, Ipv4Packet, Ipv4Repr, TcpFlags,
-    TcpRepr, TcpSegment, UdpDatagram, UdpRepr, WireError,
+    build_tcp_frame_into, build_udp_frame_into, IpProtocol, Ipv4Packet, Ipv4Repr, Payload,
+    TcpFlags, TcpRepr, TcpSegment, UdpDatagram, UdpRepr, WireError,
 };
 
 /// Microseconds per stack timer tick (the stack's tick is 1 ms; the RTT
@@ -239,8 +239,9 @@ struct InflightSegment {
 /// connection holds one only while it has bytes to send or segments (a
 /// SYN and a FIN count) awaiting acknowledgement; a half whose last byte
 /// was acknowledged goes back to [`Stack::idle_halves`] with its
-/// capacities intact, so a request/response connection neither keeps a
-/// buffer while idle nor allocates one per response.
+/// capacities intact (a send ring larger than a receive buffer excepted,
+/// see [`release_half`]), so a request/response connection neither keeps
+/// a buffer while idle nor allocates one per response.
 #[derive(Debug)]
 struct SendHalf {
     /// The connection's unacknowledged bytes followed by its unsent ones.
@@ -727,9 +728,9 @@ impl Listener {
 
 /// Idle [`SendHalf`]s the stack parks for reuse; a burst of more
 /// concurrent senders than this allocates (and later frees) the excess.
-/// Same bound, for the same reason, as [`TxPool::DEFAULT_MAX_FREE`] —
-/// and it caps what idle halves pin, since a parked send buffer keeps
-/// the capacity of the largest backlog it has carried.
+/// Same bound, for the same reason, as [`TxPool::DEFAULT_MAX_FREE`].
+/// With [`release_half`]'s bound on each parked ring it caps what idle
+/// halves pin at 64 receive buffers' worth, as [`BlockPool`] does.
 const IDLE_HALVES_MAX: usize = TxPool::DEFAULT_MAX_FREE;
 
 /// The idle list. Boxed because the box is what moves between this list
@@ -764,6 +765,9 @@ pub struct Stack {
     next_ephemeral: u16,
     next_iss: u32,
     timers: TimerWheel<TimerEvent>,
+    /// What [`advance_time`](Self::advance_time) reads expiries into, kept
+    /// for its capacity.
+    expired: Vec<TimerEvent>,
     /// Drained sender halves awaiting the next connection with something
     /// to send, at most [`IDLE_HALVES_MAX`].
     idle_halves: IdleHalves,
@@ -808,14 +812,15 @@ struct Cx<'a> {
     now_ticks: u64,
 }
 
-/// Frame one TCP segment into a pooled buffer.
+/// Frame one TCP segment into a pooled buffer. The payload is one slice,
+/// or two when it is read out of a send ring across its wrap point.
 fn emit_tcp(
     tx_pool: &mut TxPool,
     stats: &mut StackStats,
     demux: &mut dyn Demux,
     key: &ConnectionKey,
     repr: &TcpRepr,
-    payload: &[u8],
+    payload: impl Payload,
 ) -> Vec<u8> {
     let ip = Ipv4Repr::new(key.local_addr, key.remote_addr, IpProtocol::Tcp);
     stats.frames_out += 1;
@@ -838,9 +843,14 @@ fn socket_of<'a>(
     }
 }
 
-/// Cancel a sender half's timer, empty it, and park it for reuse.
+/// Cancel a sender half's timer, empty it, and park it for reuse. Its
+/// send ring keeps its storage only if that is no larger than
+/// `max_ring`, the bound [`BlockPool`] applies to parked receive blocks:
+/// a bulk sender's ring grows to its whole cap, and sixty-four of those
+/// parked would pin megabytes nothing may ever use again.
 fn release_half(
     mut half: Box<SendHalf>,
+    max_ring: usize,
     timers: &mut TimerWheel<TimerEvent>,
     idle_halves: &mut IdleHalves,
 ) {
@@ -849,7 +859,11 @@ fn release_half(
     }
     if idle_halves.len() < IDLE_HALVES_MAX {
         half.segments.clear();
-        half.buf.consume(half.buf.len());
+        if half.buf.capacity() > max_ring {
+            half.buf = SendBuffer::new(half.buf.cap());
+        } else {
+            half.buf.consume(half.buf.len());
+        }
         idle_halves.push(half);
     }
 }
@@ -873,6 +887,7 @@ impl Stack {
             last_socket: None,
             next_iss: 0x1000_0000,
             timers: TimerWheel::new(256),
+            expired: Vec::new(),
             idle_halves: Vec::new(),
             tx_pending: VecDeque::new(),
             neighbors: crate::neighbor::NeighborCache::with_defaults(),
@@ -923,9 +938,10 @@ impl Stack {
         );
         self.now_ticks = tick;
         self.neighbors.expire(tick);
-        let expired = self.timers.advance_to(tick);
+        let mut expired = std::mem::take(&mut self.expired);
+        self.timers.advance_into(tick, &mut expired);
         let mut advance = TimeAdvance::default();
-        for event in expired {
+        for event in expired.drain(..) {
             match event {
                 TimerEvent::TimeWait(id) => {
                     if self.state(id) == Some(TcpState::TimeWait) {
@@ -960,6 +976,7 @@ impl Stack {
                 }
             }
         }
+        self.expired = expired;
         advance
     }
 
@@ -1571,7 +1588,8 @@ impl Stack {
             return;
         };
         if let Some(half) = conn.tx.take() {
-            release_half(half, &mut self.timers, &mut self.idle_halves);
+            let max_ring = self.config.window.recv_buffer;
+            release_half(half, max_ring, &mut self.timers, &mut self.idle_halves);
         }
         if let Some(timer) = conn.delayed.and_then(|state| state.timer) {
             self.timers.cancel(timer);
@@ -1960,7 +1978,8 @@ impl Cx<'_> {
     /// Cancel the retransmission timer and give up the sender half.
     fn release_tx(&mut self) {
         if let Some(half) = self.conn.tx.take() {
-            release_half(half, self.timers, self.idle_halves);
+            let max_ring = self.config.window.recv_buffer;
+            release_half(half, max_ring, self.timers, self.idle_halves);
         }
     }
 
@@ -1981,8 +2000,8 @@ impl Cx<'_> {
                 sent <= half.buf.len(),
                 "queued segments overrun the send buffer"
             );
-            let unsent = &half.buf.peek()[sent..];
-            if unsent.is_empty() {
+            let unsent = half.buf.len() - sent;
+            if unsent == 0 {
                 break false;
             }
             let p = &mut self.conn.pcb;
@@ -1997,7 +2016,7 @@ impl Cx<'_> {
             // one-byte zero-window probe that forces the peer to re-ACK
             // its current window (the persist mechanism).
             let (take, probe) = if wnd > inflight {
-                (unsent.len().min(wnd - inflight).min(mss), false)
+                (unsent.min(wnd - inflight).min(mss), false)
             } else if rwnd == 0 && inflight == 0 {
                 (1, true)
             } else {
@@ -2022,14 +2041,14 @@ impl Cx<'_> {
                 window,
                 ..TcpRepr::default()
             };
-            let unsent_after = unsent.len() - take;
+            let unsent_after = unsent - take;
             scratch.frames.push(emit_tcp(
                 self.tx_pool,
                 self.stats,
                 self.demux,
                 &key,
                 &repr,
-                &unsent[..take],
+                half.buf.peek(sent..sent + take),
             ));
             self.track_segment(seq, seq + take as u32, repr.flags, None, probe);
             sent += take;
@@ -2232,7 +2251,7 @@ impl Cx<'_> {
             mss: seg.mss,
             window_scale: None,
         };
-        let payload = &half.buf.peek()[..seg.len as usize];
+        let payload = half.buf.peek(0..seg.len as usize);
         Some(emit_tcp(
             self.tx_pool,
             self.stats,
@@ -3701,15 +3720,15 @@ mod tests {
     }
 
     #[test]
-    fn retransmissions_find_their_bytes_after_top_up_and_compaction() {
+    fn retransmissions_find_their_bytes_after_a_top_up_wraps() {
         let (mut server, mut client) = windowed_pair(8 * 1460);
         let (cp, sp) = handshake(&mut server, &mut client, 80);
         let stream: Vec<u8> = (0..7 * 1460u32).map(|i| (i % 251) as u8).collect();
         let mut scratch = TxScratch::new();
 
-        // Four segments out; the first three are acknowledged, which
-        // moves the fourth to the front of the storage (the consumed
-        // prefix passed half of it).
+        // Four segments out, in a ring of exactly their size; the first
+        // three are acknowledged, so the top-up below wraps around to
+        // the front of the storage, behind the fourth.
         assert_eq!(client.send(cp, &stream[..4 * 1460]).unwrap(), 4 * 1460);
         assert_eq!(client.poll_transmit(&mut scratch), 4);
         let fourth = scratch.frames[3].clone();
@@ -3758,6 +3777,169 @@ mod tests {
             (7 * 1460, 0, 0)
         );
         assert_eq!(server.socket_mut(sp).unwrap().read_all(), stream);
+    }
+
+    /// A sender half goes back to the idle list with its ring's storage
+    /// only if that is no larger than a receive buffer, the bound parked
+    /// receive blocks have; a larger ring is freed.
+    #[test]
+    fn parked_send_rings_are_bounded_like_parked_receive_blocks() {
+        let (mut server, mut client) = windowed_pair(256 * 1024);
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let recv_buffer = client.config.window.recv_buffer;
+        for (len, parked) in [
+            (3000, 3000),
+            (recv_buffer + 1, 0),
+            (recv_buffer, recv_buffer),
+        ] {
+            assert_eq!(client.send(cp, &vec![9; len]).unwrap(), len);
+            let mut scratch = TxScratch::new();
+            while client.conns.get(cp).unwrap().tx.is_some() {
+                client.poll_transmit(&mut scratch);
+                for frame in scratch.frames.drain(..) {
+                    for ack in server.receive(&frame).unwrap().replies {
+                        client.receive(&ack).unwrap();
+                    }
+                }
+                server.socket_mut(sp).unwrap().read_all();
+            }
+            let half = client.idle_halves.last().expect("the half is parked");
+            assert_eq!(half.buf.capacity(), parked, "after {len} B");
+        }
+    }
+
+    /// Whether the client's in-flight segment starting at `seq` sits
+    /// across its send ring's wrap point.
+    fn straddles_the_wrap(client: &Stack, pcb: PcbId, seq: u32) -> bool {
+        let half = client.conns.get(pcb).and_then(|c| c.tx.as_deref());
+        let Some(half) = half else { return false };
+        let mut offset = 0;
+        for seg in &half.segments {
+            let len = seg.len as usize;
+            if seg.seq.raw() == seq {
+                let [front, back] = half.buf.peek(offset..offset + len);
+                return !front.is_empty() && !back.is_empty();
+            }
+            offset += len;
+        }
+        false
+    }
+
+    /// 40 segments from client to server through a send buffer the
+    /// application keeps topped up to `IN_FLIGHT` bytes in `CHUNK`s after
+    /// every ACK, with the data
+    /// frame numbered `drop` lost (or, when `None`, the first one framed
+    /// across the ring's wrap). With `unwrapped` the client's send ring
+    /// is primed to hold the whole stream without wrapping. Returns every
+    /// frame either side emitted, the number of the one dropped, and how
+    /// many data frames were framed across the wrap.
+    fn ring_transfer(unwrapped: bool, drop: Option<usize>) -> (Vec<Vec<u8>>, usize, usize) {
+        // None is a multiple of the MSS, and the peer's window is smaller
+        // than the buffer, so unsent bytes wait in the ring and segment
+        // edges drift around it.
+        const IN_FLIGHT: usize = 5 * 1460 + 700;
+        const CHUNK: usize = 1000;
+        const PEER_WINDOW: u16 = 3 * 1460 + 500;
+        let stream: Vec<u8> = (0..40 * 1460u32).map(|i| (i % 253) as u8).collect();
+        let window = |send_buffer, recv_buffer| {
+            WindowConfig::default()
+                .with_advertise(PEER_WINDOW)
+                .with_initial_cwnd(16 * 1460)
+                .with_send_buffer(send_buffer)
+                .with_recv_buffer(recv_buffer)
+        };
+        let recv_buffer = WindowConfig::default().recv_buffer;
+        let mut server = Stack::with_config(
+            StackConfig::new(SERVER).with_window(window(IN_FLIGHT, recv_buffer)),
+        );
+        let mut client = if unwrapped {
+            // A ring with room for the whole stream, parked where the
+            // connection will find it; a receive buffer as large lets it
+            // stay parked between flights.
+            let big = 2 * stream.len();
+            let mut client =
+                Stack::with_config(StackConfig::new(CLIENT).with_window(window(big, big)));
+            let mut buf = SendBuffer::new(big);
+            buf.push(&stream);
+            buf.consume(stream.len());
+            client.idle_halves.push(Box::new(SendHalf {
+                buf,
+                segments: VecDeque::new(),
+                timer: None,
+            }));
+            client
+        } else {
+            Stack::with_config(StackConfig::new(CLIENT).with_window(window(IN_FLIGHT, recv_buffer)))
+        };
+        let (cp, sp) = handshake(&mut server, &mut client, 80);
+        let (mut log, mut dropped, mut straddling) = (Vec::new(), drop, 0);
+        let (mut sent, mut received, mut data_frames) = (0, Vec::new(), 0);
+        let mut scratch = TxScratch::new();
+        let mut to_client: Vec<Vec<u8>> = Vec::new();
+        while received.len() < stream.len() {
+            // Each ACK is answered by topping the buffer up and polling,
+            // so new bytes land behind unacknowledged ones.
+            let mut to_server = Vec::new();
+            for frame in std::iter::once(None).chain(to_client.drain(..).map(Some)) {
+                if let Some(ack) = frame {
+                    let replies = client.receive(&ack).unwrap().replies.into_iter();
+                    to_server.extend(replies.map(|frame| (false, frame)));
+                }
+                loop {
+                    let queued = client.connection_table()[0].tx_queued + client.send_queued(cp);
+                    let offer = (IN_FLIGHT - queued).min(stream.len() - sent).min(CHUNK);
+                    if offer == 0 {
+                        break;
+                    }
+                    sent += client.send(cp, &stream[sent..sent + offer]).unwrap();
+                }
+                client.poll_transmit(&mut scratch);
+                for frame in scratch.frames.drain(..) {
+                    let seq = header_of(&frame).seq;
+                    to_server.push((straddles_the_wrap(&client, cp, seq), frame));
+                }
+            }
+            if to_server.is_empty() {
+                let due = client.next_timer_deadline().expect("a lost segment's RTO");
+                let retransmits = client.advance_time(due).retransmits.into_iter();
+                to_server.extend(retransmits.map(|frame| (false, frame)));
+            }
+            for (across, frame) in to_server {
+                log.push(frame.clone());
+                if frame.len() > 40 {
+                    data_frames += 1;
+                    if across {
+                        straddling += 1;
+                        dropped.get_or_insert(data_frames);
+                    }
+                    if dropped == Some(data_frames) {
+                        continue;
+                    }
+                }
+                let replies = server.receive(&frame).unwrap().replies;
+                log.extend(replies.iter().cloned());
+                to_client.extend(replies);
+            }
+            received.extend(server.socket_mut(sp).unwrap().read_all());
+        }
+        // Everything arrived, so the dropped frame was sent again.
+        assert_eq!(received, stream);
+        (log, dropped.expect("a frame was dropped"), straddling)
+    }
+
+    /// A segment framed across the send ring's wrap point — sent, lost,
+    /// and rebuilt from the front of the ring — is the frame a send
+    /// buffer that never wraps puts on the wire, byte for byte.
+    #[test]
+    fn segments_across_the_ring_wrap_frame_as_if_it_never_wrapped() {
+        let (wrapped, drop, straddling) = ring_transfer(false, None);
+        assert!(straddling >= 5, "{straddling} segments across the wrap");
+        let (unwrapped, same_drop, none) = ring_transfer(true, Some(drop));
+        assert_eq!((same_drop, none), (drop, 0));
+        assert_eq!(wrapped.len(), unwrapped.len());
+        for (n, (a, b)) in wrapped.iter().zip(&unwrapped).enumerate() {
+            assert_eq!(a, b, "frame {n}");
+        }
     }
 
     /// A forged RST has to land inside the receive window to count; the

@@ -48,7 +48,7 @@ pub struct TimerWheel<T> {
     /// Each slot's first node, and the first free one.
     heads: Vec<u32>,
     free: u32,
-    /// Scratch for `advance_to`, kept for its capacity.
+    /// Scratch for `advance_into`, kept for its capacity.
     expiring: Vec<u32>,
     current_tick: u64,
     next_id: u64,
@@ -161,8 +161,20 @@ impl<T> TimerWheel<T> {
     }
 
     /// Advance the wheel to `tick`, collecting every expired payload in
-    /// due order. `tick` must be ≥ the current tick.
+    /// due order. `tick` must be ≥ the current tick. Allocates the vector
+    /// it returns whenever something expires; a caller on a hot path
+    /// keeps one of its own and uses [`advance_into`](Self::advance_into).
     pub fn advance_to(&mut self, tick: u64) -> Vec<T> {
+        let mut expired = Vec::new();
+        self.advance_into(tick, &mut expired);
+        expired
+    }
+
+    /// [`advance_to`](Self::advance_to), appending the expired payloads
+    /// to `expired`: once the caller's vector and the wheel's own scratch
+    /// have grown to the most timers that expire at once, advancing
+    /// allocates nothing.
+    pub fn advance_into(&mut self, tick: u64, expired: &mut Vec<T>) {
         let now = self.current_tick;
         assert!(tick >= now, "time went backwards: {tick} < {now}");
         let mut expiring = std::mem::take(&mut self.expiring);
@@ -183,11 +195,8 @@ impl<T> TimerWheel<T> {
             let node = &self.nodes[idx as usize];
             (node.due_tick, node.id)
         });
-        // The one allocation, made only when something expired.
-        let mut expired = Vec::with_capacity(expiring.len());
         expired.extend(expiring.drain(..).map(|idx| self.release(idx)));
         self.expiring = expiring;
-        expired
     }
 }
 
@@ -337,6 +346,22 @@ mod tests {
         assert!(wheel.advance_to(1).is_empty());
         assert_eq!(wheel.advance_to(2), vec!["a"]);
         assert_eq!(wheel.advance_to(7), vec!["b"]);
+    }
+
+    #[test]
+    fn advance_into_appends_in_due_order_and_reuses_the_callers_vector() {
+        let mut wheel = TimerWheel::new(8);
+        let mut expired = vec!["kept"];
+        wheel.schedule(5, "late");
+        wheel.schedule(2, "early");
+        wheel.advance_into(6, &mut expired);
+        assert_eq!(expired, ["kept", "early", "late"]);
+        expired.clear();
+        let capacity = expired.capacity();
+        wheel.schedule(1, "again");
+        wheel.advance_into(7, &mut expired);
+        assert_eq!(expired, ["again"]);
+        assert_eq!(expired.capacity(), capacity, "no reallocation");
     }
 
     #[test]

@@ -32,24 +32,64 @@ pub fn build_udp_frame(ip: &Ipv4Repr, udp_repr: &UdpRepr, payload: &[u8]) -> Vec
     out
 }
 
+/// A segment's payload as the frame builder takes it: one slice, or two
+/// framed as their concatenation — a range of a send ring that straddles
+/// its wrap point.
+pub trait Payload {
+    /// Bytes in the payload.
+    fn byte_len(&self) -> usize;
+    /// Append the payload to `out`.
+    fn append_to(&self, out: &mut Vec<u8>);
+}
+
+impl Payload for &[u8] {
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+impl Payload for [&[u8]; 2] {
+    fn byte_len(&self) -> usize {
+        self[0].len() + self[1].len()
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self[0]);
+        // Most segments do not straddle the wrap: skip the empty copy.
+        if !self[1].is_empty() {
+            out.extend_from_slice(self[1]);
+        }
+    }
+}
+
 /// Replace `out`'s contents with `headers_len` zero bytes for the emitters
 /// to fill, then `payload`. The whole frame is reserved first, so a fresh
 /// buffer allocates once, and a payload byte is written once: no zero-fill
 /// that the copy would overwrite.
-fn start_frame(headers_len: usize, payload: &[u8], out: &mut Vec<u8>) {
+fn start_frame(headers_len: usize, payload: &impl Payload, out: &mut Vec<u8>) {
     out.clear();
-    out.reserve(headers_len + payload.len());
+    out.reserve(headers_len + payload.byte_len());
     out.resize(headers_len, 0);
-    out.extend_from_slice(payload);
+    payload.append_to(out);
 }
 
 /// Assemble an IPv4+TCP frame into `out`, replacing its contents.
 ///
 /// `out`'s capacity is reused, so a caller that recycles its buffers pays
-/// no allocation once the buffer has grown to the working frame size.
-pub fn build_tcp_frame_into(ip: &Ipv4Repr, tcp: &TcpRepr, payload: &[u8], out: &mut Vec<u8>) {
-    let tcp_len = tcp.header_len() + payload.len();
-    start_frame(ipv4::HEADER_LEN + tcp.header_len(), payload, out);
+/// no allocation once the buffer has grown to the working frame size. The
+/// payload is one slice or two (see [`Payload`]).
+pub fn build_tcp_frame_into(
+    ip: &Ipv4Repr,
+    tcp: &TcpRepr,
+    payload: impl Payload,
+    out: &mut Vec<u8>,
+) {
+    let tcp_len = tcp.header_len() + payload.byte_len();
+    start_frame(ipv4::HEADER_LEN + tcp.header_len(), &payload, out);
     {
         let mut segment = TcpSegment::new_unchecked(&mut out[ipv4::HEADER_LEN..]);
         tcp.emit(&mut segment, ip.src_addr, ip.dst_addr)
@@ -68,7 +108,7 @@ pub fn build_tcp_frame_into(ip: &Ipv4Repr, tcp: &TcpRepr, payload: &[u8], out: &
 /// Assemble an IPv4+UDP frame into `out`, replacing its contents.
 pub fn build_udp_frame_into(ip: &Ipv4Repr, udp_repr: &UdpRepr, payload: &[u8], out: &mut Vec<u8>) {
     let udp_len = udp::HEADER_LEN + payload.len();
-    start_frame(ipv4::HEADER_LEN + udp::HEADER_LEN, payload, out);
+    start_frame(ipv4::HEADER_LEN + udp::HEADER_LEN, &payload, out);
     {
         let mut datagram = UdpDatagram::new_unchecked(&mut out[ipv4::HEADER_LEN..]);
         udp_repr
@@ -199,7 +239,7 @@ mod tests {
         };
         // Start with dirty, oversized contents to show `_into` replaces them.
         let mut out = vec![0xAA; 512];
-        build_tcp_frame_into(&ip_repr(), &tcp, b"payload", &mut out);
+        build_tcp_frame_into(&ip_repr(), &tcp, &b"payload"[..], &mut out);
         assert_eq!(out, build_tcp_frame(&ip_repr(), &tcp, b"payload"));
 
         let udp_repr = UdpRepr {
@@ -319,6 +359,32 @@ mod tests {
                 recycled.resize(rng.usize_in(0, 2048), 0xAA);
                 build_tcp_frame_into(&ip, &tcp, &payload[..len], &mut recycled);
                 assert_eq!(recycled, want, "{len} B recycled, {tcp:?}");
+            }
+        }
+    }
+
+    /// A payload in two slices frames as their concatenation, wherever
+    /// the split falls, into a fresh buffer and a recycled one.
+    #[test]
+    fn two_slice_payloads_frame_as_their_concatenation() {
+        let mut rng = tcpdemux_testprop::TestRng::from_seed(2);
+        let payload = rng.bytes(1460, 1461);
+        let mut recycled = vec![0xAA; 1600];
+        for len in [0, 1, 2, 3, 100, 1459, 1460] {
+            let tcp = TcpRepr {
+                src_port: rng.u16_in(1, u16::MAX),
+                dst_port: rng.u16_in(1, u16::MAX),
+                seq: rng.u32(),
+                ack: rng.u32(),
+                flags: TcpFlags::ACK | TcpFlags::PSH,
+                window: rng.u16(),
+                ..TcpRepr::default()
+            };
+            let want = build_tcp_frame(&ip_repr(), &tcp, &payload[..len]);
+            for split in 0..=len {
+                let (a, b) = payload[..len].split_at(split);
+                build_tcp_frame_into(&ip_repr(), &tcp, [a, b], &mut recycled);
+                assert_eq!(recycled, want, "{len} B split at {split}");
             }
         }
     }

@@ -73,6 +73,7 @@ mod builder;
 pub use arp::{ArpOperation, ArpRepr};
 pub use builder::{
     build_tcp_frame, build_tcp_frame_into, build_udp_frame, build_udp_frame_into, FrameBuilder,
+    Payload,
 };
 pub use error::WireError;
 pub use ethernet::{EtherType, EthernetAddress, EthernetFrame, EthernetRepr};

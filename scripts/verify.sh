@@ -27,7 +27,9 @@
 #      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
 #      dense lanes against a Vec model over 2,000-operation scripts and
 #      against the linked list they replaced over 10,000-lookup BSD/MTF/
-#      Sequent traces; 16 seeds of crafted segments through the receive
+#      Sequent traces; Sequent's shared lanes against a Vec model while
+#      they fill, re-lay and double; the send ring against a byte
+#      deque across its wrap; 16 seeds of crafted segments through the receive
 #      path of one connection, and of three sharing a stack's block pool,
 #      against a byte-map reference, and 16 of deliver/stage/read/settle
 #      scripts over five socket buffers lending through one pool); the
@@ -50,8 +52,10 @@
 #   8. the end-to-end benchmark crate (benchmark/, its own workspace)
 #      builds against the current crates and passes its smoke test;
 #   9. the three test binaries that install a counting global allocator
-#      (telemetry record path; steady-state transactions, churn rounds
-#      and blocks of 64 over 2,000 connections; heap per connection)
+#      (telemetry record path; steady-state transactions, churn rounds,
+#      blocks of 64 over 2,000 connections, 256 k keys rotated through
+#      the default demultiplexer and a long-lived lossy connection;
+#      heap per connection)
 #      pass in release with --test-threads=1: their
 #      counters are process-global, so they mean something only when no
 #      sibling test runs beside them.
@@ -115,10 +119,13 @@ TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline \
   --test demux_churn --test reassembly_oracle
-TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core list::tests
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core -- \
+  list::tests sequent::tests::prop_relayouts
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-pcb \
+  sendbuf::tests::prop_matches_a_byte_deque
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-stack \
   socket::tests::pooled_buffers_agree_with_a_byte_map_across_seeds
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; the receiver and the pooled socket buffers agree with their byte-map references"
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; Sequent's shared lanes agree with their Vec model through relayouts and doublings; the send ring agrees with a byte deque; the receiver and the pooled socket buffers agree with their byte-map references"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 cargo test -q --release --offline --test congestion
@@ -159,6 +166,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== 9/9 allocator-counting tests (release, one thread) =="
 cargo test -q --release --offline --test telemetry_overhead \
   --test steady_state_allocs --test heap_per_connection -- --test-threads=1
-echo "ok: no allocation per record or per transaction; heap per connection under its ceiling"
+echo "ok: no allocation per record, per transaction, per rotated key or per loss episode; heap per connection under its ceiling"
 
 echo "verify.sh: all checks passed"

@@ -8,13 +8,13 @@
 //! buffer, so the difference is the stack's: connection slots, socket
 //! buffers, the demultiplexer's chains, timers and pools.
 //!
-//! The figure is a ceiling, held just above what the test reads (316 B):
+//! The figure is a ceiling, held just above what the test reads (315 B):
 //! a 20-word slot and its generation, which every connection pays for
 //! 1.64 times over at this population because 20 000 connections sit in
-//! 32 768 slots, and the demultiplexer's 4 B tag and 20 B entry in lanes
-//! that double. The socket's block is lent from the stack's pool and has
-//! gone back by the time a connection is idle, and the sender half
-//! likewise. A field added to the slot fails here and has to be decided
+//! 32 768 slots, and the demultiplexer's 4 B tag and 20 B entry in the one
+//! pair of lanes its chains share, 32 768 slots as well. The socket's
+//! block is lent from the stack's pool and has gone back by the time a
+//! connection is idle, and the sender half likewise. A field added to the slot fails here and has to be decided
 //! rather than drift in.
 //!
 //! One `#[test]`, because the byte count is process-global.

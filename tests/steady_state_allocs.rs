@@ -29,6 +29,18 @@
 //! find all 64 parked again — in the pool, not in the sockets — when the
 //! block is over. Every frame the server emitted is recycled to it.
 //!
+//! Two more phases count something other than the one server. The
+//! default demultiplexer alone, 2 000 standing keys and 64 slots through
+//! which 256 k keys rotate, as `churn` rotates its clients' ports: a
+//! table whose chains each grew their own storage reallocated whenever
+//! one of them first passed a power of two, which happened rounds into a
+//! run, not at warm-up. And one long-lived connection over a link that
+//! drops 3 % of frames each way, both ends counted from the end of its
+//! first loss episode, across 4 MiB: every later episode reuses the
+//! receiver's reassembly record and the sender's ring stays at its cap.
+//! The one call not counted there is the sender's `advance_time`, whose
+//! RTO frames come back in a vector the caller owns.
+//!
 //! This is what `transmit_is_allocation_free_after_warmup` in
 //! `stack.rs` cannot see: it reads the frame pool's counters, and the
 //! two allocations per transaction this test was written against (the
@@ -41,10 +53,13 @@
 //! once per transaction in every attempt.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tcpdemux::pcb::PcbId;
-use tcpdemux::stack::{RxOutcome, Stack, StackConfig, TxScratch};
+use tcpdemux::demux::{Demux, PacketKind, SequentDemux};
+use tcpdemux::hash::Multiplicative;
+use tcpdemux::pcb::{ConnectionKey, PcbId};
+use tcpdemux::stack::{FaultInjector, FaultOutcome, RxOutcome, Stack, StackConfig, TxScratch};
 
 struct CountingAlloc;
 
@@ -94,6 +109,15 @@ const BLOCK: usize = 64;
 const CHURN_ROUNDS: usize = 50;
 const POPULATION: usize = 2_000;
 const BLOCKS: usize = 100;
+/// The lossy phase: the link's one-way delay in ticks and its drop
+/// chance each way, what the sender's application offers at a time, and
+/// the bytes moved while counted.
+const LOSSY_DELAY: u64 = 10;
+const LOSSY_DROP: f64 = 0.03;
+const LOSSY_CHUNK: usize = 16 * 1024;
+const LOSSY_BYTES: usize = 4 << 20;
+/// Keys the rotating-keys phase passes through its 64 rotating slots.
+const ROTATED: usize = 256 * 1024;
 const REQUEST: [u8; 100] = [0x5a; 100];
 const RESPONSE: [u8; 200] = [0xa5; 200];
 
@@ -274,6 +298,180 @@ fn backlogged_reads(
     }
 }
 
+/// The default demultiplexer alone, driven as `churn` drives it:
+/// `POPULATION` standing keys, and rounds in which `BLOCK` fresh keys go
+/// in, are looked up and come out again, until `ROTATED` keys have passed
+/// through. Returns the allocator calls made after the first round.
+fn rotating_keys() -> u64 {
+    // Remote hosts 10.1.0.0 … 10.1.0.49, ports upwards from 1024.
+    let key = |n: usize| {
+        let host = Ipv4Addr::from(0x0a01_0000 + (n % 50) as u32);
+        ConnectionKey::new(SERVER, PORT, host, 1024 + (n / 50) as u16)
+    };
+    let id = |n: usize| PcbId::from_bits(n as u64);
+    let mut demux = SequentDemux::new(Multiplicative, 19);
+    for n in 0..POPULATION {
+        demux.insert(key(n), id(n));
+    }
+    let mut allocations = 0;
+    for round in 0..ROTATED / BLOCK {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let fresh = POPULATION + round * BLOCK..POPULATION + (round + 1) * BLOCK;
+        for n in fresh.clone() {
+            demux.insert(key(n), id(n));
+            assert_eq!(demux.lookup(&key(n), PacketKind::Data).pcb, Some(id(n)));
+        }
+        for n in fresh {
+            assert_eq!(demux.remove(&key(n)), Some(id(n)));
+        }
+        if round > 0 {
+            allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        }
+    }
+    assert_eq!(demux.len(), POPULATION);
+    allocations
+}
+
+/// One long-lived connection moving bytes from `sender` to `receiver`
+/// over a link that delays every frame `LOSSY_DELAY` ticks and drops
+/// `LOSSY_DROP` of them each way. Byte `i` of the stream is `i % 251`.
+struct LossyPair {
+    sender: Counted,
+    receiver: Counted,
+    cp: PcbId,
+    sp: PcbId,
+    /// Frames in flight: when they arrive, whether at the receiver, and
+    /// the bytes.
+    link: VecDeque<(u64, bool, Vec<u8>)>,
+    to_receiver: FaultInjector,
+    to_sender: FaultInjector,
+    now: u64,
+    sent: usize,
+    read: usize,
+}
+
+impl LossyPair {
+    fn new() -> Self {
+        let mut sender = Stack::with_config(StackConfig::new(CLIENT));
+        let mut receiver = Stack::with_config(StackConfig::new(SERVER));
+        receiver.listen(PORT).unwrap();
+        let (cp, sp) = connect(&mut receiver, &mut sender);
+        let counted = |stack| Counted {
+            stack,
+            scratch: TxScratch::new(),
+            allocations: 0,
+        };
+        Self {
+            sender: counted(sender),
+            receiver: counted(receiver),
+            cp,
+            sp,
+            link: VecDeque::new(),
+            to_receiver: FaultInjector::new(LOSSY_DROP, 0.0, 0x5eed),
+            to_sender: FaultInjector::new(LOSSY_DROP, 0.0, 0xacc),
+            now: 0,
+            sent: 0,
+            read: 0,
+        }
+    }
+
+    /// Put `frame`, which `from` emitted, on the link towards the
+    /// receiver or the sender, and give it back to `from`.
+    fn put(&mut self, from_sender: bool, frame: Vec<u8>) {
+        let (link, from) = if from_sender {
+            (&mut self.to_receiver, &mut self.sender)
+        } else {
+            (&mut self.to_sender, &mut self.receiver)
+        };
+        if let FaultOutcome::Passed(copy) = link.transmit(&frame) {
+            let due = self.now + LOSSY_DELAY;
+            self.link.push_back((due, from_sender, copy));
+        }
+        from.call(|s, _| s.recycle(frame));
+    }
+
+    /// Run the transfer until `done` holds. Every call into either stack
+    /// is counted except the sender's `advance_time`: an RTO's frames come
+    /// back in a vector of its own, which the caller owns.
+    fn run(&mut self, done: impl Fn(&Self) -> bool) {
+        let source: Vec<u8> = (0..LOSSY_CHUNK + 251).map(|i| (i % 251) as u8).collect();
+        let mut read = [0u8; 2048];
+        while !done(self) {
+            let next = [
+                self.link.front().map(|&(due, ..)| due),
+                self.sender.stack.next_timer_deadline(),
+                self.receiver.stack.next_timer_deadline(),
+            ];
+            self.now = next.into_iter().flatten().min().unwrap_or(0).max(self.now);
+            let now = self.now;
+
+            for frame in self.sender.stack.advance_time(now).retransmits {
+                self.put(true, frame);
+            }
+            let fired = self.receiver.call(|s, _| s.advance_time(now));
+            assert!(fired.retransmits.is_empty() && fired.acks.is_empty());
+            while self.link.front().is_some_and(|&(due, ..)| due <= now) {
+                let (_, at_receiver, frame) = self.link.pop_front().unwrap();
+                let to = if at_receiver {
+                    &mut self.receiver
+                } else {
+                    &mut self.sender
+                };
+                for reply in to.call(|s, _| s.receive(&frame)).unwrap().replies {
+                    self.put(!at_receiver, reply);
+                }
+            }
+
+            let sp = self.sp;
+            loop {
+                let n = self
+                    .receiver
+                    .call(|s, _| s.socket_mut(sp).unwrap().read_into(&mut read));
+                if n == 0 {
+                    break;
+                }
+                for (i, &byte) in read[..n].iter().enumerate() {
+                    assert_eq!(
+                        byte,
+                        ((self.read + i) % 251) as u8,
+                        "byte {}",
+                        self.read + i
+                    );
+                }
+                self.read += n;
+            }
+
+            let (cp, mut sent) = (self.cp, self.sent);
+            self.sender.call(|s, scratch| {
+                loop {
+                    let chunk = &source[sent % 251..][..LOSSY_CHUNK];
+                    let n = s.send(cp, chunk).unwrap();
+                    sent += n;
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
+                s.poll_transmit(scratch)
+            });
+            self.sent = sent;
+            let polled: Vec<Vec<u8>> = self.sender.scratch.frames.drain(..).collect();
+            for frame in polled {
+                self.put(true, frame);
+            }
+        }
+    }
+
+    /// Segments the receiver has held behind a hole.
+    fn held(&self) -> u64 {
+        self.receiver.stack.stats().stack.out_of_order_queued
+    }
+
+    /// Whether a hole is open at the receiver.
+    fn hole_open(&self) -> bool {
+        self.receiver.stack.connection_table()[0].rx_holes > 0
+    }
+}
+
 /// One connection from `client`, established and accepted.
 fn connect(server: &mut Stack, client: &mut Stack) -> (PcbId, PcbId) {
     let (cp, syn) = client.connect(SERVER, PORT).unwrap();
@@ -288,7 +486,7 @@ fn connect(server: &mut Stack, client: &mut Stack) -> (PcbId, PcbId) {
 /// at a time, over 2 000 ticks of 1 … 20 transactions at a time, over
 /// 256 KiB read 512 B at a time from a backlog, over 50 rounds of churn,
 /// and over 100 blocks of 64 transactions among 2 000 connections.
-fn measure_one_attempt() -> [u64; 5] {
+fn measure_one_attempt() -> [u64; 7] {
     let mut server = Counted {
         stack: Stack::with_config(StackConfig::new(SERVER)),
         scratch: TxScratch::new(),
@@ -385,12 +583,29 @@ fn measure_one_attempt() -> [u64; 5] {
         let parked = server.stack.stats().rx_blocks_free;
         assert_eq!(parked, BLOCK, "the blocks are in the pool, all of them");
     }
+    let standing = server.allocations;
+
+    // One long-lived connection over a lossy link, warmed up until its
+    // first loss episode is over.
+    let mut lossy = LossyPair::new();
+    lossy.run(|pair| pair.held() > 0 && !pair.hole_open());
+    (lossy.sender.allocations, lossy.receiver.allocations) = (0, 0);
+    let (held, read) = (lossy.held(), lossy.read);
+    lossy.run(|pair| pair.read >= read + LOSSY_BYTES);
+    let episodes = lossy.held() - held;
+    assert!(
+        episodes > 100,
+        "only {episodes} segments held behind a hole"
+    );
+
     [
         one_at_a_time,
         many_at_a_time,
         backlogged,
         churned,
-        server.allocations,
+        standing,
+        rotating_keys(),
+        lossy.sender.allocations + lossy.receiver.allocations,
     ]
 }
 
@@ -400,7 +615,7 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
     let mut counts = Vec::with_capacity(ATTEMPTS);
     for _ in 0..ATTEMPTS {
         let count = measure_one_attempt();
-        if count == [0; 5] {
+        if count == [0; 7] {
             return;
         }
         counts.push(count);
@@ -409,6 +624,8 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
         "the server allocated in steady state in every attempt ({counts:?} \
          allocator calls over ({TRANSACTIONS} transactions, {TICKS} ticks, \
          {BULK_SEGMENTS} backlogged segments, {CHURN_ROUNDS} rounds of churn, \
-         {BLOCKS} blocks among {POPULATION} connections))"
+         {BLOCKS} blocks among {POPULATION} connections, {ROTATED} keys rotated \
+         through a demultiplexer beside {POPULATION}, {LOSSY_BYTES} bytes over a \
+         lossy link))"
     );
 }
