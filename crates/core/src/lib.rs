@@ -10,6 +10,7 @@
 //! | [`MtfDemux`] | §3.2, "move to front" (Crowcroft) | one linear list, found PCB pulled to head |
 //! | [`SendRecvDemux`] | §3.3, last-sent/last-received (Partridge & Pink) | one linear list + send cache + receive cache |
 //! | [`SequentDemux`] | §3.4, "Sequent" | `H` hash chains, each with a one-entry cache |
+//! | [`KeylessSequent`] | — the same chains holding no keys | arena index + tag per connection, the key confirmed in the connection's slot (the stack's default table; not a [`Demux`]) |
 //! | [`HashedMtfDemux`] | §3.5, the combination the paper weighs | `H` hash chains with move-to-front |
 //! | [`DirectDemux`] | §3.5, connection-ID strawman (TP4/X.25/XTP) | direct index, 1 probe by construction |
 //! | [`CuckooDemux`] | beyond the paper: Cuckoo++-style flow table | 4-way one-cache-line tagged buckets, ≤ 2 lines per lookup at any N |
@@ -78,7 +79,7 @@ pub use front::{FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
 pub use hashed_mtf::HashedMtfDemux;
 pub use list::PcbList;
 pub use mtf::MtfDemux;
-pub use sequent::SequentDemux;
+pub use sequent::{IndexLookup, KeylessSequent, SequentDemux};
 pub use spsc::{spsc_ring, RingStats, SpscConsumer, SpscProducer};
 pub use srcache::SendRecvDemux;
 pub use stats::{AtomicLookupStats, LookupStats};

@@ -11,7 +11,7 @@
 //!
 //! # One pair of lanes for every chain
 //!
-//! The chains share one tag lane and one entry lane, the layout
+//! The chains share one tag lane and one slot lane, the layout
 //! [`PcbList`](crate::PcbList) gives a single list: each chain is a
 //! region of the lanes, in reverse list order, walked by the same walk
 //! (`list::index_in`). A region has the slots up to where the next one
@@ -22,6 +22,29 @@
 //! their size follows the population, not the longest each chain has
 //! ever been: a table whose population stays under its capacity never
 //! allocates again, however its connections come and go between chains.
+//!
+//! # Two tables over one set of chains
+//!
+//! The chains (`Chains<S>`) are written once, generic over what a slot
+//! holds, and confirm a tag hit through a closure; two tables use them.
+//!
+//! - [`SequentDemux`] holds `(ConnectionKey, PcbId)` in its slots: it
+//!   keeps its own copy of every key and confirms against it. It is the
+//!   [`Demux`] the paper suite, the simulators and the benchmark's mirror
+//!   use.
+//! - [`KeylessSequent`] holds a `u32` arena index and no key: a tag hit
+//!   confirms against the key in the connection's own slot, which the
+//!   caller reads for it. Its lanes cost 8 bytes a slot where the keyed
+//!   table's cost 24, and a hit goes from the tag lane straight to the
+//!   slot the frame needs anyway (CuCoTrack's fingerprint table, whose
+//!   full keys stay with the connection state). The key check also turns
+//!   away an index whose connection has gone or been replaced, so the
+//!   table keeps no generation. Its insert is a push: the caller has
+//!   already proved the key absent.
+//!
+//! Both count the same: given the same operations, each lookup examines
+//! the same positions, hits the same caches and records the same
+//! statistics, because only the confirm differs.
 
 use crate::list::{examined, index_in, key_tag, Entry};
 use crate::stats::LookupStats;
@@ -34,7 +57,7 @@ use tcpdemux_pcb::{ConnectionKey, PcbId};
 /// walk compares at a time.
 const FIRST_SLOTS: usize = 16;
 
-/// One chain's place in the lanes: `len` entries from `start`, head last.
+/// One chain's place in the lanes: `len` slots from `start`, head last.
 /// The chain may grow into the slots up to the next region's start.
 #[derive(Debug, Clone, Copy, Default)]
 struct Region {
@@ -42,33 +65,37 @@ struct Region {
     len: u32,
 }
 
-/// The Sequent hashed PCB lookup structure.
+/// Sequent's chains over slots of type `S`: the lanes, their regions,
+/// one last-found cache per chain and the lookup statistics. Every
+/// operation names its chain and the key's tag, and takes `is`, which
+/// says whether a slot holds the key sought.
+///
+/// A cache keeps the slot's tag beside it and is asked `is` only when
+/// the tag matches, as the walk is: for a keyless slot, `is` reads the
+/// connection's own slot, and a cache that misses (nearly every lookup
+/// on a chain of fifty) should not cost a read of some other
+/// connection's. Equal keys have equal tags, so this changes no answer
+/// and no count.
 #[derive(Debug)]
-pub struct SequentDemux<H> {
-    hasher: H,
+struct Chains<S> {
     /// Every chain's tags, region after region in chain order; free slots
     /// between regions hold stale values nothing reads.
     tags: Vec<u32>,
-    /// The entries the tags prefilter, slot for slot.
-    entries: Vec<Entry>,
+    /// What the tags prefilter, slot for slot.
+    slots: Vec<S>,
     regions: Vec<Region>,
-    caches: Vec<Option<(ConnectionKey, PcbId)>>,
+    caches: Vec<Option<(u32, S)>>,
     cache_enabled: bool,
     len: usize,
     stats: LookupStats,
 }
 
-impl<H: KeyHasher> SequentDemux<H> {
-    /// The installation default number of hash chains in Sequent's product.
-    pub const DEFAULT_CHAINS: usize = 19;
-
-    /// Create a structure with `chains` hash chains (must be nonzero).
-    pub fn new(hasher: H, chains: usize) -> Self {
+impl<S: Copy> Chains<S> {
+    fn new(chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
         Self {
-            hasher,
             tags: Vec::new(),
-            entries: Vec::new(),
+            slots: Vec::new(),
             regions: vec![Region::default(); chains],
             caches: vec![None; chains],
             cache_enabled: true,
@@ -77,92 +104,107 @@ impl<H: KeyHasher> SequentDemux<H> {
         }
     }
 
-    /// Disable the per-chain one-entry caches (ablation: pure hash chains,
-    /// the "uncached linked list" the paper's §3.3 convergence argument
-    /// refers to). Existing cache contents are discarded.
-    pub fn without_cache(mut self) -> Self {
+    fn disable_cache(&mut self) {
         self.cache_enabled = false;
         self.caches.iter_mut().for_each(|c| *c = None);
-        self
     }
 
-    /// Whether the per-chain caches are active.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Create with the installation-default 19 chains.
-    pub fn with_default_chains(hasher: H) -> Self {
-        Self::new(hasher, Self::DEFAULT_CHAINS)
-    }
-
-    /// Number of hash chains.
-    pub fn chain_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Occupancy of each chain (for load-balance experiments).
-    pub fn chain_lengths(&self) -> Vec<usize> {
+    fn chain_lengths(&self) -> Vec<usize> {
         self.regions.iter().map(|r| r.len as usize).collect()
     }
 
-    /// Iterate every installed `(key, id)` pair, chain by chain, each
-    /// chain head first. Used by [`crate::AdaptiveDemux`] when rehashing
-    /// into a larger table.
-    pub fn iter_entries(&self) -> impl DoubleEndedIterator<Item = (ConnectionKey, PcbId)> + '_ {
-        (0..self.regions.len()).flat_map(|b| self.entries[self.range(b)].iter().rev().copied())
+    /// Every slot, chain by chain, each chain head first.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = S> + '_ {
+        (0..self.regions.len()).flat_map(|b| self.slots[self.range(b)].iter().rev().copied())
     }
 
-    /// Install a connection the caller guarantees is **not already
-    /// present**, skipping the duplicate scan [`Demux::insert`] pays.
-    ///
-    /// The trait insert walks the whole chain looking for a key to
-    /// replace, so cold-building a table of N distinct keys costs
-    /// O(N²/chains) — hours at ten million connections on nineteen
-    /// chains. A real stack installs a connection only after the SYN
-    /// lookup already proved the four-tuple absent, so the scan is pure
-    /// waste there too. Inserting a key that *is* present duplicates it
-    /// (later [`Demux::remove`] calls peel one copy at a time), which is
-    /// why this is a separate, loudly-documented entry point and not the
-    /// trait method.
-    pub fn preload(&mut self, key: ConnectionKey, id: PcbId) {
-        let b = self.bucket(&key);
-        self.push_front(b, key, id);
+    fn name(&self) -> String {
+        if self.cache_enabled {
+            format!("sequent({})", self.regions.len())
+        } else {
+            format!("sequent-nocache({})", self.regions.len())
+        }
     }
 
-    fn bucket(&self, key: &ConnectionKey) -> usize {
-        self.hasher.bucket(key, self.regions.len())
-    }
-
-    /// The slots chain `b`'s entries occupy.
+    /// The slots chain `b` occupies.
     #[inline]
     fn range(&self, b: usize) -> Range<usize> {
         let r = self.regions[b];
         r.start as usize..(r.start + r.len) as usize
     }
 
-    /// Where `key` sits in the lanes, if chain `b` holds it, and the
-    /// entries examined to find that out.
-    // Forced into its three callers, as `PcbList` forces its walk: left
-    // a call of its own it cost a hit at N = 2,000 some 9 ns of 30.
+    /// Where the slot `is` accepts sits in the lanes, if chain `b` holds
+    /// one under `tag`, and the slots examined to find that out.
+    // Forced into its callers, as `PcbList` forces its walk: left a call
+    // of its own it cost a hit at N = 2,000 some 9 ns of 30.
     #[inline(always)]
-    fn walk(&self, b: usize, key: &ConnectionKey) -> (Option<usize>, u32) {
+    fn walk(&self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> (Option<usize>, u32) {
         let range = self.range(b);
-        let index = index_in(&self.tags[range.clone()], &self.entries[range.clone()], key);
+        let slots = &self.slots[range.clone()];
+        let index = index_in(&self.tags[range.clone()], tag, |i| is(&slots[i]));
         (index.map(|i| range.start + i), examined(range.len(), index))
     }
 
+    /// The paper's lookup: chain `b`'s cache, then its walk. Records the
+    /// cost in the statistics and leaves a slot found in the cache.
+    #[inline(always)]
+    fn lookup(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> (Option<S>, u32, bool) {
+        let cached = self.caches[b];
+        if let Some((_, slot)) = cached.filter(|&(t, slot)| t == tag && is(&slot)) {
+            self.stats.record(1, true, true);
+            return (Some(slot), 1, true);
+        }
+        let (index, scanned) = self.walk(b, tag, is);
+        let examined = u32::from(cached.is_some()) + scanned;
+        let found = index.map(|i| self.slots[i]);
+        if self.cache_enabled {
+            if let Some(slot) = found {
+                self.caches[b] = Some((tag, slot));
+            }
+        }
+        self.stats.record(examined, found.is_some(), false);
+        (found, examined, false)
+    }
+
+    /// Overwrite the slot `is` accepts in chain `b`, and the cache if it
+    /// holds that slot, with `slot`. Whether chain `b` held one.
+    fn replace(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool, slot: S) -> bool {
+        let Some(i) = self.walk(b, tag, &is).0 else {
+            return false;
+        };
+        self.slots[i] = slot;
+        if let Some(cached) = self.caches[b].as_mut().filter(|(t, c)| *t == tag && is(c)) {
+            cached.1 = slot;
+        }
+        true
+    }
+
+    /// Take the slot `is` accepts out of chain `b`, and out of its cache.
+    fn remove(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> Option<S> {
+        if self.caches[b].is_some_and(|(t, cached)| t == tag && is(&cached)) {
+            self.caches[b] = None;
+        }
+        let i = self.walk(b, tag, is).0?;
+        let end = self.range(b).end;
+        let slot = self.slots[i];
+        self.tags.copy_within(i + 1..end, i);
+        self.slots.copy_within(i + 1..end, i);
+        self.regions[b].len -= 1;
+        self.len -= 1;
+        Some(slot)
+    }
+
     /// Insert at the head of chain `b`.
-    fn push_front(&mut self, b: usize, key: ConnectionKey, id: PcbId) {
+    fn push_front(&mut self, b: usize, tag: u32, slot: S) {
         let end = self
             .regions
             .get(b + 1)
             .map_or(self.tags.len(), |r| r.start as usize);
         if self.range(b).end == end {
-            self.make_room(b, (key, id));
+            self.make_room(b, slot);
         }
         let at = self.range(b).end;
-        (self.tags[at], self.entries[at]) = (key_tag(&key), (key, id));
+        (self.tags[at], self.slots[at]) = (tag, slot);
         self.regions[b].len += 1;
         self.len += 1;
     }
@@ -179,15 +221,15 @@ impl<H: KeyHasher> SequentDemux<H> {
     /// relayout to a few per doubling: with fewer free slots than chains,
     /// an even share leaves most chains none, and nearly every insert
     /// would re-lay the whole table (a sequent(499) cold build moved ~400
-    /// entries per insert that way, against ~20).
+    /// slots per insert that way, against ~20).
     #[cold]
-    fn make_room(&mut self, full: usize, filler: Entry) {
+    fn make_room(&mut self, full: usize, filler: S) {
         let chains = self.regions.len();
         let need = self.len + 1 + chains;
         if self.tags.len() < need {
             let slots = need.next_power_of_two().max(FIRST_SLOTS);
             self.tags.resize(slots, 0);
-            self.entries.resize(slots, filler);
+            self.slots.resize(slots, filler);
         }
         let free = self.tags.len() - self.len - 1;
         let size = |c: usize, region: Region| {
@@ -215,93 +257,247 @@ impl<H: KeyHasher> SequentDemux<H> {
     fn move_region(&mut self, c: usize, to: usize) {
         let range = self.range(c);
         self.tags.copy_within(range.clone(), to);
-        self.entries.copy_within(range, to);
+        self.slots.copy_within(range, to);
         self.regions[c].start = to as u32;
+    }
+}
+
+/// The Sequent hashed PCB lookup structure.
+#[derive(Debug)]
+pub struct SequentDemux<H> {
+    hasher: H,
+    chains: Chains<Entry>,
+}
+
+impl<H: KeyHasher> SequentDemux<H> {
+    /// The installation default number of hash chains in Sequent's product.
+    pub const DEFAULT_CHAINS: usize = 19;
+
+    /// Create a structure with `chains` hash chains (must be nonzero).
+    pub fn new(hasher: H, chains: usize) -> Self {
+        Self {
+            hasher,
+            chains: Chains::new(chains),
+        }
+    }
+
+    /// Disable the per-chain one-entry caches (ablation: pure hash chains,
+    /// the "uncached linked list" the paper's §3.3 convergence argument
+    /// refers to). Existing cache contents are discarded.
+    pub fn without_cache(mut self) -> Self {
+        self.chains.disable_cache();
+        self
+    }
+
+    /// Whether the per-chain caches are active.
+    pub fn cache_enabled(&self) -> bool {
+        self.chains.cache_enabled
+    }
+
+    /// Create with the installation-default 19 chains.
+    pub fn with_default_chains(hasher: H) -> Self {
+        Self::new(hasher, Self::DEFAULT_CHAINS)
+    }
+
+    /// Number of hash chains.
+    pub fn chain_count(&self) -> usize {
+        self.chains.regions.len()
+    }
+
+    /// Occupancy of each chain (for load-balance experiments).
+    pub fn chain_lengths(&self) -> Vec<usize> {
+        self.chains.chain_lengths()
+    }
+
+    /// Iterate every installed `(key, id)` pair, chain by chain, each
+    /// chain head first. Used by [`crate::AdaptiveDemux`] when rehashing
+    /// into a larger table.
+    pub fn iter_entries(&self) -> impl DoubleEndedIterator<Item = (ConnectionKey, PcbId)> + '_ {
+        self.chains.iter()
+    }
+
+    /// Install a connection the caller guarantees is **not already
+    /// present**, skipping the duplicate scan [`Demux::insert`] pays.
+    ///
+    /// The trait insert walks the whole chain looking for a key to
+    /// replace, so cold-building a table of N distinct keys costs
+    /// O(N²/chains) — hours at ten million connections on nineteen
+    /// chains. A real stack installs a connection only after the SYN
+    /// lookup already proved the four-tuple absent, so the scan is pure
+    /// waste there too. Inserting a key that *is* present duplicates it
+    /// (later [`Demux::remove`] calls peel one copy at a time), which is
+    /// why this is a separate, loudly-documented entry point and not the
+    /// trait method.
+    pub fn preload(&mut self, key: ConnectionKey, id: PcbId) {
+        let b = self.bucket(&key);
+        self.chains.push_front(b, key_tag(&key), (key, id));
+    }
+
+    fn bucket(&self, key: &ConnectionKey) -> usize {
+        self.hasher.bucket(key, self.chains.regions.len())
     }
 }
 
 impl<H: KeyHasher> Demux for SequentDemux<H> {
     fn insert(&mut self, key: ConnectionKey, id: PcbId) {
-        let b = self.bucket(&key);
-        if let (Some(i), _) = self.walk(b, &key) {
-            self.entries[i].1 = id;
-            if let Some((ck, cid)) = &mut self.caches[b] {
-                if *ck == key {
-                    *cid = id;
-                }
-            }
-        } else {
-            self.push_front(b, key, id);
+        let (b, tag) = (self.bucket(&key), key_tag(&key));
+        if !self.chains.replace(b, tag, |e| e.0 == key, (key, id)) {
+            self.chains.push_front(b, tag, (key, id));
         }
     }
 
     fn remove(&mut self, key: &ConnectionKey) -> Option<PcbId> {
         let b = self.bucket(key);
-        if self.caches[b].map(|(ck, _)| ck == *key).unwrap_or(false) {
-            self.caches[b] = None;
-        }
-        let i = self.walk(b, key).0?;
-        let end = self.range(b).end;
-        let id = self.entries[i].1;
-        self.tags.copy_within(i + 1..end, i);
-        self.entries.copy_within(i + 1..end, i);
-        self.regions[b].len -= 1;
-        self.len -= 1;
-        Some(id)
+        let entry = self.chains.remove(b, key_tag(key), |e| e.0 == *key)?;
+        Some(entry.1)
     }
 
     fn lookup(&mut self, key: &ConnectionKey, _kind: PacketKind) -> LookupResult {
         let b = self.bucket(key);
-        if let Some((ck, id)) = self.caches[b] {
-            if ck == *key {
-                self.stats.record(1, true, true);
-                return LookupResult {
-                    pcb: Some(id),
-                    examined: 1,
-                    cache_hit: true,
-                };
-            }
-        }
-        let cache_probes = u32::from(self.caches[b].is_some());
-        let (index, scanned) = self.walk(b, key);
-        let examined = cache_probes + scanned;
-        match index.map(|i| self.entries[i].1) {
-            Some(id) => {
-                if self.cache_enabled {
-                    self.caches[b] = Some((*key, id));
-                }
-                self.stats.record(examined, true, false);
-                LookupResult {
-                    pcb: Some(id),
-                    examined,
-                    cache_hit: false,
-                }
-            }
-            None => {
-                self.stats.record(examined, false, false);
-                LookupResult::miss(examined)
-            }
+        let (entry, examined, cache_hit) = self.chains.lookup(b, key_tag(key), |e| e.0 == *key);
+        LookupResult {
+            pcb: entry.map(|e| e.1),
+            examined,
+            cache_hit,
         }
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.chains.len
     }
 
     fn name(&self) -> String {
-        if self.cache_enabled {
-            format!("sequent({})", self.regions.len())
-        } else {
-            format!("sequent-nocache({})", self.regions.len())
-        }
+        self.chains.name()
     }
 
     fn stats(&self) -> &LookupStats {
-        &self.stats
+        &self.chains.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats = LookupStats::new();
+        self.chains.stats = LookupStats::new();
+    }
+}
+
+/// What a [`KeylessSequent`] lookup found: the arena index of the
+/// connection, and the paper's cost, counted as [`Demux::lookup`] counts
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexLookup {
+    /// The arena index whose slot holds the key, or `None` on a miss.
+    pub index: Option<u32>,
+    /// PCBs examined: cache probe plus chain slots scanned.
+    pub examined: u32,
+    /// Whether the chain's cache answered.
+    pub cache_hit: bool,
+}
+
+/// Sequent's hash chains holding no keys: each slot is the `u32` arena
+/// index of a connection, and a tag hit confirms against the key in that
+/// connection's own slot.
+///
+/// Every call that must recognise a key takes `key_at`, which returns the
+/// key of the live connection at an arena index, or `None` if the index
+/// holds none. Examined counts, cache hits and chain order are those of a
+/// [`SequentDemux`] given the same operations.
+#[derive(Debug)]
+pub struct KeylessSequent<H> {
+    hasher: H,
+    chains: Chains<u32>,
+}
+
+impl<H: KeyHasher> KeylessSequent<H> {
+    /// Create a table with `chains` hash chains (must be nonzero).
+    pub fn new(hasher: H, chains: usize) -> Self {
+        Self {
+            hasher,
+            chains: Chains::new(chains),
+        }
+    }
+
+    fn bucket(&self, key: &ConnectionKey) -> usize {
+        self.hasher.bucket(key, self.chains.regions.len())
+    }
+
+    /// Install the connection at arena `index`, whose key is `key`, at the
+    /// head of its chain. The caller guarantees `key` is not installed: a
+    /// SYN's lookup, or a check of the live connections, has proved it
+    /// absent. There is no duplicate walk; a duplicate would be a second
+    /// entry, found in place of the first until one is removed. Debug
+    /// builds check the guarantee with a walk that records no statistics.
+    pub fn insert(
+        &mut self,
+        key: &ConnectionKey,
+        index: u32,
+        key_at: impl Fn(u32) -> Option<ConnectionKey>,
+    ) {
+        let (b, tag) = (self.bucket(key), key_tag(key));
+        debug_assert!(
+            self.chains
+                .walk(b, tag, |&i| key_at(i) == Some(*key))
+                .0
+                .is_none(),
+            "{key} is installed already"
+        );
+        self.chains.push_front(b, tag, index);
+    }
+
+    /// Take out the entry for the connection at arena `index`, whose key
+    /// is `key`. Goes by index, so the connection need not be in the
+    /// arena any more. Whether it was installed.
+    pub fn remove(&mut self, key: &ConnectionKey, index: u32) -> bool {
+        let b = self.bucket(key);
+        self.chains
+            .remove(b, key_tag(key), |&i| i == index)
+            .is_some()
+    }
+
+    /// Find the connection whose key is `key`, counting PCBs examined.
+    #[inline]
+    pub fn lookup(
+        &mut self,
+        key: &ConnectionKey,
+        key_at: impl Fn(u32) -> Option<ConnectionKey>,
+    ) -> IndexLookup {
+        let b = self.bucket(key);
+        let (index, examined, cache_hit) = self
+            .chains
+            .lookup(b, key_tag(key), |&i| key_at(i) == Some(*key));
+        IndexLookup {
+            index,
+            examined,
+            cache_hit,
+        }
+    }
+
+    /// Number of connections installed.
+    pub fn len(&self) -> usize {
+        self.chains.len
+    }
+
+    /// Whether no connection is installed.
+    pub fn is_empty(&self) -> bool {
+        self.chains.len == 0
+    }
+
+    /// Occupancy of each chain.
+    pub fn chain_lengths(&self) -> Vec<usize> {
+        self.chains.chain_lengths()
+    }
+
+    /// Every installed arena index, chain by chain, each chain head first.
+    pub fn iter_indices(&self) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        self.chains.iter()
+    }
+
+    /// Name for reports: `"sequent(H)"`, as the keyed table reports.
+    pub fn name(&self) -> String {
+        self.chains.name()
+    }
+
+    /// Accumulated lookup statistics.
+    pub fn stats(&self) -> &LookupStats {
+        &self.chains.stats
     }
 }
 
@@ -621,14 +817,14 @@ mod tests {
             assert!(demux
                 .iter_entries()
                 .eq(self.chains.iter().flatten().copied()));
-            assert_eq!(demux.tags.len(), demux.entries.len());
+            assert_eq!(demux.chains.tags.len(), demux.chains.slots.len());
             let mut end = 0;
-            for (region, chain) in demux.regions.iter().zip(&self.chains) {
+            for (region, chain) in demux.chains.regions.iter().zip(&self.chains) {
                 assert_eq!(region.len as usize, chain.len());
                 assert!(region.start as usize >= end, "regions overlap");
                 end = (region.start + region.len) as usize;
             }
-            assert!(end <= demux.tags.len());
+            assert!(end <= demux.chains.tags.len());
         }
     }
 
@@ -683,7 +879,7 @@ mod tests {
             for phase in [8u8, 3, 8, 5] {
                 for _ in 0..rng.usize_in(500, 1500) {
                     let k = key(rng.u32_below(keys));
-                    let slots = demux.tags.len();
+                    let slots = demux.chains.tags.len();
                     match rng.u8_in(0, 10) {
                         op if op < phase => match model.position(&k) {
                             None if op % 2 == 0 => {
@@ -697,10 +893,10 @@ mod tests {
                     model.check(&demux);
                     peak = peak.max(demux.len());
                     let most = (peak + chains).next_power_of_two().max(FIRST_SLOTS);
-                    let lanes = demux.tags.len();
+                    let lanes = demux.chains.tags.len();
                     assert!(lanes.is_power_of_two() || peak == 0, "{lanes} slots");
                     assert!((peak..=most).contains(&lanes), "{lanes} slots for {peak}");
-                    doublings += usize::from(slots > 0 && demux.tags.len() > slots);
+                    doublings += usize::from(slots > 0 && demux.chains.tags.len() > slots);
                 }
             }
             assert!(doublings >= 2, "the lanes grew only {doublings} times");
@@ -729,5 +925,150 @@ mod tests {
             }
         }
         assert!(uncached.stats().mean_examined() <= cached.stats().mean_examined());
+    }
+
+    /// The key of the live PCB at an arena index: what the stack's
+    /// `Conn` slot tells a keyless table.
+    fn key_at(arena: &PcbArena) -> impl Fn(u32) -> Option<ConnectionKey> + '_ {
+        |i| arena.at(i).map(|(_, pcb)| pcb.key())
+    }
+
+    /// A keyless lookup as the keyed table reports it.
+    fn keyless_lookup(
+        table: &mut KeylessSequent<Multiplicative>,
+        arena: &PcbArena,
+        k: &ConnectionKey,
+    ) -> LookupResult {
+        let found = table.lookup(k, key_at(arena));
+        LookupResult {
+            pcb: found.index.map(|i| arena.at(i).expect("confirmed live").0),
+            examined: found.examined,
+            cache_hit: found.cache_hit,
+        }
+    }
+
+    /// Keys that share `base`'s tag and its chain of nineteen: a tag hit
+    /// on any of them is false for `base`, and only the confirm can tell.
+    fn colliders_in_chain(base: ConnectionKey, chains: usize, n: usize) -> Vec<ConnectionKey> {
+        let chain = Multiplicative.bucket(&base, chains);
+        let found: Vec<_> = (1..100_000)
+            .map(|m| crate::list::tests::collider(base, m))
+            .filter(|k| Multiplicative.bucket(k, chains) == chain)
+            .take(n)
+            .collect();
+        assert_eq!(found.len(), n, "colliders in chain {chain}");
+        found
+    }
+
+    /// Crafted tag collisions inside one chain of nineteen, nearer the
+    /// head than the key sought and behind it: the keyless table's
+    /// confirm reads each colliding PCB's own key and walks on, and every
+    /// lookup, hit or miss, reports what the keyed table reports.
+    #[test]
+    fn a_tag_collision_in_one_chain_is_skipped_by_the_slot_confirm() {
+        const CHAINS: usize = 19;
+        let base = crate::list::tests::collision_base();
+        let colliders = colliders_in_chain(base, CHAINS, 3);
+        let mut arena = PcbArena::new();
+        let mut keyed = SequentDemux::new(Multiplicative, CHAINS);
+        let mut keyless = KeylessSequent::new(Multiplicative, CHAINS);
+        let mut install = |k: ConnectionKey, arena: &mut PcbArena| {
+            let id = arena.insert(Pcb::new(k));
+            keyed.insert(k, id);
+            keyless.insert(&k, id.index() as u32, key_at(arena));
+            id
+        };
+        // Head first: colliders[2], filler, base, colliders[1], filler,
+        // colliders[0]: a false tag hit on either side of `base`.
+        install(colliders[0], &mut arena);
+        for n in 0..40 {
+            install(key(n), &mut arena);
+        }
+        install(colliders[1], &mut arena);
+        let base_id = install(base, &mut arena);
+        for n in 40..80 {
+            install(key(n), &mut arena);
+        }
+        install(colliders[2], &mut arena);
+
+        let probes = [base, colliders[0], colliders[1], colliders[2], base, base];
+        for k in probes
+            .iter()
+            .chain(&[crate::list::tests::collider(base, 999_999)])
+        {
+            let want = keyed.lookup(k, PacketKind::Data);
+            assert_eq!(keyless_lookup(&mut keyless, &arena, k), want, "{k}");
+        }
+        let want = keyed.lookup(&base, PacketKind::Data);
+        assert_eq!(want.pcb, Some(base_id));
+        assert_eq!(keyless_lookup(&mut keyless, &arena, &base), want);
+
+        // Out by index, and the next lookup of `base` takes the false hit
+        // on colliders[2] again before finding it.
+        let id = keyed.remove(&colliders[1]).unwrap();
+        assert!(keyless.remove(&colliders[1], id.index() as u32));
+        arena.remove(id);
+        keyed.lookup(&colliders[2], PacketKind::Data);
+        keyless_lookup(&mut keyless, &arena, &colliders[2]);
+        for k in [base, colliders[1], colliders[0]] {
+            let want = keyed.lookup(&k, PacketKind::Data);
+            assert_eq!(keyless_lookup(&mut keyless, &arena, &k), want, "{k}");
+        }
+        assert_eq!(keyless.stats(), keyed.stats());
+    }
+
+    /// An arena index freed and handed to another connection while the
+    /// table still holds it under the old key — the stack frees the slot
+    /// before it takes the entry out — never answers for the old key:
+    /// the confirm reads the new connection's key. Removal goes by
+    /// index, so it takes out the old entry and leaves the new one.
+    #[test]
+    fn a_freed_and_reused_index_never_matches_the_old_key() {
+        let mut arena = PcbArena::new();
+        let mut table = KeylessSequent::new(Multiplicative, 1);
+        let (old, new) = (key(1), key(2));
+        let old_id = arena.insert(Pcb::new(old));
+        table.insert(&old, old_id.index() as u32, key_at(&arena));
+        // Warm the chain's cache with the old connection.
+        assert_eq!(keyless_lookup(&mut table, &arena, &old).pcb, Some(old_id));
+        assert!(keyless_lookup(&mut table, &arena, &old).cache_hit);
+
+        arena.remove(old_id).unwrap();
+        let miss = keyless_lookup(&mut table, &arena, &old);
+        assert_eq!((miss.pcb, miss.examined, miss.cache_hit), (None, 2, false));
+        let new_id = arena.insert(Pcb::new(new));
+        assert_eq!(new_id.index(), old_id.index(), "the slot is reused");
+        table.insert(&new, new_id.index() as u32, key_at(&arena));
+        for _ in 0..2 {
+            assert_eq!(keyless_lookup(&mut table, &arena, &old).pcb, None);
+            let hit = keyless_lookup(&mut table, &arena, &new);
+            assert_eq!(hit.pcb, Some(new_id));
+        }
+
+        assert!(table.remove(&old, old_id.index() as u32));
+        assert!(!table.remove(&old, old_id.index() as u32));
+        assert_eq!(table.len(), 1);
+        let hit = keyless_lookup(&mut table, &arena, &new);
+        assert_eq!((hit.pcb, hit.cache_hit), (Some(new_id), true));
+    }
+
+    /// The keyless insert is a push; a debug build refuses a key that is
+    /// installed already rather than leave two entries for it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is installed already")]
+    fn a_keyless_insert_of_a_present_key_is_refused_in_debug() {
+        let mut arena = PcbArena::new();
+        let mut table = KeylessSequent::new(Multiplicative, 19);
+        let first = arena.insert(Pcb::new(key(5)));
+        table.insert(&key(5), first.index() as u32, key_at(&arena));
+        let stats = *table.stats();
+        let second = arena.insert(Pcb::new(key(5)));
+        let check = std::panic::AssertUnwindSafe(|| {
+            table.insert(&key(5), second.index() as u32, key_at(&arena));
+        });
+        let panicked = std::panic::catch_unwind(check);
+        assert_eq!(*table.stats(), stats, "the check records no lookup");
+        std::panic::resume_unwind(panicked.unwrap_err());
     }
 }

@@ -28,7 +28,9 @@
 #      dense lanes against a Vec model over 2,000-operation scripts and
 #      against the linked list they replaced over 10,000-lookup BSD/MTF/
 #      Sequent traces; Sequent's shared lanes against a Vec model while
-#      they fill, re-lay and double; the send ring against a byte
+#      they fill, re-lay and double; the stack's keyless sequent(H)
+#      against the keyed one, H = 1/19/100, lookup for lookup through
+#      relayouts and doublings; the send ring against a byte
 #      deque across its wrap; 16 seeds of crafted segments through the receive
 #      path of one connection, and of three sharing a stack's block pool,
 #      against a byte-map reference, and 16 of deliver/stage/read/settle
@@ -54,7 +56,8 @@
 #   9. the three test binaries that install a counting global allocator
 #      (telemetry record path; steady-state transactions, churn rounds,
 #      blocks of 64 over 2,000 connections, 256 k keys rotated through
-#      the default demultiplexer and a long-lived lossy connection;
+#      a bare SequentDemux, whose chains the default table shares, and a
+#      long-lived lossy connection;
 #      heap per connection)
 #      pass in release with --test-threads=1: their
 #      counters are process-global, so they mean something only when no
@@ -118,14 +121,14 @@ TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline \
-  --test demux_churn --test reassembly_oracle
+  --test demux_churn --test reassembly_oracle --test keyless_equivalence
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core -- \
   list::tests sequent::tests::prop_relayouts
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-pcb \
   sendbuf::tests::prop_matches_a_byte_deque
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-stack \
   socket::tests::pooled_buffers_agree_with_a_byte_map_across_seeds
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; Sequent's shared lanes agree with their Vec model through relayouts and doublings; the send ring agrees with a byte deque; the receiver and the pooled socket buffers agree with their byte-map references"
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; Sequent's shared lanes agree with their Vec model through relayouts and doublings; the keyless table examines, caches and finds what the keyed one does; the send ring agrees with a byte deque; the receiver and the pooled socket buffers agree with their byte-map references"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 cargo test -q --release --offline --test congestion
