@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use tcpdemux::pcb::PcbId;
 use tcpdemux::stack::{FaultInjector, Stack, StackConfig, TxScratch, WindowConfig};
+use tcpdemux::telemetry::CounterId;
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 21, 0, 2);
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 21, 0, 1);
@@ -311,6 +312,56 @@ fn lossy_bulk() -> u64 {
     conv.digest.0
 }
 
+/// 48 KiB from client to server into a 6,000 B receive buffer whose
+/// reader stops twice: at the start and halfway. Each time the window
+/// closes, the sender probes it on the persist timer, backing off, until
+/// four probes have gone out; then the reader drains and the next
+/// probe's ACK reopens the window.
+fn zero_window() -> u64 {
+    const BYTES: usize = 48 * 1024;
+    let server = server_config().with_window(WindowConfig::default().with_recv_buffer(6000));
+    let mut conv = Conversation::new(StackConfig::new(CLIENT), server, lossless);
+    conv.stacks[S].listen(PORT).unwrap();
+    let (cp, sp) = conv.open();
+    let probes = |conv: &Conversation| {
+        conv.stacks[C]
+            .stats()
+            .telemetry
+            .counter(CounterId::ZeroWindowProbes)
+    };
+    let (mut sent, mut read, mut stalls) = (0, 0, 0);
+    // While the reader is stopped: the probe count it resumes at.
+    let mut resume_at = None;
+    while read < BYTES {
+        if stalls < 2 && resume_at.is_none() && read >= stalls * BYTES / 2 {
+            resume_at = Some(probes(&conv) + 4);
+            stalls += 1;
+        }
+        if resume_at.is_some_and(|at| probes(&conv) >= at) {
+            resume_at = None;
+        }
+        if resume_at.is_none() {
+            read += conv.read(S, sp);
+        }
+        if sent < BYTES {
+            let chunk: Vec<u8> = (sent..BYTES.min(sent + 8192)).map(|i| i as u8).collect();
+            sent += conv.stacks[C].send(cp, &chunk).unwrap();
+            conv.poll(C);
+        }
+        conv.settle();
+        if !conv.advance_to_next_timer() {
+            conv.advance(1);
+        }
+        assert!(
+            conv.tick < 1_000_000,
+            "the transfer stalled at {read} bytes"
+        );
+    }
+    assert_eq!(stalls, 2);
+    assert!(probes(&conv) >= 8, "{} probes", probes(&conv));
+    conv.digest.0
+}
+
 /// A SYN to a port nobody listens on draws an RST; so does a stray ACK.
 fn closed_port() -> u64 {
     let mut conv = Conversation::new(StackConfig::new(CLIENT), server_config(), lossless);
@@ -339,6 +390,7 @@ fn nothing_on_the_wire_moves() {
         ("churn_fin_fin_rst", churn()),
         ("lossy_bulk", lossy_bulk()),
         ("closed_port", closed_port()),
+        ("zero_window", zero_window()),
     ];
     let mut text = String::new();
     for (name, digest) in &digests {
