@@ -16,6 +16,14 @@
 //! price is that a byte range may straddle the wrap, so
 //! [`peek`](SendBuffer::peek) hands out up to two slices and the frame
 //! builder copies a segment's payload out of both.
+//!
+//! The cap is not fixed: the stack lowers and raises it with
+//! [`set_cap`](SendBuffer::set_cap) to follow the peer's window (twice
+//! the window, above a floor, under the configured `send_buffer`), so
+//! a bulk sender's ring grows to what the window can use rather than to
+//! the configured ceiling. Lowering the cap below what is buffered drops
+//! nothing and frees no storage; the buffer just accepts nothing more
+//! until ACKs bring it back under.
 
 use core::ops::Range;
 use std::collections::VecDeque;
@@ -29,8 +37,9 @@ use std::collections::VecDeque;
 ///
 /// Storage is allocated on the first push at exactly that push's size,
 /// so a 200 B response costs 200 B, and doubles from there, never past
-/// the cap. An emptied buffer keeps its storage and starts again at its
-/// front, so a request/response connection never wraps.
+/// the cap in force at that push. An emptied buffer keeps its storage
+/// and starts again at its front, so a request/response connection
+/// never wraps.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
     ring: VecDeque<u8>,
@@ -46,12 +55,20 @@ impl SendBuffer {
         }
     }
 
-    /// The configured occupancy cap in bytes.
+    /// The occupancy cap in bytes.
     pub fn cap(&self) -> usize {
         self.cap
     }
 
-    /// Bytes of storage allocated: never more than [`cap`](Self::cap).
+    /// Change the occupancy cap. A cap below [`len`](Self::len) keeps
+    /// what is buffered and the storage it sits in; [`free`](Self::free)
+    /// reads zero until consumes bring the buffer back under it.
+    pub fn set_cap(&mut self, cap: usize) {
+        self.cap = cap;
+    }
+
+    /// Bytes of storage allocated: never more than the largest cap in
+    /// force at a push that grew it.
     pub fn capacity(&self) -> usize {
         self.ring.capacity()
     }
@@ -66,9 +83,10 @@ impl SendBuffer {
         self.ring.is_empty()
     }
 
-    /// Free space under the cap.
+    /// Free space under the cap (zero while the cap is below what is
+    /// buffered).
     pub fn free(&self) -> usize {
-        self.cap - self.len()
+        self.cap.saturating_sub(self.len())
     }
 
     /// Append as much of `payload` as fits under the cap; returns the
@@ -191,21 +209,45 @@ mod tests {
         assert_eq!(buf.capacity(), 200);
     }
 
-    /// Interleaved pushes, consumes and peeks across the wrap agree with
-    /// a byte-`VecDeque` reference; the storage never passes the cap and
-    /// grows only when a push needs it, by doubling or to what the push
-    /// needs.
+    #[test]
+    fn a_lowered_cap_keeps_what_is_buffered_and_takes_nothing_more() {
+        let mut buf = SendBuffer::new(16);
+        assert_eq!(buf.push(b"abcdefghij"), 10);
+        buf.set_cap(4);
+        assert_eq!(buf.free(), 0, "saturates below what is buffered");
+        assert_eq!(buf.push(b"k"), 0);
+        assert_eq!(
+            (contents(&buf).as_slice(), buf.capacity()),
+            (&b"abcdefghij"[..], 10)
+        );
+        buf.consume(7);
+        assert_eq!(buf.push(b"klm"), 1, "back under the cap: one byte of room");
+        assert_eq!(contents(&buf), b"hijk");
+        buf.set_cap(16);
+        assert_eq!(buf.push(b"lmnopqrstuvw"), 12);
+        assert_eq!(buf.capacity(), 16, "grows to the raised cap, no further");
+    }
+
+    /// Interleaved pushes, consumes, peeks and cap changes across the
+    /// wrap agree with a byte-`VecDeque` reference. A cap lowered below
+    /// what is buffered keeps every byte and takes nothing until consumes
+    /// bring the buffer under it. The storage grows only when a push
+    /// needs it, by doubling or to what the push needs, never past the
+    /// cap in force at that push, and a cap change never moves it.
     #[test]
     fn prop_matches_a_byte_deque() {
         check_cases("sendbuf_matches_a_byte_deque", sweep_seeds(8), |rng| {
-            let cap = rng.usize_in(1, 4096);
-            let mut buf = SendBuffer::new(cap);
+            let ceiling = rng.usize_in(1, 4096);
+            let mut buf = SendBuffer::new(ceiling);
             let mut model: VecDeque<u8> = VecDeque::new();
             let mut next = 0u8;
+            // The largest cap in force at a push that grew the storage.
+            let mut grown_under = 0;
             for _ in 0..rng.usize_in(200, 400) {
-                match rng.u8_in(0, 3) {
+                let cap = buf.cap();
+                match rng.u8_in(0, 4) {
                     0 => {
-                        let len = rng.usize_in(0, cap + cap / 2 + 2);
+                        let len = rng.usize_in(0, ceiling + ceiling / 2 + 2);
                         let payload: Vec<u8> = (0..len)
                             .map(|_| {
                                 next = next.wrapping_add(1);
@@ -214,7 +256,7 @@ mod tests {
                             .collect();
                         let (before, len_before) = (buf.capacity(), buf.len());
                         let took = buf.push(&payload);
-                        assert_eq!(took, len.min(cap - model.len()));
+                        assert_eq!(took, len.min(cap.saturating_sub(model.len())));
                         model.extend(&payload[..took]);
                         let after = buf.capacity();
                         if len_before + took <= before {
@@ -224,11 +266,21 @@ mod tests {
                         } else {
                             assert_eq!(after, (len_before + took).max(2 * before).min(cap));
                         }
+                        if after > before {
+                            grown_under = grown_under.max(cap);
+                        }
                     }
                     1 => {
                         let n = rng.usize_in(0, model.len() + 1);
                         buf.consume(n);
                         model.drain(..n);
+                    }
+                    2 => {
+                        // Anywhere up to the starting cap, so often below
+                        // what is buffered.
+                        let before = buf.capacity();
+                        buf.set_cap(rng.usize_in(0, ceiling + 1));
+                        assert_eq!(buf.capacity(), before, "a cap change moves no storage");
                     }
                     _ => {
                         let start = rng.usize_in(0, model.len() + 1);
@@ -238,8 +290,12 @@ mod tests {
                     }
                 }
                 assert_eq!(buf.len(), model.len());
-                assert_eq!(buf.free(), cap - model.len());
-                assert!(buf.capacity() <= cap, "{} > {cap}", buf.capacity());
+                assert_eq!(buf.free(), buf.cap().saturating_sub(model.len()));
+                assert!(
+                    buf.capacity() <= grown_under,
+                    "{} > {grown_under}",
+                    buf.capacity()
+                );
             }
             assert_eq!(contents(&buf), model.iter().copied().collect::<Vec<_>>());
         });

@@ -1,12 +1,17 @@
 //! Integration tests for the windowed, congestion-controlled send path:
 //! delayed-ACK timers vs the RTO, zero-window persist probes, NewReno
-//! fast recovery over real two-stack exchanges, and a seeded property
-//! that the send buffer honors its cap under arbitrary traffic.
+//! fast recovery over real two-stack exchanges, a seeded property that
+//! the send buffer honors its cap and the peer's window under arbitrary
+//! traffic, and a lossy transfer that bounds the send ring's storage.
 
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use tcpdemux::pcb::PcbId;
-use tcpdemux::stack::{CounterId, RxOutcome, Stack, StackConfig, TxScratch, WindowConfig};
-use tcpdemux_testprop::check_cases;
+use tcpdemux::stack::{
+    CounterId, FaultInjector, RxOutcome, Stack, StackConfig, TxScratch, WindowConfig,
+};
+use tcpdemux::wire::{Ipv4Packet, TcpSegment};
+use tcpdemux_testprop::{check_cases, sweep_seeds};
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 6, 0, 1);
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 6, 0, 2);
@@ -298,30 +303,44 @@ fn newreno_partial_acks_repair_the_window_then_exit_recovery() {
     );
 }
 
-/// Seeded property: whatever mix of sends, polls, ACK deliveries, and
-/// timer fires the generator throws at a connection, the bytes queued
-/// in the send buffer never exceed the configured cap, and `send`
-/// never accepts more than the free space it reported.
+/// Seeded property: whatever mix of sends, polls and ACK deliveries the
+/// generator throws at a connection, what its send buffer holds (bytes
+/// in flight plus bytes unsent) never exceeds the configured cap, and a
+/// send takes it no further than twice the peer's window at that call,
+/// with a 16 KiB floor. Half the cases run a cap under the floor, which
+/// binds alone; the others a cap over it, where the peer's window binds.
 #[test]
 fn send_buffer_occupancy_never_exceeds_cap() {
-    const CAP: usize = 4096;
+    const FLOOR: usize = 16 * 1024;
     check_cases("send_buffer_occupancy_never_exceeds_cap", 48, |rng| {
-        let window = WindowConfig::default().with_send_buffer(CAP);
+        let cap = if rng.bool() { 4096 } else { 64 * 1024 };
+        let advertise = rng.u16_in(1024, 32_768);
         let (mut server, mut client, cp, _sp) = connect(
-            StackConfig::new(SERVER),
-            StackConfig::new(CLIENT).with_window(window),
+            StackConfig::new(SERVER).with_window(WindowConfig::default().with_advertise(advertise)),
+            StackConfig::new(CLIENT).with_window(WindowConfig::default().with_send_buffer(cap)),
         );
+        // The window the client last heard, starting with the SYN-ACK's.
+        let mut peer_window = advertise;
         let ops = rng.usize_in(4, 64);
         let mut scratch = TxScratch::new();
         let mut pending_acks: Vec<Vec<u8>> = Vec::new();
         for _ in 0..ops {
             match rng.u8_in(0, 3) {
-                // Enqueue a random chunk; acceptance is bounded by cap.
+                // Enqueue a random chunk: the buffer takes what fits
+                // under the limit the peer's window sets, and no more.
                 0 | 1 => {
-                    let queued_before = client.send_queued(cp);
-                    let chunk = rng.bytes(1, 2 * CAP);
+                    let before = occupancy(&client, cp);
+                    let limit = (2 * usize::from(peer_window)).max(FLOOR).min(cap);
+                    let chunk = rng.bytes(1, 40 * 1024);
                     let accepted = client.send(cp, &chunk).unwrap();
-                    assert!(accepted <= CAP - queued_before);
+                    let after = occupancy(&client, cp);
+                    assert_eq!(after, before + accepted);
+                    assert_eq!(
+                        accepted,
+                        chunk.len().min(limit.saturating_sub(before)),
+                        "window {peer_window}, cap {cap}, {before} B held"
+                    );
+                    assert!(accepted == 0 || after <= limit, "{after} > {limit}");
                 }
                 // Put whatever the window allows on the wire.
                 2 => {
@@ -336,15 +355,148 @@ fn send_buffer_occupancy_never_exceeds_cap() {
                 _ => {
                     let take = rng.usize_in(0, pending_acks.len().max(1));
                     for ack in pending_acks.drain(..take.min(pending_acks.len())) {
-                        let _ = client.receive(&ack);
+                        if client.receive(&ack).is_ok() {
+                            peer_window = window_of(&ack);
+                        }
                     }
                 }
             }
-            assert!(
-                client.send_queued(cp) <= CAP,
-                "occupancy {} exceeds cap {CAP}",
-                client.send_queued(cp)
-            );
+            let held = occupancy(&client, cp);
+            assert!(held <= cap, "occupancy {held} exceeds cap {cap}");
         }
     });
+}
+
+/// What a connection's send buffer holds: bytes in flight plus bytes
+/// not yet framed.
+fn occupancy(stack: &Stack, pcb: PcbId) -> usize {
+    stack.connection_table()[0].tx_queued + stack.send_queued(pcb)
+}
+
+/// The receive window a frame's TCP header advertises.
+fn window_of(frame: &[u8]) -> u16 {
+    let packet = Ipv4Packet::new_checked(frame).unwrap();
+    TcpSegment::new_checked(packet.payload()).unwrap().window()
+}
+
+/// A 1 MiB transfer over links that drop 3 % of frames each way, at the
+/// default 8,760 B window: the sender's ring never allocates more than
+/// two windows. The receiving application starts late: it reads nothing
+/// until the sender has probed the closed window four times, and a ring
+/// that grows only to the limit its writes were called under stays
+/// within the 16 KiB floor through that closure. From then on the reader
+/// takes each segment as it lands, so the window stays open and the
+/// application's 8 KiB writes can fill the second window while a loss
+/// holds the first. `TCPDEMUX_SEEDS` widens the sweep.
+#[test]
+fn the_send_ring_holds_two_windows_and_the_floor_while_the_window_is_closed() {
+    const BYTES: usize = 1 << 20;
+    const FLOOR: usize = 16 * 1024;
+    let window = usize::from(WindowConfig::default().advertise);
+    let stream: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
+    let probes = |stack: &Stack| stack.stats().telemetry.counter(CounterId::ZeroWindowProbes);
+    for seed in 1..=u64::from(sweep_seeds(2)) {
+        // Room for a segment beyond the window, so that a reader that
+        // keeps up is always offering the whole window.
+        let receiver = WindowConfig::default().with_recv_buffer(window + 1460);
+        let (mut server, mut client, cp, sp) = connect(
+            StackConfig::new(SERVER).with_window(receiver),
+            StackConfig::new(CLIENT),
+        );
+        // `links[0]`/`wires[0]` carry what the client sends.
+        let mut links = [
+            FaultInjector::new(0.03, 0.0, seed),
+            FaultInjector::new(0.03, 0.0, !seed),
+        ];
+        let mut wires: [VecDeque<Vec<u8>>; 2] = Default::default();
+        let mut scratch = TxScratch::new();
+        let (mut now, mut sent, mut received) = (0, 0, Vec::with_capacity(BYTES));
+        let (mut peak, mut peak_closed) = (0, 0);
+        while received.len() < BYTES {
+            let reading = probes(&client) >= 4;
+            let mut watch = |client: &Stack| {
+                let ring = client.connection_table()[0].tx_ring_bytes;
+                peak = peak.max(ring);
+                if !reading {
+                    peak_closed = peak_closed.max(ring);
+                }
+            };
+            // Deliver until both wires are quiet.
+            loop {
+                if wires.iter().all(VecDeque::is_empty) {
+                    for (link, wire) in links.iter_mut().zip(&mut wires) {
+                        link.flush(wire);
+                    }
+                    if wires.iter().all(VecDeque::is_empty) {
+                        break;
+                    }
+                }
+                while let Some(frame) = wires[0].pop_front() {
+                    if let Ok(r) = server.receive(&frame) {
+                        for reply in r.replies {
+                            links[1].transmit_onto(&reply, &mut wires[1]);
+                        }
+                    }
+                    if reading {
+                        received.extend(server.socket_mut(sp).unwrap().read_all());
+                    }
+                }
+                while let Some(frame) = wires[1].pop_front() {
+                    if let Ok(r) = client.receive(&frame) {
+                        for reply in r.replies {
+                            links[0].transmit_onto(&reply, &mut wires[0]);
+                        }
+                    }
+                    client.poll_transmit(&mut scratch);
+                    for frame in scratch.frames.drain(..) {
+                        links[0].transmit_onto(&frame, &mut wires[0]);
+                    }
+                    watch(&client);
+                }
+            }
+            if reading {
+                received.extend(server.socket_mut(sp).unwrap().read_all());
+            }
+            if sent < BYTES {
+                sent += client
+                    .send(cp, &stream[sent..BYTES.min(sent + 8192)])
+                    .unwrap();
+                watch(&client);
+                client.poll_transmit(&mut scratch);
+                for frame in scratch.frames.drain(..) {
+                    links[0].transmit_onto(&frame, &mut wires[0]);
+                }
+            }
+            if wires.iter().all(VecDeque::is_empty) {
+                let due = [&client, &server]
+                    .into_iter()
+                    .filter_map(Stack::next_timer_deadline)
+                    .min();
+                now = due.map_or(now + 1, |due| due.max(now + 1));
+                for frame in client.advance_time(now).retransmits {
+                    links[0].transmit_onto(&frame, &mut wires[0]);
+                }
+                let fired = server.advance_time(now);
+                for frame in fired.retransmits.into_iter().chain(fired.acks) {
+                    links[1].transmit_onto(&frame, &mut wires[1]);
+                }
+            }
+            assert!(
+                now < 100_000_000,
+                "seed {seed}: stalled at {} B",
+                received.len()
+            );
+        }
+        assert_eq!(received, stream, "seed {seed}");
+        assert!(links[0].dropped() + links[1].dropped() > 0, "seed {seed}");
+        assert!(peak_closed > 0, "seed {seed}: the window never closed");
+        assert!(
+            peak_closed <= FLOOR,
+            "seed {seed}: {peak_closed} B of ring while the window was closed"
+        );
+        assert!(
+            (FLOOR + 1..=2 * window).contains(&peak),
+            "seed {seed}: a {peak} B ring for a {window} B window"
+        );
+    }
 }
