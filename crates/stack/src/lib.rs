@@ -38,8 +38,10 @@
 //! budget, aborts the connection with a [`SocketError`] the application
 //! can observe. The queue holds metadata only: every in-flight payload
 //! byte stays in the connection's send buffer — its one copy — until
-//! the cumulative ACK passes it, so [`WindowConfig::send_buffer`] bounds
-//! unacknowledged plus unsent bytes, as `SO_SNDBUF` does.
+//! the cumulative ACK passes it. Unacknowledged plus unsent bytes are
+//! held to twice the peer's current window, with a 16 KiB floor, under
+//! [`WindowConfig::send_buffer`] as the ceiling (`SO_SNDBUF`), so a bulk
+//! sender's ring costs two windows rather than the ceiling.
 //!
 //! # One slot per connection, and an allocation-free steady state
 //!
