@@ -31,13 +31,16 @@
 #      they fill, re-lay and double; the stack's keyless sequent(H)
 #      against the keyed one, H = 1/19/100, lookup for lookup through
 #      relayouts and doublings; the send ring against a byte
-#      deque across its wrap; 16 seeds of crafted segments through the receive
+#      deque across its wrap and under a cap lowered below what it
+#      holds; 16 seeds of crafted segments through the receive
 #      path of one connection, and of three sharing a stack's block pool,
 #      against a byte-map reference, and 16 of deliver/stage/read/settle
 #      scripts over five socket buffers lending through one pool); the
 #      congestion-controlled send path (8 seeds of the bulk-transfer
 #      scenario at 0/10/25% drop, plus the delayed-ACK/zero-window/
-#      fast-recovery suite); and the fingerprint front filter (16 seeds
+#      fast-recovery suite, with 16 seeds of a 1 MiB transfer at 3%
+#      loss whose send ring holds two windows, and the 16 KiB floor
+#      while the peer's window is closed); and the fingerprint front filter (16 seeds
 #      of churn with zero false negatives, the crafted one-chain flood
 #      rejected before the chain, and the 2^-12 false-positive budget
 #      at the 15/16 occupancy watermark);
@@ -109,7 +112,7 @@ if ! cmp -s "$run_a" "$run_b"; then
 fi
 echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 
-echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16) =="
+echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16/16) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery --test malformed_frames
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
@@ -128,11 +131,11 @@ TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-pcb \
   sendbuf::tests::prop_matches_a_byte_deque
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-stack \
   socket::tests::pooled_buffers_agree_with_a_byte_map_across_seeds
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; Sequent's shared lanes agree with their Vec model through relayouts and doublings; the keyless table examines, caches and finds what the keyed one does; the send ring agrees with a byte deque; the receiver and the pooled socket buffers agree with their byte-map references"
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; Sequent's shared lanes agree with their Vec model through relayouts and doublings; the keyless table examines, caches and finds what the keyed one does; the send ring agrees with a byte deque, also under a lowered cap; the receiver and the pooled socket buffers agree with their byte-map references"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
-cargo test -q --release --offline --test congestion
-echo "ok: 8-seed bulk transfer recovers at 0/10/25% drop; window machinery holds"
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test congestion
+echo "ok: 8-seed bulk transfer recovers at 0/10/25% drop; window machinery holds; 16 lossy 1 MiB transfers keep the send ring within two windows, and within the floor while the window is closed"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test front_filter
 echo "ok: 16-seed filter churn has zero false negatives and stays inside the FP budget"
 
