@@ -23,9 +23,11 @@
 //! transmit engine:
 //! [`Stack::send`] enqueues into a per-connection send buffer and
 //! [`Stack::poll_transmit`] emits whatever `min(peer rwnd, cwnd)`
-//! permits, with slow start, AIMD congestion avoidance, fast retransmit
-//! / NewReno fast recovery on three duplicate ACKs (the methods of each
-//! connection's [`CongestionState`]), zero-window persist probes,
+//! permits, with slow start, AIMD congestion avoidance in whole segments
+//! of the negotiated MSS, Limited Transmit on the first two duplicate
+//! ACKs, fast retransmit / NewReno fast recovery on the third (the
+//! methods of each connection's [`CongestionState`]), zero-window
+//! persist probes,
 //! optional delayed ACKs, and dynamic receive-window advertisement. Also faithful: header
 //! formats, checksums, sequence-number accounting, the RFC 793 state
 //! machine, listener (wildcard) matching semantics, RST generation for

@@ -6,10 +6,11 @@
 //! frame itself — every drop is recovered by an RTO expiry inside
 //! `Stack::advance_time`, or not at all.
 
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use tcpdemux::sim::bulk::{run_bulk_transfer, BulkTransferConfig};
 use tcpdemux::sim::lossy::{run_lossy_link, LossyLinkConfig};
-use tcpdemux::stack::{SocketError, Stack, StackConfig, TxScratch};
+use tcpdemux::stack::{CounterId, SocketError, Stack, StackConfig, TxScratch, WindowConfig};
 use tcpdemux_testprop::sweep_seeds;
 
 /// The issue's acceptance scenario: 20% drop + 5% corruption, one hundred
@@ -105,6 +106,69 @@ fn reordered_and_duplicated_streams_reassemble_across_seeds() {
         // Never more than the window the receiver advertises.
         assert!((1..=8760).contains(&report.max_rx_staged), "{tag}");
     }
+}
+
+/// A window of three segments with one of them lost, and more data
+/// queued behind it: the two segments that arrive draw two duplicate
+/// ACKs, each of which lets one new segment out (Limited Transmit,
+/// RFC 3042); those draw the third duplicate, and fast retransmit
+/// repairs the loss. The pair runs with its clocks stopped, so a repair
+/// that needed the retransmission timer would stall the transfer. In the
+/// middle of the recovery the connection table shows it.
+#[test]
+fn a_three_segment_window_repairs_one_loss_without_an_rto() {
+    const SERVER: Ipv4Addr = Ipv4Addr::new(10, 9, 1, 1);
+    const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 9, 1, 2);
+    const MSS: usize = 1460;
+    let window = WindowConfig::default().with_initial_cwnd(3 * MSS);
+    let mut server = Stack::with_config(StackConfig::new(SERVER));
+    let mut client = Stack::with_config(StackConfig::new(CLIENT).with_window(window));
+    server.listen(5000).unwrap();
+    let (cp, syn) = client.connect(SERVER, 5000).unwrap();
+    let synack = server.receive(&syn).unwrap().replies;
+    let ack = client.receive(&synack[0]).unwrap().replies;
+    server.receive(&ack[0]).unwrap();
+    let sp = server.accept(5000).expect("handshake complete");
+
+    let payload: Vec<u8> = (0..8 * MSS).map(|i| i as u8).collect();
+    assert_eq!(client.send(cp, &payload).unwrap(), payload.len());
+    let mut scratch = TxScratch::new();
+    client.poll_transmit(&mut scratch);
+    let mut to_server: VecDeque<Vec<u8>> = scratch.frames.drain(..).collect();
+    assert_eq!(to_server.len(), 3, "cwnd is three segments");
+    to_server.pop_front(); // lost
+
+    let mut to_client = VecDeque::new();
+    let mut seen_recovery = false;
+    while !(to_server.is_empty() && to_client.is_empty()) {
+        while let Some(frame) = to_server.pop_front() {
+            to_client.extend(server.receive(&frame).unwrap().replies);
+        }
+        while let Some(frame) = to_client.pop_front() {
+            to_server.extend(client.receive(&frame).unwrap().replies);
+            client.poll_transmit(&mut scratch);
+            to_server.extend(scratch.frames.drain(..));
+            let row = client.connection_table()[0];
+            if row.in_recovery && !seen_recovery {
+                seen_recovery = true;
+                // ssthresh is half of the three segments in flight
+                // before Limited Transmit, at least two; cwnd adds the
+                // three that left the network.
+                assert_eq!(row.mss, MSS as u16, "{row}");
+                assert_eq!(row.snd_wnd, 8760, "{row}");
+                assert_eq!(row.ssthresh, 2 * MSS, "{row}");
+                assert_eq!(row.cwnd, 5 * MSS, "{row}");
+                assert!(row.to_string().contains("recovery=true"), "{row}");
+            }
+        }
+    }
+    assert!(seen_recovery, "the loss was repaired by fast recovery");
+    assert_eq!(server.socket_mut(sp).unwrap().read_all(), payload);
+    let stats = client.stats();
+    assert_eq!(stats.stack.retransmits, 0, "no RTO");
+    assert_eq!(stats.telemetry.counter(CounterId::FastRetransmits), 1);
+    let row = client.connection_table()[0];
+    assert!(!row.in_recovery && row.cwnd >= row.ssthresh, "{row}");
 }
 
 /// When the peer vanishes, retransmission must not spin forever: the
