@@ -43,7 +43,9 @@ pub struct Pcb {
     pub snd: SendSequenceSpace,
     /// Receive sequence space.
     pub rcv: RecvSequenceSpace,
-    /// Effective maximum segment size for this connection.
+    /// Effective maximum segment size for this connection: what the
+    /// handshake settled ([`Pcb::negotiated_mss`]), never below
+    /// [`Pcb::MIN_MSS`].
     pub mss: u16,
     /// Smoothed round-trip-time state (Jacobson–Karels), updated by the
     /// transport on each acknowledged segment.
@@ -60,6 +62,23 @@ pub struct Pcb {
 impl Pcb {
     /// Default MSS when the peer offers none (RFC 1122: 536).
     pub const DEFAULT_MSS: u16 = 536;
+
+    /// Smallest MSS a connection sends with, whatever either side offers:
+    /// an offer of 0 would frame empty segments and leave congestion
+    /// control no unit to count in, and one of a few bytes would spend a
+    /// frame on every few bytes. 88 is the floor Linux keeps.
+    pub const MIN_MSS: u16 = 88;
+
+    /// The MSS to send with, from the peer's offer (`None` when its SYN
+    /// carried no MSS option: [`DEFAULT_MSS`](Self::DEFAULT_MSS)) and
+    /// ours: the smaller of the two, and never below
+    /// [`MIN_MSS`](Self::MIN_MSS).
+    pub fn negotiated_mss(offer: Option<u16>, ours: u16) -> u16 {
+        offer
+            .unwrap_or(Self::DEFAULT_MSS)
+            .min(ours)
+            .max(Self::MIN_MSS)
+    }
 
     /// Create a closed PCB for a connection key.
     pub fn new(key: ConnectionKey) -> Self {
@@ -172,6 +191,15 @@ mod tests {
         assert_eq!(pcb.state(), TcpState::Closed);
         assert_eq!(pcb.key(), key());
         assert_eq!(pcb.mss, Pcb::DEFAULT_MSS);
+    }
+
+    #[test]
+    fn negotiated_mss_takes_the_smaller_offer_above_a_floor() {
+        assert_eq!(Pcb::negotiated_mss(Some(536), 1460), 536);
+        assert_eq!(Pcb::negotiated_mss(Some(9000), 1460), 1460);
+        assert_eq!(Pcb::negotiated_mss(None, 1460), Pcb::DEFAULT_MSS);
+        assert_eq!(Pcb::negotiated_mss(Some(0), 1460), Pcb::MIN_MSS);
+        assert_eq!(Pcb::negotiated_mss(Some(1460), 0), Pcb::MIN_MSS);
     }
 
     #[test]
