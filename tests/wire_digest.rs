@@ -316,7 +316,8 @@ fn lossy_bulk() -> u64 {
 /// reader stops twice: at the start and halfway. Each time the window
 /// closes, the sender probes it on the persist timer, backing off, until
 /// four probes have gone out; then the reader drains and the next
-/// probe's ACK reopens the window.
+/// probe's ACK reopens the window. The link loses nothing, so nothing
+/// but the probes is sent twice.
 fn zero_window() -> u64 {
     const BYTES: usize = 48 * 1024;
     let server = server_config().with_window(WindowConfig::default().with_recv_buffer(6000));
@@ -359,6 +360,9 @@ fn zero_window() -> u64 {
     }
     assert_eq!(stalls, 2);
     assert!(probes(&conv) >= 8, "{} probes", probes(&conv));
+    let client = conv.stacks[C].stats();
+    assert_eq!(client.telemetry.counter(CounterId::FastRetransmits), 0);
+    assert_eq!(client.stack.retransmits, 0, "nothing but probes resent");
     conv.digest.0
 }
 
