@@ -43,7 +43,11 @@
 #      while the peer's window is closed, and 16 seeds of random ACK
 #      sequences through NewReno with Limited Transmit, whose cwnd and
 #      ssthresh stay whole segments and whose ssthresh halves a flight
-#      that leaves out exactly the Limited Transmit bytes); and the
+#      that leaves out exactly the Limited Transmit bytes); transfers
+#      over links that lose nothing (16 seeds of receive buffers from
+#      one MSS to 64 KiB, MSS offers of 88/536/1,460, delayed ACKs on
+#      and off, readers that stall and resume, 1 B to 1 MiB: no
+#      retransmission but zero-window probes); and the
 #      fingerprint front filter (16 seeds
 #      of churn with zero false negatives, the crafted one-chain flood
 #      rejected before the chain, and the 2^-12 false-positive budget
@@ -65,7 +69,7 @@
 #      blocks of 64 over 2,000 connections, 256 k keys rotated through
 #      a bare SequentDemux, whose chains the default table shares, and a
 #      long-lived lossy connection;
-#      heap per connection)
+#      heap per connection at 2,000, 16,385 and 20,000 connections)
 #      pass in release with --test-threads=1: their
 #      counters are process-global, so they mean something only when no
 #      sibling test runs beside them.
@@ -116,7 +120,7 @@ if ! cmp -s "$run_a" "$run_b"; then
 fi
 echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 
-echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16/16) =="
+echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16/16/16) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery --test malformed_frames
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
@@ -142,6 +146,8 @@ TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test congestion
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-pcb \
   cc::tests::prop_cwnd_is_whole_segments_and_limited_transmit_stays_within_two
 echo "ok: 8-seed bulk transfer recovers at 0/10/25% drop; window machinery holds; 16 lossy 1 MiB transfers keep the send ring within two windows, and within the floor while the window is closed; over random ACK, duplicate-ACK, partial-ACK and RTO sequences cwnd and ssthresh stay whole segments, ssthresh stays within max(FlightSize/2, 2 MSS) and equals it, rounded down, on entering recovery with FlightSize leaving out exactly what Limited Transmit sent, and no send outside recovery takes the flight past cwnd + 2 MSS"
+TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test lossless
+echo "ok: 16 seeded transfers over links that lose nothing (receive buffers from one MSS to 64 KiB, MSS offers of 88/536/1,460, delayed ACKs on and off, readers that stall and resume, 1 B to 1 MiB) send no fast retransmit and no RTO retransmission but zero-window probes, and deliver every byte once, in order"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test front_filter
 echo "ok: 16-seed filter churn has zero false negatives and stays inside the FP budget"
 
@@ -178,6 +184,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== 9/9 allocator-counting tests (release, one thread) =="
 cargo test -q --release --offline --test telemetry_overhead \
   --test steady_state_allocs --test heap_per_connection -- --test-threads=1
-echo "ok: no allocation per record, per transaction, per rotated key or per loss episode; heap per connection under its ceiling"
+echo "ok: no allocation per record, per transaction, per rotated key or per loss episode; heap per connection under its ceiling at 2,000, 16,385 and 20,000 connections, each derived from the arena's eighth-step capacity"
 
 echo "verify.sh: all checks passed"
