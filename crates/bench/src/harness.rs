@@ -97,7 +97,7 @@ pub struct Measurement {
 impl Measurement {
     /// Summarize raw per-iteration sample timings (ns/op, one entry per
     /// sample) into a measurement. Used directly by bins that time their
-    /// own samples (e.g. `mt_scaling`'s threaded phases) instead of
+    /// own samples (e.g. `demux_scale`'s per-size phases) instead of
     /// going through [`bench`].
     pub fn from_samples(label: &str, samples_ns: &[f64], iters: u64) -> Self {
         assert!(!samples_ns.is_empty(), "need at least one sample");

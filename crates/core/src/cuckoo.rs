@@ -34,30 +34,9 @@
 //! table doubles and rehashes. Growth is also triggered proactively above
 //! 15/16 occupancy. Kicks, eviction loops, and per-insert kick-path
 //! lengths surface through [`tcpdemux_telemetry`] counters.
-//!
-//! # Concurrent variant
-//!
-//! [`ConcurrentCuckooDemux`] keeps the same two-bucket invariant with
-//! lock-free readers: each bucket carries a seqlock version word, readers
-//! load the current generation and snapshot both candidate buckets, and
-//! a table-wide displacement version validates misses (a kick writes the
-//! destination copy before clearing the source, so an entry is never
-//! *absent*, but a reader probing b1→b2 while an entry moves b2→b1 could
-//! miss both copies — the version check detects the race and retries).
-//! Writers serialize behind one table mutex; growth rehashes into a fresh
-//! generation and publishes it with one store.
-//!
-//! Superseded generations are never freed or written again: they stay
-//! allocated in a fixed array for the table's lifetime, so a reader that
-//! loaded the generation index just before a growth probes a frozen,
-//! complete copy of the table as it stood at publication — a result that
-//! linearizes before the growth. Each generation doubles the last, so
-//! all of them together occupy less than twice the live one.
 
-use crate::stats::{AtomicLookupStats, LookupStats};
+use crate::stats::LookupStats;
 use crate::{Demux, LookupResult, PacketKind};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 use tcpdemux_telemetry::{CounterId, Recorder};
 
@@ -480,481 +459,9 @@ impl Demux for CuckooDemux {
     }
 }
 
-// ---------------------------------------------------------------------
-// Concurrent variant: seqlocked buckets in publish-once generations.
-// ---------------------------------------------------------------------
-
-/// Concurrent generations the table can grow through. Generation `g` has
-/// `INITIAL_BUCKETS << g` buckets; the last is ~64 M slots.
-const CONC_MAX_GENERATIONS: usize = 21;
-/// Slot-word 0 bit marking the slot occupied (above tag bits 32..40).
-const OCC: u64 = 1 << 40;
-
-/// One slot as three atomic words: `w0` = occupied | tag | key word a,
-/// `w1` = key words b·c, `w2` = packed [`PcbId`] bits.
-struct ConcSlot {
-    w0: AtomicU64,
-    w1: AtomicU64,
-    w2: AtomicU64,
-}
-
-impl ConcSlot {
-    fn empty() -> Self {
-        Self {
-            w0: AtomicU64::new(0),
-            w1: AtomicU64::new(0),
-            w2: AtomicU64::new(0),
-        }
-    }
-}
-
-fn pack_w0(tag: u8, words: [u32; 3]) -> u64 {
-    OCC | (u64::from(tag) << 32) | u64::from(words[0])
-}
-
-fn pack_w1(words: [u32; 3]) -> u64 {
-    (u64::from(words[1]) << 32) | u64::from(words[2])
-}
-
-/// A 4-way bucket guarded by a seqlock version word: writers bump it odd
-/// before mutating and even after; readers retry while odd or changed.
-#[repr(align(64))]
-struct ConcBucket {
-    version: AtomicU64,
-    slots: [ConcSlot; WAYS],
-}
-
-impl ConcBucket {
-    fn empty() -> Self {
-        Self {
-            version: AtomicU64::new(0),
-            slots: [
-                ConcSlot::empty(),
-                ConcSlot::empty(),
-                ConcSlot::empty(),
-                ConcSlot::empty(),
-            ],
-        }
-    }
-
-    /// Seqlock-consistent snapshot of all four slots.
-    fn snapshot(&self) -> [[u64; 3]; WAYS] {
-        loop {
-            let v1 = self.version.load(SeqCst);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut snap = [[0u64; 3]; WAYS];
-            for (w, slot) in self.slots.iter().enumerate() {
-                snap[w] = [
-                    slot.w0.load(SeqCst),
-                    slot.w1.load(SeqCst),
-                    slot.w2.load(SeqCst),
-                ];
-            }
-            if self.version.load(SeqCst) == v1 {
-                return snap;
-            }
-        }
-    }
-
-    /// Run `f` with the bucket's seqlock held odd. Only the table writer
-    /// (serialized by the writer mutex) calls this.
-    fn write<R>(&self, f: impl FnOnce(&Self) -> R) -> R {
-        self.version.fetch_add(1, SeqCst);
-        let r = f(self);
-        self.version.fetch_add(1, SeqCst);
-        r
-    }
-}
-
-/// One published table size. Writers only ever touch the current
-/// generation; a superseded one is frozen as it stood when its successor
-/// was published.
-struct Generation {
-    buckets: Box<[ConcBucket]>,
-    mask: usize,
-}
-
-impl Generation {
-    fn new(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two() && n >= 2);
-        Self {
-            buckets: (0..n).map(|_| ConcBucket::empty()).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Writer-side scan for the slot holding exactly `words`.
-    fn locate(&self, words: [u32; 3], tag: u8, b1: usize) -> Option<(usize, usize)> {
-        let (want0, want1) = (pack_w0(tag, words), pack_w1(words));
-        for b in [b1, alt(b1, tag, self.mask)] {
-            for (w, slot) in self.buckets[b].slots.iter().enumerate() {
-                if slot.w0.load(SeqCst) == want0 && slot.w1.load(SeqCst) == want1 {
-                    return Some((b, w));
-                }
-            }
-        }
-        None
-    }
-
-    fn free_way(&self, b: usize) -> Option<usize> {
-        (0..WAYS).find(|&w| self.buckets[b].slots[w].w0.load(SeqCst) & OCC == 0)
-    }
-
-    fn set(&self, b: usize, w: usize, w0: u64, w1: u64, w2: u64) {
-        self.buckets[b].write(|bucket| {
-            bucket.slots[w].w1.store(w1, SeqCst);
-            bucket.slots[w].w2.store(w2, SeqCst);
-            bucket.slots[w].w0.store(w0, SeqCst);
-        });
-    }
-
-    fn clear(&self, b: usize, w: usize) {
-        self.buckets[b].write(|bucket| {
-            bucket.slots[w].w0.store(0, SeqCst);
-        });
-    }
-
-    /// The concurrent twin of [`Table::try_place`]. `kick_seq`, when
-    /// given (the generation is published), is held odd around the move
-    /// sequence so readers can detect in-flight displacements. Each move
-    /// writes the destination copy before clearing the source, so no
-    /// entry is ever transiently absent.
-    fn try_place(
-        &self,
-        words: [u32; 3],
-        tag: u8,
-        b1: usize,
-        idbits: u64,
-        kick_seq: Option<&AtomicU64>,
-    ) -> Result<u32, ()> {
-        let (w0, w1) = (pack_w0(tag, words), pack_w1(words));
-        if let Some(w) = self.free_way(b1) {
-            self.set(b1, w, w0, w1, idbits);
-            return Ok(0);
-        }
-        let b2 = alt(b1, tag, self.mask);
-        if let Some(w) = self.free_way(b2) {
-            self.set(b2, w, w0, w1, idbits);
-            return Ok(0);
-        }
-
-        let mut queue: Vec<Node> = Vec::with_capacity(BFS_CAP);
-        queue.push(Node {
-            bucket: b1 as u32,
-            parent: NO_PARENT,
-            way: 0,
-        });
-        queue.push(Node {
-            bucket: b2 as u32,
-            parent: NO_PARENT,
-            way: 0,
-        });
-        let mut qi = 0;
-        while qi < queue.len() {
-            let bucket = queue[qi].bucket as usize;
-            if self.free_way(bucket).is_some() {
-                if let Some(kicks) = self.apply_path(&queue, qi, w0, w1, idbits, kick_seq) {
-                    return Ok(kicks);
-                }
-            }
-            if queue.len() < BFS_CAP {
-                for w in 0..WAYS {
-                    let s0 = self.buckets[bucket].slots[w].w0.load(SeqCst);
-                    if s0 & OCC == 0 {
-                        continue;
-                    }
-                    let t = (s0 >> 32) as u8;
-                    queue.push(Node {
-                        bucket: alt(bucket, t, self.mask) as u32,
-                        parent: qi as u32,
-                        way: w as u8,
-                    });
-                    if queue.len() >= BFS_CAP {
-                        break;
-                    }
-                }
-            }
-            qi += 1;
-        }
-        Err(())
-    }
-
-    fn apply_path(
-        &self,
-        queue: &[Node],
-        leaf: usize,
-        w0: u64,
-        w1: u64,
-        idbits: u64,
-        kick_seq: Option<&AtomicU64>,
-    ) -> Option<u32> {
-        let free = self.free_way(queue[leaf].bucket as usize)?;
-        let mut chain: Vec<(usize, usize)> = Vec::new();
-        let mut cur = leaf;
-        while queue[cur].parent != NO_PARENT {
-            let parent = queue[cur].parent as usize;
-            chain.push((queue[parent].bucket as usize, queue[cur].way as usize));
-            cur = parent;
-        }
-        for i in 0..chain.len() {
-            for j in (i + 1)..chain.len() {
-                if chain[i] == chain[j] {
-                    return None;
-                }
-            }
-        }
-        if let Some(seq) = kick_seq {
-            seq.fetch_add(1, SeqCst);
-        }
-        let mut dest = (queue[leaf].bucket as usize, free);
-        let mut kicks = 0u32;
-        for &(sb, sw) in &chain {
-            let slot = &self.buckets[sb].slots[sw];
-            let (m0, m1, m2) = (
-                slot.w0.load(SeqCst),
-                slot.w1.load(SeqCst),
-                slot.w2.load(SeqCst),
-            );
-            debug_assert!(m0 & OCC != 0);
-            self.set(dest.0, dest.1, m0, m1, m2);
-            self.clear(sb, sw);
-            dest = (sb, sw);
-            kicks += 1;
-        }
-        self.set(dest.0, dest.1, w0, w1, idbits);
-        if let Some(seq) = kick_seq {
-            seq.fetch_add(1, SeqCst);
-        }
-        Some(kicks)
-    }
-
-    /// Probe a snapshot pair for `words`, counting full key compares.
-    fn probe(&self, words: [u32; 3], h: u64) -> LookupResult {
-        let (b1, tag) = home(h, self.mask);
-        let (want0, want1) = (pack_w0(tag, words), pack_w1(words));
-        let meta = want0 >> 32;
-        let mut examined = 0u32;
-        for b in [b1, alt(b1, tag, self.mask)] {
-            let snap = self.buckets[b].snapshot();
-            for slot in &snap {
-                if slot[0] >> 32 == meta {
-                    examined += 1;
-                    if slot[0] == want0 && slot[1] == want1 {
-                        return LookupResult {
-                            pcb: Some(PcbId::from_bits(slot[2])),
-                            examined,
-                            cache_hit: false,
-                        };
-                    }
-                }
-            }
-        }
-        LookupResult::miss(examined)
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[derive(Default)]
-struct WriterState {
-    len: usize,
-    cstats: CuckooStats,
-}
-
-/// The concurrent cuckoo tier: lock-free bounded-probe readers, writers
-/// serialized behind one mutex. See the module docs for the safety
-/// argument.
-pub struct ConcurrentCuckooDemux {
-    generations: Box<[OnceLock<Generation>]>,
-    current: AtomicUsize,
-    /// Held odd while a displacement sequence is in flight; readers
-    /// validate misses against it (a hit needs no validation — found
-    /// entries are genuinely present).
-    kick_seq: AtomicU64,
-    writer: Mutex<WriterState>,
-    stats: AtomicLookupStats,
-}
-
-impl Default for ConcurrentCuckooDemux {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConcurrentCuckooDemux {
-    /// An empty concurrent table of [`INITIAL_BUCKETS`] buckets.
-    pub fn new() -> Self {
-        let generations: Box<[OnceLock<Generation>]> =
-            (0..CONC_MAX_GENERATIONS).map(|_| OnceLock::new()).collect();
-        generations[0]
-            .set(Generation::new(INITIAL_BUCKETS))
-            .unwrap_or_else(|_| unreachable!("fresh slot"));
-        Self {
-            generations,
-            current: AtomicUsize::new(0),
-            kick_seq: AtomicU64::new(0),
-            writer: Mutex::new(WriterState::default()),
-            stats: AtomicLookupStats::new(),
-        }
-    }
-
-    /// Insert-path counters (kicks, eviction loops, grows).
-    pub fn kick_stats(&self) -> CuckooStats {
-        lock(&self.writer).cstats
-    }
-
-    /// Index of the published generation (starts at 0, grows by ≥ 1 per
-    /// rehash).
-    pub fn generation(&self) -> usize {
-        self.current.load(SeqCst)
-    }
-
-    fn gen_ref(&self, g: usize) -> &Generation {
-        self.generations[g].get().expect("generation published")
-    }
-
-    /// Grow under the writer lock: rehash into a fresh generation and
-    /// publish it.
-    fn grow_locked(&self, st: &mut WriterState, g: usize) -> usize {
-        let mut target = g + 1;
-        'size: loop {
-            assert!(
-                target < CONC_MAX_GENERATIONS,
-                "concurrent cuckoo table exceeded maximum generation"
-            );
-            let next = Generation::new(INITIAL_BUCKETS << target);
-            let old = self.gen_ref(g);
-            for b in 0..old.buckets.len() {
-                for w in 0..WAYS {
-                    let slot = &old.buckets[b].slots[w];
-                    let s0 = slot.w0.load(SeqCst);
-                    if s0 & OCC == 0 {
-                        continue;
-                    }
-                    let words = [
-                        s0 as u32,
-                        (slot.w1.load(SeqCst) >> 32) as u32,
-                        slot.w1.load(SeqCst) as u32,
-                    ];
-                    let h = hash_words(words);
-                    let (b1, tag) = home(h, next.mask);
-                    // Unpublished target: no readers, no kick_seq needed.
-                    match next.try_place(words, tag, b1, slot.w2.load(SeqCst), None) {
-                        Ok(k) => st.cstats.kicks += u64::from(k),
-                        Err(()) => {
-                            target += 1;
-                            continue 'size;
-                        }
-                    }
-                }
-            }
-            self.generations[target]
-                .set(next)
-                .unwrap_or_else(|_| unreachable!("generation slot unused"));
-            self.current.store(target, SeqCst);
-            st.cstats.grows += 1;
-            return target;
-        }
-    }
-
-    /// One linearizable probe. A miss is only returned from a window
-    /// with no displacement in flight; see `kick_seq`. `current` needs no
-    /// re-check: a generation superseded mid-probe is frozen and whole.
-    fn probe_validated(&self, words: [u32; 3], h: u64) -> LookupResult {
-        loop {
-            let kv = self.kick_seq.load(SeqCst);
-            if kv & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let generation = self.gen_ref(self.current.load(SeqCst));
-            let r = generation.probe(words, h);
-            if r.pcb.is_some() || self.kick_seq.load(SeqCst) == kv {
-                return r;
-            }
-        }
-    }
-}
-
-impl crate::concurrent::ConcurrentDemux for ConcurrentCuckooDemux {
-    fn insert(&self, key: ConnectionKey, id: PcbId) {
-        let words = key.as_words();
-        let h = hash_words(words);
-        let mut st = lock(&self.writer);
-        let mut g = self.current.load(SeqCst);
-        {
-            let generation = self.gen_ref(g);
-            let (b1, tag) = home(h, generation.mask);
-            if let Some((b, w)) = generation.locate(words, tag, b1) {
-                generation.buckets[b].write(|bucket| {
-                    bucket.slots[w].w2.store(id.to_bits(), SeqCst);
-                });
-                return;
-            }
-            let capacity = generation.buckets.len() * WAYS;
-            if (st.len + 1) * OCCUPANCY_DEN > capacity * OCCUPANCY_NUM {
-                g = self.grow_locked(&mut st, g);
-            }
-        }
-        let kicks = loop {
-            let generation = self.gen_ref(g);
-            let (b1, tag) = home(h, generation.mask);
-            match generation.try_place(words, tag, b1, id.to_bits(), Some(&self.kick_seq)) {
-                Ok(k) => break k,
-                Err(()) => {
-                    st.cstats.eviction_loops += 1;
-                    g = self.grow_locked(&mut st, g);
-                }
-            }
-        };
-        st.len += 1;
-        st.cstats.kicks += u64::from(kicks);
-        st.cstats.max_kick_path = st.cstats.max_kick_path.max(kicks);
-    }
-
-    fn remove(&self, key: &ConnectionKey) -> Option<PcbId> {
-        let words = key.as_words();
-        let h = hash_words(words);
-        let mut st = lock(&self.writer);
-        let generation = self.gen_ref(self.current.load(SeqCst));
-        let (b1, tag) = home(h, generation.mask);
-        generation.locate(words, tag, b1).map(|(b, w)| {
-            let idbits = generation.buckets[b].slots[w].w2.load(SeqCst);
-            generation.clear(b, w);
-            st.len -= 1;
-            PcbId::from_bits(idbits)
-        })
-    }
-
-    fn lookup(&self, key: &ConnectionKey, _kind: PacketKind) -> LookupResult {
-        let words = key.as_words();
-        let r = self.probe_validated(words, hash_words(words));
-        self.stats.record(r.examined, r.pcb.is_some(), false);
-        r
-    }
-
-    fn len(&self) -> usize {
-        lock(&self.writer).len
-    }
-
-    fn name(&self) -> String {
-        "cuckoo-conc".to_string()
-    }
-
-    fn stats_snapshot(&self) -> LookupStats {
-        self.stats.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent::ConcurrentDemux;
     use crate::test_util;
     use std::collections::BTreeMap;
     use tcpdemux_pcb::{Pcb, PcbArena};
@@ -1051,92 +558,5 @@ mod tests {
                 assert_eq!(demux.len(), oracle.len());
             }
         });
-    }
-
-    #[test]
-    fn concurrent_variant_matches_sequential_semantics() {
-        let demux = ConcurrentCuckooDemux::new();
-        let mut arena = PcbArena::new();
-        let mut ids = Vec::new();
-        for i in 0..5_000u32 {
-            let k = test_util::key(i);
-            let id = arena.insert(Pcb::new(k));
-            demux.insert(k, id);
-            ids.push(id);
-        }
-        assert_eq!(demux.len(), 5_000);
-        assert!(demux.generation() > 0, "5k inserts must grow the table");
-        for (i, &id) in ids.iter().enumerate() {
-            let r = demux.lookup(&test_util::key(i as u32), PacketKind::Data);
-            assert_eq!(r.pcb, Some(id));
-            assert!(r.examined >= 1 && r.examined <= 2 * WAYS as u32);
-        }
-        assert_eq!(
-            demux.lookup(&test_util::key(99_999), PacketKind::Data).pcb,
-            None
-        );
-        assert_eq!(demux.remove(&test_util::key(7)), Some(ids[7]));
-        assert_eq!(demux.remove(&test_util::key(7)), None);
-        assert_eq!(demux.len(), 4_999);
-        let snap = demux.stats_snapshot();
-        assert_eq!(snap.lookups, 5_001);
-    }
-
-    #[test]
-    fn concurrent_readers_never_lose_stable_keys_across_growth() {
-        // Pinned keys are inserted once and never removed; churn keys are
-        // inserted/removed continuously, forcing kicks and growth. Any
-        // false miss (displacement race, use-after-wipe) fails a reader.
-        use std::sync::atomic::AtomicBool;
-        let demux = ConcurrentCuckooDemux::new();
-        let mut arena = PcbArena::new();
-        let stable: Vec<(u32, PcbId)> = (0..512u32)
-            .map(|i| {
-                let k = test_util::key(i);
-                let id = arena.insert(Pcb::new(k));
-                demux.insert(k, id);
-                (i, id)
-            })
-            .collect();
-        let churn_ids: Vec<PcbId> = (0..4_096u32)
-            .map(|i| arena.insert(Pcb::new(test_util::key(10_000 + i))))
-            .collect();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for reader in 0..3 {
-                let demux = &demux;
-                let stable = &stable;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut rng = TestRng::from_seed(0xC0C0 + reader);
-                    let mut hits = 0u64;
-                    while !stop.load(SeqCst) {
-                        let &(n, id) = rng.choose(stable);
-                        let r = demux.lookup(&test_util::key(n), PacketKind::Data);
-                        assert_eq!(r.pcb, Some(id), "stable key {n} lost");
-                        hits += 1;
-                    }
-                    assert!(hits > 0);
-                });
-            }
-            let mut rng = TestRng::from_seed(0xD00D);
-            for round in 0..20 {
-                for (i, &id) in churn_ids.iter().enumerate() {
-                    demux.insert(test_util::key(10_000 + i as u32), id);
-                }
-                for i in 0..churn_ids.len() {
-                    if rng.chance(0.75) {
-                        demux.remove(&test_util::key(10_000 + i as u32));
-                    }
-                }
-                for i in 0..churn_ids.len() {
-                    demux.remove(&test_util::key(10_000 + i as u32));
-                }
-                assert_eq!(demux.len(), stable.len(), "round {round}");
-            }
-            stop.store(true, SeqCst);
-        });
-        assert!(demux.generation() > 0);
-        assert!(demux.kick_stats().kicks > 0);
     }
 }

@@ -14,8 +14,6 @@
 //! | [`HashedMtfDemux`] | §3.5, the combination the paper weighs | `H` hash chains with move-to-front |
 //! | [`DirectDemux`] | §3.5, connection-ID strawman (TP4/X.25/XTP) | direct index, 1 probe by construction |
 //! | [`CuckooDemux`] | beyond the paper: Cuckoo++-style flow table | 4-way one-cache-line tagged buckets, ≤ 2 lines per lookup at any N |
-//! | [`ConcurrentCuckooDemux`] | — concurrent twin | seqlocked buckets, lock-free reads, writers serialized |
-//! | [`concurrent::ShardedDemux`] | \[Dov90\] parallel-TCP setting | hash chains with per-chain locks |
 //!
 //! The figure of merit throughout the paper — and therefore the unit this
 //! crate counts — is the **number of PCBs examined** per lookup. A cache
@@ -58,7 +56,6 @@
 
 mod adaptive;
 mod bsd;
-pub mod concurrent;
 pub mod cuckoo;
 mod direct;
 pub mod front;
@@ -73,7 +70,7 @@ mod suite;
 
 pub use adaptive::AdaptiveDemux;
 pub use bsd::BsdDemux;
-pub use cuckoo::{ConcurrentCuckooDemux, CuckooDemux, CuckooStats};
+pub use cuckoo::{CuckooDemux, CuckooStats};
 pub use direct::DirectDemux;
 pub use front::{FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
 pub use hashed_mtf::HashedMtfDemux;
@@ -82,7 +79,7 @@ pub use mtf::MtfDemux;
 pub use sequent::{IndexLookup, KeylessSequent, SequentDemux};
 pub use spsc::{spsc_ring, RingStats, SpscConsumer, SpscProducer};
 pub use srcache::SendRecvDemux;
-pub use stats::{AtomicLookupStats, LookupStats};
+pub use stats::LookupStats;
 pub use suite::{extended_suite, standard_suite, SuiteEntry};
 // The per-lookup cost histogram was born in this crate and moved to the
 // telemetry subsystem; re-exported so cost-distribution code keeps one
@@ -127,10 +124,10 @@ impl LookupResult {
 
 /// A PCB demultiplexer: maps arriving segments' connection keys to PCBs.
 ///
-/// Implementations are single-threaded; see [`concurrent`] for the
-/// lock-per-chain variant. Keys are unique: inserting a key that is already
-/// present replaces its PCB handle (matching BSD `in_pcbconnect` semantics,
-/// where a fully-specified PCB exists at most once).
+/// Implementations are single-threaded. Keys are unique: inserting a key
+/// that is already present replaces its PCB handle (matching BSD
+/// `in_pcbconnect` semantics, where a fully-specified PCB exists at most
+/// once).
 ///
 /// The `Send` bound exists for the sharded runtime: each shard owns its
 /// demux exclusively (single-threaded use), but shard ownership moves to

@@ -1,7 +1,6 @@
 //! Lookup statistics: the paper's figure of merit, accumulated.
 
 use core::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Running totals for a demultiplexer's lookups.
 ///
@@ -64,7 +63,7 @@ impl LookupStats {
     }
 
     /// Merge another set of statistics into this one (used by the sharded
-    /// concurrent demux to combine per-shard counters).
+    /// stack to combine per-shard counters).
     pub fn merge(&mut self, other: &LookupStats) {
         self.lookups += other.lookups;
         self.cache_hits += other.cache_hits;
@@ -72,65 +71,6 @@ impl LookupStats {
         self.not_found += other.not_found;
         self.pcbs_examined += other.pcbs_examined;
         self.worst_case = self.worst_case.max(other.worst_case);
-    }
-}
-
-/// Lock-free accumulator for [`LookupStats`], shared by the concurrent
-/// demultiplexers.
-///
-/// Recording is a handful of `Relaxed` fetch-adds (plus one `fetch_max`
-/// for the worst case), so threads tally lookups *after* releasing the
-/// data lock — or with no lock at all on the cuckoo read path — instead of
-/// serializing on a shared `LookupStats` under the structure's lock.
-/// Totals are exact: every counter is a single atomic RMW, so concurrent
-/// recorders never lose updates. A [`AtomicLookupStats::snapshot`] taken
-/// while recorders are active may observe counters from different
-/// instants (e.g. `lookups` incremented but `found` not yet), which is
-/// the usual price of lock-free statistics; quiescent snapshots are
-/// exact.
-#[derive(Debug, Default)]
-pub struct AtomicLookupStats {
-    lookups: AtomicU64,
-    cache_hits: AtomicU64,
-    found: AtomicU64,
-    not_found: AtomicU64,
-    pcbs_examined: AtomicU64,
-    worst_case: AtomicU32,
-}
-
-impl AtomicLookupStats {
-    /// Fresh zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one lookup outcome (the atomic analogue of
-    /// [`LookupStats::record`]).
-    pub fn record(&self, examined: u32, found: bool, cache_hit: bool) {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.pcbs_examined
-            .fetch_add(u64::from(examined), Ordering::Relaxed);
-        if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if found {
-            self.found.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.not_found.fetch_add(1, Ordering::Relaxed);
-        }
-        self.worst_case.fetch_max(examined, Ordering::Relaxed);
-    }
-
-    /// Current totals as a plain [`LookupStats`] value.
-    pub fn snapshot(&self) -> LookupStats {
-        LookupStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            found: self.found.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            pcbs_examined: self.pcbs_examined.load(Ordering::Relaxed),
-            worst_case: self.worst_case.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -187,39 +127,6 @@ mod tests {
         assert_eq!(a.pcbs_examined, 31);
         assert_eq!(a.worst_case, 20);
         assert_eq!(a.found, 2);
-    }
-
-    #[test]
-    fn atomic_record_matches_plain_record() {
-        let atomic = AtomicLookupStats::new();
-        let mut plain = LookupStats::new();
-        for (examined, found, cache_hit) in
-            [(1, true, true), (100, true, false), (50, false, false)]
-        {
-            atomic.record(examined, found, cache_hit);
-            plain.record(examined, found, cache_hit);
-        }
-        assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
-    fn atomic_totals_are_exact_across_threads() {
-        let atomic = AtomicLookupStats::new();
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let atomic = &atomic;
-                s.spawn(move || {
-                    for i in 0..1000u32 {
-                        atomic.record(1 + (i % 7), i % 3 != 0, i % 5 == 0);
-                    }
-                    let _ = t;
-                });
-            }
-        });
-        let snap = atomic.snapshot();
-        assert_eq!(snap.lookups, 8 * 1000);
-        assert_eq!(snap.found + snap.not_found, 8 * 1000);
-        assert_eq!(snap.worst_case, 7);
     }
 
     #[test]

@@ -37,8 +37,8 @@ impl PcbId {
     }
 
     /// Pack the handle into a `u64` (generation in the high word, index in
-    /// the low word). Lock-free structures store handles in `AtomicU64`
-    /// cells; the round trip through [`PcbId::from_bits`] is lossless.
+    /// the low word). Tables that keep handles in a packed `u64` lane
+    /// store this; the round trip through [`PcbId::from_bits`] is lossless.
     pub fn to_bits(self) -> u64 {
         (u64::from(self.generation) << 32) | u64::from(self.index)
     }

@@ -36,12 +36,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # run that silently skips one must fail even if the snapshot is
 # regenerated to match.
 REQUIRED_LABELS = {
-    "BENCH_mt_scaling.json": {
-        f"mt_scaling/{section}/t={t}/{tier}"
-        for section in ("read-only", "churn")
-        for t in (1, 2, 4, 8)
-        for tier in ("sharded-sequent(64)", "cuckoo-conc")
-    },
     "BENCH_demux_scale.json": {
         f"demux_scale/{cell}/n={n}/{tier}"
         for cell in ("build", "lookup")

@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Check that the names the current-state docs cite exist in the tree.
+
+Usage: check_doc_refs.py
+
+Scans README.md, DESIGN.md and .claude/skills/verify/SKILL.md and fails
+if any of these does not resolve:
+
+* a `--bin`, `--test` or `--bench` argument: a `src/bin/*.rs` or a
+  package's `src/main.rs` (bins), a `tests/*.rs` (tests), a
+  `benches/*.rs` (benches), in any package of the repo;
+* a "`X` bin" mention: the same bin names;
+* a `BENCH_*.json` name: a snapshot checked in at the repo root;
+* a backticked path with a file extension (`tests/lossless.rs`,
+  `stack.rs:1483`, `tests/{a,b}.rs`): some file in the repo whose path
+  is that path or ends with it, after a `:line` suffix is dropped and
+  `{a,b}` alternatives are expanded.
+
+EXPERIMENTS.md, ROADMAP.md and CHANGES.md are left out on purpose: they
+record what was measured, deleted or planned, so they name bins,
+snapshots and files that no longer exist, or do not exist yet.
+
+Exits nonzero with one line per unresolved name. Stdlib only.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DOCS = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"]
+SKIP_DIRS = {".git", "target", "out"}
+EXTENSIONS = ("rs", "md", "toml", "json", "jsonl", "txt", "py", "sh", "lock")
+
+CARGO_ARG = re.compile(r"--(bin|test|bench)[ =]+([A-Za-z0-9_\-]+)")
+BIN_MENTION = re.compile(r"`([A-Za-z0-9_\-]+)` bin\b")
+SNAPSHOT = re.compile(r"\bBENCH_[A-Za-z0-9_]+\.json\b")
+BACKTICKED = re.compile(r"`([^`\s]+)`")
+PATH_LIKE = re.compile(r"^[A-Za-z0-9_./{},*\-]+\.(?:%s)$" % "|".join(EXTENSIONS))
+BRACES = re.compile(r"\{([^{}]*)\}")
+
+
+def repo_files():
+    files = []
+    stack = [REPO_ROOT]
+    while stack:
+        d = stack.pop()
+        for p in d.iterdir():
+            if p.is_dir():
+                if p.name not in SKIP_DIRS:
+                    stack.append(p)
+            else:
+                files.append(p.relative_to(REPO_ROOT).as_posix())
+    return files
+
+
+def target_names(files):
+    bins, tests, benches = set(), set(), set()
+    for f in files:
+        parts = f.split("/")
+        stem = parts[-1][: -len(".rs")] if f.endswith(".rs") else None
+        if stem is None:
+            continue
+        if len(parts) >= 3 and parts[-3:-1] == ["src", "bin"]:
+            bins.add(stem)
+        elif parts[-2:] == ["src", "main.rs"]:
+            manifest = REPO_ROOT.joinpath(*parts[:-2], "Cargo.toml")
+            m = re.search(r'^name\s*=\s*"([^"]+)"', manifest.read_text(), re.M)
+            if m:
+                bins.add(m.group(1))
+        elif len(parts) >= 2 and parts[-2] == "tests":
+            tests.add(stem)
+        elif len(parts) >= 2 and parts[-2] == "benches":
+            benches.add(stem)
+    return {"bin": bins, "test": tests, "bench": benches}
+
+
+def expand(token):
+    m = BRACES.search(token)
+    if not m:
+        return [token]
+    head, tail = token[: m.start()], token[m.end() :]
+    return [x for alt in m.group(1).split(",") for x in expand(head + alt.strip() + tail)]
+
+
+def path_resolves(path, files):
+    path = path.removeprefix("./")
+    if "*" in path:
+        return any(REPO_ROOT.glob(path))
+    return any(f == path or f.endswith("/" + path) for f in files)
+
+
+def check(doc, text, files, targets):
+    errors = []
+    for kind, name in CARGO_ARG.findall(text):
+        if name not in targets[kind]:
+            errors.append(f"{doc}: --{kind} {name}: no such {kind} target")
+    for name in BIN_MENTION.findall(text):
+        if name not in targets["bin"]:
+            errors.append(f"{doc}: `{name}` bin: no such bin target")
+    for name in sorted(set(SNAPSHOT.findall(text))):
+        if not (REPO_ROOT / name).is_file():
+            errors.append(f"{doc}: {name}: no such snapshot at the repo root")
+    for token in BACKTICKED.findall(text):
+        token = re.sub(r":[0-9][0-9,–\-]*$", "", token)
+        if "://" in token or not PATH_LIKE.match(token):
+            continue
+        for path in expand(token):
+            if not path_resolves(path, files):
+                errors.append(f"{doc}: `{path}`: no such file in the repo")
+    return errors
+
+
+def main():
+    files = repo_files()
+    targets = target_names(files)
+    errors = []
+    for doc in DOCS:
+        errors.extend(check(doc, (REPO_ROOT / doc).read_text(encoding="utf-8"), files, targets))
+    # A `BENCH_*.json` in backticks is reported as a snapshot and a path.
+    errors = list(dict.fromkeys(errors))
+    if errors:
+        for e in errors:
+            print(f"check_doc_refs: {e}", file=sys.stderr)
+        sys.exit(1)
+    print(f"check_doc_refs: {len(DOCS)} docs, every cited bin, test, snapshot and path resolves")
+
+
+if __name__ == "__main__":
+    main()

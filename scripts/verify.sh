@@ -6,7 +6,8 @@
 #      (path/workspace deps only — the hermeticity contract in
 #      Cargo.toml and DESIGN.md §8);
 #   2. formatting and lints are clean (rustfmt --check, clippy -D warnings);
-#   3. tier-1 passes fully offline: release build + full test suite;
+#   3. tier-1 passes fully offline: release build + full test suite
+#      (the root manifest's default-members put every crate in it);
 #   4. the TPC/A simulation reproduces its checked-in golden: one
 #      fixed-seed run of sim_vs_analytic (every paper/T6 row, cuckoo
 #      included) matches crates/bench/goldens/sim_vs_analytic.txt
@@ -20,12 +21,9 @@
 #      bytes, and 32 seeds of malformed TCP/UDP/ICMP frames — cut at every
 #      length, bits flipped inside and outside the checksummed span, lies
 #      in IHL, total length, data offset and option lengths — each ending
-#      as a counted error or a classified outcome); both shared-table
-#      tiers (16 seeds of multi-threaded churn, a generation-tagged
-#      PcbId oracle, and stable keys that must never miss while
-#      cuckoo-conc kicks and grows); the sharded runtime (per-flow
-#      ordering + zero cross-shard PCB access across 12 seeds of
-#      concurrent ingress/drain); every suite tier at high occupancy
+#      as a counted error or a classified outcome); the sharded
+#      runtime (per-flow ordering + zero cross-shard PCB access across
+#      12 seeds of concurrent ingress/drain); every suite tier at high occupancy
 #      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
 #      dense lanes against a Vec model over 2,000-operation scripts and
 #      against the linked list they replaced over 10,000-lookup BSD/MTF/
@@ -58,12 +56,14 @@
 #      matches the checked-in golden byte for byte (counters, histogram
 #      buckets, and the event trace);
 #   7. the paper-figure snapshot pipeline is intact: demux_lookup,
-#      mt_scaling, demux_scale, miss_flood and train_windowed run end
-#      to end in smoke mode with --json, and the emitted BENCH_*.json
+#      demux_scale, miss_flood and train_windowed run end to end in
+#      smoke mode with --json, and the emitted BENCH_*.json
 #      files carry the fixed tcpdemux-bench/v1 schema with the same
 #      measurement-label and config-key sets as the snapshots checked
 #      in at the repo root (values are machine-dependent and are not
 #      compared), including every cell EXPERIMENTS.md reads by name;
+#      and every bin, test, bench, snapshot and file path that README,
+#      DESIGN and the verify skill cite exists (check_doc_refs.py);
 #   8. the end-to-end benchmark crate (benchmark/, its own workspace)
 #      builds against the current crates and passes its smoke test;
 #   9. the three test binaries that install a counting global allocator
@@ -106,8 +106,8 @@ cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== 3/9 offline tier-1 (release build + tests) =="
-cargo build --release --offline --workspace
-cargo test -q --offline --workspace
+cargo build --release --offline
+cargo test -q --offline
 
 echo "== 4/9 fixed-seed simulation golden (sim_vs_analytic) =="
 sim_golden="crates/bench/goldens/sim_vs_analytic.txt"
@@ -123,14 +123,12 @@ if ! cmp -s "$sim_run" "$sim_golden"; then
 fi
 echo "ok: sim_vs_analytic matches golden ($(wc -c <"$sim_run") bytes)"
 
-echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/16/12/16/8/16/16/16) =="
+echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/12/16/8/16/16/16) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery --test malformed_frames
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
   -p tcpdemux-wire checksum::tests::matches_the_reference_across_seeds
 echo "ok: loss recovery, reassembly under reordering, checksum rejection and malformed-frame classification hold across 32 fault seeds"
-TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
-echo "ok: 16-seed concurrent churn clean on sharded-sequent and cuckoo-conc"
 TCPDEMUX_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
@@ -168,18 +166,19 @@ if ! cmp -s "$export_run" "$golden"; then
 fi
 echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
-echo "== 7/9 bench-smoke JSON snapshots (schema, label-set drift, required cells) =="
+echo "== 7/9 bench-smoke JSON snapshots (schema, label-set drift, required cells) + doc references =="
 bench_json_dir=$(mktemp -d)
 trap 'rm -f "$sim_run" "$export_run"; rm -rf "$bench_json_dir"' EXIT
 TCPDEMUX_SMOKE=1 cargo bench -q --offline -p tcpdemux-bench --bench demux_lookup -- \
   --json "$bench_json_dir/BENCH_demux_lookup.json" >/dev/null
-for bin in mt_scaling demux_scale miss_flood train_windowed; do
+for bin in demux_scale miss_flood train_windowed; do
   TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin "$bin" -- \
     --json "$bench_json_dir/BENCH_$bin.json" >/dev/null
 done
 python3 scripts/check_bench_json.py "$bench_json_dir" \
-  BENCH_demux_lookup.json BENCH_mt_scaling.json BENCH_demux_scale.json \
-  BENCH_miss_flood.json BENCH_train_windowed.json
+  BENCH_demux_lookup.json BENCH_demux_scale.json BENCH_miss_flood.json \
+  BENCH_train_windowed.json
+python3 scripts/check_doc_refs.py
 
 echo "== 8/9 end-to-end benchmark smoke test (benchmark/) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
