@@ -8,7 +8,7 @@
 
 use core::fmt;
 use std::net::Ipv4Addr;
-use tcpdemux_wire::{Ipv4Repr, TcpRepr, UdpRepr};
+use tcpdemux_wire::{Ipv4Repr, TcpRepr};
 
 /// A fully-specified connection key, oriented from the local host's
 /// perspective: `local` is this machine's address/port, `remote` is the
@@ -49,16 +49,6 @@ impl ConnectionKey {
             remote_addr: ip.src_addr,
             local_port: tcp.dst_port,
             remote_port: tcp.src_port,
-        }
-    }
-
-    /// Build the key for an *incoming* UDP datagram.
-    pub fn from_incoming_udp(ip: &Ipv4Repr, udp: &UdpRepr) -> Self {
-        Self {
-            local_addr: ip.dst_addr,
-            remote_addr: ip.src_addr,
-            local_port: udp.dst_port,
-            remote_port: udp.src_port,
         }
     }
 
@@ -196,20 +186,6 @@ mod tests {
             ..TcpRepr::default()
         };
         assert_eq!(ConnectionKey::from_incoming_tcp(&ip, &tcp), key());
-    }
-
-    #[test]
-    fn from_incoming_udp_orients_correctly() {
-        let ip = Ipv4Repr::new(
-            Ipv4Addr::new(10, 0, 9, 9),
-            Ipv4Addr::new(10, 0, 0, 1),
-            IpProtocol::Udp,
-        );
-        let udp = UdpRepr {
-            src_port: 40001,
-            dst_port: 1521,
-        };
-        assert_eq!(ConnectionKey::from_incoming_udp(&ip, &udp), key());
     }
 
     #[test]

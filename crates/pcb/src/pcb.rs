@@ -29,7 +29,7 @@ pub struct RecvSequenceSpace {
     pub irs: SeqNum,
 }
 
-/// A protocol control block: one endpoint of one TCP (or UDP) connection.
+/// A protocol control block: one endpoint of one TCP connection.
 ///
 /// The paper's argument is that PCBs are too many to all sit in cache, so
 /// every connection pays for each byte here in memory traffic: what is

@@ -129,9 +129,9 @@ impl FaultInjector {
     ///
     /// Corruption flips exactly one bit, chosen within the span of the
     /// frame that some checksum covers (see [`checksum_covered_span`]).
-    /// Flipping a byte of an Ethernet header — which no IPv4 or TCP/UDP
+    /// Flipping a trailing byte past the IPv4 total length — which no
     /// checksum protects — would model a fault the receiver legitimately
-    /// cannot detect, and made "corruption never reaches the demux"
+    /// cannot detect, and would make "corruption never reaches the demux"
     /// assertions hold only by seed luck.
     pub fn transmit(&mut self, frame: &[u8]) -> FaultOutcome {
         if self.rng.unit() < self.drop_chance {
@@ -221,34 +221,20 @@ impl FaultInjector {
 }
 
 /// The byte range of `frame` that is covered by the IPv4 header checksum
-/// or a TCP/UDP (pseudo-header) checksum — i.e. the bytes where a single
-/// bit flip is guaranteed detectable by the receiver.
+/// or its transport checksum — i.e. the bytes where a single bit flip is
+/// guaranteed detectable by a receiver that checks both.
 ///
-/// Recognized shapes:
-/// - Ethernet II carrying IPv4 (ethertype 0x0800): the IPv4 packet,
-///   `14 .. 14 + total_length`. The Ethernet header itself and any
-///   trailing pad bytes are covered by no checksum.
-/// - A bare IPv4 packet: `0 .. total_length`.
-/// - Anything else (garbage the parser will reject regardless): the
-///   whole frame.
+/// For an IPv4 packet that is `0 .. total_length`: trailing bytes past the
+/// total length are covered by no checksum. Anything else (garbage the
+/// parser will reject regardless) is covered as a whole.
 pub fn checksum_covered_span(frame: &[u8]) -> core::ops::Range<usize> {
-    const ETH_HEADER_LEN: usize = 14;
     const IPV4_MIN_LEN: usize = 20;
-    let ipv4_span = |at: usize| -> Option<core::ops::Range<usize>> {
-        if frame.len() < at + IPV4_MIN_LEN || frame[at] >> 4 != 4 {
-            return None;
+    if frame.len() >= IPV4_MIN_LEN && frame[0] >> 4 == 4 {
+        let total = usize::from(u16::from_be_bytes([frame[2], frame[3]]));
+        let end = total.min(frame.len());
+        if end > 0 {
+            return 0..end;
         }
-        let total = u16::from_be_bytes([frame[at + 2], frame[at + 3]]) as usize;
-        let end = (at + total).min(frame.len());
-        (end > at).then_some(at..end)
-    };
-    if frame.len() >= ETH_HEADER_LEN && frame[12..14] == [0x08, 0x00] {
-        if let Some(span) = ipv4_span(ETH_HEADER_LEN) {
-            return span;
-        }
-    }
-    if let Some(span) = ipv4_span(0) {
-        return span;
     }
     0..frame.len()
 }
@@ -307,11 +293,9 @@ mod tests {
         assert!((corrupt_rate - 0.1875).abs() < 0.02, "{corrupt_rate}");
     }
 
-    fn eth_tcp_frame_with_padding() -> (Vec<u8>, core::ops::Range<usize>) {
+    fn tcp_packet_with_trailing_bytes() -> (Vec<u8>, core::ops::Range<usize>) {
         use std::net::Ipv4Addr;
-        use tcpdemux_wire::{
-            build_tcp_frame, ethernet, EthernetAddress, IpProtocol, Ipv4Repr, TcpRepr,
-        };
+        use tcpdemux_wire::{build_tcp_frame, IpProtocol, Ipv4Repr, TcpRepr};
 
         let ip = Ipv4Repr::new(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -323,40 +307,33 @@ mod tests {
             dst_port: 40000,
             ..TcpRepr::default()
         };
-        let packet = build_tcp_frame(&ip, &tcp, b"x");
-        let ip_len = packet.len();
-        let mut frame = Vec::new();
-        ethernet::encapsulate_ipv4_into(
-            EthernetAddress::from_ipv4(ip.src_addr),
-            EthernetAddress::from_ipv4(ip.dst_addr),
-            &packet,
-            &mut frame,
-        );
-        // The 41-byte IPv4 packet forces Ethernet pad bytes; both the
-        // 14-byte header and the pad sit outside every checksum.
-        assert!(frame.len() > ethernet::HEADER_LEN + ip_len);
-        (frame, ethernet::HEADER_LEN..ethernet::HEADER_LEN + ip_len)
+        let mut frame = build_tcp_frame(&ip, &tcp, b"x");
+        let ip_len = frame.len();
+        // Link-layer padding to a 46-byte minimum payload: the pad sits
+        // past the IPv4 total length, outside every checksum.
+        frame.resize(46, 0);
+        (frame, 0..ip_len)
     }
 
     #[test]
     fn covered_span_recognizes_frame_shapes() {
-        let (frame, want) = eth_tcp_frame_with_padding();
+        let (frame, want) = tcp_packet_with_trailing_bytes();
         assert_eq!(checksum_covered_span(&frame), want);
-        // A bare IPv4 packet is covered end to end.
-        let packet = &frame[14..want.end];
+        // Without the trailing bytes the packet is covered end to end.
+        let packet = &frame[..want.end];
         assert_eq!(checksum_covered_span(packet), 0..packet.len());
-        // Garbage that parses as neither falls back to the whole frame.
+        // Garbage that does not parse falls back to the whole frame.
         assert_eq!(checksum_covered_span(&[0u8; 10]), 0..10);
         assert_eq!(checksum_covered_span(&[0xffu8; 64]), 0..64);
     }
 
     #[test]
     fn corruption_only_lands_in_checksum_covered_bytes() {
-        // Regression: a flip in the Ethernet MAC/ethertype bytes or the
-        // trailing pad is invisible to every checksum, so "corruption is
-        // always caught" held only by seed luck. Sweep many seeds and
-        // assert every flip offset stays inside the covered span.
-        let (frame, covered) = eth_tcp_frame_with_padding();
+        // Regression: a flip in the trailing pad is invisible to every
+        // checksum, so "corruption is always caught" would hold only by
+        // seed luck. Sweep many seeds and assert every flip offset stays
+        // inside the covered span.
+        let (frame, covered) = tcp_packet_with_trailing_bytes();
         for seed in 1..=512u64 {
             let mut link = FaultInjector::new(0.0, 1.0, seed);
             match link.transmit(&frame) {

@@ -97,7 +97,6 @@
 #![forbid(unsafe_code)]
 
 mod fault;
-pub mod neighbor;
 mod replies;
 mod runtime;
 pub mod shard;
@@ -108,7 +107,6 @@ pub mod timer;
 mod txpool;
 
 pub use fault::{checksum_covered_span, FaultInjector, FaultOutcome};
-pub use neighbor::NeighborCache;
 pub use replies::Replies;
 pub use runtime::{RingFull, ShardedStack};
 pub use shard::{steering_key, PlacementStats, ShardId, SteerTable};

@@ -10,7 +10,7 @@ use core::ops::Index;
 /// most one congestion-control retransmission (fast retransmit or a
 /// NewReno partial-ACK head — one `CcAction` per ACK) and at most one
 /// acknowledgement of its own
-/// (ACK, SYN-ACK, RST or ICMP reply). Reads like the `Vec<Vec<u8>>` it
+/// (ACK, SYN-ACK or RST). Reads like the `Vec<Vec<u8>>` it
 /// replaced: `len`, indexing, and by-value or by-reference iteration
 /// yielding the frames in emission order.
 #[derive(Debug, Clone, Default)]

@@ -51,8 +51,9 @@ impl core::fmt::Display for ShardId {
 
 /// Recover the steering four-tuple from a raw IPv4 frame, oriented from
 /// the receiving host's perspective (local = destination). Returns `None`
-/// for frames too short or malformed to carry TCP/UDP ports — those
-/// cannot belong to any flow and may be handled by any shard.
+/// for frames too short or malformed to carry TCP ports, and for every
+/// other protocol — those cannot belong to any flow and may be handled by
+/// any shard.
 pub fn steering_key(frame: &[u8]) -> Option<ConnectionKey> {
     if frame.len() < 20 || frame[0] >> 4 != 4 {
         return None;
@@ -61,9 +62,9 @@ pub fn steering_key(frame: &[u8]) -> Option<ConnectionKey> {
     if header_len < 20 || frame.len() < header_len + 4 {
         return None;
     }
-    // TCP is 6, UDP is 17; both carry src/dst ports in their first four
-    // bytes, which is all steering reads.
-    if frame[9] != 6 && frame[9] != 17 {
+    // TCP is 6; its src/dst ports are its first four bytes, which is all
+    // steering reads.
+    if frame[9] != 6 {
         return None;
     }
     let addr =
@@ -238,9 +239,11 @@ mod tests {
         let mut not_v4 = vec![0x65u8; 24];
         not_v4[9] = 6;
         assert_eq!(steering_key(&not_v4), None);
-        let mut icmp = vec![0x45u8; 24];
-        icmp[9] = 1;
-        assert_eq!(steering_key(&icmp), None);
+        for protocol in [1, 17] {
+            let mut other = vec![0x45u8; 24];
+            other[9] = protocol;
+            assert_eq!(steering_key(&other), None, "protocol {protocol}");
+        }
         let mut truncated = vec![0x45u8; 22]; // header claims 20, ports cut off
         truncated[9] = 6;
         assert_eq!(steering_key(&truncated), None);

@@ -17,8 +17,8 @@ use tcpdemux_pcb::{
 };
 use tcpdemux_telemetry::{CloseCause, Event, HistogramId, Telemetry};
 use tcpdemux_wire::{
-    build_tcp_frame_into, build_udp_frame_into, IpProtocol, Ipv4Packet, Ipv4Repr, Payload,
-    TcpFlags, TcpRepr, TcpSegment, UdpDatagram, UdpRepr, WireError,
+    build_tcp_frame_into, IpProtocol, Ipv4Packet, Ipv4Repr, Payload, TcpFlags, TcpRepr, TcpSegment,
+    WireError,
 };
 
 /// Microseconds per stack timer tick (the stack's tick is 1 ms; the RTT
@@ -67,12 +67,6 @@ pub enum RxOutcome {
         /// Bytes delivered.
         bytes: usize,
     },
-    /// A UDP datagram was delivered to an unconnected bound socket (no
-    /// PCB involved — the wildcard path).
-    DeliveredUnconnected {
-        /// Bytes delivered.
-        bytes: usize,
-    },
     /// A pure acknowledgement was processed.
     AckProcessed {
         /// The connection.
@@ -115,20 +109,8 @@ pub enum RxOutcome {
     },
     /// The frame was addressed to some other host.
     NotForUs,
-    /// The frame carried a protocol this stack does not implement.
+    /// The frame carried a protocol other than TCP.
     UnhandledProtocol,
-    /// A UDP datagram arrived for a port with no socket; an ICMP
-    /// port-unreachable is in `replies` (RFC 1122).
-    UdpUnreachable,
-    /// An ICMP echo request was answered; the reply is in `replies`.
-    EchoReplied,
-    /// Another ICMP message was received and counted.
-    IcmpProcessed,
-    /// An ARP request for our address was answered; the reply is in
-    /// `replies`.
-    ArpReplied,
-    /// An ARP message was processed (mapping learned, no reply owed).
-    ArpProcessed,
     /// A SYN arrived for a listener whose backlog is full; it was
     /// dropped silently (the client will retransmit).
     SynDropped,
@@ -661,8 +643,8 @@ impl core::fmt::Display for ConnectionInfo {
     }
 }
 
-/// One row of [`Stack::listener_table`]: a TCP listener (with backlog
-/// occupancy) or a bound unconnected UDP port.
+/// One row of [`Stack::listener_table`]: a TCP listener with its backlog
+/// occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ListenerInfo {
     /// The shard this listener row was observed on. A
@@ -671,47 +653,33 @@ pub struct ListenerInfo {
     pub shard: ShardId,
     /// The bound local port.
     pub port: u16,
-    /// [`IpProtocol::Tcp`] for listeners, [`IpProtocol::Udp`] for bound
-    /// datagram ports.
-    pub protocol: IpProtocol,
-    /// Maximum embryonic + unaccepted connections (TCP only; 0 for UDP).
+    /// Maximum embryonic + unaccepted connections.
     pub backlog: usize,
-    /// Current embryonic + unaccepted connections (TCP only).
+    /// Current embryonic + unaccepted connections.
     pub pending: usize,
 }
 
 impl core::fmt::Display for ListenerInfo {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self.protocol {
-            IpProtocol::Udp => write!(
+        if self.backlog == usize::MAX {
+            write!(
                 f,
-                "udp  {:<4} {:<28} {:<24} BOUND",
+                "tcp  {:<4} {:<28} {:<24} LISTEN (backlog {}/unbounded)",
                 self.shard.to_string(),
                 format!("*:{}", self.port),
-                "*:*"
-            ),
-            _ => {
-                if self.backlog == usize::MAX {
-                    write!(
-                        f,
-                        "tcp  {:<4} {:<28} {:<24} LISTEN (backlog {}/unbounded)",
-                        self.shard.to_string(),
-                        format!("*:{}", self.port),
-                        "*:*",
-                        self.pending,
-                    )
-                } else {
-                    write!(
-                        f,
-                        "tcp  {:<4} {:<28} {:<24} LISTEN (backlog {}/{})",
-                        self.shard.to_string(),
-                        format!("*:{}", self.port),
-                        "*:*",
-                        self.pending,
-                        self.backlog,
-                    )
-                }
-            }
+                "*:*",
+                self.pending,
+            )
+        } else {
+            write!(
+                f,
+                "tcp  {:<4} {:<28} {:<24} LISTEN (backlog {}/{})",
+                self.shard.to_string(),
+                format!("*:{}", self.port),
+                "*:*",
+                self.pending,
+                self.backlog,
+            )
         }
     }
 }
@@ -887,7 +855,6 @@ pub struct Stack {
     conns: Arena<Conn>,
     demux: Table,
     listeners: Vec<Listener>,
-    udp_listeners: Vec<ListenKey>,
     /// Sockets that outlived their connection: the stack aborted it
     /// (retransmission budget spent) and the application has not yet
     /// reaped the error via [`Stack::release_socket`]. Off every frame's
@@ -917,7 +884,6 @@ pub struct Stack {
     /// Membership is [`Conn::tx_pending`]; an entry left behind by a
     /// reclaimed connection no longer resolves and is skipped.
     tx_pending: VecDeque<PcbId>,
-    neighbors: crate::neighbor::NeighborCache,
     now_ticks: u64,
     /// Structured telemetry: every demux lookup, connection lifecycle
     /// change, and retransmission records here. Owned like everything
@@ -1026,7 +992,6 @@ impl Stack {
             conns: Arena::new(),
             demux,
             listeners: Vec::new(),
-            udp_listeners: Vec::new(),
             orphans: HashMap::new(),
             stats: StackStats::default(),
             tx_pool: TxPool::default(),
@@ -1036,7 +1001,6 @@ impl Stack {
             expired: Vec::new(),
             idle_halves: Vec::new(),
             tx_pending: VecDeque::new(),
-            neighbors: crate::neighbor::NeighborCache::with_defaults(),
             now_ticks: 0,
             telemetry: Telemetry::new(),
         }
@@ -1067,9 +1031,8 @@ impl Stack {
     }
 
     /// Advance the stack's clock to `tick`: fire TIME-WAIT expirations,
-    /// fire retransmission timeouts (returning the frames to re-emit, or
-    /// aborting connections whose retry budget is spent), and sweep stale
-    /// neighbor-cache entries.
+    /// and fire retransmission timeouts (returning the frames to re-emit,
+    /// or aborting connections whose retry budget is spent).
     ///
     /// # Panics
     ///
@@ -1083,7 +1046,6 @@ impl Stack {
             self.now_ticks
         );
         self.now_ticks = tick;
-        self.neighbors.expire(tick);
         let mut expired = std::mem::take(&mut self.expired);
         self.timers.advance_into(tick, &mut expired);
         let mut advance = TimeAdvance::default();
@@ -1178,27 +1140,17 @@ impl Stack {
     }
 
     /// Structured per-listener rows: every TCP listener with its backlog
-    /// occupancy, then every bound (unconnected) UDP port.
+    /// occupancy.
     pub fn listener_table(&self) -> Vec<ListenerInfo> {
-        let mut out: Vec<ListenerInfo> = self
-            .listeners
+        self.listeners
             .iter()
             .map(|l| ListenerInfo {
                 shard: self.config.shard,
                 port: l.key.local_port,
-                protocol: IpProtocol::Tcp,
                 backlog: l.backlog,
                 pending: l.pending(),
             })
-            .collect();
-        out.extend(self.udp_listeners.iter().map(|l| ListenerInfo {
-            shard: self.config.shard,
-            port: l.local_port,
-            protocol: IpProtocol::Udp,
-            backlog: 0,
-            pending: 0,
-        }));
-        out
+            .collect()
     }
 
     /// Park a TIME-WAIT connection: reclaim now (timer-free model) or
@@ -1226,12 +1178,6 @@ impl Stack {
         self.config.local_addr
     }
 
-    /// This host's MAC address (derived deterministically from the IPv4
-    /// address; the in-memory fabric has no ARP).
-    pub fn mac(&self) -> tcpdemux_wire::EthernetAddress {
-        tcpdemux_wire::EthernetAddress::from_ipv4(self.config.local_addr)
-    }
-
     /// The result of a frame that touched no connection and drew no reply.
     fn unanswered(outcome: RxOutcome) -> RxResult {
         RxResult {
@@ -1239,81 +1185,6 @@ impl Stack {
             replies: Replies::default(),
             pcbs_examined: 0,
         }
-    }
-
-    /// Process one received *Ethernet* frame: link-layer filtering, then
-    /// the normal IPv4 receive path on the payload.
-    pub fn receive_ethernet(&mut self, frame: &[u8]) -> Result<RxResult, WireError> {
-        use tcpdemux_wire::{EtherType, EthernetFrame, EthernetRepr};
-        let eth = EthernetFrame::new_checked(frame).map_err(|e| {
-            self.stats.frames_in += 1;
-            self.stats.ip_errors += 1;
-            e
-        })?;
-        let repr = EthernetRepr::parse(&eth)?;
-        if repr.dst_addr != self.mac() && !repr.dst_addr.is_broadcast() {
-            self.stats.frames_in += 1;
-            self.stats.not_for_us += 1;
-            return Ok(Self::unanswered(RxOutcome::NotForUs));
-        }
-        match repr.ethertype {
-            EtherType::Ipv4 => self.receive(eth.payload()),
-            EtherType::Arp => self.receive_arp(eth.payload()),
-            EtherType::Unknown(_) => {
-                self.stats.frames_in += 1;
-                self.stats.bad_protocol += 1;
-                Ok(Self::unanswered(RxOutcome::UnhandledProtocol))
-            }
-        }
-    }
-
-    fn receive_arp(&mut self, packet: &[u8]) -> Result<RxResult, WireError> {
-        use tcpdemux_wire::{ArpOperation, ArpRepr};
-        self.stats.frames_in += 1;
-        let arp = ArpRepr::parse(packet).map_err(|e| {
-            self.stats.ip_errors += 1;
-            e
-        })?;
-        // Learn the sender's mapping from either message kind.
-        self.neighbors
-            .learn(arp.src_ip, arp.src_mac, self.now_ticks);
-        if arp.operation == ArpOperation::Request && arp.dst_ip == self.config.local_addr {
-            let reply = arp.reply_to(self.mac());
-            let bytes = reply.emit();
-            let mut out = self.tx_pool.take();
-            tcpdemux_wire::EthernetRepr {
-                src_addr: self.mac(),
-                dst_addr: arp.src_mac,
-                ethertype: tcpdemux_wire::EtherType::Arp,
-            }
-            .encapsulate_into(&bytes, &mut out);
-            self.stats.frames_out += 1;
-            return Ok(RxResult {
-                outcome: RxOutcome::ArpReplied,
-                replies: out.into(),
-                pcbs_examined: 0,
-            });
-        }
-        Ok(Self::unanswered(RxOutcome::ArpProcessed))
-    }
-
-    /// The MAC this stack would use to reach `dst_addr`: the learned ARP
-    /// mapping if one is live, else the deterministic derived MAC (the
-    /// in-memory fabric's substitute for a real broadcast resolution).
-    pub fn resolve(&mut self, dst_addr: Ipv4Addr) -> tcpdemux_wire::EthernetAddress {
-        self.neighbors
-            .lookup(dst_addr, self.now_ticks)
-            .unwrap_or_else(|| tcpdemux_wire::EthernetAddress::from_ipv4(dst_addr))
-    }
-
-    /// Wrap an IPv4 packet produced by this stack in an Ethernet frame
-    /// addressed to `dst_addr` (via the neighbor cache, falling back to
-    /// the derived MAC).
-    pub fn encapsulate(&mut self, ip_packet: &[u8], dst_addr: Ipv4Addr) -> Vec<u8> {
-        let dst_mac = self.resolve(dst_addr);
-        let mut buf = self.tx_pool.take();
-        tcpdemux_wire::ethernet::encapsulate_ipv4_into(self.mac(), dst_mac, ip_packet, &mut buf);
-        buf
     }
 
     /// Everything observable about the stack right now, owned: the
@@ -1336,7 +1207,7 @@ impl Stack {
         self.demux.stats().lookups
     }
 
-    /// Number of live connections (TCP in any state plus connected UDP).
+    /// Number of live connections, in any TCP state.
     pub fn connection_count(&self) -> usize {
         self.conns.len()
     }
@@ -1433,16 +1304,6 @@ impl Stack {
         Some(id)
     }
 
-    /// Open a UDP socket bound to `port` (unconnected; receives anything
-    /// addressed to the port).
-    pub fn udp_bind(&mut self, port: u16) -> Result<(), StackError> {
-        if self.udp_listeners.iter().any(|l| l.local_port == port) {
-            return Err(StackError::PortInUse(port));
-        }
-        self.udp_listeners.push(ListenKey::any(port));
-        Ok(())
-    }
-
     /// Enter a new connection into the arena and the demultiplexer.
     fn open(&mut self, pcb: Pcb) -> PcbId {
         let key = pcb.key();
@@ -1450,19 +1311,6 @@ impl Stack {
         self.demux.insert(key, id, &self.conns);
         self.telemetry.event(Event::ConnOpen);
         id
-    }
-
-    /// Open a *connected* UDP socket: a full four-tuple entered into the
-    /// demultiplexer, exactly as Partridge & Pink's "faster UDP" assumes.
-    pub fn udp_open(
-        &mut self,
-        local_port: u16,
-        remote_addr: Ipv4Addr,
-        remote_port: u16,
-    ) -> Result<PcbId, StackError> {
-        let key = ConnectionKey::new(self.config.local_addr, local_port, remote_addr, remote_port);
-        self.refuse_live_key(key)?;
-        Ok(self.open(Pcb::new_in_state(key, TcpState::Established)))
     }
 
     /// Refuse a caller-chosen four-tuple that a live connection holds.
@@ -1483,14 +1331,13 @@ impl Stack {
     }
 
     /// Whether a local port is currently held by anything that demuxes:
-    /// a TCP or UDP listener, or any live connection's local endpoint.
+    /// a listener, or any live connection's local endpoint.
     /// The ephemeral allocators (here and in the sharded runtime's
     /// [`SteerTable`](crate::shard::SteerTable)) consult this before
     /// minting a port, so a recycled port can never coin a
     /// [`ConnectionKey`] that collides with a live flow or listener.
     pub fn ephemeral_port_in_use(&self, port: u16) -> bool {
         self.listeners.iter().any(|l| l.key.local_port == port)
-            || self.udp_listeners.iter().any(|l| l.local_port == port)
             || self
                 .conns
                 .iter()
@@ -1661,23 +1508,6 @@ impl Stack {
         scratch.frames.len()
     }
 
-    /// Send a UDP datagram on a connected UDP socket.
-    pub fn udp_send(&mut self, pcb: PcbId, payload: &[u8]) -> Result<Vec<u8>, StackError> {
-        let key = self
-            .connection_key(pcb)
-            .ok_or(StackError::NoSuchConnection)?;
-        let ip = Ipv4Repr::new(key.local_addr, key.remote_addr, IpProtocol::Udp);
-        let udp = UdpRepr {
-            src_port: key.local_port,
-            dst_port: key.remote_port,
-        };
-        self.stats.frames_out += 1;
-        self.demux.note_send(&key);
-        let mut buf = self.tx_pool.take();
-        build_udp_frame_into(&ip, &udp, payload, &mut buf);
-        Ok(buf)
-    }
-
     /// Close our direction of a connection. Returns the FIN frame.
     ///
     /// Fails with [`StackError::InvalidState`] while enqueued data is
@@ -1816,124 +1646,11 @@ impl Stack {
         }
         match ip.protocol {
             IpProtocol::Tcp => self.receive_tcp(&ip, packet.payload()),
-            IpProtocol::Udp => {
-                let header_len = packet.header_len();
-                self.receive_udp(&ip, packet.payload(), frame, header_len)
-            }
-            IpProtocol::Icmp => self.receive_icmp(&ip, packet.payload()),
-            IpProtocol::Unknown(_) => {
+            _ => {
                 self.stats.bad_protocol += 1;
                 Ok(Self::unanswered(RxOutcome::UnhandledProtocol))
             }
         }
-    }
-
-    /// Wrap raw ICMP bytes in an IPv4 packet addressed to `dst`.
-    fn emit_icmp(&mut self, dst: Ipv4Addr, icmp_bytes: &[u8]) -> Vec<u8> {
-        let ip = Ipv4Repr {
-            payload_len: icmp_bytes.len(),
-            ..Ipv4Repr::new(self.config.local_addr, dst, IpProtocol::Icmp)
-        };
-        let mut buf = self.tx_pool.take();
-        buf.clear();
-        buf.reserve(ip.total_len());
-        buf.resize(tcpdemux_wire::ipv4::HEADER_LEN, 0);
-        buf.extend_from_slice(icmp_bytes);
-        let mut packet = Ipv4Packet::new_unchecked(&mut buf[..]);
-        ip.emit(&mut packet).expect("sized buffer");
-        self.stats.frames_out += 1;
-        buf
-    }
-
-    fn receive_icmp(&mut self, ip: &Ipv4Repr, message: &[u8]) -> Result<RxResult, WireError> {
-        use tcpdemux_wire::IcmpRepr;
-        let icmp = IcmpRepr::parse(message).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        self.stats.icmp_in += 1;
-        match icmp {
-            IcmpRepr::EchoRequest {
-                ident,
-                seq,
-                payload,
-            } => {
-                // Be pingable: echo the payload straight back.
-                let reply = IcmpRepr::EchoReply {
-                    ident,
-                    seq,
-                    payload,
-                }
-                .emit();
-                let frame = self.emit_icmp(ip.src_addr, &reply);
-                self.stats.icmp_echo_replies += 1;
-                Ok(RxResult {
-                    outcome: RxOutcome::EchoReplied,
-                    replies: frame.into(),
-                    pcbs_examined: 0,
-                })
-            }
-            // Replies to our pings, unreachables, and exotica are counted
-            // and surfaced; this harness initiates no pings of its own.
-            _ => Ok(Self::unanswered(RxOutcome::IcmpProcessed)),
-        }
-    }
-
-    fn receive_udp(
-        &mut self,
-        ip: &Ipv4Repr,
-        datagram: &[u8],
-        full_packet: &[u8],
-        ip_header_len: usize,
-    ) -> Result<RxResult, WireError> {
-        let datagram = UdpDatagram::new_checked(datagram).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        let udp = UdpRepr::parse(&datagram, ip.src_addr, ip.dst_addr).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        let payload = datagram.payload();
-        let key = ConnectionKey::from_incoming_udp(ip, &udp);
-        let lookup = self.demux.lookup(&key, PacketKind::Data, &self.conns);
-        self.stats.pcbs_examined += u64::from(lookup.examined);
-        self.telemetry
-            .demux_lookup(lookup.examined, lookup.pcb.is_some(), lookup.cache_hit);
-        let unanswered = |outcome| RxResult {
-            pcbs_examined: lookup.examined,
-            ..Self::unanswered(outcome)
-        };
-
-        if let Some(id) = lookup.pcb {
-            self.stats.demux_hits += 1;
-            self.stats.bytes_delivered += payload.len() as u64;
-            let conn = self.conns.get_mut(id).expect("demux returned a live id");
-            conn.socket.deliver(payload, &mut self.rx_blocks);
-            return Ok(unanswered(RxOutcome::Delivered {
-                pcb: id,
-                bytes: payload.len(),
-            }));
-        }
-        // Unconnected bound sockets: delivery without a PCB entry.
-        if self.udp_listeners.iter().any(|l| l.matches(&key)) {
-            self.stats.listener_hits += 1;
-            self.stats.bytes_delivered += payload.len() as u64;
-            return Ok(unanswered(RxOutcome::DeliveredUnconnected {
-                bytes: payload.len(),
-            }));
-        }
-        // RFC 1122: a datagram for a dead port provokes ICMP
-        // port-unreachable quoting the offender.
-        self.stats.resets_sent += 1;
-        let unreachable =
-            tcpdemux_wire::IcmpRepr::port_unreachable(full_packet, ip_header_len).emit();
-        let frame = self.emit_icmp(key.remote_addr, &unreachable);
-        Ok(RxResult {
-            outcome: RxOutcome::UdpUnreachable,
-            replies: frame.into(),
-            pcbs_examined: lookup.examined,
-        })
     }
 
     fn receive_tcp(&mut self, ip: &Ipv4Repr, segment: &[u8]) -> Result<RxResult, WireError> {
@@ -3053,18 +2770,6 @@ mod tests {
     }
 
     #[test]
-    fn connected_udp_demuxes_and_delivers() {
-        let (mut server, mut client) = pair();
-        let server_sock = server.udp_open(53, CLIENT, 5353).unwrap();
-        let client_sock = client.udp_open(5353, SERVER, 53).unwrap();
-        let frame = client.udp_send(client_sock, b"query").unwrap();
-        let r = server.receive(&frame).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::Delivered { bytes: 5, .. }));
-        assert!(r.pcbs_examined >= 1);
-        assert_eq!(server.socket_mut(server_sock).unwrap().read_all(), b"query");
-    }
-
-    #[test]
     fn a_live_four_tuple_cannot_be_opened_twice() {
         let (mut server, mut client) = pair();
         server.listen(80).unwrap();
@@ -3072,10 +2777,6 @@ mod tests {
         let key = ConnectionKey::new(CLIENT, 5000, SERVER, 80);
         assert_eq!(
             client.connect_from(5000, SERVER, 80).unwrap_err(),
-            StackError::ConnectionExists(key)
-        );
-        assert_eq!(
-            client.udp_open(5000, SERVER, 80).unwrap_err(),
             StackError::ConnectionExists(key)
         );
         assert_eq!(client.connection_count(), 1);
@@ -3094,35 +2795,10 @@ mod tests {
     }
 
     #[test]
-    fn unconnected_udp_uses_wildcard_path() {
-        let (mut server, mut client) = pair();
-        server.udp_bind(514).unwrap();
-        let sock = client.udp_open(40_000, SERVER, 514).unwrap();
-        let frame = client.udp_send(sock, b"log line").unwrap();
-        let r = server.receive(&frame).unwrap();
-        assert!(matches!(
-            r.outcome,
-            RxOutcome::DeliveredUnconnected { bytes: 8 }
-        ));
-        assert_eq!(server.stats().stack.listener_hits, 1);
-    }
-
-    #[test]
-    fn udp_to_unbound_port_is_unreachable() {
-        let (mut server, mut client) = pair();
-        let sock = client.udp_open(40_000, SERVER, 9).unwrap();
-        let frame = client.udp_send(sock, b"discard").unwrap();
-        let r = server.receive(&frame).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::UdpUnreachable));
-    }
-
-    #[test]
     fn listen_twice_fails() {
         let (mut server, _client) = pair();
         server.listen(80).unwrap();
         assert_eq!(server.listen(80), Err(StackError::PortInUse(80)));
-        server.udp_bind(80).unwrap(); // UDP namespace is separate
-        assert_eq!(server.udp_bind(80), Err(StackError::PortInUse(80)));
     }
 
     #[test]
@@ -3288,283 +2964,6 @@ mod tests {
         assert_eq!(client.connection_count(), 0);
     }
 
-    #[test]
-    fn ethernet_receive_path() {
-        let (mut server, mut client) = pair();
-        server.listen(80).unwrap();
-        let (_cp, syn) = client.connect(SERVER, 80).unwrap();
-
-        // Properly addressed frame: full handshake step works.
-        let framed = client.encapsulate(&syn, SERVER);
-        assert!(framed.len() >= 60, "minimum frame size honored");
-        let r = server.receive_ethernet(&framed).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::NewConnection { .. }));
-
-        // Frame for someone else's MAC: ignored at the link layer.
-        let mut wrong = framed.clone();
-        wrong[5] ^= 0x01; // dst MAC last byte
-        let r = server.receive_ethernet(&wrong).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::NotForUs));
-
-        // Broadcast is accepted.
-        let mut bcast = framed.clone();
-        bcast[..6].copy_from_slice(&[0xff; 6]);
-        let r = server.receive_ethernet(&bcast).unwrap();
-        // (Duplicate SYN: the connection exists now.)
-        assert!(matches!(r.outcome, RxOutcome::Duplicate { .. }));
-
-        // IPv4 bytes relabeled as ARP fail ARP validation.
-        let mut arp = framed.clone();
-        arp[12] = 0x08;
-        arp[13] = 0x06;
-        assert!(server.receive_ethernet(&arp).is_err());
-
-        // A genuinely unknown EtherType is counted and dropped.
-        let mut ipx = framed.clone();
-        ipx[12] = 0x81;
-        ipx[13] = 0x37;
-        let r = server.receive_ethernet(&ipx).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::UnhandledProtocol));
-        assert_eq!(server.stats().stack.bad_protocol, 1);
-
-        // Runt frame.
-        assert!(server.receive_ethernet(&framed[..10]).is_err());
-    }
-
-    #[test]
-    fn ethernet_padding_does_not_confuse_ipv4() {
-        // A 40-byte pure ACK gets padded to 46 payload bytes; the IPv4
-        // total-length field must bound parsing.
-        let (mut server, mut client) = pair();
-        server.listen(80).unwrap();
-        let (_cp, syn) = client.connect(SERVER, 80).unwrap();
-        let r1 = server.receive(&syn).unwrap();
-        let r2 = client.receive(&r1.replies[0]).unwrap();
-        // The handshake-completing ACK is a 40-byte pure ACK frame.
-        let frame = &r2.replies[0];
-        assert_eq!(frame.len(), 40);
-        let framed = client.encapsulate(frame, SERVER);
-        let r = server.receive_ethernet(&framed).unwrap();
-        assert!(
-            matches!(r.outcome, RxOutcome::Established { .. }),
-            "{:?}",
-            r.outcome
-        );
-    }
-
-    #[test]
-    fn stack_answers_pings() {
-        use tcpdemux_wire::IcmpRepr;
-        let (mut server, mut client) = pair();
-        // Client pings the server.
-        let ping = IcmpRepr::EchoRequest {
-            ident: 0xbeef,
-            seq: 1,
-            payload: b"are you there?",
-        }
-        .emit();
-        let frame = client.emit_icmp(SERVER, &ping);
-        let r = server.receive(&frame).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::EchoReplied));
-        assert_eq!(server.stats().stack.icmp_in, 1);
-        assert_eq!(server.stats().stack.icmp_echo_replies, 1);
-
-        // The reply makes it back with the payload intact.
-        let r = client.receive(&r.replies[0]).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::IcmpProcessed));
-        let reply_packet = Ipv4Packet::new_checked(&frame[..]).unwrap();
-        let _ = reply_packet;
-    }
-
-    #[test]
-    fn ping_payload_is_echoed_exactly() {
-        use tcpdemux_wire::IcmpRepr;
-        let (mut server, mut client) = pair();
-        let payload = b"0123456789abcdef";
-        let ping = IcmpRepr::EchoRequest {
-            ident: 7,
-            seq: 42,
-            payload,
-        }
-        .emit();
-        let frame = client.emit_icmp(SERVER, &ping);
-        let r = server.receive(&frame).unwrap();
-        let reply = Ipv4Packet::new_checked(&r.replies[0][..]).unwrap();
-        match IcmpRepr::parse(reply.payload()).unwrap() {
-            IcmpRepr::EchoReply {
-                ident,
-                seq,
-                payload: echoed,
-            } => {
-                assert_eq!(ident, 7);
-                assert_eq!(seq, 42);
-                assert_eq!(echoed, payload);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    /// `emit_icmp` appends the message instead of zero-filling the frame
-    /// first, so a recycled buffer's old contents must not show through.
-    #[test]
-    fn icmp_into_a_recycled_buffer_carries_no_stale_bytes() {
-        use tcpdemux_wire::IcmpRepr;
-        let (_, mut client) = pair();
-        let ping = IcmpRepr::EchoRequest {
-            ident: 7,
-            seq: 42,
-            payload: &[0x5a; 301],
-        }
-        .emit();
-        let fresh = client.emit_icmp(SERVER, &ping);
-        assert!(Ipv4Repr::parse(&Ipv4Packet::new_checked(&fresh[..]).unwrap()).is_ok());
-        assert_eq!(fresh[tcpdemux_wire::ipv4::HEADER_LEN..], ping[..]);
-        for stale_len in [0, 20, 321, 1500] {
-            client.recycle(vec![0xAA; stale_len]);
-            assert_eq!(
-                client.emit_icmp(SERVER, &ping),
-                fresh,
-                "{stale_len} stale bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn udp_unreachable_sends_icmp_quote() {
-        use tcpdemux_wire::IcmpRepr;
-        let (mut server, mut client) = pair();
-        let sock = client.udp_open(40_000, SERVER, 9).unwrap();
-        let datagram = client.udp_send(sock, b"discard-me").unwrap();
-        let r = server.receive(&datagram).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::UdpUnreachable));
-        assert_eq!(r.replies.len(), 1, "port-unreachable must be emitted");
-
-        // The ICMP message quotes the offending packet's header + 8 bytes.
-        let icmp_packet = Ipv4Packet::new_checked(&r.replies[0][..]).unwrap();
-        assert_eq!(icmp_packet.protocol(), IpProtocol::Icmp);
-        match IcmpRepr::parse(icmp_packet.payload()).unwrap() {
-            IcmpRepr::DestinationUnreachable { code, original } => {
-                assert_eq!(code, tcpdemux_wire::icmp::CODE_PORT_UNREACHABLE);
-                assert_eq!(original.len(), 28);
-                assert_eq!(original[..20], datagram[..20], "quotes the IP header");
-            }
-            other => panic!("{other:?}"),
-        }
-        // The client recognizes the unreachable as ICMP traffic.
-        let r = client.receive(&r.replies[0]).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::IcmpProcessed));
-    }
-
-    #[test]
-    fn corrupt_icmp_rejected() {
-        use tcpdemux_wire::IcmpRepr;
-        let (mut server, mut client) = pair();
-        let ping = IcmpRepr::EchoRequest {
-            ident: 1,
-            seq: 1,
-            payload: b"x",
-        }
-        .emit();
-        let mut frame = client.emit_icmp(SERVER, &ping);
-        let last = frame.len() - 1;
-        frame[last] ^= 0x10;
-        assert_eq!(server.receive(&frame).unwrap_err(), WireError::BadChecksum);
-        assert_eq!(server.stats().stack.icmp_in, 0);
-    }
-
-    #[test]
-    fn arp_request_gets_answered_and_learned() {
-        use tcpdemux_wire::{ArpRepr, EtherType, EthernetFrame, EthernetRepr};
-        let (mut server, client) = pair();
-
-        // The client broadcasts who-has for the server's address.
-        let request = ArpRepr::request(client.mac(), CLIENT, SERVER);
-        let bytes = request.emit();
-        let mut framed = vec![0u8; 14 + bytes.len().max(46)];
-        {
-            let mut eth = EthernetFrame::new_unchecked(&mut framed[..]);
-            EthernetRepr {
-                src_addr: client.mac(),
-                dst_addr: tcpdemux_wire::EthernetAddress::BROADCAST,
-                ethertype: EtherType::Arp,
-            }
-            .emit(&mut eth)
-            .unwrap();
-            eth.payload_mut()[..bytes.len()].copy_from_slice(&bytes);
-        }
-
-        let r = server.receive_ethernet(&framed).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::ArpReplied));
-        assert_eq!(r.replies.len(), 1);
-
-        // The reply is a valid is-at for the server, unicast to the client.
-        let reply_frame = EthernetFrame::new_checked(&r.replies[0][..]).unwrap();
-        assert_eq!(reply_frame.ethertype(), EtherType::Arp);
-        assert_eq!(reply_frame.dst_addr(), client.mac());
-        let reply = ArpRepr::parse(&reply_frame.payload()[..28]).unwrap();
-        assert_eq!(reply.src_ip, SERVER);
-        assert_eq!(reply.src_mac, server.mac());
-        assert_eq!(reply.dst_ip, CLIENT);
-
-        // The server learned the requester's mapping as a side effect.
-        assert_eq!(server.resolve(CLIENT), client.mac());
-    }
-
-    #[test]
-    fn arp_for_someone_else_learns_but_does_not_reply() {
-        use tcpdemux_wire::{ArpRepr, EtherType, EthernetFrame, EthernetRepr};
-        let (mut server, client) = pair();
-        let other = Ipv4Addr::new(10, 0, 0, 250);
-        let request = ArpRepr::request(client.mac(), CLIENT, other);
-        let bytes = request.emit();
-        let mut framed = vec![0u8; 14 + 46];
-        {
-            let mut eth = EthernetFrame::new_unchecked(&mut framed[..]);
-            EthernetRepr {
-                src_addr: client.mac(),
-                dst_addr: tcpdemux_wire::EthernetAddress::BROADCAST,
-                ethertype: EtherType::Arp,
-            }
-            .emit(&mut eth)
-            .unwrap();
-            eth.payload_mut()[..bytes.len()].copy_from_slice(&bytes);
-        }
-        let r = server.receive_ethernet(&framed).unwrap();
-        assert!(matches!(r.outcome, RxOutcome::ArpProcessed));
-        assert!(r.replies.is_empty());
-        assert_eq!(server.resolve(CLIENT), client.mac(), "still learned");
-    }
-
-    #[test]
-    fn neighbor_entries_expire_with_time() {
-        use tcpdemux_wire::{ArpRepr, EtherType, EthernetFrame, EthernetRepr};
-        let (mut server, client) = pair();
-        let request = ArpRepr::request(client.mac(), CLIENT, SERVER);
-        let bytes = request.emit();
-        let mut framed = vec![0u8; 14 + 46];
-        {
-            let mut eth = EthernetFrame::new_unchecked(&mut framed[..]);
-            EthernetRepr {
-                src_addr: client.mac(),
-                dst_addr: tcpdemux_wire::EthernetAddress::BROADCAST,
-                ethertype: EtherType::Arp,
-            }
-            .emit(&mut eth)
-            .unwrap();
-            eth.payload_mut()[..bytes.len()].copy_from_slice(&bytes);
-        }
-        server.receive_ethernet(&framed).unwrap();
-        assert_eq!(server.resolve(CLIENT), client.mac());
-        // Past the one-minute lifetime the mapping falls back to the
-        // derived MAC (same value here — check via the cache directly).
-        server.advance_time(crate::neighbor::DEFAULT_LIFETIME + 1);
-        assert_eq!(
-            server.resolve(CLIENT),
-            tcpdemux_wire::EthernetAddress::from_ipv4(CLIENT),
-            "expired: falls back to derived MAC"
-        );
-    }
-
     /// Embryonic plus unaccepted connections on the one listener, as
     /// [`Stack::listener_table`] reports them.
     fn pending(server: &Stack) -> usize {
@@ -3715,26 +3114,21 @@ mod tests {
         server
             .listen(ListenConfig::port(1521).with_backlog(8))
             .unwrap();
-        server.udp_bind(514).unwrap();
         let (_cp, syn) = client.connect(SERVER, 1521).unwrap();
         server.receive(&syn).unwrap();
 
         let listeners = server.listener_table();
-        assert_eq!(listeners.len(), 2);
-        let tcp = listeners
-            .iter()
-            .find(|l| l.protocol == IpProtocol::Tcp)
-            .unwrap();
+        assert_eq!(listeners.len(), 1);
+        let tcp = listeners[0];
         assert_eq!((tcp.port, tcp.backlog, tcp.pending), (1521, 8, 1));
-        assert!(tcp.to_string().contains("LISTEN (backlog 1/8)"));
-        let udp = listeners
-            .iter()
-            .find(|l| l.protocol == IpProtocol::Udp)
-            .unwrap();
-        assert_eq!(udp.port, 514);
-        assert_eq!(udp.shard, ShardId::default());
-        assert!(udp.to_string().contains("udp  sh0"), "{udp}");
-        assert!(udp.to_string().contains("*:514"), "{udp}");
+        assert_eq!(tcp.shard, ShardId::default());
+        assert_eq!(
+            tcp.to_string(),
+            format!(
+                "tcp  {:<4} {:<28} {:<24} LISTEN (backlog 1/8)",
+                "sh0", "*:1521", "*:*"
+            )
+        );
 
         let conns = server.connection_table();
         assert_eq!(conns.len(), 1);

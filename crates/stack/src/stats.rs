@@ -14,7 +14,7 @@ pub struct StackStats {
     pub ip_errors: u64,
     /// Frames rejected because the destination address is not ours.
     pub not_for_us: u64,
-    /// Frames carrying a protocol the stack does not handle.
+    /// Frames carrying a protocol other than TCP.
     pub bad_protocol: u64,
     /// Segments rejected by TCP validation (length/checksum/options).
     pub tcp_errors: u64,
@@ -37,10 +37,6 @@ pub struct StackStats {
     pub frames_out: u64,
     /// Total PCBs examined by demultiplexing (the paper's cost metric).
     pub pcbs_examined: u64,
-    /// ICMP messages received and parsed.
-    pub icmp_in: u64,
-    /// ICMP echo replies sent (pings answered).
-    pub icmp_echo_replies: u64,
     /// SYNs dropped because the listener's backlog was full.
     pub syn_drops: u64,
     /// Segments retransmitted after an RTO expiry.
@@ -74,8 +70,6 @@ impl StackStats {
             bytes_delivered,
             frames_out,
             pcbs_examined,
-            icmp_in,
-            icmp_echo_replies,
             syn_drops,
             retransmits,
             rtt_samples,
@@ -94,8 +88,6 @@ impl StackStats {
         self.bytes_delivered += bytes_delivered;
         self.frames_out += frames_out;
         self.pcbs_examined += pcbs_examined;
-        self.icmp_in += icmp_in;
-        self.icmp_echo_replies += icmp_echo_replies;
         self.syn_drops += syn_drops;
         self.retransmits += retransmits;
         self.rtt_samples += rtt_samples;

@@ -1,7 +1,7 @@
 //! A free-list of transmit buffers, making steady-state TX allocation-free.
 //!
 //! Every frame the stack emits ([`Stack::send`](crate::Stack::send), ACKs,
-//! SYN-ACKs, RSTs, ICMP replies…) is an owned `Vec<u8>` handed to the
+//! SYN-ACKs, RSTs…) is an owned `Vec<u8>` handed to the
 //! caller. Without pooling, each one is a fresh heap allocation — per
 //! packet, exactly the cost the paper's environment (a kernel with its own
 //! mbuf/STREAMS buffer pools) never pays. [`TxPool`] closes that gap: the

@@ -12,7 +12,6 @@
 
 use crate::ipv4::{self, IpProtocol, Ipv4Packet, Ipv4Repr};
 use crate::tcp::{TcpRepr, TcpSegment};
-use crate::udp::{self, UdpDatagram, UdpRepr};
 
 /// Build a complete IPv4+TCP frame from representations and a payload.
 ///
@@ -22,13 +21,6 @@ use crate::udp::{self, UdpDatagram, UdpRepr};
 pub fn build_tcp_frame(ip: &Ipv4Repr, tcp: &TcpRepr, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     build_tcp_frame_into(ip, tcp, payload, &mut out);
-    out
-}
-
-/// Build a complete IPv4+UDP frame from representations and a payload.
-pub fn build_udp_frame(ip: &Ipv4Repr, udp_repr: &UdpRepr, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_udp_frame_into(ip, udp_repr, payload, &mut out);
     out
 }
 
@@ -105,26 +97,6 @@ pub fn build_tcp_frame_into(
         .expect("IPv4 emit into sized buffer cannot fail");
 }
 
-/// Assemble an IPv4+UDP frame into `out`, replacing its contents.
-pub fn build_udp_frame_into(ip: &Ipv4Repr, udp_repr: &UdpRepr, payload: &[u8], out: &mut Vec<u8>) {
-    let udp_len = udp::HEADER_LEN + payload.len();
-    start_frame(ipv4::HEADER_LEN + udp::HEADER_LEN, &payload, out);
-    {
-        let mut datagram = UdpDatagram::new_unchecked(&mut out[ipv4::HEADER_LEN..]);
-        udp_repr
-            .emit(&mut datagram, ip.src_addr, ip.dst_addr, payload.len())
-            .expect("UDP emit into sized buffer cannot fail");
-    }
-    let ip = Ipv4Repr {
-        payload_len: udp_len,
-        protocol: IpProtocol::Udp,
-        ..*ip
-    };
-    let mut packet = Ipv4Packet::new_unchecked(&mut out[..]);
-    ip.emit(&mut packet)
-        .expect("IPv4 emit into sized buffer cannot fail");
-}
-
 /// A reusable frame assembly buffer.
 ///
 /// Reusing one `FrameBuilder` across packets avoids per-packet allocation —
@@ -143,12 +115,6 @@ impl FrameBuilder {
     /// Assemble an IPv4+TCP frame in the internal buffer and return it.
     pub fn tcp(&mut self, ip: &Ipv4Repr, tcp: &TcpRepr, payload: &[u8]) -> &[u8] {
         build_tcp_frame_into(ip, tcp, payload, &mut self.buffer);
-        &self.buffer
-    }
-
-    /// Assemble an IPv4+UDP frame in the internal buffer and return it.
-    pub fn udp(&mut self, ip: &Ipv4Repr, udp_repr: &UdpRepr, payload: &[u8]) -> &[u8] {
-        build_udp_frame_into(ip, udp_repr, payload, &mut self.buffer);
         &self.buffer
     }
 }
@@ -190,23 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn udp_frame_parses_end_to_end() {
-        let udp_repr = UdpRepr {
-            src_port: 5353,
-            dst_port: 53,
-        };
-        let frame = build_udp_frame(&ip_repr(), &udp_repr, b"dns");
-
-        let packet = Ipv4Packet::new_checked(&frame[..]).unwrap();
-        let ip = Ipv4Repr::parse(&packet).unwrap();
-        assert_eq!(ip.protocol, IpProtocol::Udp);
-        let datagram = UdpDatagram::new_checked(packet.payload()).unwrap();
-        let parsed = UdpRepr::parse(&datagram, ip.src_addr, ip.dst_addr).unwrap();
-        assert_eq!(parsed, udp_repr);
-        assert_eq!(datagram.payload(), b"dns");
-    }
-
-    #[test]
     fn builder_reuse_produces_identical_frames() {
         let tcp = TcpRepr {
             src_port: 100,
@@ -215,15 +164,14 @@ mod tests {
         };
         let mut builder = FrameBuilder::new();
         let first = builder.tcp(&ip_repr(), &tcp, b"abc").to_vec();
-        // Interleave a different frame to dirty the buffer.
-        let _ = builder.udp(
-            &ip_repr(),
-            &UdpRepr {
-                src_port: 1,
-                dst_port: 2,
-            },
-            b"zzzzzzzzzzzz",
-        );
+        // Interleave a longer frame to dirty the buffer.
+        let other = TcpRepr {
+            src_port: 1,
+            dst_port: 2,
+            mss: Some(536),
+            ..TcpRepr::default()
+        };
+        let _ = builder.tcp(&ip_repr(), &other, b"zzzzzzzzzzzz");
         let second = builder.tcp(&ip_repr(), &tcp, b"abc").to_vec();
         assert_eq!(first, second);
     }
@@ -241,25 +189,14 @@ mod tests {
         let mut out = vec![0xAA; 512];
         build_tcp_frame_into(&ip_repr(), &tcp, &b"payload"[..], &mut out);
         assert_eq!(out, build_tcp_frame(&ip_repr(), &tcp, b"payload"));
-
-        let udp_repr = UdpRepr {
-            src_port: 9,
-            dst_port: 10,
-        };
-        build_udp_frame_into(&ip_repr(), &udp_repr, b"x", &mut out);
-        assert_eq!(out, build_udp_frame(&ip_repr(), &udp_repr, b"x"));
     }
 
     /// The builder this one replaced, pass for pass: zero-fill the whole
     /// frame, copy the payload in, store `transport_header` (checksum field
-    /// zero), sum pseudo-header + segment with the 16-bit reference loop,
-    /// then the IPv4 header through the field setters and the same loop.
-    fn three_pass(
-        ip: &Ipv4Repr,
-        transport_header: &[u8],
-        checksum_at: usize,
-        payload: &[u8],
-    ) -> Vec<u8> {
+    /// zero), sum pseudo-header + segment with the 16-bit reference loop
+    /// into the TCP checksum field, then the IPv4 header through the field
+    /// setters and the same loop.
+    fn three_pass(ip: &Ipv4Repr, transport_header: &[u8], payload: &[u8]) -> Vec<u8> {
         let transport_len = transport_header.len() + payload.len();
         let mut out = vec![0u8; ipv4::HEADER_LEN + transport_len];
         out[ipv4::HEADER_LEN + transport_header.len()..].copy_from_slice(payload);
@@ -271,11 +208,8 @@ mod tests {
         summed.extend_from_slice(&[0, ip.protocol.into()]);
         summed.extend_from_slice(&(transport_len as u16).to_be_bytes());
         summed.extend_from_slice(&out[ipv4::HEADER_LEN..]);
-        let sum = match (reference(&summed), ip.protocol) {
-            (0, IpProtocol::Udp) => 0xffff, // RFC 768: zero means "none"
-            (sum, _) => sum,
-        };
-        out[ipv4::HEADER_LEN + checksum_at..][..2].copy_from_slice(&sum.to_be_bytes());
+        let sum = reference(&summed);
+        out[ipv4::HEADER_LEN + 16..][..2].copy_from_slice(&sum.to_be_bytes());
 
         let mut packet = Ipv4Packet::new_unchecked(&mut out[..]);
         packet.set_version_and_header_len(ipv4::HEADER_LEN);
@@ -349,7 +283,7 @@ mod tests {
                     ttl: rng.u8(),
                     ..Ipv4Repr::new(rng.u32().into(), rng.u32().into(), IpProtocol::Tcp)
                 };
-                let want = three_pass(&ip, &tcp_header_by_setters(&tcp), 16, &payload[..len]);
+                let want = three_pass(&ip, &tcp_header_by_setters(&tcp), &payload[..len]);
                 assert_eq!(
                     build_tcp_frame(&ip, &tcp, &payload[..len]),
                     want,
@@ -386,38 +320,6 @@ mod tests {
                 build_tcp_frame_into(&ip_repr(), &tcp, [a, b], &mut recycled);
                 assert_eq!(recycled, want, "{len} B split at {split}");
             }
-        }
-    }
-
-    #[test]
-    fn udp_frames_are_byte_identical_to_the_three_pass_builder() {
-        let mut rng = tcpdemux_testprop::TestRng::from_seed(1472);
-        let payload = rng.bytes(1472, 1473);
-        let mut recycled = Vec::new();
-        for len in 0..=1472 {
-            let udp_repr = UdpRepr {
-                src_port: rng.u16(),
-                dst_port: rng.u16_in(1, u16::MAX),
-            };
-            let ip = Ipv4Repr {
-                payload_len: udp::HEADER_LEN + len,
-                ttl: rng.u8(),
-                ..Ipv4Repr::new(rng.u32().into(), rng.u32().into(), IpProtocol::Udp)
-            };
-            let mut header = [0u8; udp::HEADER_LEN];
-            header[0..2].copy_from_slice(&udp_repr.src_port.to_be_bytes());
-            header[2..4].copy_from_slice(&udp_repr.dst_port.to_be_bytes());
-            header[4..6].copy_from_slice(&((udp::HEADER_LEN + len) as u16).to_be_bytes());
-            let want = three_pass(&ip, &header, 6, &payload[..len]);
-            assert_eq!(
-                build_udp_frame(&ip, &udp_repr, &payload[..len]),
-                want,
-                "{len} B fresh"
-            );
-            recycled.clear();
-            recycled.resize(rng.usize_in(0, 2048), 0xAA);
-            build_udp_frame_into(&ip, &udp_repr, &payload[..len], &mut recycled);
-            assert_eq!(recycled, want, "{len} B recycled");
         }
     }
 

@@ -18,7 +18,7 @@ pub enum WireError {
     /// The total-length field disagrees with the buffer in an unrecoverable
     /// way (smaller than the header, or larger than the buffer).
     BadTotalLen,
-    /// A checksum (IPv4 header, TCP, or UDP) failed verification.
+    /// A checksum (IPv4 header or TCP) failed verification.
     BadChecksum,
     /// The packet is an IP fragment; reassembly is out of scope for this
     /// stack, so fragments are rejected rather than mis-parsed.

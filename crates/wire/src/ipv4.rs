@@ -496,7 +496,7 @@ mod tests {
         // Buffer longer than total_len: payload must stop at total_len.
         let repr = sample_repr();
         let mut buf = emit_to_vec(&repr);
-        buf.extend_from_slice(&[0xde, 0xad]); // trailing garbage (e.g. Ethernet padding)
+        buf.extend_from_slice(&[0xde, 0xad]); // trailing garbage (e.g. link-layer padding)
         let packet = Ipv4Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(packet.payload().len(), repr.payload_len);
     }

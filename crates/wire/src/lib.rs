@@ -1,7 +1,7 @@
 //! Wire formats for the `tcpdemux` project.
 //!
 //! This crate provides typed, zero-copy views over raw packet bytes for the
-//! protocols the demultiplexing paper operates on: IPv4, TCP, and UDP. It is
+//! protocols the demultiplexing paper operates on: IPv4 and TCP. It is
 //! deliberately in the style of [smoltcp]: a `Packet`/`Segment` wrapper type
 //! borrows a byte buffer and exposes checked field accessors, while a
 //! higher-level `Repr` ("representation") struct holds a parsed, validated
@@ -18,7 +18,7 @@
 //! * Every accessor that could read out of bounds is only reachable after
 //!   [`check_len`](Ipv4Packet::check_len)-style validation, or returns a
 //!   [`WireError`].
-//! * Checksums (RFC 1071 Internet checksum, including the TCP/UDP
+//! * Checksums (RFC 1071 Internet checksum, including the TCP
 //!   pseudo-header) are always verified on parse and generated on emit.
 //!
 //! # Example
@@ -57,30 +57,19 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arp;
 pub mod checksum;
 mod error;
-pub mod ethernet;
-pub mod icmp;
 pub mod ipv4;
 pub mod pcap;
 pub mod pretty;
 pub mod tcp;
-pub mod udp;
 
 mod builder;
 
-pub use arp::{ArpOperation, ArpRepr};
-pub use builder::{
-    build_tcp_frame, build_tcp_frame_into, build_udp_frame, build_udp_frame_into, FrameBuilder,
-    Payload,
-};
+pub use builder::{build_tcp_frame, build_tcp_frame_into, FrameBuilder, Payload};
 pub use error::WireError;
-pub use ethernet::{EtherType, EthernetAddress, EthernetFrame, EthernetRepr};
-pub use icmp::IcmpRepr;
 pub use ipv4::{IpProtocol, Ipv4Packet, Ipv4Repr};
 pub use tcp::{TcpFlags, TcpOption, TcpRepr, TcpSegment};
-pub use udp::{UdpDatagram, UdpRepr};
 
 /// Result alias used throughout the wire crate.
 pub type Result<T> = core::result::Result<T, WireError>;

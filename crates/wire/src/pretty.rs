@@ -11,10 +11,8 @@
 //! Rendering never fails: malformed frames render as a diagnostic
 //! (`malformed: <reason>`), mirroring how tcpdump degrades.
 
-use crate::icmp::IcmpRepr;
 use crate::ipv4::{IpProtocol, Ipv4Packet, Ipv4Repr};
 use crate::tcp::{TcpFlags, TcpRepr, TcpSegment};
-use crate::udp::{UdpDatagram, UdpRepr};
 use core::fmt::Write as _;
 
 /// Render an IPv4 frame as a one-line summary.
@@ -83,30 +81,13 @@ fn try_format(frame: &[u8]) -> crate::Result<String> {
                 let _ = write!(out, ", options [mss {mss}]");
             }
         }
-        IpProtocol::Udp => {
-            let datagram = UdpDatagram::new_checked(packet.payload())?;
-            let udp = UdpRepr::parse(&datagram, ip.src_addr, ip.dst_addr)?;
-            let _ = write!(
-                out,
-                "IP {}.{} > {}.{}: UDP, length {}",
-                ip.src_addr,
-                udp.src_port,
-                ip.dst_addr,
-                udp.dst_port,
-                datagram.payload().len()
-            );
-        }
-        IpProtocol::Icmp => {
-            let icmp = IcmpRepr::parse(packet.payload())?;
-            let _ = write!(out, "IP {} > {}: ICMP {}", ip.src_addr, ip.dst_addr, icmp);
-        }
-        IpProtocol::Unknown(p) => {
+        other => {
             let _ = write!(
                 out,
                 "IP {} > {}: protocol {} length {}",
                 ip.src_addr,
                 ip.dst_addr,
-                p,
+                u8::from(other),
                 packet.payload().len()
             );
         }
@@ -117,7 +98,7 @@ fn try_format(frame: &[u8]) -> crate::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_tcp_frame, build_udp_frame};
+    use crate::build_tcp_frame;
     use std::net::Ipv4Addr;
 
     fn ip() -> Ipv4Repr {
@@ -183,18 +164,23 @@ mod tests {
     }
 
     #[test]
-    fn udp_renders() {
-        let udp = UdpRepr {
-            src_port: 5353,
-            dst_port: 53,
+    fn other_protocols_render_by_number() {
+        let ip = Ipv4Repr {
+            payload_len: 3,
+            ..Ipv4Repr::new(
+                Ipv4Addr::new(10, 0, 9, 9),
+                Ipv4Addr::new(10, 0, 0, 1),
+                IpProtocol::Udp,
+            )
         };
-        let ip = Ipv4Repr::new(
-            Ipv4Addr::new(10, 0, 9, 9),
-            Ipv4Addr::new(10, 0, 0, 1),
-            IpProtocol::Udp,
+        let mut frame = vec![0u8; ip.total_len()];
+        frame[crate::ipv4::HEADER_LEN..].copy_from_slice(b"abc");
+        ip.emit(&mut Ipv4Packet::new_unchecked(&mut frame[..]))
+            .unwrap();
+        assert_eq!(
+            format_packet(&frame),
+            "IP 10.0.9.9 > 10.0.0.1: protocol 17 length 3"
         );
-        let line = format_packet(&build_udp_frame(&ip, &udp, b"abc"));
-        assert_eq!(line, "IP 10.0.9.9.5353 > 10.0.0.1.53: UDP, length 3");
     }
 
     #[test]

@@ -6,15 +6,25 @@ Usage: check_doc_refs.py
 Scans README.md, DESIGN.md and .claude/skills/verify/SKILL.md and fails
 if any of these does not resolve:
 
-* a `--bin`, `--test` or `--bench` argument: a `src/bin/*.rs` or a
-  package's `src/main.rs` (bins), a `tests/*.rs` (tests), a
-  `benches/*.rs` (benches), in any package of the repo;
+* a `--bin`, `--test`, `--bench` or `--example` argument: a
+  `src/bin/*.rs` or a package's `src/main.rs` (bins), a `tests/*.rs`
+  (tests), a `benches/*.rs` (benches), in any package of the repo, or an
+  `examples/*.rs` (examples);
+* a name in the first column of README's example table: an
+  `examples/*.rs`;
 * a "`X` bin" mention: the same bin names;
 * a `BENCH_*.json` name: a snapshot checked in at the repo root;
 * a backticked path with a file extension (`tests/lossless.rs`,
   `stack.rs:1483`, `tests/{a,b}.rs`): some file in the repo whose path
   is that path or ends with it, after a `:line` suffix is dropped and
-  `{a,b}` alternatives are expanded.
+  `{a,b}` alternatives are expanded;
+* a backticked Rust path whose first segment is a workspace crate
+  (`core::sequent`, `crates/stack::timer`, `tcpdemux_wire::Payload`,
+  `stack::Stack::{listen,accept}`): its second segment is a module file
+  `crates/<crate>/src/<module>.rs` or an item the crate defines, and
+  every later segment is a module file under that one or an item, field
+  or variant the crate defines. Generic arguments and call parentheses
+  after the path are ignored.
 
 EXPERIMENTS.md, ROADMAP.md and CHANGES.md are left out on purpose: they
 record what was measured, deleted or planned, so they name bins,
@@ -32,12 +42,27 @@ DOCS = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"]
 SKIP_DIRS = {".git", "target", "out"}
 EXTENSIONS = ("rs", "md", "toml", "json", "jsonl", "txt", "py", "sh", "lock")
 
-CARGO_ARG = re.compile(r"--(bin|test|bench)[ =]+([A-Za-z0-9_\-]+)")
+CARGO_ARG = re.compile(r"--(bin|test|bench|example)[ =]+([A-Za-z0-9_\-]+)")
 BIN_MENTION = re.compile(r"`([A-Za-z0-9_\-]+)` bin\b")
 SNAPSHOT = re.compile(r"\bBENCH_[A-Za-z0-9_]+\.json\b")
 BACKTICKED = re.compile(r"`([^`\s]+)`")
 PATH_LIKE = re.compile(r"^[A-Za-z0-9_./{},*\-]+\.(?:%s)$" % "|".join(EXTENSIONS))
 BRACES = re.compile(r"\{([^{}]*)\}")
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+CRATES = sorted(p.name for p in (REPO_ROOT / "crates").iterdir() if (p / "src").is_dir())
+CRATE_PATH = re.compile(
+    r"^(?:crates/)?(?:tcpdemux_)?(%s)::(%s(?:::(?:%s|\{[^{}`]*\}))*)"
+    % ("|".join(CRATES), IDENT, IDENT)
+)
+BACKTICKED_ANY = re.compile(r"`([^`\n]+)`")
+# What a crate defines: items by keyword, and (loosely) the fields and
+# variants that open a line.
+ITEM_DEF = re.compile(
+    r"\b(?:fn|struct|enum|trait|type|const|static|mod|union)\s+(%s)" % IDENT
+)
+MEMBER_DEF = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?(%s)\s*(?:[:,({]|$)" % IDENT, re.M)
+EXAMPLE_TABLE = re.compile(r"^\|\s*example\s*\|.*\n(?:\|.*\n)*", re.M | re.I)
+EXAMPLE_ROW = re.compile(r"^\|\s*`([A-Za-z0-9_\-]+)`", re.M)
 
 
 def repo_files():
@@ -55,7 +80,7 @@ def repo_files():
 
 
 def target_names(files):
-    bins, tests, benches = set(), set(), set()
+    bins, tests, benches, examples = set(), set(), set(), set()
     for f in files:
         parts = f.split("/")
         stem = parts[-1][: -len(".rs")] if f.endswith(".rs") else None
@@ -72,7 +97,36 @@ def target_names(files):
             tests.add(stem)
         elif len(parts) >= 2 and parts[-2] == "benches":
             benches.add(stem)
-    return {"bin": bins, "test": tests, "bench": benches}
+        elif len(parts) == 2 and parts[0] == "examples":
+            examples.add(stem)
+    return {"bin": bins, "test": tests, "bench": benches, "example": examples}
+
+
+def crate_names():
+    """Per workspace crate: every name its sources define."""
+    names = {}
+    for crate in CRATES:
+        defined = set()
+        for f in (REPO_ROOT / "crates" / crate / "src").rglob("*.rs"):
+            text = f.read_text(encoding="utf-8")
+            defined.update(ITEM_DEF.findall(text))
+            defined.update(MEMBER_DEF.findall(text))
+        names[crate] = defined
+    return names
+
+
+def crate_path_resolves(crate, segments, defined):
+    module = REPO_ROOT / "crates" / crate / "src"
+    for seg in segments:
+        if module is not None and (
+            (module / f"{seg}.rs").is_file() or (module / seg / "mod.rs").is_file()
+        ):
+            module = module / seg
+            continue
+        if seg not in defined:
+            return False
+        module = None
+    return True
 
 
 def expand(token):
@@ -90,11 +144,23 @@ def path_resolves(path, files):
     return any(f == path or f.endswith("/" + path) for f in files)
 
 
-def check(doc, text, files, targets):
+def check(doc, text, files, targets, defined):
     errors = []
     for kind, name in CARGO_ARG.findall(text):
         if name not in targets[kind]:
             errors.append(f"{doc}: --{kind} {name}: no such {kind} target")
+    for table in EXAMPLE_TABLE.findall(text):
+        for name in EXAMPLE_ROW.findall(table):
+            if name not in targets["example"]:
+                errors.append(f"{doc}: example `{name}`: no such examples/{name}.rs")
+    for token in BACKTICKED_ANY.findall(text):
+        m = CRATE_PATH.match(token.replace(" ", ""))
+        if not m:
+            continue
+        crate = m.group(1)
+        for path in expand(m.group(2)):
+            if not crate_path_resolves(crate, path.split("::"), defined[crate]):
+                errors.append(f"{doc}: `{crate}::{path}`: no such module or item in crates/{crate}")
     for name in BIN_MENTION.findall(text):
         if name not in targets["bin"]:
             errors.append(f"{doc}: `{name}` bin: no such bin target")
@@ -114,16 +180,21 @@ def check(doc, text, files, targets):
 def main():
     files = repo_files()
     targets = target_names(files)
+    defined = crate_names()
     errors = []
     for doc in DOCS:
-        errors.extend(check(doc, (REPO_ROOT / doc).read_text(encoding="utf-8"), files, targets))
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        errors.extend(check(doc, text, files, targets, defined))
     # A `BENCH_*.json` in backticks is reported as a snapshot and a path.
     errors = list(dict.fromkeys(errors))
     if errors:
         for e in errors:
             print(f"check_doc_refs: {e}", file=sys.stderr)
         sys.exit(1)
-    print(f"check_doc_refs: {len(DOCS)} docs, every cited bin, test, snapshot and path resolves")
+    print(
+        f"check_doc_refs: {len(DOCS)} docs, every cited bin, test, example, snapshot, "
+        "path and crate path resolves"
+    )
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@
 #      transfer whose link reorders by a bounded displacement,
 #      duplicates and drops, the checksum kernel
 #      against its 16-bit reference on 32 seeds of inputs up to 65,535
-#      bytes, and 32 seeds of malformed TCP/UDP/ICMP frames — cut at every
+#      bytes, and 32 seeds of malformed TCP frames, and of UDP and ICMP
+#      frames on a live TCP connection's four-tuple — cut at every
 #      length, bits flipped inside and outside the checksummed span, lies
 #      in IHL, total length, data offset and option lengths — each ending
-#      as a counted error or a classified outcome); the sharded
+#      as a counted error or a classified outcome, the UDP and ICMP ones
+#      reaching no lookup and no socket); the sharded
 #      runtime (per-flow ordering + zero cross-shard PCB access across
 #      12 seeds of concurrent ingress/drain); every suite tier at high occupancy
 #      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
@@ -62,8 +64,9 @@
 #      measurement-label and config-key sets as the snapshots checked
 #      in at the repo root (values are machine-dependent and are not
 #      compared), including every cell EXPERIMENTS.md reads by name;
-#      and every bin, test, bench, snapshot and file path that README,
-#      DESIGN and the verify skill cite exists (check_doc_refs.py);
+#      and every bin, test, bench, example, snapshot, file path and
+#      `crate::module[::item]` path that README, DESIGN and the verify
+#      skill cite exists (check_doc_refs.py);
 #   8. the end-to-end benchmark crate (benchmark/, its own workspace)
 #      builds against the current crates and passes its smoke test;
 #   9. the three test binaries that install a counting global allocator

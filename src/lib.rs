@@ -11,7 +11,7 @@
 //!
 //! | Module | Contents |
 //! |--------|----------|
-//! | [`wire`] | IPv4/TCP/UDP wire formats, checksums, frame builders |
+//! | [`wire`] | IPv4/TCP wire formats, checksums, frame builders |
 //! | [`pcb`] | Protocol control blocks, TCP state machine, PCB arena |
 //! | [`hash`] | Connection-key hash functions + quality analysis |
 //! | [`demux`] | The lookup algorithms (BSD, MTF, SR-cache, Sequent, …) |
@@ -63,5 +63,5 @@ pub use tcpdemux_sim as sim;
 pub use tcpdemux_stack as stack;
 /// Structured observability: counters, histograms, event tracing.
 pub use tcpdemux_telemetry as telemetry;
-/// Wire formats: IPv4, TCP, UDP.
+/// Wire formats: IPv4 and TCP.
 pub use tcpdemux_wire as wire;

@@ -100,18 +100,17 @@ fn drops_leave_state_recoverable() {
     );
 }
 
-/// Regression for the injector aiming flips at unchecksummed bytes: the
-/// Ethernet header and trailing pad are covered by no checksum, so a
-/// flip there sails through validation and "corruption never reaches
-/// the demux" held only by seed luck. Sweep many fault streams and real
-/// frame shapes; every flip must now land in checksum-covered bytes and
+/// Regression for the injector aiming flips at unchecksummed bytes:
+/// trailing bytes past the IPv4 total length are covered by no checksum,
+/// so a flip there sails through validation and "corruption never reaches
+/// the demux" would hold only by seed luck. Sweep many fault streams and
+/// real frame sizes; every flip must land in checksum-covered bytes and
 /// be rejected. `TCPDEMUX_SEEDS` widens the sweep in CI.
 #[test]
 fn corruption_is_rejected_across_seed_sweep() {
     let seeds = u64::from(sweep_seeds(8));
     let (mut server, mut client, cp) = connected_pair();
-    // Frames of several sizes: tiny ones force Ethernet padding, the
-    // shape that used to let flips escape every checksum.
+    // Frames of several sizes, from a pure header and one byte upward.
     let frames: Vec<Vec<u8>> = [1usize, 2, 5, 64, 400]
         .iter()
         .map(|n| send_now(&mut client, cp, &vec![b'x'; *n]))

@@ -1,27 +1,31 @@
 //! Malformed frames end somewhere, and the stack can say where.
 //!
-//! Valid TCP, UDP and ICMP frames for a stack that has a listener, an
-//! established connection with unread bytes in its socket, a bound UDP
-//! port and a connected UDP socket are damaged in every way a header can
-//! lie, and handed to [`Stack::receive`]:
+//! Valid TCP frames for a stack that has a listener and an established
+//! connection with unread bytes in its socket, and a UDP datagram and an
+//! ICMP message that carry that connection's four-tuple, are damaged in
+//! every way a header can lie, and handed to [`Stack::receive`]:
 //!
 //! * cut short at every length from nothing to one byte less than whole;
 //! * one bit flipped inside [`checksum_covered_span`], checksums left as
-//!   they were — which must be rejected, always;
+//!   they were — which must be rejected, always, inside the IPv4 header
+//!   and anywhere in a TCP frame (the stack reads no other protocol's
+//!   checksum, so past the IPv4 header of one it is only classified);
 //! * bytes added and flipped outside it, past the IPv4 total length —
 //!   which must change nothing about how the frame is taken;
 //! * a lie in the IHL, the total length, the TCP data offset, a TCP
-//!   option's kind or length, or the UDP length, and arbitrary header
-//!   bytes overwritten — with the checksums recomputed over whatever the
-//!   headers now claim (as far as the claim can be followed), so that the
-//!   lie is met by the length and option checks rather than by a checksum.
+//!   option's kind or length, or the sequence number, and arbitrary
+//!   header bytes overwritten — with the checksums recomputed over
+//!   whatever the headers now claim (as far as the claim can be
+//!   followed), so that the lie is met by the length and option checks
+//!   rather than by a checksum.
 //!
 //! Nothing may panic. Every frame ends as `Err(WireError)` or as an
 //! `RxOutcome`; `frames_in` is the number of frames offered, the two error
 //! counters together are the number of `Err`s, and `not_for_us` and
 //! `bad_protocol` are the number of those outcomes. A frame that was
-//! rejected reached no lookup and left every connection and every socket
-//! exactly as it found them.
+//! rejected, was for another host or carried another protocol reached no
+//! lookup and left every connection and every socket exactly as it found
+//! them.
 //!
 //! The seed sweep is driven by `TCPDEMUX_SEEDS` (default 8;
 //! `scripts/verify.sh`'s seed-sweep stage runs a deeper one).
@@ -33,16 +37,13 @@ use tcpdemux::stack::{
 };
 use tcpdemux::wire::checksum::{checksum, transport_checksum};
 use tcpdemux::wire::{
-    build_tcp_frame, build_udp_frame, IcmpRepr, IpProtocol, Ipv4Packet, Ipv4Repr, TcpFlags,
-    TcpRepr, TcpSegment, UdpRepr, WireError,
+    build_tcp_frame, IpProtocol, Ipv4Packet, Ipv4Repr, TcpFlags, TcpRepr, TcpSegment, WireError,
 };
 use tcpdemux_testprop::{sweep_seeds, TestRng};
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 9, 9);
 const TCP_PORT: u16 = 1521;
-const UDP_BOUND: u16 = 53;
-const UDP_CONNECTED: u16 = 5353;
 const PEER_PORT: u16 = 40_000;
 const ISS: u32 = 7_000;
 const IP_HEADER: usize = 20;
@@ -51,7 +52,6 @@ const IP_HEADER: usize = 20;
 struct Fixture {
     server: Stack,
     tcp: PcbId,
-    udp: PcbId,
     /// The next in-order sequence number and what to acknowledge.
     at: (u32, u32),
 }
@@ -84,33 +84,57 @@ fn tcp_frame_between(
     build_tcp_frame(&ip, &tcp, payload)
 }
 
-fn udp_frame(dst_port: u16, payload: &[u8]) -> Vec<u8> {
-    let ip = Ipv4Repr::new(PEER, SERVER, IpProtocol::Udp);
-    let udp = UdpRepr {
-        src_port: PEER_PORT,
-        dst_port,
-    };
-    build_udp_frame(&ip, &udp, payload)
-}
-
-fn icmp_frame(message: &[u8]) -> Vec<u8> {
+/// An IPv4 packet from `PEER` to `SERVER` whose payload is `transport`,
+/// labelled as IP protocol `protocol`.
+fn ipv4_frame(protocol: u8, transport: &[u8]) -> Vec<u8> {
     let ip = Ipv4Repr {
-        payload_len: message.len(),
-        ..Ipv4Repr::new(PEER, SERVER, IpProtocol::Icmp)
+        payload_len: transport.len(),
+        ..Ipv4Repr::new(PEER, SERVER, IpProtocol::from(protocol))
     };
     let mut frame = vec![0; IP_HEADER];
-    frame.extend_from_slice(message);
+    frame.extend_from_slice(transport);
     ip.emit(&mut Ipv4Packet::new_unchecked(&mut frame[..]))
         .unwrap();
     frame
+}
+
+/// A UDP datagram (protocol 17) with a valid checksum, from the TCP
+/// connection's remote port to its local one.
+fn udp_on_the_connection(payload: &[u8]) -> Vec<u8> {
+    let len = (8 + payload.len()) as u16;
+    let mut datagram = Vec::new();
+    for field in [PEER_PORT, TCP_PORT, len, 0] {
+        datagram.extend_from_slice(&field.to_be_bytes());
+    }
+    datagram.extend_from_slice(payload);
+    let sum = transport_checksum(PEER, SERVER, 17, &datagram);
+    datagram[6..8].copy_from_slice(&sum.to_be_bytes());
+    ipv4_frame(17, &datagram)
+}
+
+/// An ICMP port-unreachable (protocol 1) with a valid checksum, quoting
+/// the IPv4 header and first eight bytes of a segment the stack sent on
+/// the TCP connection at `seq`: its four-tuple, as any ICMP error about
+/// the connection carries it.
+fn icmp_on_the_connection(seq: u32) -> Vec<u8> {
+    let ip = Ipv4Repr::new(SERVER, PEER, IpProtocol::Tcp);
+    let tcp = TcpRepr {
+        src_port: TCP_PORT,
+        dst_port: PEER_PORT,
+        seq,
+        ..TcpRepr::default()
+    };
+    let mut message = vec![3, 3, 0, 0, 0, 0, 0, 0];
+    message.extend_from_slice(&build_tcp_frame(&ip, &tcp, b"")[..IP_HEADER + 8]);
+    let sum = checksum(&message);
+    message[2..4].copy_from_slice(&sum.to_be_bytes());
+    ipv4_frame(1, &message)
 }
 
 impl Fixture {
     fn new() -> Self {
         let mut server = Stack::with_config(StackConfig::new(SERVER));
         server.listen(TCP_PORT).unwrap();
-        server.udp_bind(UDP_BOUND).unwrap();
-        let udp = server.udp_open(UDP_CONNECTED, PEER, PEER_PORT).unwrap();
         let opened = server
             .receive(&tcp_frame((ISS, 0), PEER_PORT, TcpFlags::SYN, b""))
             .unwrap();
@@ -129,16 +153,11 @@ impl Fixture {
         let unread = tcp_frame(at, PEER_PORT, TcpFlags::ACK, b"unread");
         server.receive(&unread).unwrap();
         at.0 += 6;
-        Self {
-            server,
-            tcp,
-            udp,
-            at,
-        }
+        Self { server, tcp, at }
     }
 
-    /// Valid frames of every kind the stack takes, for where the
-    /// connection stands now.
+    /// Valid frames of every kind the stack takes, and two of protocols it
+    /// does not, for where the connection stands now.
     fn templates(&self) -> Vec<Vec<u8>> {
         let psh = TcpFlags::ACK | TcpFlags::PSH;
         let data = tcp_frame(self.at, PEER_PORT, psh, &[0x5a; 48]);
@@ -151,34 +170,25 @@ impl Fixture {
         let total = optioned.len() as u16;
         optioned[2..4].copy_from_slice(&total.to_be_bytes());
         reseal(&mut optioned);
-        let ping = IcmpRepr::EchoRequest {
-            ident: 0xbeef,
-            seq: 1,
-            payload: b"are you there?",
-        };
         vec![
             data,
             optioned,
             // A SYN from a port with no connection: MSS option, listener.
             tcp_frame((ISS, 0), PEER_PORT + 1, TcpFlags::SYN, b""),
-            udp_frame(UDP_BOUND, b"to the bound port"),
-            udp_frame(UDP_CONNECTED, b"to the connected socket"),
-            icmp_frame(&ping.emit()),
+            udp_on_the_connection(b"to the connection's four-tuple"),
+            icmp_on_the_connection(self.at.1),
         ]
     }
 
     /// Everything a rejected frame must leave alone.
-    fn state(&self) -> (Vec<ConnectionInfo>, Vec<usize>, u64) {
-        let sockets = [self.tcp, self.udp]
-            .iter()
-            .map(|&pcb| self.server.socket(pcb).map_or(0, |s| s.available()))
-            .collect();
+    fn state(&self) -> (Vec<ConnectionInfo>, usize, u64) {
+        let unread = self.server.socket(self.tcp).map_or(0, |s| s.available());
         let lookups = self.server.stats().demux.lookups;
-        (self.server.connection_table(), sockets, lookups)
+        (self.server.connection_table(), unread, lookups)
     }
 }
 
-/// Recompute the IPv4 header checksum and the TCP/UDP/ICMP checksum over
+/// Recompute the IPv4 header checksum, and a TCP segment's checksum, over
 /// what the header fields now claim, wherever the claim stays inside the
 /// frame.
 fn reseal(frame: &mut [u8]) {
@@ -193,28 +203,18 @@ fn reseal(frame: &mut [u8]) {
     let sum = checksum(&frame[..ihl]);
     frame[10..12].copy_from_slice(&sum.to_be_bytes());
     let total = usize::from(u16::from_be_bytes([frame[2], frame[3]]));
-    if total < ihl || total > frame.len() {
+    if total < ihl || total > frame.len() || frame[9] != 6 {
         return;
     }
     let addr = |at: usize| Ipv4Addr::new(frame[at], frame[at + 1], frame[at + 2], frame[at + 3]);
-    let (src, dst, protocol) = (addr(12), addr(16), frame[9]);
-    let field = match protocol {
-        6 => 16,
-        17 => 6,
-        1 => 2,
-        _ => return,
-    };
-    let transport = &mut frame[ihl..total];
-    if transport.len() < field + 2 {
+    let (src, dst) = (addr(12), addr(16));
+    let segment = &mut frame[ihl..total];
+    if segment.len() < 18 {
         return;
     }
-    transport[field..field + 2].fill(0);
-    let sum = if protocol == 1 {
-        checksum(transport)
-    } else {
-        transport_checksum(src, dst, protocol, transport)
-    };
-    transport[field..field + 2].copy_from_slice(&sum.to_be_bytes());
+    segment[16..18].fill(0);
+    let sum = transport_checksum(src, dst, 6, segment);
+    segment[16..18].copy_from_slice(&sum.to_be_bytes());
 }
 
 /// How one damaged frame must be taken.
@@ -235,7 +235,13 @@ fn damage(rng: &mut TestRng, frame: &mut Vec<u8>) -> Expect {
             let span = checksum_covered_span(frame);
             let at = rng.usize_in(span.start, span.end);
             frame[at] ^= 1 << rng.u32_below(8);
-            return Expect::Rejected;
+            // Past the IPv4 header of another protocol, no code reads the
+            // checksum the flip broke.
+            return if at < ihl || frame[9] == 6 {
+                Expect::Rejected
+            } else {
+                Expect::Classified
+            };
         }
         1 => {
             // Link-layer padding: not the packet's, not anyone's to check.
@@ -257,15 +263,16 @@ fn damage(rng: &mut TestRng, frame: &mut Vec<u8>) -> Expect {
             frame[ihl + 12] = nibble(frame[ihl + 12], rng.u8_in(0, 16));
             Expect::Classified
         }
-        // An option's kind and length (the UDP and ICMP templates have
-        // payload there, which is as good).
+        // An option's kind and length (the other protocols' templates
+        // have payload there, which is as good).
         5 if frame.len() > ihl + 22 => {
             let at = ihl + rng.usize_in(20, 23.min(frame.len() - ihl - 1));
             frame[at] = *rng.choose(&[0, 1, 2, 3, 8, 254]);
             frame[at + 1] = *rng.choose(&[0, 1, 2, 3, 4, 11, 40, 255]);
             Expect::Classified
         }
-        // The UDP length, or the TCP sequence number's low half.
+        // The TCP sequence number's high half, or the same bytes of
+        // another protocol (a UDP length).
         6 if frame.len() > ihl + 6 => {
             let len = rng.usize_in(0, frame.len() + 20) as u16;
             frame[ihl + 4..ihl + 6].copy_from_slice(&len.to_be_bytes());
@@ -315,7 +322,11 @@ fn offer(
         }
         Ok(result) => {
             assert_ne!(expect, Expect::Rejected, "{tag}: {:?}", result.outcome);
-            match result.outcome {
+            let outcome = result.outcome;
+            if matches!(outcome, RxOutcome::NotForUs | RxOutcome::UnhandledProtocol) {
+                assert_eq!(before, fixture.state(), "{tag}: {outcome:?} changed state");
+            }
+            match outcome {
                 RxOutcome::NotForUs => tally.not_for_us += 1,
                 RxOutcome::UnhandledProtocol => tally.unhandled += 1,
                 // In-order data moves the stream on.
@@ -377,6 +388,33 @@ fn malformed_frames_are_rejected_or_classified_across_seeds() {
         );
         check_counters(fixture, &mut tally, setup, seed);
     }
+}
+
+/// A UDP datagram and an ICMP message that carry an established
+/// connection's four-tuple are another protocol's frames: neither reaches
+/// the table nor writes into the connection's socket, where an
+/// application would read its bytes as stream data.
+#[test]
+fn a_datagram_on_a_live_four_tuple_never_reaches_the_tcp_socket() {
+    let mut fixture = Fixture::new();
+    let icmp = icmp_on_the_connection(fixture.at.1);
+    for (name, frame) in [("udp", udp_on_the_connection(b"INJECTED")), ("icmp", icmp)] {
+        let before = fixture.server.stats();
+        let unread = fixture.state();
+        let result = fixture.server.receive(&frame).unwrap();
+        assert_eq!(result.outcome, RxOutcome::UnhandledProtocol, "{name}");
+        assert!(result.replies.is_empty(), "{name}");
+        let after = fixture.server.stats();
+        assert_eq!(
+            after.stack.bad_protocol,
+            before.stack.bad_protocol + 1,
+            "{name}"
+        );
+        assert_eq!(after.demux.lookups, before.demux.lookups, "{name}");
+        assert_eq!(fixture.state(), unread, "{name}");
+    }
+    let socket = fixture.server.socket_mut(fixture.tcp).unwrap();
+    assert_eq!(socket.read_all(), b"unread");
 }
 
 /// Hold the stack's counters to the tally, and start both afresh.
