@@ -87,6 +87,17 @@ struct Slot<T> {
     value: Option<T>,
 }
 
+// A slot is its value and one word: the generation fills the word an
+// 8-aligned value leaves, and a value with a spare bit pattern (as the
+// stack's 120 B connection has) keeps `Option`'s tag there too, so that
+// connection's slot is 128 B, two cache lines.
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    type Value = (core::num::NonZeroU64, [u64; 14]);
+    assert!(core::mem::size_of::<Slot<Value>>() == core::mem::size_of::<Value>() + 8);
+    assert!(core::mem::size_of::<Slot<Value>>() == 128);
+};
+
 /// Arena of per-connection values with O(1) insert, remove, and handle
 /// resolution.
 #[derive(Debug)]

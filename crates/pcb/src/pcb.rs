@@ -14,8 +14,6 @@ pub struct SendSequenceSpace {
     pub nxt: SeqNum,
     /// SND.WND — send window granted by the peer.
     pub wnd: u16,
-    /// ISS — initial send sequence number.
-    pub iss: SeqNum,
 }
 
 /// Receive-side sequence bookkeeping (RFC 793 "receive sequence space").
@@ -25,8 +23,6 @@ pub struct RecvSequenceSpace {
     pub nxt: SeqNum,
     /// RCV.WND — window we advertise.
     pub wnd: u16,
-    /// IRS — initial receive sequence number.
-    pub irs: SeqNum,
 }
 
 /// A protocol control block: one endpoint of one TCP connection.
@@ -34,7 +30,8 @@ pub struct RecvSequenceSpace {
 /// The paper's argument is that PCBs are too many to all sit in cache, so
 /// every connection pays for each byte here in memory traffic: what is
 /// left is what the state machine, the window checks, the retransmission
-/// timer and congestion control read — a cache line and a half.
+/// timer and congestion control read — 80 bytes, a cache line and a
+/// quarter. Neither initial sequence number is among them.
 #[derive(Debug, Clone)]
 pub struct Pcb {
     key: ConnectionKey,
@@ -52,8 +49,9 @@ pub struct Pcb {
     pub rtt: crate::RttEstimator,
     /// Consecutive retransmission-timer expiries without an intervening
     /// ACK; exponent for [`RttEstimator::backed_off`](crate::RttEstimator::backed_off).
-    /// Reset to zero whenever the peer acknowledges new data.
-    pub rto_attempts: u32,
+    /// Reset to zero whenever the peer acknowledges new data. Never above
+    /// the stack's retry budget, whose range it shares.
+    pub rto_attempts: u8,
     /// Congestion-control variables (cwnd, ssthresh, dup-ACK count),
     /// updated by the stack on each ACK-clock event.
     pub cong: crate::CongestionState,
@@ -120,22 +118,23 @@ impl Pcb {
         Ok(next)
     }
 
-    /// Initialize the send space for an active or passive open.
+    /// Initialize the send space for an active or passive open. The ISS
+    /// is not kept: SND.UNA holds it until the SYN is acknowledged, which
+    /// is as long as anything reads it.
     pub fn init_send(&mut self, iss: SeqNum, window: u16) {
         self.snd = SendSequenceSpace {
             una: iss,
             nxt: iss + 1, // the SYN occupies one sequence number
             wnd: window,
-            iss,
         };
     }
 
-    /// Initialize the receive space upon seeing the peer's SYN.
+    /// Initialize the receive space upon seeing the peer's SYN, whose
+    /// sequence number (the IRS) is not kept past RCV.NXT.
     pub fn init_recv(&mut self, irs: SeqNum, window: u16) {
         self.rcv = RecvSequenceSpace {
             nxt: irs + 1,
             wnd: window,
-            irs,
         };
     }
 
@@ -143,7 +142,7 @@ impl Pcb {
     /// the estimator's RTO backed off exponentially by the consecutive
     /// expiries recorded in [`rto_attempts`](Self::rto_attempts).
     pub fn current_rto(&self) -> u64 {
-        self.rtt.backed_off(self.rto_attempts)
+        self.rtt.backed_off(u32::from(self.rto_attempts))
     }
 
     /// Whether an arriving segment with this sequence number and length is
@@ -228,12 +227,10 @@ mod tests {
     fn init_send_recv_spaces() {
         let mut pcb = Pcb::new(key());
         pcb.init_send(SeqNum(1000), 8192);
-        assert_eq!(pcb.snd.iss, SeqNum(1000));
-        assert_eq!(pcb.snd.una, SeqNum(1000));
+        assert_eq!(pcb.snd.una, SeqNum(1000), "SND.UNA holds the ISS");
         assert_eq!(pcb.snd.nxt, SeqNum(1001));
         pcb.init_recv(SeqNum(5000), 4096);
-        assert_eq!(pcb.rcv.irs, SeqNum(5000));
-        assert_eq!(pcb.rcv.nxt, SeqNum(5001));
+        assert_eq!(pcb.rcv.nxt, SeqNum(5000) + 1, "one past the IRS");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct BulkTransferConfig {
     /// Give-up horizon: the run fails if the clock passes this tick.
     pub max_ticks: u64,
     /// Per-connection retransmission budget.
-    pub max_retries: u32,
+    pub max_retries: u8,
     /// Window/congestion knobs applied to both stacks.
     pub window: WindowConfig,
 }

@@ -43,7 +43,7 @@ pub struct LossyLinkConfig {
     pub max_ticks: u64,
     /// Per-connection retransmission budget (see
     /// [`StackConfig::max_retries`]).
-    pub max_retries: u32,
+    pub max_retries: u8,
 }
 
 impl Default for LossyLinkConfig {

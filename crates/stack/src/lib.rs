@@ -62,8 +62,9 @@
 //! at most two frames inline, and a sender half whose last byte was
 //! acknowledged is parked for the next connection with something to
 //! send rather than freed. Receive storage is lent the same way: a
-//! [`SocketBuffer`] holds a block only while it holds bytes or a hole,
-//! takes it from a per-stack pool when its first segment arrives, and
+//! [`SocketBuffer`] holds a box (its bytes and reassembly record) only
+//! while it holds bytes or a hole, takes it from a per-stack pool when
+//! its first segment arrives, and
 //! gives it back — at the stack's next entry point after the read — once
 //! the application has read it dry, so a connection at rest costs its
 //! slot and nothing else. `tests/steady_state_allocs.rs` counts

@@ -1,4 +1,15 @@
 //! Per-connection socket receive buffers.
+//!
+//! A [`SocketBuffer`] lives inline in its connection's arena slot, so
+//! every connection the stack has ever held pays for its inline bytes.
+//! It keeps them to two words: a pointer to the storage it has on loan
+//! and, beside it, its read index and two flags. The storage is one box
+//! from the stack's [`BlockPool`] holding the byte vector and the
+//! reassembly record together, taken when the first byte arrives and
+//! given back once the application has read everything and no hole is
+//! open. A connection at rest holds a null pointer, and with the 80 B
+//! PCB and the sender and delayed-ACK pointers its slot value is 15
+//! words (120 B; 128 B with the arena's generation).
 
 use core::fmt;
 use core::ops::Range;
@@ -23,82 +34,74 @@ impl fmt::Display for SocketError {
 
 impl std::error::Error for SocketError {}
 
-/// Receive storage between uses: a bounded LIFO of emptied blocks, one per
-/// stack. A [`SocketBuffer`] owns a block only while it holds unread
-/// bytes, staged bytes or a hole, so the block a connection's next segment
-/// lands in is the one the previous connection was just read out of, still
-/// in L1 — not a line of its own fetched from memory behind the connection
-/// slot — and a connection at rest costs its slot and nothing more. The
-/// pool holds at most [`MAX_BLOCKS`](Self::MAX_BLOCKS) blocks, none larger
-/// than one receive buffer: a burst of more sockets filling at once
-/// allocates (and later frees) the excess, as `idle_halves` and `TxPool`
-/// do for theirs.
+/// Receive storage between uses: a bounded LIFO of the boxes sockets
+/// borrow, one pool per stack. A box holds a socket's bytes and its
+/// reassembly record together, so one pointer is all a socket keeps, and
+/// it keeps even that only while it holds unread bytes, staged bytes or
+/// a hole. The box a connection's next segment lands in is the one the
+/// previous connection was just read out of, still in L1, and a
+/// connection at rest costs its slot and nothing more. The pool holds at
+/// most [`MAX_BLOCKS`](Self::MAX_BLOCKS) boxes, none with more byte
+/// storage than one receive buffer: a burst of more sockets filling at
+/// once allocates (and later frees) the excess, as `idle_halves` and
+/// `TxPool` do for theirs.
 ///
-/// Beside the blocks it parks as many [`Holes`] records, each with the
-/// capacity of its span list, so a loss episode takes the record the last
-/// one gave back and only a connection's first episode allocates.
+/// A parked box keeps the capacity of its span list as well as of its
+/// bytes, so a loss episode finds the list the last one grew and only
+/// a box's first episode allocates. A box whose bytes the pool does not
+/// keep (the pool is full, or they outgrew a receive buffer) is parked
+/// bare, up to as many again, so that a socket lent one past the pool's
+/// bound allocates its bytes and not a box as well.
 #[derive(Debug)]
 pub(crate) struct BlockPool {
-    free: Vec<Vec<u8>>,
-    /// Reassembly records between episodes, spans emptied. Boxed because
-    /// the box is what a socket holds: parking one moves a pointer.
+    /// Boxes between loans, emptied. Boxed because the box is what a
+    /// socket holds: parking one moves a pointer.
     #[allow(clippy::vec_box)]
-    holes: Vec<Box<Holes>>,
-    /// The capacity above which a block is freed rather than parked.
+    free: Vec<Box<Store>>,
+    /// Boxes between loans whose bytes were freed.
+    #[allow(clippy::vec_box)]
+    bare: Vec<Box<Store>>,
+    /// The byte capacity above which a box's bytes are freed rather than
+    /// parked.
     max_block: usize,
 }
 
 impl BlockPool {
-    /// Most blocks parked.
+    /// Most boxes parked.
     pub(crate) const MAX_BLOCKS: usize = 64;
 
     /// An empty pool for sockets that buffer up to `max_block` bytes. The
-    /// lists themselves are allocated here, with the stack, so that giving
-    /// a block or a record back never allocates.
+    /// lists themselves are allocated here, with the stack, so that
+    /// giving a box back never allocates.
     pub(crate) fn new(max_block: usize) -> Self {
         Self {
             free: Vec::with_capacity(Self::MAX_BLOCKS),
-            holes: Vec::with_capacity(Self::MAX_BLOCKS),
+            bare: Vec::with_capacity(Self::MAX_BLOCKS),
             max_block,
         }
     }
 
-    /// An empty block: the one given back last, or a new one that
-    /// allocates when it is first written to.
-    fn take(&mut self) -> Vec<u8> {
-        self.free.pop().unwrap_or_default()
+    /// An empty box: the one given back last, else a bare one, else a new
+    /// one. Bytes and spans a box lacks allocate when first written to.
+    fn take(&mut self) -> Box<Store> {
+        self.free
+            .pop()
+            .or_else(|| self.bare.pop())
+            .unwrap_or_default()
     }
 
-    fn give(&mut self, mut block: Vec<u8>) {
-        block.clear();
-        if self.free.len() < Self::MAX_BLOCKS && block.capacity() <= self.max_block {
-            self.free.push(block);
+    fn give(&mut self, mut store: Box<Store>) {
+        store.bytes.clear();
+        store.holes.spans.clear();
+        if self.free.len() < Self::MAX_BLOCKS && store.capacity() <= self.max_block {
+            self.free.push(store);
+        } else if self.bare.len() < Self::MAX_BLOCKS {
+            store.bytes = Vec::new();
+            self.bare.push(store);
         }
     }
 
-    /// A reassembly record whose in-order end is `ready` and which has no
-    /// spans yet.
-    fn take_holes(&mut self, ready: usize) -> Box<Holes> {
-        match self.holes.pop() {
-            Some(mut holes) => {
-                holes.ready = ready;
-                holes
-            }
-            None => Box::new(Holes {
-                ready,
-                spans: Vec::new(),
-            }),
-        }
-    }
-
-    fn give_holes(&mut self, mut holes: Box<Holes>) {
-        holes.spans.clear();
-        if self.holes.len() < Self::MAX_BLOCKS {
-            self.holes.push(holes);
-        }
-    }
-
-    /// Blocks parked.
+    /// Boxes parked.
     pub(crate) fn parked(&self) -> usize {
         self.free.len()
     }
@@ -108,17 +111,19 @@ impl BlockPool {
 /// accepted in order and not yet read, and — while a segment is missing —
 /// the bytes that arrived ahead of it.
 ///
-/// The backing storage is on loan from the stack's [`BlockPool`]:
+/// The storage is one box on loan from the stack's [`BlockPool`]:
 /// [`deliver`](Self::deliver) and [`stage`](Self::stage) into a buffer
-/// that has none take a block, and [`settle`](Self::settle) gives it back
-/// once the application has read everything and no hole is open. Reads go
-/// through `&mut SocketBuffer` alone, so the stack settles the buffer it
-/// last handed out at its next entry point rather than inside the read.
+/// that has none take a box, and [`settle`](Self::settle) gives it back
+/// once the application has read everything and no hole is open. At rest
+/// a buffer is a null pointer, its read index and two flags: 16 bytes of
+/// the connection slot. Reads go through `&mut SocketBuffer` alone, so
+/// the stack settles the buffer it last handed out at its next entry
+/// point rather than inside the read.
 ///
 /// Reads advance a head index instead of shifting what is still buffered,
 /// so draining a backlog in small reads costs what it copies out. The dead
 /// prefix is dropped when the readable bytes run out and compacted away
-/// when it outgrows the live bytes, so the backing vector never holds more
+/// when it outgrows the live bytes, so the byte vector never holds more
 /// than ~2× its occupancy.
 ///
 /// Reassembly happens in place: a segment ahead of the in-order end is
@@ -128,27 +133,140 @@ impl BlockPool {
 /// which bounds what is held behind holes.
 #[derive(Debug, Default, Clone)]
 pub struct SocketBuffer {
-    data: Vec<u8>,
-    /// Present from a connection's first hole to its last. Without it
-    /// every byte of `data` is in order.
-    holes: Option<Box<Holes>>,
-    /// Bytes of `data` already read. 32 bits, so that it shares a word with
-    /// the two flags below and a connection at rest pays nothing for it;
-    /// [`consume`](Self::consume) compacts rather than let it overflow.
+    /// The box on loan, while the buffer holds anything.
+    data: Lent,
+    /// Bytes of the box already read. 32 bits, so that it shares a word
+    /// with the two flags below; [`consume`](Self::consume) compacts
+    /// rather than let it overflow.
     head: u32,
     fin_seen: bool,
     error: Option<SocketError>,
 }
 
-/// What [`SocketBuffer`] knows about the bytes it holds out of order.
-#[derive(Debug, Clone)]
+/// A buffer's storage: one [`Store`] on loan from the pool, or nothing.
+/// It reads as the bytes it holds, none when there is no box.
+#[derive(Debug, Default, Clone)]
+struct Lent(Option<Box<Store>>);
+
+#[cfg(test)]
+impl Lent {
+    /// Bytes of storage held: zero without a box.
+    fn capacity(&self) -> usize {
+        self.0.as_deref().map_or(0, Store::capacity)
+    }
+}
+
+impl core::ops::Deref for Lent {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.0.as_deref().map_or(&[], |store| &store.bytes)
+    }
+}
+
+/// What a [`BlockPool`] lends: a buffer's bytes and its reassembly record
+/// in one box.
+#[derive(Debug, Default, Clone)]
+struct Store {
+    /// What has arrived and not been compacted away: the read prefix,
+    /// the in-order bytes, and any bytes held behind holes.
+    bytes: Vec<u8>,
+    holes: Holes,
+}
+
+/// What a [`Store`] knows about the bytes it holds out of order.
+#[derive(Debug, Default, Clone)]
 struct Holes {
-    /// Index into `data` of the first missing byte: the in-order end.
+    /// Index into `bytes` of the first missing byte: the in-order end.
+    /// Meaningful only while `spans` is not empty.
     ready: usize,
-    /// The filled stretches of `data` past `ready`, as offsets from it:
-    /// sorted, disjoint, not touching each other or `ready`, never empty.
-    /// `data` ends where the last one does.
+    /// The filled stretches of `bytes` past `ready`, as offsets from it:
+    /// sorted, disjoint, not touching each other or `ready`. Empty
+    /// between loss episodes; otherwise `bytes` ends where the last one
+    /// does.
     spans: Vec<Range<u32>>,
+}
+
+impl Store {
+    /// Whether it holds no byte, read or not, in order or not.
+    fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Bytes of storage.
+    fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    fn has_holes(&self) -> bool {
+        !self.holes.spans.is_empty()
+    }
+
+    /// Index into `bytes` one past the last in-order byte.
+    fn ready(&self) -> usize {
+        if self.has_holes() {
+            self.holes.ready
+        } else {
+            self.bytes.len()
+        }
+    }
+
+    /// Write `payload` at the first hole and take in every span the
+    /// in-order end now reaches. Returns how far the in-order end moved.
+    #[cold]
+    fn fill(&mut self, payload: &[u8]) -> usize {
+        self.write_at(self.holes.ready, payload);
+        let spans = &mut self.holes.spans;
+        let mut run = payload.len() as u32;
+        let mut reached = 0;
+        while let Some(span) = spans.get(reached).filter(|s| s.start <= run) {
+            run = run.max(span.end);
+            reached += 1;
+        }
+        spans.drain(..reached);
+        if !spans.is_empty() {
+            self.holes.ready += run as usize;
+            for span in spans {
+                *span = span.start - run..span.end - run;
+            }
+        }
+        run as usize
+    }
+
+    /// Keep `payload` `offset > 0` bytes past the in-order end.
+    fn stage(&mut self, offset: usize, payload: &[u8]) {
+        let ready = self.ready();
+        let end = ready + offset + payload.len();
+        // Grow to what the segment needs and no further: what doubling
+        // would add is a second window nothing can ever fill.
+        self.bytes
+            .reserve_exact(end.saturating_sub(self.bytes.len()));
+        self.write_at(ready + offset, payload);
+        if !self.has_holes() {
+            self.holes.ready = ready;
+        }
+        // Merge with every span the new one overlaps or touches.
+        let spans = &mut self.holes.spans;
+        let (mut lo, mut hi) = (offset as u32, (offset + payload.len()) as u32);
+        let first = spans.partition_point(|s| s.end < lo);
+        let after = spans.partition_point(|s| s.start <= hi);
+        if first < after {
+            lo = lo.min(spans[first].start);
+            hi = hi.max(spans[after - 1].end);
+        }
+        spans.splice(first..after, core::iter::once(lo..hi));
+    }
+
+    /// Copy `payload` to `bytes[at..]`, zero-filling up to `at` and
+    /// growing past the end as needed.
+    fn write_at(&mut self, at: usize, payload: &[u8]) {
+        if at > self.bytes.len() {
+            self.bytes.resize(at, 0);
+        }
+        let over = payload.len().min(self.bytes.len() - at);
+        self.bytes[at..at + over].copy_from_slice(&payload[..over]);
+        self.bytes.extend_from_slice(&payload[over..]);
+    }
 }
 
 impl SocketBuffer {
@@ -161,54 +279,29 @@ impl SocketBuffer {
     /// many bytes became readable: the payload, and whatever was held
     /// behind the hole it filled.
     pub(crate) fn deliver(&mut self, payload: &[u8], pool: &mut BlockPool) -> usize {
-        if self.holes.is_some() {
-            return self.fill(payload, pool);
+        if payload.is_empty() {
+            return 0;
         }
-        self.borrow_block(payload, pool);
-        self.data.extend_from_slice(payload);
+        let store = self.borrow(pool);
+        if store.has_holes() {
+            return store.fill(payload);
+        }
+        store.bytes.extend_from_slice(payload);
         payload.len()
     }
 
-    /// Take a block from `pool` if there is none and `payload` needs one.
-    fn borrow_block(&mut self, payload: &[u8], pool: &mut BlockPool) {
-        if self.data.capacity() == 0 && !payload.is_empty() {
-            self.data = pool.take();
-        }
+    /// The box, taken from `pool` if there is none.
+    fn borrow(&mut self, pool: &mut BlockPool) -> &mut Store {
+        self.data.0.get_or_insert_with(|| pool.take())
     }
 
-    /// Give the block back to `pool` if nothing is left in it: every byte
+    /// Give the box back to `pool` if nothing is left in it: every byte
     /// delivered has been read and no hole is open.
     pub(crate) fn settle(&mut self, pool: &mut BlockPool) {
-        if self.data.is_empty() && self.holes.is_none() && self.data.capacity() > 0 {
+        if self.store().is_some_and(Store::is_empty) {
             debug_assert_eq!(self.head, 0, "an emptied buffer has no dead prefix");
-            pool.give(core::mem::take(&mut self.data));
+            pool.give(self.data.0.take().expect("checked above"));
         }
-    }
-
-    /// [`deliver`](Self::deliver) into a buffer that has holes: write at
-    /// the first one and take in every span the in-order end now reaches.
-    /// The record goes back to `pool` when the last hole closes.
-    #[cold]
-    fn fill(&mut self, payload: &[u8], pool: &mut BlockPool) -> usize {
-        let ready = self.ready();
-        self.write_at(ready, payload);
-        let holes = self.holes.as_mut().expect("fill is called with holes");
-        let mut run = payload.len() as u32;
-        let mut reached = 0;
-        while let Some(span) = holes.spans.get(reached).filter(|s| s.start <= run) {
-            run = run.max(span.end);
-            reached += 1;
-        }
-        holes.spans.drain(..reached);
-        if holes.spans.is_empty() {
-            pool.give_holes(self.holes.take().expect("checked above"));
-        } else {
-            holes.ready += run as usize;
-            for span in &mut holes.spans {
-                *span = span.start - run..span.end - run;
-            }
-        }
-        run as usize
     }
 
     /// Keep `payload`, which belongs `offset > 0` bytes past the in-order
@@ -216,34 +309,7 @@ impl SocketBuffer {
     /// window). Bytes held already are overwritten.
     pub(crate) fn stage(&mut self, offset: usize, payload: &[u8], pool: &mut BlockPool) {
         debug_assert!(offset > 0 && !payload.is_empty());
-        self.borrow_block(payload, pool);
-        let ready = self.ready();
-        let end = ready + offset + payload.len();
-        // Grow to what the segment needs and no further: what doubling
-        // would add is a second window nothing can ever fill.
-        self.data.reserve_exact(end.saturating_sub(self.data.len()));
-        self.write_at(ready + offset, payload);
-        let holes = self.holes.get_or_insert_with(|| pool.take_holes(ready));
-        // Merge with every span the new one overlaps or touches.
-        let (mut lo, mut hi) = (offset as u32, (offset + payload.len()) as u32);
-        let first = holes.spans.partition_point(|s| s.end < lo);
-        let after = holes.spans.partition_point(|s| s.start <= hi);
-        if first < after {
-            lo = lo.min(holes.spans[first].start);
-            hi = hi.max(holes.spans[after - 1].end);
-        }
-        holes.spans.splice(first..after, core::iter::once(lo..hi));
-    }
-
-    /// Copy `payload` to `data[at..]`, zero-filling up to `at` and growing
-    /// past the end as needed.
-    fn write_at(&mut self, at: usize, payload: &[u8]) {
-        if at > self.data.len() {
-            self.data.resize(at, 0);
-        }
-        let over = payload.len().min(self.data.len() - at);
-        self.data[at..at + over].copy_from_slice(&payload[..over]);
-        self.data.extend_from_slice(&payload[over..]);
+        self.borrow(pool).stage(offset, payload);
     }
 
     /// Mark end-of-stream (peer FIN).
@@ -264,12 +330,14 @@ impl SocketBuffer {
         self.error
     }
 
-    /// Index into `data` one past the last in-order byte.
+    /// The box, if one is on loan.
+    fn store(&self) -> Option<&Store> {
+        self.data.0.as_deref()
+    }
+
+    /// Index into the box's bytes one past the last in-order byte.
     fn ready(&self) -> usize {
-        match &self.holes {
-            None => self.data.len(),
-            Some(holes) => holes.ready,
-        }
+        self.store().map_or(0, Store::ready)
     }
 
     /// The unread bytes.
@@ -284,19 +352,20 @@ impl SocketBuffer {
 
     /// Whether any segment is missing before the last byte held.
     pub(crate) fn has_holes(&self) -> bool {
-        self.holes.is_some()
+        self.store().is_some_and(Store::has_holes)
     }
 
     /// Bytes held behind a hole, not yet readable.
     pub(crate) fn staged(&self) -> usize {
-        self.holes.as_deref().map_or(0, |holes| {
-            holes.spans.iter().map(|s| (s.end - s.start) as usize).sum()
+        self.store().map_or(0, |store| {
+            let spans = store.holes.spans.iter();
+            spans.map(|s| (s.end - s.start) as usize).sum()
         })
     }
 
     /// Missing stretches between the in-order end and the last byte held.
     pub(crate) fn hole_count(&self) -> usize {
-        self.holes.as_deref().map_or(0, |holes| holes.spans.len())
+        self.store().map_or(0, |store| store.holes.spans.len())
     }
 
     /// Whether the peer has closed its direction.
@@ -306,18 +375,22 @@ impl SocketBuffer {
 
     /// Release the oldest `n` unread bytes.
     fn consume(&mut self, n: usize) {
+        let Some(store) = self.data.0.as_deref_mut() else {
+            return;
+        };
         let head = self.head as usize + n;
-        if head == self.data.len() {
-            self.data.clear();
+        if head == store.bytes.len() {
+            store.bytes.clear();
             self.head = 0;
-        } else if head > self.data.len() / 2 || head > u32::MAX as usize || head == self.ready() {
+        } else if head > store.bytes.len() / 2 || head > u32::MAX as usize || head == store.ready()
+        {
             // The dead prefix dominates, or is all that precedes a hole:
             // compact in place.
-            self.data.copy_within(head.., 0);
-            self.data.truncate(self.data.len() - head);
+            store.bytes.copy_within(head.., 0);
+            store.bytes.truncate(store.bytes.len() - head);
             self.head = 0;
-            if let Some(holes) = self.holes.as_deref_mut() {
-                holes.ready -= head;
+            if store.has_holes() {
+                store.holes.ready -= head;
             }
         } else {
             self.head = head as u32;
@@ -449,37 +522,175 @@ mod tests {
         );
         assert_eq!(buf.read_all(), b"abcdef".to_vec());
         assert_eq!(buf.deliver(b"gh", &mut pool), 4);
-        assert!(buf.holes.is_none(), "the list lives only while a hole does");
+        assert!(!buf.has_holes());
         assert_eq!(buf.read_all(), b"ghij".to_vec());
         assert_eq!((buf.head, buf.data.len()), (0, 0));
     }
 
-    /// The record a closed hole leaves goes to the pool, span list and
-    /// all, and the next episode of any socket takes it from there.
+    /// A buffer read dry is settled back to a null pointer: its box is
+    /// parked, and the next buffer to take one is lent that box.
     #[test]
-    fn a_second_loss_episode_reuses_the_first_ones_record() {
+    fn a_socket_read_dry_and_settled_holds_no_box() {
+        let mut pool = BlockPool::new(64 * 1024);
+        let mut buf = SocketBuffer::new();
+        buf.settle(&mut pool);
+        assert!(buf.store().is_none(), "a fresh buffer holds nothing");
+        assert_eq!(pool.parked(), 0, "and has nothing to give");
+
+        buf.deliver(b"request", &mut pool);
+        let lent: *const Store = buf.store().unwrap();
+        buf.settle(&mut pool);
+        assert!(buf.store().is_some(), "unread bytes keep the box");
+        assert_eq!(buf.read(3), b"req");
+        buf.settle(&mut pool);
+        assert!(buf.store().is_some(), "and so does a partial read");
+        assert_eq!(buf.read_all(), b"uest");
+        assert!(buf.store().is_some(), "a read does not settle");
+        buf.settle(&mut pool);
+        assert!(buf.store().is_none());
+        assert_eq!((buf.head, buf.available(), buf.data.capacity()), (0, 0, 0));
+        assert_eq!(pool.parked(), 1);
+
+        let mut next = SocketBuffer::new();
+        assert_eq!(next.deliver(b"", &mut pool), 0);
+        assert!(next.store().is_none(), "no bytes, no box");
+        next.deliver(b"x", &mut pool);
+        assert!(core::ptr::eq(next.store().unwrap(), lent), "the parked box");
+        assert_eq!(pool.parked(), 0);
+    }
+
+    /// Past the pool's bound a box comes back bare: its bytes are freed
+    /// and the box kept, so the socket it is lent to next allocates its
+    /// bytes and not a box as well. Past twice the bound it is freed.
+    #[test]
+    fn a_burst_past_the_pool_parks_bare_boxes() {
+        const BURST: usize = 2 * BlockPool::MAX_BLOCKS + 1;
+        let mut pool = BlockPool::new(64 * 1024);
+        let mut bufs: Vec<SocketBuffer> = (0..BURST).map(|_| SocketBuffer::new()).collect();
+        for buf in &mut bufs {
+            buf.deliver(b"burst", &mut pool);
+        }
+        for buf in &mut bufs {
+            buf.read_all();
+            buf.settle(&mut pool);
+            assert!(buf.store().is_none());
+        }
+        assert_eq!(pool.parked(), BlockPool::MAX_BLOCKS);
+        assert_eq!(pool.bare.len(), BlockPool::MAX_BLOCKS, "one freed");
+        assert!(pool.bare.iter().all(|b| b.capacity() == 0));
+
+        // The parked blocks go first, then the bare boxes.
+        for buf in &mut bufs[..BlockPool::MAX_BLOCKS + 1] {
+            buf.deliver(b"again", &mut pool);
+        }
+        assert_eq!(
+            (pool.parked(), pool.bare.len()),
+            (0, BlockPool::MAX_BLOCKS - 1)
+        );
+        let last = bufs[BlockPool::MAX_BLOCKS].store().unwrap();
+        assert_eq!(last.bytes, b"again");
+    }
+
+    /// Spans live in the box beside the bytes. When the last hole fills,
+    /// the box keeps its emptied span list; once the bytes are read it
+    /// goes back to the pool with the list's capacity, and the next loss
+    /// episode, of any buffer, grows nothing.
+    #[test]
+    fn a_box_keeps_its_spans_and_goes_back_with_their_capacity() {
         let mut pool = BlockPool::new(64 * 1024);
         let (mut first, mut second) = (SocketBuffer::new(), SocketBuffer::new());
         first.stage(2, b"cd", &mut pool);
         first.stage(6, b"gh", &mut pool);
-        let record: *const Holes = &**first.holes.as_ref().unwrap();
+        let lent: *const Store = first.store().unwrap();
+        assert_eq!((first.hole_count(), first.staged()), (2, 4));
         assert_eq!(first.deliver(b"ab", &mut pool), 4);
-        assert!(pool.holes.is_empty(), "one hole is still open");
         assert_eq!(first.deliver(b"ef", &mut pool), 4);
-        assert!(first.holes.is_none());
-        assert_eq!(pool.holes.len(), 1);
+        let store = first.store().unwrap();
+        assert!(!store.has_holes(), "the last hole filled");
+        let spans = store.holes.spans.capacity();
+        assert!(spans >= 2, "the emptied list keeps its capacity");
+        first.settle(&mut pool);
+        assert!(first.store().is_some(), "unread bytes keep the box");
+        assert_eq!(first.read_all(), b"abcdefgh");
+        first.settle(&mut pool);
+        assert!(first.store().is_none());
+        let parked = &pool.free[0];
+        assert!(core::ptr::eq(&**parked, lent));
+        assert_eq!(
+            (parked.is_empty(), parked.holes.spans.capacity()),
+            (true, spans)
+        );
+
         second.stage(1, b"x", &mut pool);
-        let holes = second.holes.as_deref().unwrap();
-        assert!(core::ptr::eq(holes, record), "the parked record");
-        assert_eq!((holes.ready, holes.spans.len()), (0, 1));
-        assert!(holes.spans.capacity() >= 2, "with its span list");
-        assert!(pool.holes.is_empty());
+        second.stage(3, b"z", &mut pool);
+        let store = second.store().unwrap();
+        assert!(core::ptr::eq(store, lent), "the parked box");
+        assert_eq!(
+            (store.holes.ready, store.holes.spans.capacity()),
+            (0, spans)
+        );
+        assert_eq!(second.deliver(b"w", &mut pool), 2);
+        assert_eq!(second.deliver(b"y", &mut pool), 2);
+        assert_eq!(second.read_all(), b"wxyz");
+    }
+
+    /// The stack gives up an aborted connection's socket, box and all:
+    /// what was delivered before the silence and what is held behind a
+    /// hole go with it, beside the error.
+    #[test]
+    fn an_aborted_connections_released_socket_keeps_its_bytes_and_error() {
+        use crate::{RxOutcome, Stack, StackConfig, TxScratch};
+        use std::net::Ipv4Addr;
+        const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+        const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+        let mut server = Stack::with_config(StackConfig::new(SERVER));
+        let mut client = Stack::with_config(StackConfig::new(CLIENT).with_max_retries(1));
+        server.listen(80).unwrap();
+        let (cp, syn) = client.connect(SERVER, 80).unwrap();
+        let synack = server.receive(&syn).unwrap();
+        let RxOutcome::NewConnection { pcb: sp } = synack.outcome else {
+            panic!("{:?}", synack.outcome);
+        };
+        let ack = client.receive(&synack.replies[0]).unwrap();
+        server.receive(&ack.replies[0]).unwrap();
+
+        // Three segments from the server; the second is lost.
+        let mut scratch = TxScratch::new();
+        let frames: Vec<Vec<u8>> = [&b"sent"[..], b"lost", b"held"]
+            .into_iter()
+            .map(|part| {
+                server.send(sp, part).unwrap();
+                assert_eq!(server.poll_transmit(&mut scratch), 1);
+                scratch.frames.pop().unwrap()
+            })
+            .collect();
+        client.receive(&frames[0]).unwrap();
+        client.receive(&frames[2]).unwrap();
+        // The client's own data goes unanswered until it gives up.
+        client.send(cp, b"unanswered").unwrap();
+        assert_eq!(client.poll_transmit(&mut scratch), 1);
+        let aborted = loop {
+            let due = client.next_timer_deadline().expect("a timer is armed");
+            let fired = client.advance_time(due);
+            if !fired.aborted.is_empty() {
+                break fired.aborted;
+            }
+        };
+        assert_eq!(aborted, [cp]);
+
+        let mut socket = client.release_socket(cp).expect("an orphaned socket");
+        assert_eq!(socket.error(), Some(SocketError::TimedOut));
+        assert_eq!((socket.available(), socket.staged()), (4, 4));
+        assert_eq!(socket.read_all(), b"sent");
+        assert!(socket.has_holes(), "the held bytes stay behind their hole");
+        assert_eq!(socket.error(), Some(SocketError::TimedOut), "and the error");
+        assert!(client.release_socket(cp).is_none(), "released once");
     }
 
     #[test]
     fn spans_merge_when_they_overlap_or_touch() {
         let spans = |buf: &SocketBuffer| -> Vec<(u32, u32)> {
-            let holes = buf.holes.as_ref().unwrap();
+            let holes = &buf.store().unwrap().holes;
             holes.spans.iter().map(|s| (s.start, s.end)).collect()
         };
         let mut pool = BlockPool::new(64 * 1024);

@@ -276,7 +276,7 @@ struct DelayedAckState {
 struct Conn {
     pcb: Pcb,
     /// Bytes delivered and not yet read by the application, and bytes
-    /// held for reassembly, in a block borrowed from
+    /// held for reassembly, in one box borrowed from
     /// [`Stack::rx_blocks`] for as long as there are any.
     socket: SocketBuffer,
     /// Sender state, while there is any.
@@ -451,8 +451,9 @@ pub struct StackConfig {
     pub ephemeral_base: u16,
     /// Maximum number of times any one segment is retransmitted before
     /// the connection is aborted with [`SocketError::TimedOut`]
-    /// (BSD's `TCP_MAXRXTSHIFT` spirit; RFC 1122 §4.2.3.5's R2).
-    pub max_retries: u32,
+    /// (BSD's `TCP_MAXRXTSHIFT` spirit; RFC 1122 §4.2.3.5's R2). At most
+    /// 255, so that the PCB's count of expiries against it fits a byte.
+    pub max_retries: u8,
     /// TIME-WAIT duration in timer ticks (the 2·MSL drain). `None`
     /// reclaims the connection as soon as it reaches TIME-WAIT — the
     /// timer-free model convenient for simulations that never reuse a
@@ -541,7 +542,7 @@ impl StackConfig {
 
     /// Abort a connection after `max_retries` retransmissions of the same
     /// segment go unacknowledged.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
+    pub fn with_max_retries(mut self, max_retries: u8) -> Self {
         self.max_retries = max_retries;
         self
     }
@@ -863,7 +864,7 @@ pub struct Stack {
     stats: StackStats,
     tx_pool: TxPool,
     /// Receive storage no socket is using: what a socket's first segment
-    /// is copied into, and where the block goes back once the application
+    /// is copied into, and where its box goes back once the application
     /// has read the socket dry.
     rx_blocks: BlockPool,
     /// The socket [`socket_mut`](Self::socket_mut) last handed out. Reads
@@ -1129,7 +1130,7 @@ impl Stack {
                 tx_queued: c.tx.as_deref().map_or(0, SendHalf::data_len),
                 tx_ring_bytes: c.tx.as_deref().map_or(0, |half| half.buf.capacity()),
                 inflight_segments: c.tx.as_deref().map_or(0, |half| half.segments.len()),
-                rto_attempts: c.pcb.rto_attempts,
+                rto_attempts: u32::from(c.pcb.rto_attempts),
                 mss: c.pcb.mss,
                 cwnd: c.pcb.cong.cwnd,
                 ssthresh: c.pcb.cong.ssthresh,
@@ -2095,7 +2096,7 @@ impl Cx<'_> {
             let inflight = p.snd.nxt.raw().wrapping_sub(p.snd.una.raw()) as usize;
             p.cong.on_rto(inflight, usize::from(p.mss));
         }
-        let attempts = p.rto_attempts;
+        let attempts = u32::from(p.rto_attempts);
         advance.retransmits.extend(self.rebuild_head());
         if head_is_probe {
             advance.zero_window_probes += 1;
@@ -2317,7 +2318,8 @@ impl Cx<'_> {
                     let synack = TcpRepr {
                         src_port: p.key().local_port,
                         dst_port: p.key().remote_port,
-                        seq: p.snd.iss.raw(),
+                        // SND.UNA is the ISS until this SYN-ACK is acked.
+                        seq: p.snd.una.raw(),
                         ack: p.rcv.nxt.raw(),
                         flags: TcpFlags::SYN | TcpFlags::ACK,
                         window: p.rcv.wnd,
@@ -4272,19 +4274,20 @@ mod tests {
     /// most connections the stack has ever held: a field added to
     /// [`Conn`] is paid for by every one of them (`heap_bytes_per_conn`
     /// in the benchmark, `tests/heap_per_connection.rs` here), so it
-    /// changes these numbers on purpose or not at all.
+    /// changes these numbers on purpose or not at all. With the arena's
+    /// generation word a slot is 128 B, two cache lines.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn the_connection_slot_stays_20_words() {
+    fn the_connection_slot_stays_15_words() {
         use core::mem::size_of;
-        assert_eq!(size_of::<Conn>(), 160);
-        assert_eq!(size_of::<Option<Conn>>(), 160, "vacancy costs no tag");
-        // Its parts: the PCB is a cache line and a half, the socket sits
-        // inline (`head` in the padding beside its flags, the span list
-        // behind one pointer) and owns no storage while empty.
-        assert_eq!(size_of::<Pcb>(), 96);
+        assert_eq!(size_of::<Conn>(), 120);
+        assert_eq!(size_of::<Option<Conn>>(), 120, "vacancy costs no tag");
+        // Its parts: the PCB is a cache line and a quarter, the socket a
+        // pointer to the box it borrows while it holds anything, with
+        // `head` and its flags in the next word.
+        assert_eq!(size_of::<Pcb>(), 80);
         assert!(size_of::<RttEstimator>() <= 16);
-        assert_eq!(size_of::<SocketBuffer>(), 40);
+        assert_eq!(size_of::<SocketBuffer>(), 16);
         // Behind the `tx` pointer, for senders only.
         assert_eq!(size_of::<SendHalf>(), 96);
     }

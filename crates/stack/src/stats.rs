@@ -128,8 +128,9 @@ pub struct StatsSnapshot {
     pub demux: LookupStats,
     /// Transmit-buffer pool counters.
     pub tx_pool: TxPoolStats,
-    /// Receive blocks no socket is using, parked for the next one that
-    /// fills (at most 64 per stack).
+    /// Receive boxes (bytes and reassembly record) no socket is using,
+    /// parked with their byte storage for the next one that fills (at
+    /// most 64 per stack).
     pub rx_blocks_free: usize,
     /// Structured telemetry: counters, histograms, event trace.
     pub telemetry: Snapshot,

@@ -74,7 +74,8 @@
 #      blocks of 64 over 2,000 connections, 256 k keys rotated through
 #      a bare SequentDemux, whose chains the default table shares, and a
 #      long-lived lossy connection;
-#      heap per connection at 2,000, 16,385 and 20,000 connections)
+#      heap per connection at 2,000, 16,385, 20,000 and 131,073
+#      connections, on the 128 B connection slot)
 #      pass in release with --test-threads=1: their
 #      counters are process-global, so they mean something only when no
 #      sibling test runs beside them.
@@ -189,6 +190,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== 9/9 allocator-counting tests (release, one thread) =="
 cargo test -q --release --offline --test telemetry_overhead \
   --test steady_state_allocs --test heap_per_connection -- --test-threads=1
-echo "ok: no allocation per record, per transaction, per rotated key or per loss episode; heap per connection under its ceiling at 2,000, 16,385 and 20,000 connections, each derived from the arena's eighth-step capacity"
+echo "ok: no allocation per record, per transaction, per rotated key or per loss episode; heap per connection under its ceiling at 2,000, 16,385, 20,000 and 131,073 connections, each derived from the arena's eighth-step capacity"
 
 echo "verify.sh: all checks passed"

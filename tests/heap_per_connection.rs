@@ -12,21 +12,24 @@
 //! count, so a field added to the slot, or slack in how the slots grow,
 //! fails here and has to be decided rather than drift in:
 //!
-//! - the arena: a 20-word (160 B) `Conn` and its 8 B generation and
-//!   padding, 168 B per slot. The arena grows on a grid of eighths, so
+//! - the arena: a 15-word (120 B) `Conn` and its 8 B generation, 128 B
+//!   per slot, two cache lines. The arena grows on a grid of eighths, so
 //!   20 000 connections sit in 20 480 slots, 1.024 per connection
-//!   (172 B), where doubling gave them 32 768 (1.64 slots, 275 B);
+//!   (131 B), where doubling gave them 32 768 (1.64 slots, 210 B);
 //! - the connection table: a 4 B tag and a 4 B arena index in the one
 //!   pair of lanes its chains share, which double: 8 B × 32 768 / 20 000
 //!   = 13 B. The table holds no key; it confirms a tag hit against the
 //!   key in the slot;
 //! - 16 KiB for the pools and the listener.
 //!
-//! At 20 000 that is 186 B, and the test reads 185 B (289 B when the
-//! arena doubled). 16 385 connections, one past a power of two, are
-//! doubling's worst case: 18 432 slots, where doubling gave 32 768. The
-//! socket's block is lent from the stack's pool and has gone back by
-//! the time a connection is idle, and the sender half likewise.
+//! At 20 000 that is 145 B, and the test reads 144 B (186 B and 185 B
+//! with the 168 B slot before the socket lent its storage as one box).
+//! 16 385 and 131 073 connections, each one past a power of two, are
+//! doubling's worst case: 18 432 and 147 456 slots, where doubling gave
+//! 32 768 and 262 144. At 131 073 the slots are 18.9 MB, and the lanes,
+//! which do double, hold 262 144 entries, 16 B a connection. The
+//! socket's box is lent from the stack's pool and has gone back by the
+//! time a connection is idle, and the sender half likewise.
 //!
 //! One `#[test]`, because the byte count is process-global.
 
@@ -72,17 +75,17 @@ static GLOBAL: LiveBytes = LiveBytes;
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PORT: u16 = 1521;
 
-/// Populations read: the paper's 2,000; 16,385, one past a power of
-/// two, where doubling would leave the most slots spare; and the
-/// benchmark's `tpca_20k`.
-const POPULATIONS: [u32; 3] = [2_000, 16_385, 20_000];
+/// Populations read: the paper's 2,000; 16,385 and 131,073, one past a
+/// power of two, where doubling would leave the most slots spare; and
+/// the benchmark's `tpca_20k`.
+const POPULATIONS: [u32; 4] = [2_000, 16_385, 20_000, 131_073];
 const REQUEST: usize = 100;
 const RESPONSE: usize = 200;
 /// The peers' initial sequence number.
 const ISS: u32 = 1_000;
 
-/// Bytes of one arena slot: the 160 B `Conn` and its generation, padded.
-const SLOT: usize = 168;
+/// Bytes of one arena slot: the 120 B `Conn` and its generation.
+const SLOT: usize = 128;
 /// Bytes of one lane entry in the connection table: a tag and an index.
 const LANE: usize = 8;
 /// The chains of the stack's default table.
