@@ -8,10 +8,12 @@
 #   2. formatting and lints are clean (rustfmt --check, clippy -D warnings);
 #   3. tier-1 passes fully offline: release build + full test suite
 #      (the root manifest's default-members put every crate in it);
-#   4. the TPC/A simulation reproduces its checked-in golden: one
-#      fixed-seed run of sim_vs_analytic (every paper/T6 row, cuckoo
-#      included) matches crates/bench/goldens/sim_vs_analytic.txt
-#      byte for byte;
+#   4. every paper table and figure reproduces its checked-in golden:
+#      the thirteen count-only bench bins (the table_* tables, the
+#      figures, the fixed-seed TPC/A simulation against the analysis,
+#      the chain sweep, hash quality, train hit rates, the examined
+#      histogram and the cache ablation), run in a fixed order, match
+#      crates/bench/goldens/paper.txt byte for byte;
 #   5. every whole-scenario seed sweep holds at a widened
 #      TCPDEMUX_SEEDS: loss recovery and checksum rejection (32 fault
 #      streams through the lossy-link scenario, 32 through a bulk
@@ -113,19 +115,24 @@ echo "== 3/9 offline tier-1 (release build + tests) =="
 cargo build --release --offline
 cargo test -q --offline
 
-echo "== 4/9 fixed-seed simulation golden (sim_vs_analytic) =="
-sim_golden="crates/bench/goldens/sim_vs_analytic.txt"
-sim_run=$(mktemp)
-trap 'rm -f "$sim_run"' EXIT
-cargo run -q --release --offline -p tcpdemux-bench --bin sim_vs_analytic >"$sim_run"
-if ! cmp -s "$sim_run" "$sim_golden"; then
-  echo "FAIL: sim_vs_analytic output drifted from $sim_golden:"
-  diff "$sim_golden" "$sim_run" | head -20
+echo "== 4/9 fixed-seed paper golden (every table and figure bin) =="
+paper_bins="table_bsd table_mtf table_srcache table_sequent fig04 fig13 fig14
+  sim_vs_analytic sweep_chains hash_quality train_hitrate examined_hist cache_ablation"
+paper_golden="crates/bench/goldens/paper.txt"
+paper_run=$(mktemp)
+trap 'rm -f "$paper_run"' EXIT
+for bin in $paper_bins; do
+  cargo run -q --release --offline -p tcpdemux-bench --bin "$bin"
+done >"$paper_run"
+if ! cmp -s "$paper_run" "$paper_golden"; then
+  echo "FAIL: the paper bins' output drifted from $paper_golden:"
+  diff "$paper_golden" "$paper_run" | head -20 || true
   echo "(if the change is intentional, regenerate with:"
-  echo "   cargo run --release -p tcpdemux-bench --bin sim_vs_analytic > $sim_golden)"
+  echo "   for bin in" $paper_bins"; do"
+  echo "     cargo run -q --release -p tcpdemux-bench --bin \$bin; done > $paper_golden)"
   exit 1
 fi
-echo "ok: sim_vs_analytic matches golden ($(wc -c <"$sim_run") bytes)"
+echo "ok: 13 paper bins match golden ($(wc -c <"$paper_run") bytes)"
 
 echo "== 5/9 widened seed sweeps (TCPDEMUX_SEEDS=32/12/16/8/16/16/16) =="
 TCPDEMUX_SEEDS=32 cargo test -q --release --offline \
@@ -159,11 +166,11 @@ echo "ok: 16-seed filter churn has zero false negatives and stays inside the FP 
 echo "== 6/9 golden telemetry export (fixed-seed lossy-link run) =="
 golden="crates/bench/goldens/telemetry_lossy.jsonl"
 export_run=$(mktemp)
-trap 'rm -f "$sim_run" "$export_run"' EXIT
+trap 'rm -f "$paper_run" "$export_run"' EXIT
 cargo run -q --release --offline -p tcpdemux-bench --bin telemetry_export >"$export_run"
 if ! cmp -s "$export_run" "$golden"; then
   echo "FAIL: telemetry export drifted from $golden:"
-  diff "$golden" "$export_run" | head -20
+  diff "$golden" "$export_run" | head -20 || true
   echo "(if the change is intentional, regenerate with:"
   echo "   cargo run --release -p tcpdemux-bench --bin telemetry_export > $golden)"
   exit 1
@@ -172,7 +179,7 @@ echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
 echo "== 7/9 bench-smoke JSON snapshots (schema, label-set drift, required cells) + doc references =="
 bench_json_dir=$(mktemp -d)
-trap 'rm -f "$sim_run" "$export_run"; rm -rf "$bench_json_dir"' EXIT
+trap 'rm -f "$paper_run" "$export_run"; rm -rf "$bench_json_dir"' EXIT
 TCPDEMUX_SMOKE=1 cargo bench -q --offline -p tcpdemux-bench --bench demux_lookup -- \
   --json "$bench_json_dir/BENCH_demux_lookup.json" >/dev/null
 for bin in demux_scale miss_flood train_windowed; do
