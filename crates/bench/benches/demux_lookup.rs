@@ -9,8 +9,7 @@
 use std::hint::black_box;
 use tcpdemux_bench::harness::{bench, group, maybe_write_json};
 use tcpdemux_core::{
-    AdaptiveDemux, BsdDemux, Demux, DirectDemux, HashedMtfDemux, MtfDemux, PacketKind,
-    SendRecvDemux, SequentDemux,
+    AdaptiveDemux, ChainPolicy, Demux, DirectDemux, PacketKind, SendRecvDemux, SequentDemux,
 };
 use tcpdemux_hash::{quality::tpca_key_population, Multiplicative};
 use tcpdemux_pcb::{ConnectionKey, Pcb, PcbArena};
@@ -37,13 +36,21 @@ fn bench_algorithms() {
         group(&format!("lookup/oltp/n={n}"));
 
         let algorithms: Vec<Box<dyn Demux>> = vec![
-            Box::new(BsdDemux::new()),
-            Box::new(MtfDemux::new()),
+            Box::new(SequentDemux::bsd()),
+            Box::new(SequentDemux::mtf()),
             Box::new(SendRecvDemux::new()),
             Box::new(SequentDemux::new(Multiplicative, 19)),
             Box::new(SequentDemux::new(Multiplicative, 100)),
-            Box::new(SequentDemux::new(Multiplicative, 19).without_cache()),
-            Box::new(HashedMtfDemux::new(Multiplicative, 19)),
+            Box::new(SequentDemux::with_policy(
+                Multiplicative,
+                19,
+                ChainPolicy::Uncached,
+            )),
+            Box::new(SequentDemux::with_policy(
+                Multiplicative,
+                19,
+                ChainPolicy::MoveToFront,
+            )),
             Box::new(AdaptiveDemux::new(Multiplicative, 19, 8)),
             Box::new(DirectDemux::new()),
         ];
@@ -65,7 +72,7 @@ fn bench_packet_trains() {
     let keys = tpca_key_population(2000);
     group("lookup/train/n=2000");
     let algorithms: Vec<Box<dyn Demux>> = vec![
-        Box::new(BsdDemux::new()),
+        Box::new(SequentDemux::bsd()),
         Box::new(SequentDemux::new(Multiplicative, 19)),
         Box::new(DirectDemux::new()),
     ];

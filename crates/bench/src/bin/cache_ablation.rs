@@ -2,7 +2,7 @@
 //! §3.4 hit-ratio pitfall (redundant packets inflate hit rate without
 //! reducing per-transaction work).
 
-use tcpdemux_core::{SequentDemux, SuiteEntry};
+use tcpdemux_core::{ChainPolicy, SequentDemux, SuiteEntry};
 use tcpdemux_hash::Multiplicative;
 use tcpdemux_sim::tpca::{TpcaSim, TpcaSimConfig};
 
@@ -19,7 +19,11 @@ fn main() {
     };
     let mut suite = vec![
         SuiteEntry::from(SequentDemux::new(Multiplicative, 19)),
-        SuiteEntry::from(SequentDemux::new(Multiplicative, 19).without_cache()),
+        SuiteEntry::from(SequentDemux::with_policy(
+            Multiplicative,
+            19,
+            ChainPolicy::Uncached,
+        )),
     ];
     let reports = TpcaSim::new(cfg, 0xAB1E).run(&mut suite);
     println!("{:<22} {:>10} {:>9}", "structure", "mean PCBs", "hit rate");

@@ -28,9 +28,7 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 use tcpdemux_bench::harness::{bb, maybe_write_json_owned, record, smoke, Measurement};
 use tcpdemux_bench::table::Table;
-use tcpdemux_core::{
-    BsdDemux, CuckooDemux, Demux, FrontDemux, PacketKind, SequentDemux, SuiteEntry,
-};
+use tcpdemux_core::{CuckooDemux, Demux, FrontDemux, PacketKind, SequentDemux, SuiteEntry};
 use tcpdemux_hash::Multiplicative;
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 use tcpdemux_sim::runner::run_trace;
@@ -172,7 +170,7 @@ fn generate(l: usize, budget: usize) -> (Vec<ConnectionKey>, Vec<TraceEvent>) {
 /// table, the front-filtered variant (its all-hit tax), and cuckoo.
 fn tiers(keys: &[ConnectionKey]) -> Vec<(&'static str, Box<dyn Demux>)> {
     let mut out: Vec<(&'static str, Box<dyn Demux>)> = vec![
-        ("bsd", Box::new(BsdDemux::new())),
+        ("bsd", Box::new(SequentDemux::bsd())),
         (
             "sequent(19)",
             Box::new(SequentDemux::new(Multiplicative, 19)),

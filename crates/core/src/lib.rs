@@ -6,12 +6,9 @@
 //!
 //! | Type | Paper §, name | Structure |
 //! |------|---------------|-----------|
-//! | [`BsdDemux`] | §3.1, "BSD" | one linear list + one-entry cache |
-//! | [`MtfDemux`] | §3.2, "move to front" (Crowcroft) | one linear list, found PCB pulled to head |
-//! | [`SendRecvDemux`] | §3.3, last-sent/last-received (Partridge & Pink) | one linear list + send cache + receive cache |
-//! | [`SequentDemux`] | §3.4, "Sequent" | `H` hash chains, each with a one-entry cache |
+//! | [`SequentDemux`] | §3.1 "BSD", §3.2 "move to front" (Crowcroft), §3.4 "Sequent", §3.5 hashed move-to-front | `H` hash chains under one [`ChainPolicy`]: a one-entry cache per chain, none, or move-to-front; BSD is one chain with its cache ([`SequentDemux::bsd`]), MTF one chain with move-to-front ([`SequentDemux::mtf`]) |
+//! | [`SendRecvDemux`] | §3.3, last-sent/last-received (Partridge & Pink) | one uncached chain + send cache + receive cache |
 //! | [`KeylessSequent`] | — the same chains holding no keys | arena index + tag per connection, the key confirmed in the connection's slot (the stack's default table; not a [`Demux`]) |
-//! | [`HashedMtfDemux`] | §3.5, the combination the paper weighs | `H` hash chains with move-to-front |
 //! | [`DirectDemux`] | §3.5, connection-ID strawman (TP4/X.25/XTP) | direct index, 1 probe by construction |
 //! | [`CuckooDemux`] | beyond the paper: Cuckoo++-style flow table | 4-way one-cache-line tagged buckets, ≤ 2 lines per lookup at any N |
 //!
@@ -55,13 +52,10 @@
 #![forbid(unsafe_code)]
 
 mod adaptive;
-mod bsd;
 pub mod cuckoo;
 mod direct;
 pub mod front;
-mod hashed_mtf;
 mod list;
-mod mtf;
 mod sequent;
 pub mod spsc;
 mod srcache;
@@ -69,14 +63,10 @@ mod stats;
 mod suite;
 
 pub use adaptive::AdaptiveDemux;
-pub use bsd::BsdDemux;
 pub use cuckoo::{CuckooDemux, CuckooStats};
 pub use direct::DirectDemux;
 pub use front::{FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
-pub use hashed_mtf::HashedMtfDemux;
-pub use list::PcbList;
-pub use mtf::MtfDemux;
-pub use sequent::{IndexLookup, KeylessSequent, SequentDemux};
+pub use sequent::{ChainPolicy, IndexLookup, KeylessSequent, SequentDemux};
 pub use spsc::{spsc_ring, RingStats, SpscConsumer, SpscProducer};
 pub use srcache::SendRecvDemux;
 pub use stats::LookupStats;
@@ -299,12 +289,21 @@ mod tests {
     #[test]
     fn all_algorithms_satisfy_the_contract() {
         let demuxes: Vec<Box<dyn Demux>> = vec![
-            Box::new(BsdDemux::new()),
-            Box::new(MtfDemux::new()),
+            Box::new(SequentDemux::bsd()),
+            Box::new(SequentDemux::mtf()),
             Box::new(SendRecvDemux::new()),
             Box::new(SequentDemux::new(XorFold, 19)),
             Box::new(SequentDemux::new(XorFold, 1)),
-            Box::new(HashedMtfDemux::new(XorFold, 19)),
+            Box::new(SequentDemux::with_policy(
+                XorFold,
+                19,
+                ChainPolicy::Uncached,
+            )),
+            Box::new(SequentDemux::with_policy(
+                XorFold,
+                19,
+                ChainPolicy::MoveToFront,
+            )),
             Box::new(DirectDemux::new()),
             Box::new(CuckooDemux::new()),
             Box::new(FrontDemux::new(SequentDemux::new(XorFold, 19))),

@@ -1,27 +1,25 @@
-//! §3.4 — The Sequent algorithm: hash chains with per-chain caches.
-//!
-//! PCBs are distributed across `H` hash chains by a hash of the connection
-//! key; each chain is a linear list with its own one-entry
-//! last-PCB-found cache. The cache hit rate rises from `1/N` to `H/N`, and
-//! a miss scans only `≈ N/H` PCBs instead of `N`, giving the paper's
-//! Equation 22 — about 53 PCBs examined for a 200-TPS TPC/A benchmark with
-//! the product's default of 19 chains, an order of magnitude below BSD's
-//! 1,001. Raising `H` buys further speedup for only `H` words of headers
-//! (the paper's §3.5: 19 → 100 chains takes the cost from 53 to under 9).
+//! §3.1–3.5 — one chained table, and the paper's list algorithms as its
+//! settings: BSD, Crowcroft's move-to-front, Sequent and hashed
+//! move-to-front are each a chain count and a [`ChainPolicy`] of
+//! [`SequentDemux`], whose docs hold the table of them. The send/receive
+//! cache (§3.3, [`SendRecvDemux`](crate::SendRecvDemux)) is one uncached
+//! chain behind two caches of its own.
 //!
 //! # One pair of lanes for every chain
 //!
-//! The chains share one tag lane and one slot lane, the layout
-//! [`PcbList`](crate::PcbList) gives a single list: each chain is a
-//! region of the lanes, in reverse list order, walked by the same walk
-//! (`list::index_in`). A region has the slots up to where the next one
-//! starts; an insert into a region with none left re-lays every region
-//! in place (two `copy_within` passes, one toward the front and one
-//! toward the back), sharing the free slots evenly. The lanes double only when the
-//! whole table nearly outgrows them (fewer free slots than chains), so
-//! their size follows the population, not the longest each chain has
-//! ever been: a table whose population stays under its capacity never
-//! allocates again, however its connections come and go between chains.
+//! The chains share one tag lane and one slot lane: each chain is a
+//! region of the lanes, in reverse list order (its head last), walked by
+//! one walk (`list::index_in`). A region has the slots up to where the
+//! next one starts; an insert into a region with none left re-lays every
+//! region in place (two `copy_within` passes, one toward the front and
+//! one toward the back), sharing the free slots evenly. The lanes double
+//! only when the whole table nearly outgrows them (fewer free slots than
+//! chains), so their size follows the population, not the longest each
+//! chain has ever been: a table whose population stays under its
+//! capacity never allocates again, however its connections come and go
+//! between chains. Moving a PCB to the head of its chain, and removing
+//! one, shifts the slots in front of it by one inside the region: a
+//! `memmove` over lines the walk that found it has just read.
 //!
 //! # Two tables over one set of chains
 //!
@@ -31,7 +29,7 @@
 //! - [`SequentDemux`] holds `(ConnectionKey, PcbId)` in its slots: it
 //!   keeps its own copy of every key and confirms against it. It is the
 //!   [`Demux`] the paper suite, the simulators and the benchmark's mirror
-//!   use.
+//!   use, under every policy.
 //! - [`KeylessSequent`] holds a `u32` arena index and no key: a tag hit
 //!   confirms against the key in the connection's own slot, which the
 //!   caller reads for it. Its lanes cost 8 bytes a slot where the keyed
@@ -40,18 +38,21 @@
 //!   full keys stay with the connection state). The key check also turns
 //!   away an index whose connection has gone or been replaced, so the
 //!   table keeps no generation. Its insert is a push: the caller has
-//!   already proved the key absent.
+//!   already proved the key absent. It always caches, and always hashes.
 //!
 //! Both count the same: given the same operations, each lookup examines
 //! the same positions, hits the same caches and records the same
 //! statistics, because only the confirm differs.
 
-use crate::list::{examined, index_in, key_tag, Entry};
+use crate::list::{examined, index_in, key_tag};
 use crate::stats::LookupStats;
 use crate::{Demux, LookupResult, PacketKind};
 use core::ops::Range;
-use tcpdemux_hash::KeyHasher;
+use tcpdemux_hash::{KeyHasher, Multiplicative};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
+
+/// One slot of the keyed table: a key and its PCB.
+pub(crate) type Entry = (ConnectionKey, PcbId);
 
 /// The fewest slots the lanes are given: one line of tags, the block a
 /// walk compares at a time.
@@ -77,7 +78,7 @@ struct Region {
 /// connection's. Equal keys have equal tags, so this changes no answer
 /// and no count.
 #[derive(Debug)]
-struct Chains<S> {
+pub(crate) struct Chains<S> {
     /// Every chain's tags, region after region in chain order; free slots
     /// between regions hold stale values nothing reads.
     tags: Vec<u32>,
@@ -86,12 +87,12 @@ struct Chains<S> {
     regions: Vec<Region>,
     caches: Vec<Option<(u32, S)>>,
     cache_enabled: bool,
-    len: usize,
+    pub(crate) len: usize,
     stats: LookupStats,
 }
 
 impl<S: Copy> Chains<S> {
-    fn new(chains: usize) -> Self {
+    pub(crate) fn new(chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
         Self {
             tags: Vec::new(),
@@ -104,7 +105,7 @@ impl<S: Copy> Chains<S> {
         }
     }
 
-    fn disable_cache(&mut self) {
+    pub(crate) fn disable_cache(&mut self) {
         self.cache_enabled = false;
         self.caches.iter_mut().for_each(|c| *c = None);
     }
@@ -135,14 +136,22 @@ impl<S: Copy> Chains<S> {
 
     /// Where the slot `is` accepts sits in the lanes, if chain `b` holds
     /// one under `tag`, and the slots examined to find that out.
-    // Forced into its callers, as `PcbList` forces its walk: left a call
-    // of its own it cost a hit at N = 2,000 some 9 ns of 30.
+    // Forced into its callers, as `index_in` is: left a call of its own
+    // it cost a hit at N = 2,000 some 9 ns of 30.
     #[inline(always)]
     fn walk(&self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> (Option<usize>, u32) {
         let range = self.range(b);
         let slots = &self.slots[range.clone()];
         let index = index_in(&self.tags[range.clone()], tag, |i| is(&slots[i]));
         (index.map(|i| range.start + i), examined(range.len(), index))
+    }
+
+    /// The slot `is` accepts in chain `b`, if it holds one under `tag`,
+    /// and the slots examined to find it; no cache, no statistics.
+    #[inline]
+    pub(crate) fn find(&self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> (Option<S>, u32) {
+        let (index, examined) = self.walk(b, tag, is);
+        (index.map(|i| self.slots[i]), examined)
     }
 
     /// The paper's lookup: chain `b`'s cache, then its walk. Records the
@@ -166,9 +175,38 @@ impl<S: Copy> Chains<S> {
         (found, examined, false)
     }
 
+    /// Crowcroft's lookup: chain `b`'s walk, and the slot found moved to
+    /// the head of the chain. Records the cost; a slot found at the head
+    /// counts as a cache hit, the head being the list's cache. Only the
+    /// keyed table calls this, so the keyless lookup's code is
+    /// [`Chains::lookup`]'s alone.
+    #[inline]
+    fn lookup_move_to_front(
+        &mut self,
+        b: usize,
+        tag: u32,
+        is: impl Fn(&S) -> bool,
+    ) -> (Option<S>, u32, bool) {
+        let (index, examined) = self.walk(b, tag, is);
+        let found = index.map(|i| {
+            // Not `rotate_left(1)`, which below 24 elements juggles them
+            // one at a time: two of those on a five-entry chain cost more
+            // than the walk.
+            let head = self.range(b).end - 1;
+            let (tag, slot) = (self.tags[i], self.slots[i]);
+            self.tags.copy_within(i + 1..=head, i);
+            self.slots.copy_within(i + 1..=head, i);
+            (self.tags[head], self.slots[head]) = (tag, slot);
+            slot
+        });
+        let cache_hit = found.is_some() && examined == 1;
+        self.stats.record(examined, found.is_some(), cache_hit);
+        (found, examined, cache_hit)
+    }
+
     /// Overwrite the slot `is` accepts in chain `b`, and the cache if it
     /// holds that slot, with `slot`. Whether chain `b` held one.
-    fn replace(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool, slot: S) -> bool {
+    pub(crate) fn replace(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool, slot: S) -> bool {
         let Some(i) = self.walk(b, tag, &is).0 else {
             return false;
         };
@@ -180,7 +218,7 @@ impl<S: Copy> Chains<S> {
     }
 
     /// Take the slot `is` accepts out of chain `b`, and out of its cache.
-    fn remove(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> Option<S> {
+    pub(crate) fn remove(&mut self, b: usize, tag: u32, is: impl Fn(&S) -> bool) -> Option<S> {
         if self.caches[b].is_some_and(|(t, cached)| t == tag && is(&cached)) {
             self.caches[b] = None;
         }
@@ -195,7 +233,7 @@ impl<S: Copy> Chains<S> {
     }
 
     /// Insert at the head of chain `b`.
-    fn push_front(&mut self, b: usize, tag: u32, slot: S) {
+    pub(crate) fn push_front(&mut self, b: usize, tag: u32, slot: S) {
         let end = self
             .regions
             .get(b + 1)
@@ -262,36 +300,107 @@ impl<S: Copy> Chains<S> {
     }
 }
 
-/// The Sequent hashed PCB lookup structure.
+/// What a chain of a [`SequentDemux`] does beside its walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainPolicy {
+    /// A one-entry last-found cache per chain, probed first at a cost of
+    /// one: Sequent (§3.4), and with one chain BSD (§3.1).
+    Cache,
+    /// No cache: every lookup walks its chain (§3.3's uncached list, and
+    /// the cache ablation).
+    Uncached,
+    /// No cache; a PCB found moves to the head of its chain: Crowcroft's
+    /// move-to-front (§3.2), and with more than one chain the combination
+    /// §3.5 weighs.
+    MoveToFront,
+}
+
+/// The chained PCB lookup structure: Sequent's hash chains, and under
+/// its settings each of the paper's list algorithms.
+///
+/// PCBs are distributed across `H` hash chains by a hash of the
+/// connection key; each chain is a linear list, scanned from its head.
+/// What a chain does beside its walk is the table's [`ChainPolicy`]:
+///
+/// | Paper | `H` | Policy | Name |
+/// |-------|-----|--------|------|
+/// | §3.1, BSD ([`SequentDemux::bsd`]) | 1 | [`ChainPolicy::Cache`] | `bsd` |
+/// | §3.2, Crowcroft's move-to-front ([`SequentDemux::mtf`]) | 1 | [`ChainPolicy::MoveToFront`] | `mtf` |
+/// | §3.4, Sequent ([`SequentDemux::new`]) | `H` | [`ChainPolicy::Cache`] | `sequent(H)` |
+/// | §3.3's uncached list; the cache ablation | `H` | [`ChainPolicy::Uncached`] | `sequent-nocache(H)` |
+/// | §3.5, move-to-front within hash chains | `H` | [`ChainPolicy::MoveToFront`] | `hashed-mtf(H)` |
+///
+/// BSD's one list and one cache are the paper's `H = 1` case of
+/// Equation 19, which is Equation 1: `C_BSD(N) = 1 + (N² − 1)/2N ≈ N/2`.
+/// Sequent's caches raise the hit rate from `1/N` to `H/N`, and a miss
+/// scans only `≈ N/H` PCBs instead of `N`, giving Equation 22 — about 53
+/// PCBs examined for a 200-TPS TPC/A benchmark with the product's
+/// default of 19 chains, an order of magnitude below BSD's 1,001. Raising
+/// `H` buys further speedup for only `H` words of headers (§3.5: 19 → 100
+/// chains takes the cost from 53 to under 9). Move-to-front has no
+/// cache: the head of the chain is the cache, and a PCB found moves
+/// there, so the acknowledgement a response-time after a transaction
+/// finds its PCB near the front (Equations 5–6). Within hash chains it
+/// buys at most a factor of two, where more chains buy five; the paper
+/// rejects it, and the table keeps it so the ablation can measure that.
+/// A one-chain table computes no hash.
 #[derive(Debug)]
 pub struct SequentDemux<H> {
     hasher: H,
     chains: Chains<Entry>,
+    policy: ChainPolicy,
+    /// The paper's name for one of its single lists (`"bsd"`, `"mtf"`),
+    /// reported in place of a chain count.
+    list_name: Option<&'static str>,
+}
+
+impl SequentDemux<Multiplicative> {
+    /// §3.1, BSD: one list and a one-entry cache of the last PCB found.
+    /// Reports itself as `"bsd"`.
+    pub fn bsd() -> Self {
+        Self {
+            list_name: Some("bsd"),
+            ..Self::new(Multiplicative, 1)
+        }
+    }
+
+    /// §3.2, Crowcroft's move-to-front: one list, no cache, a PCB found
+    /// moved to its head. Reports itself as `"mtf"`.
+    pub fn mtf() -> Self {
+        Self {
+            list_name: Some("mtf"),
+            ..Self::with_policy(Multiplicative, 1, ChainPolicy::MoveToFront)
+        }
+    }
 }
 
 impl<H: KeyHasher> SequentDemux<H> {
     /// The installation default number of hash chains in Sequent's product.
     pub const DEFAULT_CHAINS: usize = 19;
 
-    /// Create a structure with `chains` hash chains (must be nonzero).
+    /// Sequent's structure: `chains` hash chains (must be nonzero), each
+    /// with its cache.
     pub fn new(hasher: H, chains: usize) -> Self {
-        Self {
+        Self::with_policy(hasher, chains, ChainPolicy::Cache)
+    }
+
+    /// `chains` hash chains (must be nonzero) under `policy`.
+    pub fn with_policy(hasher: H, chains: usize, policy: ChainPolicy) -> Self {
+        let mut table = Self {
             hasher,
             chains: Chains::new(chains),
+            policy,
+            list_name: None,
+        };
+        if policy != ChainPolicy::Cache {
+            table.chains.disable_cache();
         }
+        table
     }
 
-    /// Disable the per-chain one-entry caches (ablation: pure hash chains,
-    /// the "uncached linked list" the paper's §3.3 convergence argument
-    /// refers to). Existing cache contents are discarded.
-    pub fn without_cache(mut self) -> Self {
-        self.chains.disable_cache();
-        self
-    }
-
-    /// Whether the per-chain caches are active.
-    pub fn cache_enabled(&self) -> bool {
-        self.chains.cache_enabled
+    /// What the chains do beside their walk.
+    pub fn policy(&self) -> ChainPolicy {
+        self.policy
     }
 
     /// Create with the installation-default 19 chains.
@@ -334,7 +443,11 @@ impl<H: KeyHasher> SequentDemux<H> {
     }
 
     fn bucket(&self, key: &ConnectionKey) -> usize {
-        self.hasher.bucket(key, self.chains.regions.len())
+        match self.chains.regions.len() {
+            // One chain needs no hash: BSD's and MTF's single list.
+            1 => 0,
+            chains => self.hasher.bucket(key, chains),
+        }
     }
 }
 
@@ -353,8 +466,12 @@ impl<H: KeyHasher> Demux for SequentDemux<H> {
     }
 
     fn lookup(&mut self, key: &ConnectionKey, _kind: PacketKind) -> LookupResult {
-        let b = self.bucket(key);
-        let (entry, examined, cache_hit) = self.chains.lookup(b, key_tag(key), |e| e.0 == *key);
+        let (b, tag) = (self.bucket(key), key_tag(key));
+        let is = |e: &Entry| e.0 == *key;
+        let (entry, examined, cache_hit) = match self.policy {
+            ChainPolicy::MoveToFront => self.chains.lookup_move_to_front(b, tag, is),
+            ChainPolicy::Cache | ChainPolicy::Uncached => self.chains.lookup(b, tag, is),
+        };
         LookupResult {
             pcb: entry.map(|e| e.1),
             examined,
@@ -367,7 +484,11 @@ impl<H: KeyHasher> Demux for SequentDemux<H> {
     }
 
     fn name(&self) -> String {
-        self.chains.name()
+        match (self.list_name, self.policy) {
+            (Some(name), _) => name.to_string(),
+            (None, ChainPolicy::MoveToFront) => format!("hashed-mtf({})", self.chain_count()),
+            (None, _) => self.chains.name(),
+        }
     }
 
     fn stats(&self) -> &LookupStats {
@@ -504,10 +625,12 @@ impl<H: KeyHasher> KeylessSequent<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::tests::linked;
     use crate::test_util::{key, populate};
-    use tcpdemux_hash::{Multiplicative, XorFold};
+    use crate::SendRecvDemux;
+    use tcpdemux_hash::XorFold;
     use tcpdemux_pcb::{Pcb, PcbArena};
-    use tcpdemux_testprop::{check, check_cases, sweep_seeds};
+    use tcpdemux_testprop::{check, check_cases, sweep_seeds, TestRng};
 
     #[test]
     fn preload_matches_insert_for_distinct_keys() {
@@ -574,7 +697,7 @@ mod tests {
         // presents BSD as the H=1 special case of Equation 19.
         let mut arena = PcbArena::new();
         let mut demux = SequentDemux::new(XorFold, 1);
-        let mut bsd = crate::BsdDemux::new();
+        let mut bsd = SequentDemux::bsd();
         let mut arena2 = PcbArena::new();
         populate(&mut demux, &mut arena, 50);
         populate(&mut bsd, &mut arena2, 50);
@@ -654,6 +777,24 @@ mod tests {
         assert_eq!(demux.chain_count(), 19);
         let demux = SequentDemux::with_default_chains(XorFold);
         assert_eq!(demux.chain_count(), SequentDemux::<XorFold>::DEFAULT_CHAINS);
+        let names = [
+            SequentDemux::bsd(),
+            SequentDemux::mtf(),
+            SequentDemux::new(Multiplicative, 1),
+            SequentDemux::with_policy(Multiplicative, 19, ChainPolicy::Uncached),
+            SequentDemux::with_policy(Multiplicative, 19, ChainPolicy::MoveToFront),
+            SequentDemux::with_policy(Multiplicative, 1, ChainPolicy::MoveToFront),
+        ]
+        .map(|d| d.name());
+        let want = [
+            "bsd",
+            "mtf",
+            "sequent(1)",
+            "sequent-nocache(19)",
+            "hashed-mtf(19)",
+            "hashed-mtf(1)",
+        ];
+        assert_eq!(names, want);
     }
 
     #[test]
@@ -667,9 +808,9 @@ mod tests {
         let mut arena = PcbArena::new();
         let mut cached = SequentDemux::new(Multiplicative, 19);
         let mut arena2 = PcbArena::new();
-        let mut uncached = SequentDemux::new(Multiplicative, 19).without_cache();
-        assert!(cached.cache_enabled());
-        assert!(!uncached.cache_enabled());
+        let mut uncached = SequentDemux::with_policy(Multiplicative, 19, ChainPolicy::Uncached);
+        assert_eq!(cached.policy(), ChainPolicy::Cache);
+        assert_eq!(uncached.policy(), ChainPolicy::Uncached);
         assert_eq!(uncached.name(), "sequent-nocache(19)");
 
         populate(&mut cached, &mut arena, 190);
@@ -704,7 +845,7 @@ mod tests {
         chains: Vec<Vec<Entry>>,
         caches: Vec<Option<Entry>>,
         stats: LookupStats,
-        cache_enabled: bool,
+        policy: ChainPolicy,
     }
 
     impl Model {
@@ -713,7 +854,7 @@ mod tests {
                 chains: vec![Vec::new(); demux.chain_count()],
                 caches: vec![None; demux.chain_count()],
                 stats: LookupStats::new(),
-                cache_enabled: demux.cache_enabled(),
+                policy: demux.policy(),
             }
         }
 
@@ -789,14 +930,20 @@ mod tests {
                         Some(pos) => {
                             let id = self.chains[b][pos].1;
                             let examined = probe + pos as u32 + 1;
-                            if self.cache_enabled {
-                                self.caches[b] = Some((k, id));
+                            let mut cache_hit = false;
+                            match self.policy {
+                                ChainPolicy::Cache => self.caches[b] = Some((k, id)),
+                                ChainPolicy::Uncached => {}
+                                ChainPolicy::MoveToFront => {
+                                    self.chains[b][..=pos].rotate_right(1);
+                                    cache_hit = pos == 0;
+                                }
                             }
-                            self.stats.record(examined, true, false);
+                            self.stats.record(examined, true, cache_hit);
                             LookupResult {
                                 pcb: Some(id),
                                 examined,
-                                cache_hit: false,
+                                cache_hit,
                             }
                         }
                         None => {
@@ -829,22 +976,27 @@ mod tests {
     }
 
     /// Every `LookupResult` field and the final accumulated `LookupStats`
-    /// agree with the model across insert/remove/reorder churn, with the
-    /// cache both enabled and disabled.
+    /// agree with the model across insert/remove/reorder churn, under
+    /// every policy.
     #[test]
     fn prop_matches_chain_model() {
-        for cache_enabled in [true, false] {
-            let name = if cache_enabled {
-                "sequent_prop_matches_chain_model_cached"
-            } else {
-                "sequent_prop_matches_chain_model_nocache"
-            };
+        for (policy, name) in [
+            (
+                ChainPolicy::Cache,
+                "sequent_prop_matches_chain_model_cached",
+            ),
+            (
+                ChainPolicy::Uncached,
+                "sequent_prop_matches_chain_model_nocache",
+            ),
+            (
+                ChainPolicy::MoveToFront,
+                "sequent_prop_matches_chain_model_mtf",
+            ),
+        ] {
             check(name, |rng| {
                 let mut arena = PcbArena::new();
-                let mut demux = SequentDemux::new(Multiplicative, 7);
-                if !cache_enabled {
-                    demux = demux.without_cache();
-                }
+                let mut demux = SequentDemux::with_policy(Multiplicative, 7, policy);
                 let mut model = Model::of(&demux);
                 let ops = rng.vec_of(0, 300, |r| (r.u8_in(0, 5), r.u32_below(32)));
                 for (op, n) in ops {
@@ -862,18 +1014,25 @@ mod tests {
     }
 
     /// Through lanes that fill, re-lay and double several times over —
-    /// one chain to nineteen, a population that grows, shrinks and grows
-    /// past its old peak — the structure agrees with the model, and the
-    /// lanes hold the largest population so far and are never larger than
-    /// the power of two (16 at least) that holds it with a free slot per
-    /// chain: they follow the population, not any one chain.
+    /// one chain to nineteen, under every policy, a population that
+    /// grows, shrinks and grows past its old peak — the structure agrees
+    /// with the model, and the lanes hold the largest population so far
+    /// and are never larger than the power of two (16 at least) that
+    /// holds it with a free slot per chain: they follow the population,
+    /// not any one chain. One chain of a few hundred is the single list
+    /// of BSD and MTF, walked across dozens of blocks.
     #[test]
     fn prop_relayouts_match_the_model_as_the_lanes_fill_and_grow() {
         check_cases("sequent_relayouts_match_the_model", sweep_seeds(8), |rng| {
             let chains = *rng.choose(&[1, 2, 5, 19]);
+            let policy = *rng.choose(&[
+                ChainPolicy::Cache,
+                ChainPolicy::Uncached,
+                ChainPolicy::MoveToFront,
+            ]);
             let keys = rng.u32_in(100, 1500);
             let mut arena = PcbArena::new();
-            let mut demux = SequentDemux::new(Multiplicative, chains);
+            let mut demux = SequentDemux::with_policy(Multiplicative, chains, policy);
             let mut model = Model::of(&demux);
             let (mut peak, mut doublings) = (0, 0);
             for phase in [8u8, 3, 8, 5] {
@@ -912,7 +1071,7 @@ mod tests {
         let mut arena = PcbArena::new();
         let mut cached = SequentDemux::new(Multiplicative, 19);
         let mut arena2 = PcbArena::new();
-        let mut uncached = SequentDemux::new(Multiplicative, 19).without_cache();
+        let mut uncached = SequentDemux::with_policy(Multiplicative, 19, ChainPolicy::Uncached);
         populate(&mut cached, &mut arena, 190);
         populate(&mut uncached, &mut arena2, 190);
         cached.reset_stats();
@@ -1070,5 +1229,493 @@ mod tests {
         let panicked = std::panic::catch_unwind(check);
         assert_eq!(*table.stats(), stats, "the check records no lookup");
         std::panic::resume_unwind(panicked.unwrap_err());
+    }
+
+    /// BSD over the linked reference, and one Sequent chain: a list and a
+    /// one-entry last-found cache, probed first at a cost of one.
+    struct LinkedCachedChain {
+        list: linked::List,
+        cache: Option<Entry>,
+    }
+
+    impl LinkedCachedChain {
+        fn new() -> Self {
+            Self {
+                list: linked::List::new(),
+                cache: None,
+            }
+        }
+
+        fn insert(&mut self, key: ConnectionKey, id: PcbId) {
+            if self.list.replace(&key, id).is_none() {
+                self.list.push_front(key, id);
+            } else if self.cache.is_some_and(|(ck, _)| ck == key) {
+                self.cache = Some((key, id));
+            }
+        }
+
+        fn remove(&mut self, key: &ConnectionKey) -> Option<PcbId> {
+            if self.cache.is_some_and(|(ck, _)| ck == *key) {
+                self.cache = None;
+            }
+            self.list.remove(key)
+        }
+
+        fn lookup(&mut self, key: &ConnectionKey) -> (Option<PcbId>, u32) {
+            if let Some((_, id)) = self.cache.filter(|(ck, _)| ck == key) {
+                return (Some(id), 1);
+            }
+            let (found, scanned) = self.list.find(key);
+            let examined = u32::from(self.cache.is_some()) + scanned;
+            if let Some(id) = found {
+                self.cache = Some((*key, id));
+            }
+            (found, examined)
+        }
+    }
+
+    /// Partridge and Pink's two caches over the linked reference: the
+    /// receive cache probed first for data and the send cache first for
+    /// ACKs, each at a cost of one when it holds a PCB.
+    struct LinkedSendRecv {
+        list: linked::List,
+        recv: Option<Entry>,
+        send: Option<Entry>,
+    }
+
+    impl LinkedSendRecv {
+        fn new() -> Self {
+            Self {
+                list: linked::List::new(),
+                recv: None,
+                send: None,
+            }
+        }
+
+        fn insert(&mut self, key: ConnectionKey, id: PcbId) {
+            if self.list.replace(&key, id).is_none() {
+                self.list.push_front(key, id);
+            }
+            for (ck, cid) in [&mut self.recv, &mut self.send].into_iter().flatten() {
+                if *ck == key {
+                    *cid = id;
+                }
+            }
+        }
+
+        fn remove(&mut self, key: &ConnectionKey) -> Option<PcbId> {
+            for cache in [&mut self.recv, &mut self.send] {
+                if cache.is_some_and(|(ck, _)| ck == *key) {
+                    *cache = None;
+                }
+            }
+            self.list.remove(key)
+        }
+
+        fn lookup(&mut self, key: &ConnectionKey, kind: PacketKind) -> (Option<PcbId>, u32) {
+            let probes = match kind {
+                PacketKind::Data => [self.recv, self.send],
+                PacketKind::Ack => [self.send, self.recv],
+            };
+            let mut examined = 0;
+            for (ck, id) in probes.into_iter().flatten() {
+                examined += 1;
+                if ck == *key {
+                    self.recv = Some((ck, id));
+                    return (Some(id), examined);
+                }
+            }
+            let (found, scanned) = self.list.find(key);
+            if let Some(id) = found {
+                self.recv = Some((*key, id));
+            }
+            (found, examined + scanned)
+        }
+
+        fn note_send(&mut self, key: &ConnectionKey) {
+            if let (Some(id), _) = self.list.find(key) {
+                self.send = Some((*key, id));
+            }
+        }
+    }
+
+    /// BSD, MTF, the send/receive cache, `sequent(19)` and
+    /// `hashed-mtf(19)` as settings of the chained table examine, lookup
+    /// for lookup and in total, exactly what the same algorithms examine
+    /// over the linked list the lanes replaced, through 10,000 lookups
+    /// (hits and misses, data and ACKs) interleaved with inserts,
+    /// removes and sends.
+    #[test]
+    fn paper_algorithms_examine_what_they_did_over_the_linked_list() {
+        const KEYS: u32 = 1500;
+        const CHAINS: usize = 19;
+        for seed in 0..u64::from(sweep_seeds(2)) {
+            let mut rng = TestRng::from_seed(0x11_57ed ^ seed);
+            let mut arena = PcbArena::new();
+            let mut tables: [Box<dyn Demux>; 5] = [
+                Box::new(SequentDemux::bsd()),
+                Box::new(SequentDemux::mtf()),
+                Box::new(SendRecvDemux::new()),
+                Box::new(SequentDemux::new(Multiplicative, CHAINS)),
+                Box::new(SequentDemux::with_policy(
+                    Multiplicative,
+                    CHAINS,
+                    ChainPolicy::MoveToFront,
+                )),
+            ];
+            let mut linked_bsd = LinkedCachedChain::new();
+            let mut linked_mtf = linked::List::new();
+            let mut linked_send_recv = LinkedSendRecv::new();
+            let mut linked_sequent: Vec<_> =
+                (0..CHAINS).map(|_| LinkedCachedChain::new()).collect();
+            let mut linked_hashed_mtf: Vec<_> = (0..CHAINS).map(|_| linked::List::new()).collect();
+            let mut linked_totals = [0u64; 5];
+
+            let mut lookups = 0;
+            while lookups < 10_000 {
+                let k = key(rng.u32_below(KEYS));
+                let b = Multiplicative.bucket(&k, CHAINS);
+                // Insert-heavy until the table holds about two thirds of
+                // the key space, so most lookups hit and chains are long.
+                match rng.u8_in(0, 10) {
+                    0 | 1 => {
+                        let id = arena.insert(Pcb::new(k));
+                        tables.iter_mut().for_each(|t| t.insert(k, id));
+                        linked_bsd.insert(k, id);
+                        linked_mtf.insert(k, id);
+                        linked_send_recv.insert(k, id);
+                        linked_sequent[b].insert(k, id);
+                        linked_hashed_mtf[b].insert(k, id);
+                    }
+                    2 => {
+                        let expected = linked_bsd.remove(&k);
+                        assert_eq!(linked_mtf.remove(&k), expected);
+                        assert_eq!(linked_send_recv.remove(&k), expected);
+                        assert_eq!(linked_sequent[b].remove(&k), expected);
+                        assert_eq!(linked_hashed_mtf[b].remove(&k), expected);
+                        for table in &mut tables {
+                            assert_eq!(table.remove(&k), expected, "{}", table.name());
+                        }
+                    }
+                    3 => {
+                        linked_send_recv.note_send(&k);
+                        tables.iter_mut().for_each(|t| t.note_send(&k));
+                    }
+                    op => {
+                        lookups += 1;
+                        let kind = [PacketKind::Data, PacketKind::Ack][usize::from(op % 2)];
+                        let expected = [
+                            linked_bsd.lookup(&k),
+                            linked_mtf.find_move_to_front(&k),
+                            linked_send_recv.lookup(&k, kind),
+                            linked_sequent[b].lookup(&k),
+                            linked_hashed_mtf[b].find_move_to_front(&k),
+                        ];
+                        for ((table, want), total) in
+                            tables.iter_mut().zip(expected).zip(&mut linked_totals)
+                        {
+                            let got = table.lookup(&k, kind);
+                            assert_eq!((got.pcb, got.examined), want, "{}", table.name());
+                            *total += u64::from(want.1);
+                        }
+                    }
+                }
+            }
+            let totals: Vec<_> = tables.iter().map(|t| t.stats().pcbs_examined).collect();
+            assert_eq!(totals, linked_totals, "seed {seed}");
+            assert!(tables[0].len() > 500, "trace must keep lists long");
+        }
+    }
+
+    /// §3.1: BSD, one chain with its cache.
+    mod bsd {
+        use super::*;
+
+        #[test]
+        fn repeated_lookup_hits_cache() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            let ids = populate(&mut demux, &mut arena, 100);
+
+            // First lookup scans; key(0) was inserted first so it is at
+            // the tail: 100 entries examined (no cache populated yet).
+            let r1 = demux.lookup(&key(0), PacketKind::Data);
+            assert_eq!(r1.pcb, Some(ids[0]));
+            assert_eq!(r1.examined, 100);
+            assert!(!r1.cache_hit);
+
+            // Second lookup: cache hit, exactly one PCB examined. This is
+            // the packet-train case the cache was designed for.
+            let r2 = demux.lookup(&key(0), PacketKind::Data);
+            assert_eq!(r2.pcb, Some(ids[0]));
+            assert_eq!(r2.examined, 1);
+            assert!(r2.cache_hit);
+        }
+
+        #[test]
+        fn miss_cost_includes_cache_probe() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            populate(&mut demux, &mut arena, 10);
+
+            // Prime the cache with key(9) (head of list, 1 entry scanned).
+            let r = demux.lookup(&key(9), PacketKind::Data);
+            assert_eq!(r.examined, 1);
+
+            // Now look up key(0): 1 cache probe + 10 scanned.
+            let r = demux.lookup(&key(0), PacketKind::Data);
+            assert_eq!(r.examined, 11);
+
+            // A key that is not there: 1 cache probe + all 10 scanned.
+            let r = demux.lookup(&key(1000), PacketKind::Data);
+            assert_eq!(r.pcb, None);
+            assert_eq!(r.examined, 11);
+        }
+
+        #[test]
+        fn lookup_does_not_reorder_list() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            populate(&mut demux, &mut arena, 5);
+            // key(4)..key(0) is the list order. Looking up key(2), then
+            // evicting it from the cache with another lookup, must leave
+            // its position (and hence cost) unchanged.
+            let r = demux.lookup(&key(2), PacketKind::Data);
+            assert_eq!(r.examined, 3); // position of key(2)
+            demux.lookup(&key(4), PacketKind::Data); // evicts cache (cost 1+1)
+            let r = demux.lookup(&key(2), PacketKind::Data);
+            assert_eq!(r.examined, 4); // 1 cache probe + same position 3
+        }
+
+        #[test]
+        fn remove_clears_cache() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            populate(&mut demux, &mut arena, 3);
+            demux.lookup(&key(1), PacketKind::Data);
+            assert!(demux.lookup(&key(1), PacketKind::Data).cache_hit);
+            demux.remove(&key(1));
+            // A miss over the two left, with no cache left to probe.
+            let r = demux.lookup(&key(1), PacketKind::Data);
+            assert_eq!((r.pcb, r.examined), (None, 2));
+        }
+
+        #[test]
+        fn reinsert_updates_cached_handle() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            let _ = populate(&mut demux, &mut arena, 3);
+            demux.lookup(&key(1), PacketKind::Data);
+            let new_id = arena.insert(Pcb::new(key(1)));
+            demux.insert(key(1), new_id);
+            let r = demux.lookup(&key(1), PacketKind::Data);
+            assert_eq!(r.pcb, Some(new_id));
+            assert!(r.cache_hit, "cache must have been updated, not stale");
+        }
+
+        #[test]
+        fn mean_examined_approaches_half_n_under_uniform_traffic() {
+            // Round-robin traffic over N connections: the cache almost
+            // never hits (the paper's OLTP scenario). Mean examined must
+            // be close to 1 + (N+1)/2.
+            let n = 200u32;
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            populate(&mut demux, &mut arena, n);
+            demux.reset_stats();
+            for round in 0..50u32 {
+                for i in 0..n {
+                    // Visit in a rotating order so no packet trains form.
+                    let r = demux.lookup(&key((i * 7 + round) % n), PacketKind::Data);
+                    assert!(r.pcb.is_some());
+                }
+            }
+            let mean = demux.stats().mean_examined();
+            let predicted = 1.0 + (f64::from(n) + 1.0) / 2.0;
+            assert!(
+                (mean - predicted).abs() / predicted < 0.05,
+                "mean {mean} vs predicted {predicted}"
+            );
+        }
+    }
+
+    /// §3.2: Crowcroft's move-to-front, one chain with no cache.
+    mod mtf {
+        use super::*;
+
+        fn front(demux: &SequentDemux<Multiplicative>) -> Option<ConnectionKey> {
+            demux.iter_entries().next().map(|(k, _)| k)
+        }
+
+        #[test]
+        fn found_pcb_moves_to_front() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::mtf();
+            let ids = populate(&mut demux, &mut arena, 10);
+
+            // key(0) is at the tail (inserted first): 10 examined.
+            let r = demux.lookup(&key(0), PacketKind::Data);
+            assert_eq!(r.pcb, Some(ids[0]));
+            assert_eq!(r.examined, 10);
+            assert_eq!(front(&demux), Some(key(0)));
+
+            // Now it is at the head: 1 examined.
+            let r = demux.lookup(&key(0), PacketKind::Data);
+            assert_eq!(r.examined, 1);
+            assert!(r.cache_hit);
+        }
+
+        #[test]
+        fn intervening_lookups_push_key_back() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::mtf();
+            populate(&mut demux, &mut arena, 10);
+
+            demux.lookup(&key(0), PacketKind::Data); // key(0) to front
+            demux.lookup(&key(1), PacketKind::Data); // key(1) to front
+            demux.lookup(&key(2), PacketKind::Data); // key(2) to front
+
+            // key(0) is now third.
+            let r = demux.lookup(&key(0), PacketKind::Data);
+            assert_eq!(r.examined, 3);
+        }
+
+        #[test]
+        fn miss_scans_whole_list_without_reordering() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::mtf();
+            populate(&mut demux, &mut arena, 5);
+            for i in 0..5 {
+                demux.lookup(&key(i), PacketKind::Data);
+            }
+            let before: Vec<_> = demux.iter_entries().collect();
+            let r = demux.lookup(&key(1000), PacketKind::Data);
+            assert_eq!(r.pcb, None);
+            assert_eq!(r.examined, 5);
+            // Order still has key(4) at the front (the last successful
+            // lookup), and nothing else moved.
+            assert_eq!(front(&demux), Some(key(4)));
+            assert!(demux.iter_entries().eq(before));
+        }
+
+        #[test]
+        fn deterministic_polling_is_worst_case() {
+            // The paper's point-of-sale observation: if a server polls its
+            // N clients round-robin, every lookup scans the entire list,
+            // because the needed PCB has always just been pushed to the
+            // very tail by the N−1 other lookups. All keys in one chain of
+            // a hashed table suffer the same.
+            let n = 50u32;
+            for mut demux in [
+                SequentDemux::mtf(),
+                SequentDemux::with_policy(Multiplicative, 1, ChainPolicy::MoveToFront),
+            ] {
+                let mut arena = PcbArena::new();
+                populate(&mut demux, &mut arena, n);
+
+                // Warm up one full cycle to reach the steady-state ordering.
+                for i in 0..n {
+                    demux.lookup(&key(i), PacketKind::Data);
+                }
+                demux.reset_stats();
+                for _round in 0..10 {
+                    for i in 0..n {
+                        let r = demux.lookup(&key(i), PacketKind::Data);
+                        assert_eq!(r.examined, n, "round-robin must always scan all");
+                    }
+                }
+                assert!((demux.stats().mean_examined() - f64::from(n)).abs() < 1e-9);
+            }
+        }
+
+        #[test]
+        fn packet_train_is_best_case() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::mtf();
+            populate(&mut demux, &mut arena, 100);
+            demux.lookup(&key(42), PacketKind::Data);
+            demux.reset_stats();
+            for _ in 0..64 {
+                let r = demux.lookup(&key(42), PacketKind::Data);
+                assert_eq!(r.examined, 1);
+            }
+            assert_eq!(demux.stats().hit_rate(), 1.0);
+        }
+
+        #[test]
+        fn remove_from_any_position() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::mtf();
+            let ids = populate(&mut demux, &mut arena, 3);
+            demux.lookup(&key(0), PacketKind::Data); // order: 0, 2, 1
+            assert_eq!(demux.remove(&key(2)), Some(ids[2]));
+            assert_eq!(demux.len(), 2);
+            let r = demux.lookup(&key(1), PacketKind::Data);
+            assert_eq!(r.examined, 2);
+        }
+    }
+
+    /// §3.5: move-to-front within hash chains.
+    mod hashed_mtf {
+        use super::*;
+
+        fn hashed_mtf(chains: usize) -> SequentDemux<Multiplicative> {
+            SequentDemux::with_policy(Multiplicative, chains, ChainPolicy::MoveToFront)
+        }
+
+        #[test]
+        fn repeat_lookup_is_one_probe() {
+            let mut arena = PcbArena::new();
+            let mut demux = hashed_mtf(19);
+            populate(&mut demux, &mut arena, 200);
+            demux.lookup(&key(7), PacketKind::Data);
+            let r = demux.lookup(&key(7), PacketKind::Data);
+            assert_eq!(r.examined, 1);
+            assert!(r.cache_hit);
+        }
+
+        #[test]
+        fn bounded_by_chain_length() {
+            let mut arena = PcbArena::new();
+            let mut demux = hashed_mtf(19);
+            populate(&mut demux, &mut arena, 1900);
+            let longest = demux.chain_lengths().into_iter().max().unwrap() as u32;
+            for i in 0..1900 {
+                let r = demux.lookup(&key(i), PacketKind::Data);
+                assert!(r.pcb.is_some());
+                assert!(r.examined <= longest.min(300), "examined {}", r.examined);
+            }
+        }
+
+        #[test]
+        fn raising_chains_beats_adding_mtf() {
+            // The paper's §3.5 comparison, measured on train-free
+            // round-robin traffic: sequent(100) must beat hashed-mtf(19),
+            // and hashed-mtf's advantage over sequent at equal H must be
+            // < 2x.
+            let n = 1900u32;
+            let run = |demux: &mut dyn Demux| {
+                let mut arena = PcbArena::new();
+                populate(demux, &mut arena, n);
+                demux.reset_stats();
+                for round in 0..5u32 {
+                    for i in 0..n {
+                        demux.lookup(&key((i * 13 + round) % n), PacketKind::Data);
+                    }
+                }
+                demux.stats().mean_examined()
+            };
+            let mtf19_cost = run(&mut hashed_mtf(19));
+            let seq19_cost = run(&mut SequentDemux::new(Multiplicative, 19));
+            let seq100_cost = run(&mut SequentDemux::new(Multiplicative, 100));
+
+            assert!(
+                seq100_cost < mtf19_cost,
+                "sequent(100)={seq100_cost} must beat hashed-mtf(19)={mtf19_cost}"
+            );
+            // MTF can help or hurt on this traffic, but never by 2x either way.
+            let ratio = seq19_cost / mtf19_cost;
+            assert!((0.5..=2.0).contains(&ratio), "ratio {ratio}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! §3.3 — Partridge & Pink's last-sent/last-received cache.
 //!
-//! The BSD list is augmented with *two* one-entry caches: one holding the
+//! BSD's one list, held as one uncached chain, is augmented with *two*
+//! one-entry caches in place of its one: one holding the
 //! PCB of the last packet received, one holding the PCB of the last packet
 //! sent. The receive path probes the receive-side cache first for data
 //! packets and the send-side cache first for acknowledgements (footnote 5
@@ -11,24 +12,39 @@
 //! On a full miss the cost is both cache probes plus the list scan —
 //! the paper's `(N+5)/2` average miss penalty.
 
-use crate::list::PcbList;
+use crate::list::key_tag;
+use crate::sequent::{Chains, Entry};
 use crate::stats::LookupStats;
 use crate::{Demux, LookupResult, PacketKind};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 
 /// The last-sent/last-received PCB lookup structure.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SendRecvDemux {
-    list: PcbList,
+    /// One chain, walked without a cache of its own: its index is 0.
+    list: Chains<Entry>,
     recv_cache: Option<(ConnectionKey, PcbId)>,
     send_cache: Option<(ConnectionKey, PcbId)>,
     stats: LookupStats,
 }
 
+impl Default for SendRecvDemux {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SendRecvDemux {
     /// An empty structure.
     pub fn new() -> Self {
-        Self::default()
+        let mut list = Chains::new(1);
+        list.disable_cache();
+        Self {
+            list,
+            recv_cache: None,
+            send_cache: None,
+            stats: LookupStats::new(),
+        }
     }
 
     /// The receive-side cache entry (exposed for cache-behaviour tests).
@@ -52,12 +68,19 @@ impl SendRecvDemux {
         *examined += 1;
         (ck == *key).then_some(id)
     }
+
+    /// Walk the list for `key`: its handle, and the PCBs examined.
+    fn find(&self, key: &ConnectionKey) -> (Option<PcbId>, u32) {
+        let (entry, examined) = self.list.find(0, key_tag(key), |e| e.0 == *key);
+        (entry.map(|e| e.1), examined)
+    }
 }
 
 impl Demux for SendRecvDemux {
     fn insert(&mut self, key: ConnectionKey, id: PcbId) {
-        if self.list.replace(&key, id).is_none() {
-            self.list.push_front(key, id);
+        let tag = key_tag(&key);
+        if !self.list.replace(0, tag, |e| e.0 == key, (key, id)) {
+            self.list.push_front(0, tag, (key, id));
         } else {
             for (ck, cid) in [&mut self.recv_cache, &mut self.send_cache]
                 .into_iter()
@@ -76,7 +99,8 @@ impl Demux for SendRecvDemux {
                 *cache = None;
             }
         }
-        self.list.remove(key)
+        let entry = self.list.remove(0, key_tag(key), |e| e.0 == *key)?;
+        Some(entry.1)
     }
 
     fn lookup(&mut self, key: &ConnectionKey, kind: PacketKind) -> LookupResult {
@@ -106,7 +130,7 @@ impl Demux for SendRecvDemux {
             };
         }
 
-        let (found, scanned) = self.list.find(key);
+        let (found, scanned) = self.find(key);
         examined += scanned;
         match found {
             Some(id) => {
@@ -129,14 +153,14 @@ impl Demux for SendRecvDemux {
         // The send path knows its PCB already (it initiated the send); it
         // records it in the send-side cache. The id is looked up from the
         // list without cost accounting — the send path holds the PCB.
-        let (found, _) = self.list.find(key);
+        let (found, _) = self.find(key);
         if let Some(id) = found {
             self.send_cache = Some((*key, id));
         }
     }
 
     fn len(&self) -> usize {
-        self.list.len()
+        self.list.len
     }
 
     fn name(&self) -> String {

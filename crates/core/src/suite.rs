@@ -1,6 +1,6 @@
 //! The standard suite of algorithms, for experiments that compare them all.
 
-use crate::{BsdDemux, Demux, DirectDemux, HashedMtfDemux, MtfDemux, SendRecvDemux, SequentDemux};
+use crate::{ChainPolicy, Demux, DirectDemux, SendRecvDemux, SequentDemux};
 use tcpdemux_hash::Multiplicative;
 use tcpdemux_telemetry::Recorder;
 
@@ -55,13 +55,13 @@ impl<D: Demux + 'static> From<D> for SuiteEntry {
 /// experiments.
 pub fn standard_suite() -> Vec<SuiteEntry> {
     vec![
-        BsdDemux::new().into(),
-        MtfDemux::new().into(),
+        SequentDemux::bsd().into(),
+        SequentDemux::mtf().into(),
         SendRecvDemux::new().into(),
         SequentDemux::new(Multiplicative, 19).into(),
         SequentDemux::new(Multiplicative, 51).into(),
         SequentDemux::new(Multiplicative, 100).into(),
-        HashedMtfDemux::new(Multiplicative, 19).into(),
+        SequentDemux::with_policy(Multiplicative, 19, ChainPolicy::MoveToFront).into(),
         DirectDemux::new().into(),
         cuckoo_entry(),
         front_sequent_entry(),

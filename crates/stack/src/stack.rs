@@ -2520,16 +2520,18 @@ impl Cx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcpdemux_core::{BsdDemux, SequentDemux};
+    use tcpdemux_core::SequentDemux;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
     fn pair() -> (Stack, Stack) {
-        let server =
-            Stack::with_config(StackConfig::new(SERVER).with_demux(|| Box::new(BsdDemux::new())));
-        let client =
-            Stack::with_config(StackConfig::new(CLIENT).with_demux(|| Box::new(BsdDemux::new())));
+        let server = Stack::with_config(
+            StackConfig::new(SERVER).with_demux(|| Box::new(SequentDemux::bsd())),
+        );
+        let client = Stack::with_config(
+            StackConfig::new(CLIENT).with_demux(|| Box::new(SequentDemux::bsd())),
+        );
         (server, client)
     }
 
@@ -2863,12 +2865,13 @@ mod tests {
 
     /// Pair with real TIME-WAIT enabled on the client side.
     fn pair_with_time_wait(ticks: u64) -> (Stack, Stack) {
-        let server =
-            Stack::with_config(StackConfig::new(SERVER).with_demux(|| Box::new(BsdDemux::new())));
+        let server = Stack::with_config(
+            StackConfig::new(SERVER).with_demux(|| Box::new(SequentDemux::bsd())),
+        );
         let client = Stack::with_config(
             StackConfig::new(CLIENT)
                 .with_time_wait(ticks)
-                .with_demux(|| Box::new(BsdDemux::new())),
+                .with_demux(|| Box::new(SequentDemux::bsd())),
         );
         (server, client)
     }
@@ -2981,7 +2984,7 @@ mod tests {
             .map(|i| {
                 let addr = Ipv4Addr::new(10, 9, (i >> 8) as u8, (i & 0xff) as u8);
                 let mut c = Stack::with_config(
-                    StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())),
+                    StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())),
                 );
                 let (cp, syn) = c.connect(SERVER, port).unwrap();
                 let synack = server.receive(&syn).unwrap().replies;
@@ -3022,7 +3025,7 @@ mod tests {
         // A third SYN is dropped silently.
         let addr = Ipv4Addr::new(10, 9, 9, 9);
         let mut extra =
-            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())));
+            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())));
         let (_cp, syn) = extra.connect(SERVER, 80).unwrap();
         let r = server.receive(&syn).unwrap();
         assert!(matches!(r.outcome, RxOutcome::SynDropped));
@@ -3045,8 +3048,9 @@ mod tests {
         // Two half-open connections (SYN sent, handshake never finished).
         for i in 0..2u8 {
             let addr = Ipv4Addr::new(10, 9, 0, i);
-            let mut c =
-                Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())));
+            let mut c = Stack::with_config(
+                StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())),
+            );
             let (_cp, syn) = c.connect(SERVER, 80).unwrap();
             let r = server.receive(&syn).unwrap();
             assert!(matches!(r.outcome, RxOutcome::NewConnection { .. }));
@@ -3056,7 +3060,7 @@ mod tests {
         // Third SYN: dropped, the backlog is consumed by embryos.
         let addr = Ipv4Addr::new(10, 9, 0, 99);
         let mut c =
-            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())));
+            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())));
         let (_cp, syn) = c.connect(SERVER, 80).unwrap();
         let r = server.receive(&syn).unwrap();
         assert!(matches!(r.outcome, RxOutcome::SynDropped));
@@ -3070,7 +3074,7 @@ mod tests {
             .unwrap();
         let addr = Ipv4Addr::new(10, 9, 0, 1);
         let mut c =
-            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())));
+            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())));
         let (cp, syn) = c.connect(SERVER, 80).unwrap();
         server.receive(&syn).unwrap();
         // The client gives up: RST kills the embryo.
@@ -3079,8 +3083,9 @@ mod tests {
         assert!(matches!(r.outcome, RxOutcome::ResetReceived));
         // The slot is free again.
         let addr2 = Ipv4Addr::new(10, 9, 0, 2);
-        let mut c2 =
-            Stack::with_config(StackConfig::new(addr2).with_demux(|| Box::new(BsdDemux::new())));
+        let mut c2 = Stack::with_config(
+            StackConfig::new(addr2).with_demux(|| Box::new(SequentDemux::bsd())),
+        );
         let (_cp2, syn2) = c2.connect(SERVER, 80).unwrap();
         let r = server.receive(&syn2).unwrap();
         assert!(matches!(r.outcome, RxOutcome::NewConnection { .. }));
@@ -3167,8 +3172,9 @@ mod tests {
         // hit, a new connection, nor a reset, and so does an RST for an
         // unknown four-tuple. A mean over those three outcomes alone
         // would overstate the cost under exactly this flood.
-        let mut server =
-            Stack::with_config(StackConfig::new(SERVER).with_demux(|| Box::new(BsdDemux::new())));
+        let mut server = Stack::with_config(
+            StackConfig::new(SERVER).with_demux(|| Box::new(SequentDemux::bsd())),
+        );
         server
             .listen(ListenConfig::port(80).with_backlog(1))
             .unwrap();
@@ -3213,7 +3219,7 @@ mod tests {
         let mut client = Stack::with_config(
             StackConfig::new(CLIENT)
                 .with_ephemeral_base(55_555)
-                .with_demux(|| Box::new(BsdDemux::new())),
+                .with_demux(|| Box::new(SequentDemux::bsd())),
         );
         let (cp, _syn) = client.connect(SERVER, 80).unwrap();
         assert_eq!(client.connection_key(cp).unwrap().local_port, 55_555);
@@ -3246,7 +3252,7 @@ mod tests {
         let mut client = Stack::with_config(
             StackConfig::new(CLIENT)
                 .with_mss(536)
-                .with_demux(|| Box::new(BsdDemux::new())),
+                .with_demux(|| Box::new(SequentDemux::bsd())),
         );
         let (_cp, sp) = handshake(&mut server, &mut client, 80);
         assert_eq!(server.conns.get(sp).unwrap().pcb.mss, 536);
@@ -3988,7 +3994,7 @@ mod tests {
         let mut client = Stack::with_config(
             config
                 .with_max_retries(3)
-                .with_demux(|| Box::new(BsdDemux::new())),
+                .with_demux(|| Box::new(SequentDemux::bsd())),
         );
         let (cp, _sp) = handshake(&mut server, &mut client, 80);
 
@@ -4119,7 +4125,7 @@ mod tests {
         let mut client = Stack::with_config(
             config
                 .with_max_retries(1)
-                .with_demux(|| Box::new(BsdDemux::new())),
+                .with_demux(|| Box::new(SequentDemux::bsd())),
         );
         let (cp, _sp) = handshake(&mut server, &mut client, 80);
         let _lost = send_now(&mut client, cp, b"void");

@@ -5,9 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use std::net::Ipv4Addr;
-use tcpdemux::demux::{
-    BsdDemux, Demux, DirectDemux, MtfDemux, PacketKind, SendRecvDemux, SequentDemux,
-};
+use tcpdemux::demux::{Demux, DirectDemux, PacketKind, SendRecvDemux, SequentDemux};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::{ConnectionKey, Pcb, PcbArena};
 
@@ -26,8 +24,8 @@ fn main() {
         .collect();
 
     let mut algorithms: Vec<Box<dyn Demux>> = vec![
-        Box::new(BsdDemux::new()),
-        Box::new(MtfDemux::new()),
+        Box::new(SequentDemux::bsd()),
+        Box::new(SequentDemux::mtf()),
         Box::new(SendRecvDemux::new()),
         Box::new(SequentDemux::new(Multiplicative, 19)),
         Box::new(SequentDemux::new(Multiplicative, 100)),

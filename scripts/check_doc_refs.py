@@ -24,7 +24,13 @@ if any of these does not resolve:
   `crates/<crate>/src/<module>.rs` or an item the crate defines, and
   every later segment is a module file under that one or an item, field
   or variant the crate defines. Generic arguments and call parentheses
-  after the path are ignored.
+  after the path are ignored;
+* a backticked path that starts at a type (`Stack::receive`,
+  `SocketBuffer::read_into`, `Option<Conn>`): a CamelCase first segment
+  is a type, trait or variant some `.rs` file in the repo defines, and
+  every later segment an item, field or variant some file defines.
+  Names from the standard library (`Arc`, `HashMap`, `VecDeque`, ...)
+  are allowed as they stand, with whatever follows them.
 
 EXPERIMENTS.md, ROADMAP.md and CHANGES.md are left out on purpose: they
 record what was measured, deleted or planned, so they name bins,
@@ -61,6 +67,18 @@ ITEM_DEF = re.compile(
     r"\b(?:fn|struct|enum|trait|type|const|static|mod|union)\s+(%s)" % IDENT
 )
 MEMBER_DEF = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?(%s)\s*(?:[:,({]|$)" % IDENT, re.M)
+TYPE_PATH = re.compile(
+    r"^([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)((?:::%s)*)(?:$|[<({\[ ])" % IDENT
+)
+STD_NAMES = frozenset(
+    """
+    Arc AtomicBool AtomicU32 AtomicU64 AtomicUsize BTreeMap BTreeSet Box
+    Cell Condvar Copy Debug Default Display Duration Err Fn FnMut FnOnce
+    HashMap HashSet Instant Ipv4Addr Iterator Mutex None Ok Option
+    Ordering PhantomData PoisonError Range RefCell Result RwLock Send
+    Some String Sync Vec VecDeque
+    """.split()
+)
 EXAMPLE_TABLE = re.compile(r"^\|\s*example\s*\|.*\n(?:\|.*\n)*", re.M | re.I)
 EXAMPLE_ROW = re.compile(r"^\|\s*`([A-Za-z0-9_\-]+)`", re.M)
 
@@ -115,6 +133,17 @@ def crate_names():
     return names
 
 
+def repo_names(files):
+    """Every name any `.rs` file in the repo defines."""
+    defined = set()
+    for f in files:
+        if f.endswith(".rs"):
+            text = (REPO_ROOT / f).read_text(encoding="utf-8")
+            defined.update(ITEM_DEF.findall(text))
+            defined.update(MEMBER_DEF.findall(text))
+    return defined
+
+
 def crate_path_resolves(crate, segments, defined):
     module = REPO_ROOT / "crates" / crate / "src"
     for seg in segments:
@@ -144,7 +173,7 @@ def path_resolves(path, files):
     return any(f == path or f.endswith("/" + path) for f in files)
 
 
-def check(doc, text, files, targets, defined):
+def check(doc, text, files, targets, defined, anywhere):
     errors = []
     for kind, name in CARGO_ARG.findall(text):
         if name not in targets[kind]:
@@ -155,12 +184,19 @@ def check(doc, text, files, targets, defined):
                 errors.append(f"{doc}: example `{name}`: no such examples/{name}.rs")
     for token in BACKTICKED_ANY.findall(text):
         m = CRATE_PATH.match(token.replace(" ", ""))
-        if not m:
-            continue
-        crate = m.group(1)
-        for path in expand(m.group(2)):
-            if not crate_path_resolves(crate, path.split("::"), defined[crate]):
-                errors.append(f"{doc}: `{crate}::{path}`: no such module or item in crates/{crate}")
+        if m:
+            crate = m.group(1)
+            for path in expand(m.group(2)):
+                if not crate_path_resolves(crate, path.split("::"), defined[crate]):
+                    errors.append(
+                        f"{doc}: `{crate}::{path}`: no such module or item in crates/{crate}"
+                    )
+        m = TYPE_PATH.match(token)
+        if m and m.group(1) not in STD_NAMES:
+            segments = [m.group(1)] + m.group(2).split("::")[1:]
+            missing = [seg for seg in segments if seg not in anywhere]
+            if missing:
+                errors.append(f"{doc}: `{token}`: {', '.join(missing)} defined nowhere in the repo")
     for name in BIN_MENTION.findall(text):
         if name not in targets["bin"]:
             errors.append(f"{doc}: `{name}` bin: no such bin target")
@@ -181,10 +217,11 @@ def main():
     files = repo_files()
     targets = target_names(files)
     defined = crate_names()
+    anywhere = repo_names(files)
     errors = []
     for doc in DOCS:
         text = (REPO_ROOT / doc).read_text(encoding="utf-8")
-        errors.extend(check(doc, text, files, targets, defined))
+        errors.extend(check(doc, text, files, targets, defined, anywhere))
     # A `BENCH_*.json` in backticks is reported as a snapshot and a path.
     errors = list(dict.fromkeys(errors))
     if errors:

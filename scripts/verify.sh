@@ -28,11 +28,13 @@
 #      reaching no lookup and no socket); the sharded
 #      runtime (per-flow ordering + zero cross-shard PCB access across
 #      12 seeds of concurrent ingress/drain); every suite tier at high occupancy
-#      (16 seeds of oracle-checked insert/remove/lookup, and PcbList's
-#      dense lanes against a Vec model over 2,000-operation scripts and
-#      against the linked list they replaced over 10,000-lookup BSD/MTF/
-#      Sequent traces; Sequent's shared lanes against a Vec model while
-#      they fill, re-lay and double; the stack's keyless sequent(H)
+#      (16 seeds of oracle-checked insert/remove/lookup; the chained
+#      table's walk against a Vec model at every length and position
+#      and through crafted tag collisions, and its bsd, mtf, send-recv,
+#      sequent(19) and hashed-mtf(19) settings against the linked list
+#      they replaced over 10,000-lookup traces; its shared lanes, under
+#      every chain policy, against a Vec model while they fill, re-lay
+#      and double; the stack's keyless sequent(H)
 #      against the keyed one, H = 1/19/100, lookup for lookup through
 #      relayouts and doublings; the send ring against a byte
 #      deque across its wrap and under a cap lowered below what it
@@ -66,9 +68,10 @@
 #      measurement-label and config-key sets as the snapshots checked
 #      in at the repo root (values are machine-dependent and are not
 #      compared), including every cell EXPERIMENTS.md reads by name;
-#      and every bin, test, bench, example, snapshot, file path and
-#      `crate::module[::item]` path that README, DESIGN and the verify
-#      skill cite exists (check_doc_refs.py);
+#      and every bin, test, bench, example, snapshot, file path,
+#      `crate::module[::item]` path and path that starts at a type
+#      (`Stack::receive`) that README, DESIGN and the verify skill cite
+#      exists (check_doc_refs.py);
 #   8. the end-to-end benchmark crate (benchmark/, its own workspace)
 #      builds against the current crates and passes its smoke test;
 #   9. the three test binaries that install a counting global allocator
@@ -146,12 +149,12 @@ echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline \
   --test demux_churn --test reassembly_oracle --test keyless_equivalence
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-core -- \
-  list::tests sequent::tests::prop_relayouts
+  list::tests sequent::tests::prop_relayouts sequent::tests::paper_algorithms
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-pcb \
   sendbuf::tests::prop_matches_a_byte_deque
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline -p tcpdemux-stack \
   socket::tests::pooled_buffers_agree_with_a_byte_map_across_seeds
-echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; PcbList agrees with its Vec model and the linked reference; Sequent's shared lanes agree with their Vec model through relayouts and doublings; the keyless table examines, caches and finds what the keyed one does; the send ring agrees with a byte deque, also under a lowered cap; the receiver and the pooled socket buffers agree with their byte-map references"
+echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier; the chained table's walk agrees with its Vec model, and its five list settings with the linked reference; its shared lanes agree with their Vec model through relayouts and doublings; the keyless table examines, caches and finds what the keyed one does; the send ring agrees with a byte deque, also under a lowered cap; the receiver and the pooled socket buffers agree with their byte-map references"
 TCPDEMUX_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 TCPDEMUX_SEEDS=16 cargo test -q --release --offline --test congestion

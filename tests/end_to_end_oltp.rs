@@ -5,7 +5,7 @@
 //! ordering on actual packets (not pre-parsed keys).
 
 use std::net::Ipv4Addr;
-use tcpdemux::demux::{BsdDemux, Demux, MtfDemux, SendRecvDemux, SequentDemux};
+use tcpdemux::demux::{Demux, SendRecvDemux, SequentDemux};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::PcbId;
 use tcpdemux::stack::{RxOutcome, Stack, StackConfig, TxScratch};
@@ -36,8 +36,9 @@ fn setup(
     let clients: Vec<Client> = (0..n)
         .map(|i| {
             let addr = Ipv4Addr::new(10, 1, (i >> 8) as u8, (i & 0xff) as u8);
-            let mut stack =
-                Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())));
+            let mut stack = Stack::with_config(
+                StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())),
+            );
             let (pcb, syn) = stack.connect(SERVER, PORT).unwrap();
             let synack = server.receive(&syn).unwrap().replies;
             let ack = stack.receive(&synack[0]).unwrap().replies;
@@ -119,8 +120,8 @@ fn paper_ordering_holds_on_real_packets() {
     let n = 120u16;
     let nf = f64::from(n);
     let rounds = 4;
-    let bsd = run_oltp(|| Box::new(BsdDemux::new()), n, rounds);
-    let mtf = run_oltp(|| Box::new(MtfDemux::new()), n, rounds);
+    let bsd = run_oltp(|| Box::new(SequentDemux::bsd()), n, rounds);
+    let mtf = run_oltp(|| Box::new(SequentDemux::mtf()), n, rounds);
     let sr = run_oltp(|| Box::new(SendRecvDemux::new()), n, rounds);
     let seq = run_oltp(
         || Box::new(SequentDemux::new(Multiplicative, 19)),
@@ -169,7 +170,7 @@ fn connections_survive_churn() {
     for i in 200..220u16 {
         let addr = Ipv4Addr::new(10, 2, 0, (i & 0xff) as u8);
         let mut stack =
-            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(BsdDemux::new())));
+            Stack::with_config(StackConfig::new(addr).with_demux(|| Box::new(SequentDemux::bsd())));
         let (pcb, syn) = stack.connect(SERVER, PORT).unwrap();
         let synack = server.receive(&syn).unwrap().replies;
         let ack = stack.receive(&synack[0]).unwrap().replies;
