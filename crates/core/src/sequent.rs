@@ -66,8 +66,9 @@ struct Region {
     len: u32,
 }
 
-/// Sequent's chains over slots of type `S`: the lanes, their regions,
-/// one last-found cache per chain and the lookup statistics. Every
+/// The chains of every chained table, over slots of type `S`: the lanes,
+/// their regions, one last-found cache per chain and the lookup
+/// statistics. Every
 /// operation names its chain and the key's tag, and takes `is`, which
 /// says whether a slot holds the key sought.
 ///
