@@ -1466,6 +1466,14 @@ mod tests {
             // Now look up key(0): 1 cache probe + 10 scanned.
             let r = demux.lookup(&key(0), PacketKind::Data);
             assert_eq!(r.examined, 11);
+        }
+
+        #[test]
+        fn unsuccessful_lookup_scans_everything() {
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::bsd();
+            populate(&mut demux, &mut arena, 10);
+            demux.lookup(&key(5), PacketKind::Data); // prime cache
 
             // A key that is not there: 1 cache probe + all 10 scanned.
             let r = demux.lookup(&key(1000), PacketKind::Data);
@@ -1604,29 +1612,24 @@ mod tests {
             // The paper's point-of-sale observation: if a server polls its
             // N clients round-robin, every lookup scans the entire list,
             // because the needed PCB has always just been pushed to the
-            // very tail by the N−1 other lookups. All keys in one chain of
-            // a hashed table suffer the same.
+            // very tail by the N−1 other lookups.
             let n = 50u32;
-            for mut demux in [
-                SequentDemux::mtf(),
-                SequentDemux::with_policy(Multiplicative, 1, ChainPolicy::MoveToFront),
-            ] {
-                let mut arena = PcbArena::new();
-                populate(&mut demux, &mut arena, n);
+            let mut arena = PcbArena::new();
+            let mut demux = SequentDemux::mtf();
+            populate(&mut demux, &mut arena, n);
 
-                // Warm up one full cycle to reach the steady-state ordering.
-                for i in 0..n {
-                    demux.lookup(&key(i), PacketKind::Data);
-                }
-                demux.reset_stats();
-                for _round in 0..10 {
-                    for i in 0..n {
-                        let r = demux.lookup(&key(i), PacketKind::Data);
-                        assert_eq!(r.examined, n, "round-robin must always scan all");
-                    }
-                }
-                assert!((demux.stats().mean_examined() - f64::from(n)).abs() < 1e-9);
+            // Warm up one full cycle to reach the steady-state ordering.
+            for i in 0..n {
+                demux.lookup(&key(i), PacketKind::Data);
             }
+            demux.reset_stats();
+            for _round in 0..10 {
+                for i in 0..n {
+                    let r = demux.lookup(&key(i), PacketKind::Data);
+                    assert_eq!(r.examined, n, "round-robin must always scan all");
+                }
+            }
+            assert!((demux.stats().mean_examined() - f64::from(n)).abs() < 1e-9);
         }
 
         #[test]
@@ -1717,6 +1720,22 @@ mod tests {
             // MTF can help or hurt on this traffic, but never by 2x either way.
             let ratio = seq19_cost / mtf19_cost;
             assert!((0.5..=2.0).contains(&ratio), "ratio {ratio}");
+        }
+
+        #[test]
+        fn round_robin_within_chain_is_worst_case() {
+            // All keys forced into one chain: same pathology as plain MTF.
+            let mut arena = PcbArena::new();
+            let mut demux = hashed_mtf(1);
+            populate(&mut demux, &mut arena, 20);
+            for i in 0..20 {
+                demux.lookup(&key(i), PacketKind::Data);
+            }
+            demux.reset_stats();
+            for i in 0..20 {
+                let r = demux.lookup(&key(i), PacketKind::Data);
+                assert_eq!(r.examined, 20);
+            }
         }
     }
 }
