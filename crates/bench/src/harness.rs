@@ -17,7 +17,7 @@
 //!
 //! # The `BENCH_*.json` perf-trajectory pipeline
 //!
-//! Every measurement taken through [`bench`] (or handed in via
+//! Every measurement taken through [`bench()`] (or handed in via
 //! [`record`]) is collected; a bench `main` ends with
 //! [`maybe_write_json`], which — when the binary was invoked with
 //! `--json <path>` — drains the collection into a fixed-schema JSON
@@ -98,7 +98,7 @@ impl Measurement {
     /// Summarize raw per-iteration sample timings (ns/op, one entry per
     /// sample) into a measurement. Used directly by bins that time their
     /// own samples (e.g. `demux_scale`'s per-size phases) instead of
-    /// going through [`bench`].
+    /// going through [`bench()`].
     pub fn from_samples(label: &str, samples_ns: &[f64], iters: u64) -> Self {
         assert!(!samples_ns.is_empty(), "need at least one sample");
         let mut sorted = samples_ns.to_vec();
@@ -127,7 +127,7 @@ impl Measurement {
 /// drained by [`maybe_write_json`].
 static RECORDED: Mutex<Vec<Measurement>> = Mutex::new(Vec::new());
 
-/// Add a measurement (produced outside [`bench`], e.g. via
+/// Add a measurement (produced outside [`bench()`], e.g. via
 /// [`Measurement::from_samples`]) to the bin's JSON collection.
 pub fn record(m: Measurement) {
     RECORDED.lock().unwrap().push(m);

@@ -347,7 +347,7 @@ impl Default for CuckooDemux {
 }
 
 impl CuckooDemux {
-    /// An empty table of [`INITIAL_BUCKETS`] buckets.
+    /// An empty table at its starting size; it doubles as it fills.
     pub fn new() -> Self {
         Self {
             table: Table::with_buckets(INITIAL_BUCKETS),

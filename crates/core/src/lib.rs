@@ -67,7 +67,7 @@ pub use cuckoo::{CuckooDemux, CuckooStats};
 pub use direct::DirectDemux;
 pub use front::{FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
 pub use sequent::{ChainPolicy, IndexLookup, KeylessSequent, SequentDemux};
-pub use spsc::{spsc_ring, RingStats, SpscConsumer, SpscProducer};
+pub use spsc::{spsc_ring, Ring, RingStats, SpscConsumer, SpscProducer};
 pub use srcache::SendRecvDemux;
 pub use stats::LookupStats;
 pub use suite::{extended_suite, standard_suite, SuiteEntry};

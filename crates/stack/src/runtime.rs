@@ -13,14 +13,20 @@
 //! ```text
 //!             ingress thread                    worker k (one per shard)
 //!  frame ──▶ steering_key ──▶ symmetric hash ┐
-//!                                            ├─▶ SPSC ring k ──▶ drain()
-//!                                            ┘      │
-//!                                                   └─▶ Stack::receive
+//!                                            ├─▶ ring k ──▶ drain()
+//!                                            ┘             │
+//!                                                          └─▶ Stack::receive
 //! ```
 //!
-//! * **Rings.** Each shard is fed by a bounded in-tree SPSC ring
-//!   ([`tcpdemux_core::spsc`]); a full ring rejects the frame back to the
-//!   ingress side (drop-tail with accounting, like a NIC RX ring).
+//! * **Rings.** Each shard is fed by a bounded in-tree
+//!   [`Ring`](tcpdemux_core::spsc::Ring): one lock around a fixed-size
+//!   queue, so [`enqueue`](ShardedStack::enqueue) is a steer plus one
+//!   lock and [`drain`](ShardedStack::drain) takes the ring's lock once
+//!   per batch. A full ring rejects the frame back to the ingress side
+//!   (drop-tail with accounting, like a NIC RX ring). Spent ingress
+//!   frames are dropped by `drain`: they are the ingress side's buffers,
+//!   and a shard's transmit pool is fed by the replies the application
+//!   recycles, as on a plain [`Stack`].
 //! * **Listeners.** [`listen`](ShardedStack::listen) installs the
 //!   listener on *every* shard (SO_REUSEPORT-style) and records the port
 //!   in the shared [`SteerTable`], so an arriving SYN needs no table
@@ -42,12 +48,13 @@
 //!   tagged with their owning [`ShardId`] — one introspection surface
 //!   for one stack or K.
 //!
-//! Interior mutability (`Mutex` per shard stack and per ring half) keeps
-//! the whole runtime `&self`-driven so an ingress thread and K workers
-//! can share it via `std::thread::scope`. In the intended deployment —
-//! one worker per shard — every lock is uncontended except the brief
-//! cross-shard placement path; the stress test pins the resulting
-//! invariant that no PCB is ever touched from two shards.
+//! Interior mutability (one `Mutex` per shard's stack, one per ring)
+//! keeps the whole runtime `&self`-driven so an ingress thread and K
+//! workers can share it via `std::thread::scope`. In the intended
+//! deployment — one worker per shard — a shard's lock is uncontended
+//! except on the brief cross-shard placement path, and a ring's lock is
+//! held only for one push or one batch pop; the stress test pins the
+//! resulting invariant that no PCB is ever touched from two shards.
 
 use crate::shard::{steering_key, PlacementStats, ShardId, SteerTable};
 use crate::stack::{
@@ -56,25 +63,30 @@ use crate::stack::{
 };
 use crate::stats::StatsSnapshot;
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
-use tcpdemux_core::spsc::{spsc_ring, RingStats, SpscConsumer, SpscProducer};
+use std::sync::{Mutex, MutexGuard};
+use tcpdemux_core::spsc::{Ring, RingStats};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 
-/// One shard: its stack and the two halves of its ingress ring, each
-/// behind its own lock so ingress and drain never contend with each
-/// other.
+/// One shard: its ingress ring and, behind their own lock, its stack
+/// and drain scratch. Ingress takes only the ring's lock; a drain holds
+/// the shard's lock and takes the ring's once per batch.
 struct ShardSlot {
-    stack: Mutex<Stack>,
-    producer: Mutex<SpscProducer<Vec<u8>>>,
-    consumer: Mutex<DrainSide>,
+    ring: Ring<Vec<u8>>,
+    shard: Mutex<Shard>,
 }
 
-/// The consuming half of a shard's ring and the scratch
+/// What a shard's lock guards: the stack, and the scratch
 /// [`ShardedStack::drain`] pops a batch into, kept between drains for
 /// its capacity.
-struct DrainSide {
-    ring: SpscConsumer<Vec<u8>>,
+struct Shard {
+    stack: Stack,
     batch: Vec<Vec<u8>>,
+}
+
+impl ShardSlot {
+    fn lock(&self) -> MutexGuard<'_, Shard> {
+        self.shard.lock().expect("shard lock poisoned by a panic")
+    }
 }
 
 /// A frame refused because its shard's ingress ring was full; the frame
@@ -110,12 +122,10 @@ impl ShardedStack {
         let slots = (0..shards)
             .map(|k| {
                 let shard_config = config.clone().with_shard(ShardId::new(k));
-                let (producer, consumer) = spsc_ring(config.ring_capacity);
                 ShardSlot {
-                    stack: Mutex::new(Stack::with_config(shard_config)),
-                    producer: Mutex::new(producer),
-                    consumer: Mutex::new(DrainSide {
-                        ring: consumer,
+                    ring: Ring::new(config.ring_capacity),
+                    shard: Mutex::new(Shard {
+                        stack: Stack::with_config(shard_config),
                         batch: Vec::new(),
                     }),
                 }
@@ -152,11 +162,8 @@ impl ShardedStack {
         let shard = steering_key(&frame)
             .map(|key| self.table.steer(&key))
             .unwrap_or_default();
-        let mut producer = self.slots[shard.index()]
-            .producer
-            .lock()
-            .expect("shard producer lock");
-        producer
+        self.slots[shard.index()]
+            .ring
             .push(frame)
             .map(|()| shard)
             .map_err(|frame| RingFull { shard, frame })
@@ -165,28 +172,25 @@ impl ShardedStack {
     /// Drain up to `max` frames from one shard's ring into its stack:
     /// one [`Stack::receive`] per frame, in ring order. The shard's worker
     /// calls this in a loop; any thread may call it for any shard, but
-    /// only one at a time per shard makes progress (the consumer lock,
-    /// held until the popped batch has been processed, serializes).
+    /// only one at a time per shard makes progress (the shard's lock,
+    /// held until the popped batch has been processed, serializes). The
+    /// ring's lock is taken once per call. Spent frames are dropped, not
+    /// recycled: the transmit pool is fed by the replies the application
+    /// recycles, as on a plain [`Stack`].
     pub fn drain(&self, shard: ShardId, max: usize) -> BatchRxResult {
         let slot = &self.slots[shard.index()];
-        let mut consumer = slot.consumer.lock().expect("shard consumer lock");
-        let DrainSide { ring, batch } = &mut *consumer;
-        ring.pop_batch(batch, max);
-        if batch.is_empty() {
+        let mut guard = slot.lock();
+        let Shard { stack, batch } = &mut *guard;
+        if slot.ring.pop_batch(batch, max) == 0 {
             return BatchRxResult::default();
         }
-        let mut stack = slot.stack.lock().expect("shard stack lock");
         let lookups_before = stack.demux_lookups();
         let mut out = BatchRxResult {
             results: Vec::with_capacity(batch.len()),
             ..BatchRxResult::default()
         };
-        for frame in batch.drain(..) {
-            out.results.push(stack.receive(&frame));
-            // The frame is spent; recycle its buffer into the shard's
-            // transmit pool so steady state allocates nothing new.
-            stack.recycle(frame);
-        }
+        out.results
+            .extend(batch.drain(..).map(|frame| stack.receive(&frame)));
         out.batched_lookups = (stack.demux_lookups() - lookups_before) as usize;
         out
     }
@@ -197,10 +201,7 @@ impl ShardedStack {
     pub fn listen(&self, config: impl Into<ListenConfig>) -> Result<(), StackError> {
         let listen: ListenConfig = config.into();
         for slot in &self.slots {
-            slot.stack
-                .lock()
-                .expect("shard stack lock")
-                .listen(listen)?;
+            slot.lock().stack.listen(listen)?;
         }
         self.table.note_listen(listen.port);
         Ok(())
@@ -216,11 +217,7 @@ impl ShardedStack {
         let n = self.slots.len();
         for i in 0..n {
             let k = (start + i) % n;
-            let id = self.slots[k]
-                .stack
-                .lock()
-                .expect("shard stack lock")
-                .accept(port);
+            let id = self.slots[k].lock().stack.accept(port);
             if let Some(id) = id {
                 return Some((ShardId::new(k), id));
             }
@@ -248,21 +245,18 @@ impl ShardedStack {
         // is decided by the four-tuple *after* the port is chosen, so a
         // port is only safe to mint if no shard holds it.
         let local_port = self.table.alloc_ephemeral(|port| {
-            self.slots.iter().any(|slot| {
-                slot.stack
-                    .lock()
-                    .expect("shard stack lock")
-                    .ephemeral_port_in_use(port)
-            })
+            self.slots
+                .iter()
+                .any(|slot| slot.lock().stack.ephemeral_port_in_use(port))
         })?;
         let key = ConnectionKey::new(self.local_addr, local_port, remote_addr, remote_port);
         let owner = self.table.steer(&key);
         self.table.note_placement(from, owner);
-        let (id, syn) = self.slots[owner.index()]
-            .stack
-            .lock()
-            .expect("shard stack lock")
-            .connect_from(local_port, remote_addr, remote_port)?;
+        let (id, syn) = self.slots[owner.index()].lock().stack.connect_from(
+            local_port,
+            remote_addr,
+            remote_port,
+        )?;
         Ok((owner, id, syn))
     }
 
@@ -281,11 +275,7 @@ impl ShardedStack {
     /// handle returned by [`accept`](Self::accept) or
     /// [`connect`](Self::connect) points into.
     pub fn with_shard<R>(&self, shard: ShardId, f: impl FnOnce(&mut Stack) -> R) -> R {
-        let mut stack = self.slots[shard.index()]
-            .stack
-            .lock()
-            .expect("shard stack lock");
-        f(&mut stack)
+        f(&mut self.slots[shard.index()].lock().stack)
     }
 
     /// Drain one shard's pending transmissions under its window (see
@@ -302,11 +292,7 @@ impl ShardedStack {
             .iter()
             .enumerate()
             .map(|(k, slot)| {
-                let advance = slot
-                    .stack
-                    .lock()
-                    .expect("shard stack lock")
-                    .advance_time(tick);
+                let advance = slot.lock().stack.advance_time(tick);
                 (ShardId::new(k), advance)
             })
             .collect()
@@ -316,12 +302,7 @@ impl ShardedStack {
     pub fn next_timer_deadline(&self) -> Option<u64> {
         self.slots
             .iter()
-            .filter_map(|slot| {
-                slot.stack
-                    .lock()
-                    .expect("shard stack lock")
-                    .next_timer_deadline()
-            })
+            .filter_map(|slot| slot.lock().stack.next_timer_deadline())
             .min()
     }
 
@@ -332,18 +313,14 @@ impl ShardedStack {
         let parts: Vec<StatsSnapshot> = self
             .slots
             .iter()
-            .map(|slot| slot.stack.lock().expect("shard stack lock").stats())
+            .map(|slot| slot.lock().stack.stats())
             .collect();
         StatsSnapshot::merge(&parts)
     }
 
     /// One shard's own statistics.
     pub fn shard_stats(&self, shard: ShardId) -> StatsSnapshot {
-        self.slots[shard.index()]
-            .stack
-            .lock()
-            .expect("shard stack lock")
-            .stats()
+        self.slots[shard.index()].lock().stack.stats()
     }
 
     /// Every shard's connections, tagged with their owning shard, in
@@ -351,12 +328,7 @@ impl ShardedStack {
     pub fn connection_table(&self) -> Vec<ConnectionInfo> {
         self.slots
             .iter()
-            .flat_map(|slot| {
-                slot.stack
-                    .lock()
-                    .expect("shard stack lock")
-                    .connection_table()
-            })
+            .flat_map(|slot| slot.lock().stack.connection_table())
             .collect()
     }
 
@@ -365,12 +337,7 @@ impl ShardedStack {
     pub fn listener_table(&self) -> Vec<ListenerInfo> {
         self.slots
             .iter()
-            .flat_map(|slot| {
-                slot.stack
-                    .lock()
-                    .expect("shard stack lock")
-                    .listener_table()
-            })
+            .flat_map(|slot| slot.lock().stack.listener_table())
             .collect()
     }
 
@@ -378,21 +345,13 @@ impl ShardedStack {
     pub fn connection_count(&self) -> usize {
         self.slots
             .iter()
-            .map(|slot| {
-                slot.stack
-                    .lock()
-                    .expect("shard stack lock")
-                    .connection_count()
-            })
+            .map(|slot| slot.lock().stack.connection_count())
             .sum()
     }
 
     /// Per-shard ingress-ring counters, in shard order.
     pub fn ring_stats(&self) -> Vec<RingStats> {
-        self.slots
-            .iter()
-            .map(|s| s.producer.lock().expect("shard producer lock").stats())
-            .collect()
+        self.slots.iter().map(|slot| slot.ring.stats()).collect()
     }
 
     /// Local/cross placement counts for active opens.
@@ -409,7 +368,7 @@ impl ShardedStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::RxOutcome;
+    use crate::stack::{RxOutcome, RxResult};
     use std::net::Ipv4Addr;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -544,6 +503,34 @@ mod tests {
             .map(|r| u64::from(r.pcbs_examined))
             .sum();
         assert_eq!(after.pcbs_examined - before.pcbs_examined, examined);
+    }
+
+    #[test]
+    fn drain_parks_no_ingress_frame_in_the_transmit_pool() {
+        // The drained frames draw no reply, so nothing takes from the
+        // pool either: its free list must read the same after the drain.
+        let (server, twin) = (one_shard_server(), one_shard_server());
+        let (_cp, syn, ack) = recorded_handshake(&twin, &mut client_stack(CLIENT));
+        pump(&server, syn);
+        let shard = ShardId::default();
+        server.with_shard(shard, |s| s.recycle(Vec::with_capacity(64)));
+        let free = || server.shard_stats(shard).tx_pool.free;
+        let before = free();
+        assert_eq!(before, 1);
+
+        server.enqueue(ack).unwrap();
+        server.enqueue(vec![0u8; 64]).unwrap();
+        let batch = server.drain(shard, 64);
+        assert!(matches!(
+            batch.results[0].as_ref().unwrap(),
+            RxResult {
+                outcome: RxOutcome::Established { .. },
+                replies,
+                ..
+            } if replies.is_empty()
+        ));
+        assert!(batch.results[1].is_err());
+        assert_eq!(free(), before);
     }
 
     #[test]

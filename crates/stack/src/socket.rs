@@ -111,14 +111,13 @@ impl BlockPool {
 /// accepted in order and not yet read, and — while a segment is missing —
 /// the bytes that arrived ahead of it.
 ///
-/// The storage is one box on loan from the stack's [`BlockPool`]:
-/// [`deliver`](Self::deliver) and [`stage`](Self::stage) into a buffer
-/// that has none take a box, and [`settle`](Self::settle) gives it back
-/// once the application has read everything and no hole is open. At rest
-/// a buffer is a null pointer, its read index and two flags: 16 bytes of
-/// the connection slot. Reads go through `&mut SocketBuffer` alone, so
-/// the stack settles the buffer it last handed out at its next entry
-/// point rather than inside the read.
+/// The storage is one box on loan from the stack's `BlockPool`:
+/// `deliver` and `stage` into a buffer that has none take a box, and
+/// `settle` gives it back once the application has read everything and
+/// no hole is open. At rest a buffer is a null pointer, its read index
+/// and two flags: 16 bytes of the connection slot. Reads go through
+/// `&mut SocketBuffer` alone, so the stack settles the buffer it last
+/// handed out at its next entry point rather than inside the read.
 ///
 /// Reads advance a head index instead of shifting what is still buffered,
 /// so draining a backlog in small reads costs what it copies out. The dead

@@ -1115,8 +1115,8 @@ impl Stack {
 
     /// Structured per-connection rows — what `netstat -an` would print,
     /// but as data a test or sim can assert on: key, state, queue depths,
-    /// and loss-recovery state. Arena order. Each row's [`Display`] impl
-    /// renders the classic text line.
+    /// and loss-recovery state. Arena order. Each row's
+    /// [`Display`](std::fmt::Display) impl renders the classic text line.
     pub fn connection_table(&self) -> Vec<ConnectionInfo> {
         self.conns
             .iter()

@@ -13,12 +13,18 @@ what the benchmark said.
     scripts/trace_rows.py --pairs <runs.jsonl>...
 
 Each file holds alternating single-workload runs of two binaries, one per
-line: {"bin": "parent" | "change", "seed": N, "r": <the JSON object the
-benchmark printed last>}; lines k and k+1 are a pair. Prints one table
-per file: each end-to-end metric's median and quartiles on both sides
-(`statistics.quantiles(n=4)`, as the benchmark's `--compare` has them)
-and in how many pairs the change read better, then the failed
-operations. With `--trace 1` runs the per-layer rows follow.
+line: {"bin": "parent" | "change" | "aa", "seed": N, "r": <the JSON
+object the benchmark printed last>}, with an optional "workload" (else
+the file's name stands for it) and an optional {"host": {...}} header
+line; `scripts/pairs.sh` writes them. The i-th parent run and the i-th
+change run of a workload are a pair; "aa" runs, two consecutive ones of
+one binary, are an A/A pair. Prints one table per workload: each
+end-to-end metric's median and quartiles on both sides
+(`statistics.quantiles(n=4)`, as the benchmark's `--compare` has them),
+the change of the median, the A/A spread (the largest relative
+difference between the two runs of an A/A pair), and in how many pairs
+the change read better, and better by more than the A/A spread; then
+the failed operations. With `--trace 1` runs the per-layer rows follow.
 """
 import json
 import statistics
@@ -81,32 +87,69 @@ LOWER_IS_BETTER = {
 }
 
 
-def spread(values):
+def spread_of(values):
     """Median and quartiles, formatted."""
+    if len(values) < 2:
+        return fmt(statistics.median(values))
     q1, _, q3 = statistics.quantiles(values, n=4)
     return f"{fmt(statistics.median(values))} [{fmt(q1)} … {fmt(q3)}]"
 
 
+def rel(a, b):
+    """How far `b` is from `a`, relative to `a`."""
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else float("inf")
+
+
+def pct(x):
+    return "—" if x is None else f"{100 * x:+.1f} %"
+
+
 def pairs(paths):
     for path in paths:
-        runs = [json.loads(line) for line in open(path)]
-        sides = {b: [r["r"] for r in runs if r["bin"] == b] for b in ("parent", "change")}
-        n = len(sides["parent"])
-        seeds = sorted({r["seed"] for r in runs})
-        print(f"\n| `{path.rsplit('/', 1)[-1].removesuffix('.jsonl')}`, {n} pairs, "
-              f"seeds {seeds[0]}–{seeds[-1]} | parent | change | change better in |\n|---|---|---|---|")
-        names = [m for m in END_TO_END if m in sides["parent"][0]["metrics"]]
-        names += [m for m in PER_LAYER if m in sides["parent"][0]["metrics"]]
-        for name in names:
-            p, c = ([r["metrics"][name]["value"] for r in sides[b]] for b in ("parent", "change"))
-            # Every per-layer row printed here is a cost or a count of work.
-            sign = -1 if name in LOWER_IS_BETTER or name in PER_LAYER else 1
-            won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
-            tied = sum(a == b for a, b in zip(p, c))
-            verdict = "identical" if tied == n else f"{won} of {n}"
-            print(f"| `{name}` | {spread(p)} | {spread(c)} | {verdict} |")
-        failed = [sum(r["failed"] for r in sides[b]) for b in ("parent", "change")]
-        print(f"| failed operations | {failed[0]} | {failed[1]} | |")
+        stem = path.rsplit("/", 1)[-1].removesuffix(".jsonl")
+        lines = [json.loads(line) for line in open(path) if line.strip()]
+        for line in lines:
+            if "host" in line:
+                print(", ".join(f"{k}: {v}" for k, v in line["host"].items()))
+        runs = [line for line in lines if "bin" in line]
+        for workload in dict.fromkeys(r.get("workload", stem) for r in runs):
+            pair_table(workload, [r for r in runs if r.get("workload", stem) == workload])
+
+
+def pair_table(workload, runs):
+    sides = {b: [r["r"] for r in runs if r["bin"] == b] for b in ("parent", "change", "aa")}
+    n = min(len(sides["parent"]), len(sides["change"]))
+    aa = list(zip(sides["aa"][0::2], sides["aa"][1::2]))
+    seeds = sorted({r["seed"] for r in runs})
+    print(f"\n| `{workload}`, {n} pairs + {len(aa)} A/A, seeds {seeds[0]}–{seeds[-1]} "
+          "| parent | change | median Δ | A/A spread | change better in "
+          "| by more than A/A |\n|---|---|---|---|---|---|---|")
+    names = [m for m in END_TO_END if m in sides["parent"][0]["metrics"]]
+    names += [m for m in PER_LAYER if m in sides["parent"][0]["metrics"]]
+    for name in names:
+        p, c = ([r["metrics"][name]["value"] for r in sides[b][:n]] for b in ("parent", "change"))
+        spread = max((rel(a["metrics"][name]["value"], b["metrics"][name]["value"])
+                      for a, b in aa), default=None)
+        # Every per-layer row printed here is a cost or a count of work.
+        sign = -1 if name in LOWER_IS_BETTER or name in PER_LAYER else 1
+        won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        beyond = "—" if spread is None else sum(
+            sign * (b - a) > 0 and rel(a, b) > spread for a, b in zip(p, c))
+        tied = sum(a == b for a, b in zip(p, c))
+        mp, mc = statistics.median(p), statistics.median(c)
+        delta = (mc - mp) / abs(mp) if mp else None
+        if tied == n:
+            verdict, beyond = "identical", "—"
+        else:
+            verdict = f"{won} of {n}"
+            beyond = beyond if beyond == "—" else f"{beyond} of {n}"
+        aa_cell = "—" if spread is None else f"±{100 * spread:.1f} %"
+        print(f"| `{name}` | {spread_of(p)} | {spread_of(c)} | {pct(delta)} | {aa_cell} "
+              f"| {verdict} | {beyond} |")
+    failed = [sum(r["failed"] for r in sides[b][:n]) for b in ("parent", "change")]
+    print(f"| failed operations | {failed[0]} | {failed[1]} | | | | |")
 
 
 def main(argv):

@@ -5,7 +5,9 @@
 #   1. the workspace declares no registry dependencies anywhere
 #      (path/workspace deps only — the hermeticity contract in
 #      Cargo.toml and DESIGN.md §8);
-#   2. formatting and lints are clean (rustfmt --check, clippy -D warnings);
+#   2. formatting, lints and API docs are clean (rustfmt --check, clippy
+#      -D warnings, cargo doc with RUSTDOCFLAGS=-D warnings: no broken or
+#      private intra-doc link in public docs);
 #   3. tier-1 passes fully offline: release build + full test suite
 #      (the root manifest's default-members put every crate in it);
 #   4. every paper table and figure reproduces its checked-in golden:
@@ -77,8 +79,10 @@
 #   9. the three test binaries that install a counting global allocator
 #      (telemetry record path; steady-state transactions, churn rounds,
 #      blocks of 64 over 2,000 connections, 256 k keys rotated through
-#      a bare SequentDemux, whose chains the default table shares, and a
-#      long-lived lossy connection;
+#      a bare SequentDemux, whose chains the default table shares, a
+#      long-lived lossy connection, and blocks of 64 through a K = 2
+#      ShardedStack, which may allocate only the vectors drain and
+#      advance_time return;
 #      heap per connection at 2,000, 16,385, 20,000 and 131,073
 #      connections, on the 128 B connection slot)
 #      pass in release with --test-threads=1: their
@@ -110,9 +114,10 @@ if bad:
 print("ok: %d workspace crates, all dependencies in-tree" % len(meta["packages"]))
 '
 
-echo "== 2/9 formatting + lints (rustfmt, clippy -D warnings) =="
+echo "== 2/9 formatting + lints + docs (rustfmt, clippy -D warnings, rustdoc -D warnings) =="
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== 3/9 offline tier-1 (release build + tests) =="
 cargo build --release --offline

@@ -41,6 +41,17 @@
 //! The one call not counted there is the sender's `advance_time`, whose
 //! RTO frames come back in a vector the caller owns.
 //!
+//! The last phase is the benchmark's `sharded_tpca`: a K = 2
+//! `ShardedStack` over 2 000 connections, driven from one thread in the
+//! same blocks of 64, every frame through `enqueue` and `drain`, every
+//! socket call through `with_shard`, and one `advance_time` a block.
+//! Two of its calls hand back a vector of their own — a non-empty
+//! `drain` its results, `advance_time` its per-shard list — so in each
+//! block the server's allocator calls must equal those two counts and
+//! nothing more. A runtime that parked spent ingress frames in a
+//! shard's transmit pool failed this: a reply built later into one of
+//! those short buffers reallocated it.
+//!
 //! This is what `transmit_is_allocation_free_after_warmup` in
 //! `stack.rs` cannot see: it reads the frame pool's counters, and the
 //! two allocations per transaction this test was written against (the
@@ -59,7 +70,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tcpdemux::demux::{Demux, PacketKind, SequentDemux};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::{ConnectionKey, PcbId};
-use tcpdemux::stack::{FaultInjector, FaultOutcome, RxOutcome, Stack, StackConfig, TxScratch};
+use tcpdemux::stack::{
+    FaultInjector, FaultOutcome, RxOutcome, RxResult, ShardId, ShardedStack, Stack, StackConfig,
+    TxScratch,
+};
 
 struct CountingAlloc;
 
@@ -116,6 +130,8 @@ const LOSSY_DELAY: u64 = 10;
 const LOSSY_DROP: f64 = 0.03;
 const LOSSY_CHUNK: usize = 16 * 1024;
 const LOSSY_BYTES: usize = 4 << 20;
+/// Shards of the sharded phase, as the benchmark's `sharded_tpca` has.
+const SHARDS: usize = 2;
 /// Keys the rotating-keys phase passes through its 64 rotating slots.
 const ROTATED: usize = 256 * 1024;
 const REQUEST: [u8; 100] = [0x5a; 100];
@@ -332,6 +348,157 @@ fn rotating_keys() -> u64 {
     allocations
 }
 
+/// The sharded server under test, with the allocator calls its entry
+/// points have made.
+struct CountedShards {
+    runtime: ShardedStack,
+    scratch: TxScratch,
+    allocations: u64,
+}
+
+impl CountedShards {
+    /// Run `f` against the runtime, counting what it allocates.
+    fn call<R>(&mut self, f: impl FnOnce(&ShardedStack, &mut TxScratch) -> R) -> R {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = f(&self.runtime, &mut self.scratch);
+        self.allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        out
+    }
+
+    /// Drain every shard, handing each result to `each` with its shard.
+    /// Returns the drains that came back with frames.
+    fn drain_all(&mut self, mut each: impl FnMut(ShardId, RxResult)) -> u64 {
+        let mut non_empty = 0;
+        for k in 0..SHARDS {
+            let shard = ShardId::new(k);
+            let batch = self.call(|r, _| r.drain(shard, 2 * BLOCK));
+            non_empty += u64::from(!batch.results.is_empty());
+            for result in batch.results {
+                each(shard, result.unwrap());
+            }
+        }
+        non_empty
+    }
+}
+
+/// A connection of the sharded phase: the client's handle, and the
+/// server's shard and handle.
+type ShardedConn = (PcbId, ShardId, PcbId);
+
+/// One connection from `client` to the sharded `server`, established
+/// and accepted.
+fn connect_sharded(server: &mut CountedShards, client: &mut Stack) -> ShardedConn {
+    let (cp, syn) = client.connect(SERVER, PORT).unwrap();
+    server.runtime.enqueue(syn).unwrap();
+    let mut synacks = Vec::new();
+    server.drain_all(|_, r| synacks.extend(r.replies));
+    let ack = client.receive(&synacks[0]).unwrap().replies;
+    server.runtime.enqueue(ack[0].clone()).unwrap();
+    server.drain_all(|_, r| assert!(matches!(r.outcome, RxOutcome::Established { .. })));
+    let (shard, sp) = server.runtime.accept(PORT).unwrap();
+    (cp, shard, sp)
+}
+
+/// The benchmark's block through the sharded runtime at tick `now`: every
+/// request enqueued, every shard drained, every read, every request's
+/// ACK out and recycled to its shard, every response sent and polled,
+/// every response's ACK enqueued and drained, then the clock advanced.
+/// Returns the calls that hand back a vector of their own: the
+/// non-empty drains and the one `advance_time`.
+fn sharded_block(
+    server: &mut CountedShards,
+    client: &mut Stack,
+    batch: &[ShardedConn],
+    now: u64,
+) -> u64 {
+    let mut out = TxScratch::new();
+    for &(cp, _, _) in batch {
+        assert_eq!(client.send(cp, &REQUEST), Ok(REQUEST.len()));
+        assert_eq!(client.poll_transmit(&mut out), 1);
+        let request = out.frames.pop().unwrap();
+        server.call(|r, _| r.enqueue(request)).unwrap();
+    }
+    let mut acks = Vec::with_capacity(batch.len());
+    let mut returned = server.drain_all(|shard, r| {
+        assert!(matches!(r.outcome, RxOutcome::Delivered { .. }));
+        acks.extend(r.replies.into_iter().map(|ack| (shard, ack)));
+    });
+    assert_eq!(acks.len(), batch.len());
+    let mut read = [0u8; REQUEST.len()];
+    for &(_, shard, sp) in batch {
+        let n = server
+            .call(|r, _| r.with_shard(shard, |s| s.socket_mut(sp).unwrap().read_into(&mut read)));
+        assert_eq!(n, REQUEST.len());
+    }
+    for (shard, ack) in acks {
+        assert!(client.receive(&ack).unwrap().replies.is_empty());
+        server.call(|r, _| r.with_shard(shard, |s| s.recycle(ack)));
+    }
+    for &(_, shard, sp) in batch {
+        let sent = server.call(|r, _| r.with_shard(shard, |s| s.send(sp, &RESPONSE)));
+        assert_eq!(sent, Ok(RESPONSE.len()));
+    }
+    for k in 0..SHARDS {
+        let shard = ShardId::new(k);
+        server.call(|r, scratch| r.poll_transmit(shard, scratch));
+        while let Some(response) = server.scratch.frames.pop() {
+            let acked = client.receive(&response).unwrap();
+            let RxOutcome::Delivered { pcb: cp, .. } = acked.outcome else {
+                panic!("response not delivered: {:?}", acked.outcome);
+            };
+            client.socket_mut(cp).unwrap().read_into(&mut [0; 200]);
+            server.call(|r, _| r.with_shard(shard, |s| s.recycle(response)));
+            for ack in acked.replies {
+                server.call(|r, _| r.enqueue(ack)).unwrap();
+            }
+        }
+    }
+    returned += server.drain_all(|_, r| {
+        assert!(matches!(r.outcome, RxOutcome::AckProcessed { .. }));
+        assert!(r.replies.is_empty());
+    });
+    for (_, fired) in server.call(|r, _| r.advance_time(now)) {
+        assert_eq!(fired.retransmits.len() + fired.acks.len(), 0, "lossless");
+    }
+    returned + 1
+}
+
+/// The benchmark's `sharded_tpca` in blocks over `POPULATION`
+/// connections on `SHARDS` shards. Returns, summed over `BLOCKS` blocks
+/// after a warm-up pass over the same blocks, how far each block's
+/// allocator calls were from the vectors its calls handed back.
+fn sharded_blocks() -> u64 {
+    let mut server = CountedShards {
+        runtime: ShardedStack::with_config(StackConfig::new(SERVER), SHARDS),
+        scratch: TxScratch::new(),
+        allocations: 0,
+    };
+    server.runtime.listen(PORT).unwrap();
+    let mut client = Stack::with_config(StackConfig::new(CLIENT));
+    let conns: Vec<ShardedConn> = (0..POPULATION)
+        .map(|_| connect_sharded(&mut server, &mut client))
+        .collect();
+    let batch = |b: usize| -> Vec<ShardedConn> {
+        (0..BLOCK)
+            .map(|j| conns[(b * BLOCK + j) * 37 % POPULATION])
+            .collect()
+    };
+    // Warm up on the very blocks measured below: how a block splits
+    // between the shards varies, and each shard's pools grow to the most
+    // it has had out at once.
+    for b in 0..BLOCKS {
+        sharded_block(&mut server, &mut client, &batch(b + 1), b as u64 + 1);
+    }
+    let mut off = 0;
+    for b in 0..BLOCKS {
+        server.allocations = 0;
+        let now = (BLOCKS + b) as u64 + 1;
+        let returned = sharded_block(&mut server, &mut client, &batch(b + 1), now);
+        off += server.allocations.abs_diff(returned);
+    }
+    off
+}
+
 /// One long-lived connection moving bytes from `sender` to `receiver`
 /// over a link that delays every frame `LOSSY_DELAY` ticks and drops
 /// `LOSSY_DROP` of them each way. Byte `i` of the stream is `i % 251`.
@@ -485,8 +652,9 @@ fn connect(server: &mut Stack, client: &mut Stack) -> (PcbId, PcbId) {
 /// then the allocator calls the server made over 1 000 transactions one
 /// at a time, over 2 000 ticks of 1 … 20 transactions at a time, over
 /// 256 KiB read 512 B at a time from a backlog, over 50 rounds of churn,
-/// and over 100 blocks of 64 transactions among 2 000 connections.
-fn measure_one_attempt() -> [u64; 7] {
+/// and over 100 blocks of 64 transactions among 2 000 connections; then
+/// the bare table's, the lossy pair's and the sharded runtime's counts.
+fn measure_one_attempt() -> [u64; 8] {
     let mut server = Counted {
         stack: Stack::with_config(StackConfig::new(SERVER)),
         scratch: TxScratch::new(),
@@ -606,6 +774,7 @@ fn measure_one_attempt() -> [u64; 7] {
         standing,
         rotating_keys(),
         lossy.sender.allocations + lossy.receiver.allocations,
+        sharded_blocks(),
     ]
 }
 
@@ -615,7 +784,7 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
     let mut counts = Vec::with_capacity(ATTEMPTS);
     for _ in 0..ATTEMPTS {
         let count = measure_one_attempt();
-        if count == [0; 7] {
+        if count == [0; 8] {
             return;
         }
         counts.push(count);
@@ -626,6 +795,7 @@ fn a_steady_state_transaction_makes_no_allocator_call() {
          {BULK_SEGMENTS} backlogged segments, {CHURN_ROUNDS} rounds of churn, \
          {BLOCKS} blocks among {POPULATION} connections, {ROTATED} keys rotated \
          through a demultiplexer beside {POPULATION}, {LOSSY_BYTES} bytes over a \
-         lossy link))"
+         lossy link, and beyond the returned vectors over {BLOCKS} blocks through \
+         {SHARDS} shards))"
     );
 }
