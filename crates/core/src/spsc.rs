@@ -112,11 +112,6 @@ impl<T> Ring<T> {
         self.len() == 0
     }
 
-    /// The ring's fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.lock().stats.capacity
-    }
-
     /// Lifetime counters for this ring.
     pub fn stats(&self) -> RingStats {
         self.lock().stats
@@ -166,11 +161,6 @@ impl<T> SpscConsumer<T> {
     /// [`Ring::pop_batch`].
     pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         self.ring.pop_batch(out, max)
-    }
-
-    /// The shared ring, for its occupancy and counters.
-    pub fn ring(&self) -> &Ring<T> {
-        &self.ring
     }
 }
 

@@ -21,10 +21,10 @@ change run of a workload are a pair; "aa" runs, two consecutive ones of
 one binary, are an A/A pair. Prints one table per workload: each
 end-to-end metric's median and quartiles on both sides
 (`statistics.quantiles(n=4)`, as the benchmark's `--compare` has them),
-the change of the median, the A/A spread (the largest relative
-difference between the two runs of an A/A pair), and in how many pairs
-the change read better, and better by more than the A/A spread; then
-the failed operations. With `--trace 1` runs the per-layer rows follow.
+the change of the median, the A/A spread (the median, and the largest,
+relative difference between the two runs of an A/A pair), and in how
+many pairs the change read better, and better by more than the median
+A/A spread; then the failed operations. With `--trace 1` runs the per-layer rows follow.
 """
 import json
 import statistics
@@ -52,6 +52,11 @@ PER_LAYER = [
     "stack.advance_time_ns",
     "stack.poll_transmit_ns_per_frame",
     "stack.residual_ns",
+    "stack.runtime.enqueue_ns",
+    "stack.runtime.drain_ns_per_frame",
+    "stack.runtime.threaded_ns_per_frame",
+    "core.spsc.push_pop_ns",
+    "hash.steer_ns",
     "core.lookup_ns",
     "core.examined_per_lookup",
     "core.miss_lookup_ns",
@@ -130,8 +135,9 @@ def pair_table(workload, runs):
     names += [m for m in PER_LAYER if m in sides["parent"][0]["metrics"]]
     for name in names:
         p, c = ([r["metrics"][name]["value"] for r in sides[b][:n]] for b in ("parent", "change"))
-        spread = max((rel(a["metrics"][name]["value"], b["metrics"][name]["value"])
-                      for a, b in aa), default=None)
+        noise = sorted(rel(a["metrics"][name]["value"], b["metrics"][name]["value"])
+                       for a, b in aa)
+        spread = statistics.median(noise) if noise else None
         # Every per-layer row printed here is a cost or a count of work.
         sign = -1 if name in LOWER_IS_BETTER or name in PER_LAYER else 1
         won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
@@ -145,7 +151,7 @@ def pair_table(workload, runs):
         else:
             verdict = f"{won} of {n}"
             beyond = beyond if beyond == "—" else f"{beyond} of {n}"
-        aa_cell = "—" if spread is None else f"±{100 * spread:.1f} %"
+        aa_cell = "—" if spread is None else f"±{100 * spread:.1f} % (max {100 * noise[-1]:.1f} %)"
         print(f"| `{name}` | {spread_of(p)} | {spread_of(c)} | {pct(delta)} | {aa_cell} "
               f"| {verdict} | {beyond} |")
     failed = [sum(r["failed"] for r in sides[b][:n]) for b in ("parent", "change")]

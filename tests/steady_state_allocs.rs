@@ -137,17 +137,17 @@ const ROTATED: usize = 256 * 1024;
 const REQUEST: [u8; 100] = [0x5a; 100];
 const RESPONSE: [u8; 200] = [0xa5; 200];
 
-/// The server under test, with the allocator calls its entry points
-/// have made.
-struct Counted {
-    stack: Stack,
+/// The server under test, a `Stack` or a `ShardedStack`, with the
+/// allocator calls its entry points have made.
+struct Counted<S = Stack> {
+    stack: S,
     scratch: TxScratch,
     allocations: u64,
 }
 
-impl Counted {
+impl<S> Counted<S> {
     /// Run `f` against the server, counting what it allocates.
-    fn call<R>(&mut self, f: impl FnOnce(&mut Stack, &mut TxScratch) -> R) -> R {
+    fn call<R>(&mut self, f: impl FnOnce(&mut S, &mut TxScratch) -> R) -> R {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let out = f(&mut self.stack, &mut self.scratch);
         self.allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -348,23 +348,7 @@ fn rotating_keys() -> u64 {
     allocations
 }
 
-/// The sharded server under test, with the allocator calls its entry
-/// points have made.
-struct CountedShards {
-    runtime: ShardedStack,
-    scratch: TxScratch,
-    allocations: u64,
-}
-
-impl CountedShards {
-    /// Run `f` against the runtime, counting what it allocates.
-    fn call<R>(&mut self, f: impl FnOnce(&ShardedStack, &mut TxScratch) -> R) -> R {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let out = f(&self.runtime, &mut self.scratch);
-        self.allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
-        out
-    }
-
+impl Counted<ShardedStack> {
     /// Drain every shard, handing each result to `each` with its shard.
     /// Returns the drains that came back with frames.
     fn drain_all(&mut self, mut each: impl FnMut(ShardId, RxResult)) -> u64 {
@@ -387,15 +371,15 @@ type ShardedConn = (PcbId, ShardId, PcbId);
 
 /// One connection from `client` to the sharded `server`, established
 /// and accepted.
-fn connect_sharded(server: &mut CountedShards, client: &mut Stack) -> ShardedConn {
+fn connect_sharded(server: &mut Counted<ShardedStack>, client: &mut Stack) -> ShardedConn {
     let (cp, syn) = client.connect(SERVER, PORT).unwrap();
-    server.runtime.enqueue(syn).unwrap();
+    server.stack.enqueue(syn).unwrap();
     let mut synacks = Vec::new();
     server.drain_all(|_, r| synacks.extend(r.replies));
     let ack = client.receive(&synacks[0]).unwrap().replies;
-    server.runtime.enqueue(ack[0].clone()).unwrap();
+    server.stack.enqueue(ack[0].clone()).unwrap();
     server.drain_all(|_, r| assert!(matches!(r.outcome, RxOutcome::Established { .. })));
-    let (shard, sp) = server.runtime.accept(PORT).unwrap();
+    let (shard, sp) = server.stack.accept(PORT).unwrap();
     (cp, shard, sp)
 }
 
@@ -406,7 +390,7 @@ fn connect_sharded(server: &mut CountedShards, client: &mut Stack) -> ShardedCon
 /// Returns the calls that hand back a vector of their own: the
 /// non-empty drains and the one `advance_time`.
 fn sharded_block(
-    server: &mut CountedShards,
+    server: &mut Counted<ShardedStack>,
     client: &mut Stack,
     batch: &[ShardedConn],
     now: u64,
@@ -468,12 +452,12 @@ fn sharded_block(
 /// after a warm-up pass over the same blocks, how far each block's
 /// allocator calls were from the vectors its calls handed back.
 fn sharded_blocks() -> u64 {
-    let mut server = CountedShards {
-        runtime: ShardedStack::with_config(StackConfig::new(SERVER), SHARDS),
+    let mut server = Counted {
+        stack: ShardedStack::with_config(StackConfig::new(SERVER), SHARDS),
         scratch: TxScratch::new(),
         allocations: 0,
     };
-    server.runtime.listen(PORT).unwrap();
+    server.stack.listen(PORT).unwrap();
     let mut client = Stack::with_config(StackConfig::new(CLIENT));
     let conns: Vec<ShardedConn> = (0..POPULATION)
         .map(|_| connect_sharded(&mut server, &mut client))
