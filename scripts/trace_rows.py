@@ -24,7 +24,8 @@ end-to-end metric's median and quartiles on both sides
 the change of the median, the A/A spread (the median, and the largest,
 relative difference between the two runs of an A/A pair), and in how
 many pairs the change read better, and better by more than the median
-A/A spread; then the failed operations. With `--trace 1` runs the per-layer rows follow.
+A/A spread; then the failed operations. With `--trace 1` runs the
+per-layer rows follow.
 """
 import json
 import statistics
@@ -140,17 +141,15 @@ def pair_table(workload, runs):
         spread = statistics.median(noise) if noise else None
         # Every per-layer row printed here is a cost or a count of work.
         sign = -1 if name in LOWER_IS_BETTER or name in PER_LAYER else 1
-        won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
-        beyond = "—" if spread is None else sum(
-            sign * (b - a) > 0 and rel(a, b) > spread for a, b in zip(p, c))
-        tied = sum(a == b for a, b in zip(p, c))
-        mp, mc = statistics.median(p), statistics.median(c)
-        delta = (mc - mp) / abs(mp) if mp else None
-        if tied == n:
+        won = [sign * (b - a) > 0 for a, b in zip(p, c)]
+        if all(a == b for a, b in zip(p, c)):
             verdict, beyond = "identical", "—"
         else:
-            verdict = f"{won} of {n}"
-            beyond = beyond if beyond == "—" else f"{beyond} of {n}"
+            verdict = f"{sum(won)} of {n}"
+            beyond = "—" if spread is None else \
+                f"{sum(w and rel(a, b) > spread for w, a, b in zip(won, p, c))} of {n}"
+        mp, mc = statistics.median(p), statistics.median(c)
+        delta = (mc - mp) / abs(mp) if mp else None
         aa_cell = "—" if spread is None else f"±{100 * spread:.1f} % (max {100 * noise[-1]:.1f} %)"
         print(f"| `{name}` | {spread_of(p)} | {spread_of(c)} | {pct(delta)} | {aa_cell} "
               f"| {verdict} | {beyond} |")
